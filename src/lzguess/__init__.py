@@ -22,7 +22,6 @@ from .guessers import (Guesser, MomentEstimate, block_guess_prob,
 from .bounds import (BoundReport, K_of_ell, block_entropy, converse_clogc,
                      converse_entropy, direct_clogc, epsilon_lz, epsilon_n,
                      rho_upper, sandwich)
-from .sideinfo import (CondFSGMSpec, JointParseResult, JointSeq, cond_bounds,
-                       cond_code, cond_complexity, cond_decode,
-                       cond_fsgm_run, cond_guess_prob, cond_sample,
-                       joint_parse)
+from .sideinfo import (CondFSGMSpec, JointParseResult, cond_bounds, cond_code,
+                       cond_decode, cond_fsgm_run, cond_guess_prob,
+                       cond_sample, joint_parse)

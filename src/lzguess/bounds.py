@@ -36,9 +36,7 @@ from dataclasses import dataclass, field
 
 from .seqcore import SymbolSeq
 from .lz78 import incremental_parse
-from .guessers import Guesser, moment_log2
-
-LOG2E = math.log2(math.e)
+from .guessers import LOG2E, Guesser, moment_log2
 
 
 def divisors(n: int) -> list[int]:

@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .seqcore import (Alphabet, BitSource, SymbolSeq, ingest,
-                      parse_corpus_spec)
+                      parse_corpus_spec, play)
 from . import lz78, fsgm, guessers, bounds, sideinfo
 
 DEFAULT_CAP = 1 << 20
@@ -103,13 +103,17 @@ def _make_guesser(params: dict, alphabet: Alphabet, n: int) -> guessers.Guesser:
 
 
 def _input_paths(params: dict) -> list[str]:
+    """Every file a run reads, for the manifest's digests."""
     paths = []
-    for key in ("input", "input_x", "input_y", "alphabet_file", "machine"):
+    for key in ("input", "input_x", "input_y", "alphabet_file"):
         if params.get(key):
             paths.append(params[key])
-    g = params.get("guesser") or ""
-    if g.startswith("fsgm:"):
-        paths.append(g.split(":", 1)[1])
+    if params.get("machine") not in (None, "fig1"):
+        paths.append(params["machine"])
+    for key, prefix in (("corpus", "file:"), ("corpus_x", "file:"),
+                        ("corpus_y", "file:"), ("guesser", "fsgm:")):
+        if (params.get(key) or "").startswith(prefix):
+            paths.append(params[key][len(prefix):])
     return paths
 
 
@@ -177,6 +181,19 @@ def _run_fsgm_dist(params, outdir):
     return {"machine": spec.name, "n": params["n"], "distribution": rows}, None
 
 
+_MOMENT_FIELDS = ["n", "zeta", "q_log2", "exact_moment_log2", "exponent",
+                  "mc_mean", "mc_ci", "censored", "rounds"]
+
+
+def _moment_row(est: guessers.MomentEstimate, n: int) -> dict:
+    """One results row of `guess` or `sideinfo cond-guess`."""
+    return {"n": n, "zeta": est.zeta, "q_log2": est.q_log2,
+            "exact_moment_log2": est.exact_moment_log2,
+            "exponent": est.exponent, "mc_mean": est.mc_mean,
+            "mc_ci": est.mc_ci, "censored": est.censored,
+            "rounds": est.rounds}
+
+
 def _run_guess(params, outdir):
     seq = _target_sequence(params)
     g = _make_guesser(params, seq.alphabet, len(seq))
@@ -187,15 +204,8 @@ def _run_guess(params, outdir):
                                 seed=params.get("seed") or 0,
                                 cap=params.get("cap") or DEFAULT_CAP,
                                 jobs=params.get("jobs") or 1)
-        rows.append({"guesser": g.describe(), "n": len(seq), "zeta": zeta,
-                     "q_log2": est.q_log2,
-                     "exact_moment_log2": est.exact_moment_log2,
-                     "exponent": est.exponent, "mc_mean": est.mc_mean,
-                     "mc_ci": est.mc_ci, "censored": est.censored,
-                     "rounds": est.rounds})
-    fields = ["guesser", "n", "zeta", "q_log2", "exact_moment_log2",
-              "exponent", "mc_mean", "mc_ci", "censored", "rounds"]
-    return {"rows": rows}, ("results.csv", fields, rows)
+        rows.append({"guesser": g.describe(), **_moment_row(est, len(seq))})
+    return {"rows": rows}, ("results.csv", ["guesser"] + _MOMENT_FIELDS, rows)
 
 
 def _target_sequence(params) -> SymbolSeq:
@@ -280,41 +290,19 @@ def _run_sideinfo(params, outdir):
         q = sideinfo.cond_guess_prob(x, y)
         if q.is_zero():
             raise ValueError("conditional sampler cannot emit the target")
+
+        def attempt(bits):
+            return sideinfo.cond_sample(y, len(x), bits, x.alphabet) == x
+
+        rounds = params.get("rounds") or 0
+        cap = params.get("cap") or DEFAULT_CAP
         for zeta in params.get("zeta") or [1.0]:
             est = guessers.estimate_moment(q, zeta, len(x))
-            rounds = params.get("rounds") or 0
-            mc_mean = mc_ci = None
-            censored = None
             if rounds:
-                cap = params.get("cap") or DEFAULT_CAP
-                seed = params.get("seed") or 0
-                total = total_sq = 0.0
-                censored = 0
-                for k in range(rounds):
-                    bits = BitSource(seed, substream=k)
-                    gcount = 0
-                    while True:
-                        gcount += 1
-                        if sideinfo.cond_sample(y, len(x), bits,
-                                                x.alphabet) == x:
-                            break
-                        if gcount >= cap:
-                            censored += 1
-                            break
-                    gz = float(gcount) ** zeta
-                    total += gz
-                    total_sq += gz * gz
-                mc_mean = total / rounds
-                var = max(total_sq / rounds - mc_mean * mc_mean, 0.0)
-                mc_ci = 3.0 * (var / rounds) ** 0.5
-            rows.append({"n": len(x), "zeta": zeta, "q_log2": est.q_log2,
-                         "exact_moment_log2": est.exact_moment_log2,
-                         "exponent": est.exponent, "mc_mean": mc_mean,
-                         "mc_ci": mc_ci, "censored": censored,
-                         "rounds": rounds or None})
-        fields = ["n", "zeta", "q_log2", "exact_moment_log2", "exponent",
-                  "mc_mean", "mc_ci", "censored", "rounds"]
-        return {"rows": rows}, ("results.csv", fields, rows)
+                est.fold(play(attempt, rounds, params.get("seed") or 0, cap),
+                         cap)
+            rows.append(_moment_row(est, len(x)))
+        return {"rows": rows}, ("results.csv", _MOMENT_FIELDS, rows)
     if sub == "cond-bounds":
         rows = []
         for zeta in params.get("zeta") or [1.0]:
@@ -425,8 +413,6 @@ def _add_common(p: argparse.ArgumentParser, which=("seq",)):
         p.add_argument("--n", type=int, help="corpus length")
     p.add_argument("--out-dir", dest="out_dir",
                    help="run folder root (default $LZGUESS_OUT_DIR or ./runs)")
-    p.add_argument("--format", choices=("csv", "json"), default="json",
-                   help="primary report format (both are written for sweeps)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -517,7 +503,6 @@ def cli_dispatch(argv) -> dict:
         return replay(ns.manifest, ns.out_dir)
     out_root = _out_root(params)
     params.pop("out_dir", None)
-    params.pop("format", None)
     return _execute(subcommand, params, out_root)
 
 

@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
-from .seqcore import Alphabet, BitSource, BudgetError, DyadicProb, SymbolSeq
+from .seqcore import (Alphabet, BitSource, BudgetError, DyadicProb, SymbolSeq,
+                      play)
 
 MAX_DELTA = 16
 DIST_BUDGET = 1 << 18  # alpha**n * states cap for full output enumeration
@@ -154,7 +156,7 @@ def sequence_prob(spec: FSGMSpec, x: SymbolSeq) -> DyadicProb:
             for (out, zp), m in ker[z].items():
                 if out != c:
                     continue
-                w = p * DyadicProb.from_ratio(m, d)
+                w = p * DyadicProb(m, d)
                 if zp in nxt:
                     nxt[zp] = nxt[zp] + w
                 else:
@@ -188,7 +190,7 @@ def output_distribution(spec: FSGMSpec, n: int) -> dict[SymbolSeq, DyadicProb]:
             d = spec.delta[z]
             for (out, zp), m in ker[z].items():
                 key = (prefix + (out,), zp)
-                w = p * DyadicProb.from_ratio(m, d)
+                w = p * DyadicProb(m, d)
                 if key in nxt:
                     nxt[key] = nxt[key] + w
                 else:
@@ -367,6 +369,8 @@ def parse_machine(text: str, name: str = "") -> FSGMSpec:
         if not line:
             continue
         parts = line.split()
+        if parts[0] in ("alphabet", "initial") and len(parts) < 2:
+            raise ValueError("line %d: '%s' needs a value" % (ln, parts[0]))
         if parts[0] == "alphabet":
             alphabet = Alphabet.from_spec(parts[1])
             continue
@@ -376,6 +380,9 @@ def parse_machine(text: str, name: str = "") -> FSGMSpec:
         if len(parts) != 4:
             raise ValueError("line %d: expected 'state word output next'" % ln)
         z, word, token, nxt = parts
+        if word != "-" and word.strip("01"):
+            raise ValueError("line %d: word %r is not binary or '-'"
+                             % (ln, word))
         d = 0 if word == "-" else len(word)
         if z in delta and delta[z] != d:
             raise ValueError("line %d: state %s mixes word lengths %d and %d"
@@ -400,40 +407,37 @@ def parse_machine(text: str, name: str = "") -> FSGMSpec:
 # the guessing game against a machine
 # ---------------------------------------------------------------------------
 
+def runner(spec: FSGMSpec, x: SymbolSeq) -> Callable[[BitSource], bool]:
+    """A single-guess attempt function: drive the machine against x and
+    abort at the first mismatched symbol.  The unread bits are independent
+    of that decision, so the success law per run is unchanged."""
+    target = x.indices
+    init = spec._idx[spec.initial]
+    delta = spec.delta
+    table = spec.table
+
+    def attempt(bits: BitSource) -> bool:
+        z = init
+        for want in target:
+            out, z = table[z][bits.next_bits(delta[z])]
+            if out != want:
+                return False
+        return True
+
+    return attempt
+
+
 def simulate_guessing(spec: FSGMSpec, x: SymbolSeq, rounds: int, seed: int,
                       cap: int) -> list[int]:
     """Per-round counts of independent machine runs until the output is x.
 
-    Round k draws its bits from substream k of the seed.  A run aborts at
-    the first mismatched symbol; the unread bits are independent of that
-    decision, so the success law per run is unchanged.  Counts are censored
-    at `cap`, reported as -cap (negative marks a censored round).
+    Round k draws its bits from substream k of the seed (see :func:`play`).
+    Counts are censored at `cap`, reported as -cap (negative marks a
+    censored round).
     """
     if rounds < 1 or cap < 1:
         raise ValueError("need rounds >= 1 and cap >= 1")
     if sequence_prob(spec, x).is_zero():
         raise ValueError("unreachable target: the machine never outputs it")
-    target = x.indices
-    n = len(target)
-    init = spec._idx[spec.initial]
-    samples = []
-    for k in range(rounds):
-        bits = BitSource(seed, substream=k)
-        g = 0
-        while True:
-            g += 1
-            z = init
-            ok = True
-            for i in range(n):
-                d = spec.delta[z]
-                out, z = spec.table[z][bits.next_bits(d)]
-                if out != target[i]:
-                    ok = False
-                    break
-            if ok:
-                samples.append(g)
-                break
-            if g >= cap:
-                samples.append(-cap)
-                break
-    return samples
+    return [g if g <= cap else -cap
+            for g in play(runner(spec, x), rounds, seed, cap)]

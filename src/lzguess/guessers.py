@@ -25,11 +25,12 @@ block prefix, symbols still pending emission).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .seqcore import Alphabet, BitSource, BudgetError, DyadicProb, SymbolSeq
-from . import lz78
+from .seqcore import (Alphabet, BitSource, BudgetError, DyadicProb, SymbolSeq,
+                      play)
+from . import fsgm, lz78
 from .fsgm import FSGMSpec
 
 LOG2E = math.log2(math.e)
@@ -148,10 +149,10 @@ def lz_guess_prob(x: SymbolSeq) -> DyadicProb:
         for d, node in trie.walk(idx[e:], limit=t):
             if e + d == n:
                 sub = _subtree_ptr_count(trie, node, t, t, width)
-                success = success + pe * DyadicProb.from_ratio(sub, width)
+                success = success + pe * DyadicProb(sub, width)
                 break
             weight = _ptr_count(node, t, width) * sym_counts[idx[e + d]]
-            gain = pe * DyadicProb.from_ratio(weight, denom)
+            gain = pe * DyadicProb(weight, denom)
             tgt = e + d + 1
             p[tgt] = gain if p[tgt] is None else p[tgt] + gain
     if p[n] is not None:
@@ -184,11 +185,11 @@ def aligned_guess_prob(x: SymbolSeq) -> DyadicProb:
             node = next(v for d, v in trie.walk(idx[b:], limit=t)
                         if d == end - b)
             sub = _subtree_ptr_count(trie, node, t, t, width)
-            prob = prob * DyadicProb.from_ratio(sub, width)
+            prob = prob * DyadicProb(sub, width)
         else:
             parent = trie.parent[j]
             weight = _ptr_count(parent, t, width) * sym_counts[idx[end - 1]]
-            prob = prob * DyadicProb.from_ratio(weight, width + a_bits)
+            prob = prob * DyadicProb(weight, width + a_bits)
     return prob
 
 
@@ -307,7 +308,9 @@ class Guesser:
     kinds: "lz_full" (one dictionary for the whole guess), "lz_block"
     (dictionary restarts every ell symbols), "uniform" (one fresh symbol
     per position; exactly uniform when alpha is a power of two), "fsgm"
-    (an explicit machine).
+    (an explicit machine).  lz_full is the block guesser with ell = n and
+    uniform the one with ell = 1; `block` holds that restart period and is
+    None for a machine.
     """
 
     kind: str
@@ -315,6 +318,7 @@ class Guesser:
     n: int
     ell: int | None = None
     spec: FSGMSpec | None = None
+    block: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("lz_full", "lz_block", "uniform", "fsgm"):
@@ -323,6 +327,8 @@ class Guesser:
             raise ValueError("lz_block needs ell >= 1")
         if self.kind == "fsgm" and self.spec is None:
             raise ValueError("fsgm guesser needs a machine spec")
+        block = {"lz_full": self.n, "uniform": 1}.get(self.kind, self.ell)
+        object.__setattr__(self, "block", block)
 
     def describe(self) -> str:
         if self.kind == "lz_block":
@@ -332,27 +338,17 @@ class Guesser:
         return self.kind
 
     def sample(self, bits: BitSource) -> SymbolSeq:
-        if self.kind == "lz_full":
-            return lz_sample(self.alphabet, self.n, bits)
-        if self.kind == "lz_block":
-            return block_sample(self.alphabet, self.n, self.ell, bits)
-        if self.kind == "uniform":
-            return block_sample(self.alphabet, self.n, 1, bits)
-        from .fsgm import run
-        return run(self.spec, bits, self.n).output
+        if self.block is None:
+            return fsgm.run(self.spec, bits, self.n).output
+        return block_sample(self.alphabet, self.n, self.block, bits)
 
     def guess_prob(self, x: SymbolSeq) -> DyadicProb:
         if len(x) != self.n:
             raise ValueError("target length %d != guesser length %d"
                              % (len(x), self.n))
-        if self.kind == "lz_full":
-            return lz_guess_prob(x)
-        if self.kind == "lz_block":
-            return block_guess_prob(x, self.ell)
-        if self.kind == "uniform":
-            return block_guess_prob(x, 1)
-        from .fsgm import sequence_prob
-        return sequence_prob(self.spec, x)
+        if self.block is None:
+            return fsgm.sequence_prob(self.spec, x)
+        return block_guess_prob(x, self.block)
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +507,8 @@ def _lz_full_runner(x: SymbolSeq) -> Callable[[BitSource], bool]:
 
 def _block_runner(x: SymbolSeq, ell: int) -> Callable[[BitSource], bool]:
     runners = [_lz_full_runner(x[b:e]) for b, e in _blocks(len(x), ell)]
+    if len(runners) == 1:
+        return runners[0]
 
     def attempt(bits: BitSource) -> bool:
         for r in runners:
@@ -521,35 +519,12 @@ def _block_runner(x: SymbolSeq, ell: int) -> Callable[[BitSource], bool]:
     return attempt
 
 
-def _fsgm_runner(spec: FSGMSpec, x: SymbolSeq) -> Callable[[BitSource], bool]:
-    target = x.indices
-    init = spec._idx[spec.initial]
-    delta = spec.delta
-    table = spec.table
-
-    def attempt(bits: BitSource) -> bool:
-        z = init
-        for want in target:
-            out, z = table[z][bits.next_bits(delta[z])]
-            if out != want:
-                return False
-        return True
-
-    return attempt
-
-
 def make_runner(guesser: Guesser, x: SymbolSeq) -> Callable[[BitSource], bool]:
     """A single-guess attempt function; aborts at the first mismatch (the
     unread bits are independent, so the per-run success law is unchanged)."""
-    if guesser.kind == "lz_full":
-        if len(x) <= 512:
-            return _lz_full_runner(x)
-        return _block_runner(x, len(x))
-    if guesser.kind == "lz_block":
-        return _block_runner(x, guesser.ell)
-    if guesser.kind == "uniform":
-        return _block_runner(x, 1)
-    return _fsgm_runner(guesser.spec, x)
+    if guesser.block is None:
+        return fsgm.runner(guesser.spec, x)
+    return _block_runner(x, guesser.block)
 
 
 @dataclass
@@ -567,6 +542,28 @@ class MomentEstimate:
     censored: int | None = None
     rounds: int | None = None
 
+    def fold(self, counts, cap: int) -> "MomentEstimate":
+        """Fill the Monte Carlo fields from per-round guess counts in round
+        order, as :func:`play` yields them; a censored round (cap + 1)
+        enters the mean at the cap."""
+        total = total_sq = 0.0
+        censored = rounds = 0
+        for g in counts:
+            if g > cap:
+                censored += 1
+                g = cap
+            gz = float(g) ** self.zeta
+            total += gz
+            total_sq += gz * gz
+            rounds += 1
+        mean = total / rounds
+        var = max(total_sq / rounds - mean * mean, 0.0)
+        self.mc_mean = mean
+        self.mc_ci = 3.0 * math.sqrt(var / rounds)
+        self.censored = censored
+        self.rounds = rounds
+        return self
+
 
 def estimate_moment(q: DyadicProb, zeta: float, n: int) -> MomentEstimate:
     """Exact fields only."""
@@ -579,28 +576,10 @@ def estimate_moment(q: DyadicProb, zeta: float, n: int) -> MomentEstimate:
 
 
 def _mc_chunk(args):
-    """One contiguous block of rounds; a top-level function so worker
-    processes can receive it.  Results do not depend on the chunking because
-    round k always uses substream k."""
-    guesser, x, zeta, start, count, seed, cap = args
-    attempt = make_runner(guesser, x)
-    total = 0.0
-    total_sq = 0.0
-    censored = 0
-    for k in range(start, start + count):
-        bits = BitSource(seed, substream=k)
-        g = 0
-        while True:
-            g += 1
-            if attempt(bits):
-                break
-            if g >= cap:
-                censored += 1
-                break
-        gz = float(g) ** zeta
-        total += gz
-        total_sq += gz * gz
-    return total, total_sq, censored
+    """The guess counts of one contiguous block of rounds; a top-level
+    function so worker processes can receive it."""
+    guesser, x, start, count, seed, cap = args
+    return list(play(make_runner(guesser, x), count, seed, cap, start))
 
 
 def run_game(guesser: Guesser, x: SymbolSeq, zeta: float = 1.0,
@@ -611,8 +590,9 @@ def run_game(guesser: Guesser, x: SymbolSeq, zeta: float = 1.0,
 
     Rounds are censored at `cap` guesses; censored rounds enter the mean at
     the cap, so pick caps large enough for the q at hand or read the
-    censored count.  jobs > 1 fans the rounds out to worker processes; the
-    substream discipline keeps results identical for any worker count.
+    censored count.  jobs > 1 fans the rounds out to worker processes and
+    folds their counts in round order, so results are identical for any
+    worker count.
     """
     q = guesser.guess_prob(x)
     if q.is_zero():
@@ -623,22 +603,13 @@ def run_game(guesser: Guesser, x: SymbolSeq, zeta: float = 1.0,
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         step = -(-rounds // jobs)
-        chunks = [(guesser, x, zeta, start, min(step, rounds - start), seed,
-                   cap) for start in range(0, rounds, step)]
+        chunks = [(guesser, x, start, min(step, rounds - start), seed, cap)
+                  for start in range(0, rounds, step)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_mc_chunk, chunks))
+            counts = [g for part in pool.map(_mc_chunk, chunks) for g in part]
     else:
-        parts = [_mc_chunk((guesser, x, zeta, 0, rounds, seed, cap))]
-    total = sum(p[0] for p in parts)
-    total_sq = sum(p[1] for p in parts)
-    censored = sum(p[2] for p in parts)
-    mean = total / rounds
-    var = max(total_sq / rounds - mean * mean, 0.0)
-    est.mc_mean = mean
-    est.mc_ci = 3.0 * math.sqrt(var / rounds)
-    est.censored = censored
-    est.rounds = rounds
-    return est
+        counts = play(make_runner(guesser, x), rounds, seed, cap)
+    return est.fold(counts, cap)
 
 
 def survival_curve(guesser: Guesser, x: SymbolSeq, ks, rounds: int,
@@ -649,20 +620,6 @@ def survival_curve(guesser: Guesser, x: SymbolSeq, ks, rounds: int,
     fraction of rounds whose first k-1 attempts all failed.
     """
     ks = sorted(ks)
-    cap = cap or ks[-1]
-    attempt = make_runner(guesser, x)
-    at_least = dict.fromkeys(ks, 0)
-    for r in range(rounds):
-        bits = BitSource(seed, substream=r)
-        g = 0
-        while True:
-            g += 1
-            if attempt(bits):
-                break
-            if g >= cap:
-                g = cap + 1
-                break
-        for k in ks:
-            if g >= k:
-                at_least[k] += 1
-    return {k: c / rounds for k, c in at_least.items()}
+    counts = list(play(make_runner(guesser, x), rounds, seed,
+                       cap or ks[-1]))
+    return {k: sum(g >= k for g in counts) / rounds for k in ks}

@@ -16,7 +16,8 @@ prefix-free on each length-n alphabet power and satisfies Kraft's inequality.
 Total length grows like c*log(c) in the phrase count.
 
 c_max_oracle computes the largest number of *distinct* phrases over all
-partitions by exhaustive search; it is exponential and guarded to n <= 24.
+partitions by memoized exhaustive search without pruning; it is exponential
+and guarded to n <= 24.
 """
 
 from __future__ import annotations
@@ -32,6 +33,24 @@ class DecodeError(ValueError):
     def __init__(self, message: str, bit_position: int):
         super().__init__("%s (at bit %d)" % (message, bit_position))
         self.bit_position = bit_position
+
+
+class BitReader:
+    """Sequential reads from a '0'/'1' string, for the decoders."""
+
+    __slots__ = ("bits", "pos")
+
+    def __init__(self, bits: str):
+        self.bits = bits
+        self.pos = 0
+
+    def take(self, k: int) -> int:
+        """The next k bits as an integer, first bit most significant."""
+        if self.pos + k > len(self.bits):
+            raise DecodeError("stream truncated", len(self.bits))
+        val = int(self.bits[self.pos:self.pos + k], 2) if k else 0
+        self.pos += k
+        return val
 
 
 def _ptr_width(t: int) -> int:
@@ -197,22 +216,13 @@ def decode(bits: str, n: int, alphabet: Alphabet) -> SymbolSeq:
     trie = ParseTrie()
     a_bits = alphabet.bits_per_symbol
     out = bytearray()
-    pos = 0
-
-    def take(k: int) -> int:
-        nonlocal pos
-        if pos + k > len(bits):
-            raise DecodeError("stream truncated", len(bits))
-        val = int(bits[pos:pos + k], 2) if k else 0
-        pos += k
-        return val
-
+    reader = BitReader(bits)
     while len(out) < n:
         t = len(trie)
-        ptr = take(_ptr_width(t))
+        ptr = reader.take(_ptr_width(t))
         if ptr >= t:
             raise DecodeError("pointer %d out of range for %d nodes" % (ptr, t),
-                              pos)
+                              reader.pos)
         word = trie.word(ptr)
         remaining = n - len(out)
         if len(word) == remaining:
@@ -220,15 +230,15 @@ def decode(bits: str, n: int, alphabet: Alphabet) -> SymbolSeq:
             out.extend(word)
             break
         if len(word) > remaining:
-            raise DecodeError("phrase overruns the target length", pos)
-        sym = take(a_bits)
+            raise DecodeError("phrase overruns the target length", reader.pos)
+        sym = reader.take(a_bits)
         if sym >= alphabet.size:
-            raise DecodeError("symbol %d outside alphabet" % sym, pos)
+            raise DecodeError("symbol %d outside alphabet" % sym, reader.pos)
         out.extend(word)
         out.append(sym)
         trie.add(ptr, sym)
-    if pos != len(bits):
-        raise DecodeError("trailing bits after decoding", pos)
+    if reader.pos != len(bits):
+        raise DecodeError("trailing bits after decoding", reader.pos)
     return SymbolSeq(alphabet, bytes(out))
 
 
@@ -260,8 +270,9 @@ def c_max_oracle(seq: SymbolSeq, max_n: int = 24) -> int:
     """Largest number of distinct phrases whose concatenation equals `seq`.
 
     Exhaustive search over partitions with memoization on (position, set of
-    used phrases short enough to still matter) and a greedy upper bound for
-    pruning.  Guarded: refuses n > max_n; use c_lz as the surrogate there.
+    used phrases short enough to still matter); there is no pruning, so the
+    cost is exponential.  Guarded: refuses n > max_n; use c_lz as the
+    surrogate there.
     """
     n = len(seq)
     if n > max_n:

@@ -3,11 +3,12 @@ probabilities.
 
 Everything downstream is driven by fair random bits, so every probability that
 occurs is of the form m / 2**e.  :class:`DyadicProb` keeps such values exact
-with arbitrary-precision integers; large-n code paths switch to base-2
-log-domain floats instead.  :class:`BitSource` is a counter-based generator
-(splitmix64) so that substreams can be derived reproducibly for parallel Monte
-Carlo: substream k of master seed s is completely determined by (s, k),
-independent of worker count.
+with arbitrary-precision integers at every n; only the moments evaluated from
+them switch to base-2 log-domain floats at large n.  :class:`BitSource` is a
+counter-based generator (splitmix64) so that substreams can be derived
+reproducibly for parallel Monte Carlo: substream k of master seed s is
+completely determined by (s, k), independent of worker count.  :func:`play`
+is the one Monte Carlo loop of the guessing game built on those substreams.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class BudgetError(ValueError):
@@ -249,10 +250,6 @@ class BitSource:
         self._buffer = 0
         self._buffered = 0
 
-    def spawn(self, substream: int) -> "BitSource":
-        """A fresh source on another substream of the same master seed."""
-        return BitSource(self.master_seed, substream)
-
     def _refill(self):
         self._word_index += 1
         word = _mix64((self._seed + self._word_index * _GOLDEN) & _MASK64)
@@ -277,6 +274,29 @@ class BitSource:
     def next_float(self) -> float:
         """A float in [0, 1) built from 53 bits."""
         return self.next_bits(53) / 9007199254740992.0
+
+
+def play(attempt: Callable[[BitSource], bool], rounds: int, seed: int,
+         cap: int, start: int = 0) -> Iterator[int]:
+    """The guessing game: per round, the number of guesses G until
+    `attempt` succeeds.
+
+    Round k (from `start` on) draws all its guesses from substream k of
+    `seed`, so a round's count does not depend on how rounds are split
+    across workers.  A round is censored after `cap` failed guesses and
+    yields cap + 1.
+    """
+    if cap < 1:
+        raise ValueError("need cap >= 1")
+    for k in range(start, start + rounds):
+        bits = BitSource(seed, substream=k)
+        g = 1
+        while not attempt(bits):
+            if g >= cap:
+                g = cap + 1
+                break
+            g += 1
+        yield g
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +333,6 @@ class DyadicProb:
     @classmethod
     def one(cls) -> "DyadicProb":
         return cls(1, 0)
-
-    @classmethod
-    def from_ratio(cls, numerator: int, exp2: int) -> "DyadicProb":
-        """numerator / 2**exp2."""
-        return cls(numerator, exp2)
 
     def is_zero(self) -> bool:
         return self.m == 0

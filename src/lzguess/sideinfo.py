@@ -33,35 +33,20 @@ cond_guess_prob(x|y) >= 2**-L(x|y) everywhere.
 
 from __future__ import annotations
 
+import bisect
 import math
-import warnings
 from dataclasses import dataclass
 
 from .seqcore import Alphabet, BitSource, DyadicProb, SymbolSeq
-from .lz78 import DecodeError, ParseResult, incremental_parse
-from .guessers import _ptr_count, moment_log2
-from .bounds import K_of_ell, epsilon_n
-
-LOG2E = math.log2(math.e)
+from .lz78 import BitReader, DecodeError, ParseResult, incremental_parse
+from .guessers import (LOG2E, _blocks, _parse_history, _ptr_count,
+                       moment_log2)
+from .bounds import block_entropy, delta_n_at
 
 
 # ---------------------------------------------------------------------------
 # joint parsing and conditional complexity
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class JointSeq:
-    x: SymbolSeq
-    y: SymbolSeq
-
-    def __post_init__(self):
-        if len(self.x) != len(self.y):
-            raise ValueError("x and y must have equal length (%d vs %d)"
-                             % (len(self.x), len(self.y)))
-
-    def __len__(self) -> int:
-        return len(self.x)
-
 
 def pack_pairs(x: SymbolSeq, y: SymbolSeq) -> SymbolSeq:
     """The pair stream as one sequence over the product alphabet,
@@ -116,11 +101,6 @@ def joint_parse(x: SymbolSeq, y: SymbolSeq) -> JointParseResult:
                             parse.last_complete, tail)
 
 
-def cond_complexity(jp: JointParseResult) -> float:
-    """u = sum_j c_j log2 c_j in bits."""
-    return jp.u
-
-
 # ---------------------------------------------------------------------------
 # the truncated-gamma index code over a finite chain
 # ---------------------------------------------------------------------------
@@ -166,27 +146,14 @@ def chain_gap_probs(size: int) -> list[DyadicProb]:
         v = gap + 1
         z = v.bit_length() - 1
         if z < Z:
-            probs.append(DyadicProb.from_ratio(1, 2 * z + 1))
+            probs.append(DyadicProb(1, 2 * z + 1))
         else:
             cnt = _ptr_count(v - (1 << Z), mz, w)
-            probs.append(DyadicProb.from_ratio(cnt, Z + w))
+            probs.append(DyadicProb(cnt, Z + w))
     return probs
 
 
-class _BitReader:
-    def __init__(self, bits: str):
-        self.bits = bits
-        self.pos = 0
-
-    def take(self, k: int) -> int:
-        if self.pos + k > len(self.bits):
-            raise DecodeError("stream truncated", len(self.bits))
-        val = int(self.bits[self.pos:self.pos + k], 2) if k else 0
-        self.pos += k
-        return val
-
-
-def chain_decode(reader: _BitReader, size: int) -> int:
+def chain_decode(reader: BitReader, size: int) -> int:
     Z = size.bit_length() - 1
     z = 0
     while z < Z and reader.take(1) == 0:
@@ -221,7 +188,7 @@ def _gamma_encode(v: int) -> str:
     return "0" * z + format(v, "b")
 
 
-def _gamma_decode(reader: _BitReader) -> int:
+def _gamma_decode(reader: BitReader) -> int:
     z = 0
     while reader.take(1) == 0:
         z += 1
@@ -268,7 +235,12 @@ class _CondDict:
             d += 1
         return d
 
-    def _register(self, xw: bytes, yw: bytes):
+    def _add_node(self, parent: int, key: tuple, xw: bytes, yw: bytes):
+        """Create the joint node for phrase (xw, yw) under `parent`."""
+        self.children[parent][key] = len(self.children)
+        self.children.append({})
+        self.xword.append(xw)
+        self.yword.append(yw)
         if yw in self.D:
             self.D[yw].append(xw)
         else:
@@ -292,23 +264,15 @@ class _CondDict:
         key = (xw[-1], yw[-1])
         if key in self.children[node]:
             raise DecodeError("phrase already in dictionary", 0)
-        self.children[node][key] = len(self.children)
-        self.children.append({})
-        self.xword.append(xw)
-        self.yword.append(yw)
-        self._register(xw, yw)
+        self._add_node(node, key, xw, yw)
 
     def feed_pair(self, xs: int, ys: int):
         """Advance the parse cursor by one emitted pair (sampler side)."""
         child = self.children[self.cursor].get((xs, ys))
         if child is None:
-            xw = self.xword[self.cursor] + bytes([xs])
-            yw = self.yword[self.cursor] + bytes([ys])
-            self.children[self.cursor][(xs, ys)] = len(self.children)
-            self.children.append({})
-            self.xword.append(xw)
-            self.yword.append(yw)
-            self._register(xw, yw)
+            self._add_node(self.cursor, (xs, ys),
+                           self.xword[self.cursor] + bytes([xs]),
+                           self.yword[self.cursor] + bytes([ys]))
             self.cursor = 0
         else:
             self.cursor = child
@@ -373,7 +337,7 @@ def cond_decode(bits: str, y: SymbolSeq, n: int,
     alpha = alphabet.size
     a_bits = alphabet.bits_per_symbol
     yi = y.indices
-    reader = _BitReader(bits)
+    reader = BitReader(bits)
     header = _gamma_decode(reader)
     if header & ((1 << a_bits) - 1):
         raise DecodeError("corrupt header", reader.pos)
@@ -478,22 +442,9 @@ class _CondHistory:
     e matching symbols is a function of e."""
 
     def __init__(self, x: SymbolSeq, y: SymbolSeq):
-        packed = pack_pairs(x, y)
-        parse = incremental_parse(packed)
+        parse, t_at = _parse_history(pack_pairs(x, y))
         trie = parse.trie
         beta = y.alphabet.size
-        n = len(x)
-        # replay node counts
-        t_at = [1] * (n + 1)
-        node, t = 0, 1
-        for e, c in enumerate(packed.indices):
-            child = trie.children[node].get(c)
-            if child is None or child >= t:
-                t += 1
-                node = 0
-            else:
-                node = child
-            t_at[e + 1] = t
         self.trie = trie
         self.t_at = t_at
         self.beta = beta
@@ -528,17 +479,7 @@ class _CondHistory:
             self.d_entries.setdefault(ywords[v], []).append(v)
 
     def d_count(self, w: bytes, t: int) -> int:
-        entries = self.d_entries.get(w)
-        if not entries:
-            return 0
-        lo, hi = 0, len(entries)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if entries[mid] < t:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        return bisect.bisect_left(self.d_entries.get(w, ()), t)
 
     def chain_depth(self, yidx: bytes, b: int, n: int, t: int) -> int:
         node = 0
@@ -582,7 +523,7 @@ def cond_guess_prob(x: SymbolSeq, y: SymbolSeq) -> DyadicProb:
             c = hist.d_count(hist.ywords[node], t) if node else 1
             width = (c - 1).bit_length()
             cnt = _ptr_count(hist.pos_in_D[node], c, width)
-            p_idx = DyadicProb.from_ratio(cnt, width)
+            p_idx = DyadicProb(cnt, width)
             base = (chain - 1 - d) * alpha
             if b + d == n:
                 # overshoot: the surplus symbol is discarded, any rank wins
@@ -611,8 +552,7 @@ def cond_block_guess_prob(x: SymbolSeq, y: SymbolSeq, ell: int) -> DyadicProb:
     if ell < 1:
         raise ValueError("need ell >= 1")
     prob = DyadicProb.one()
-    for b in range(0, len(x), ell):
-        e = min(b + ell, len(x))
+    for b, e in _blocks(len(x), ell):
         prob = prob * cond_guess_prob(x[b:e], y[b:e])
     return prob
 
@@ -622,8 +562,7 @@ def cond_block_sample(y: SymbolSeq, n: int, ell: int, bits: BitSource,
     if ell < 1:
         raise ValueError("need ell >= 1")
     out = bytearray()
-    for b in range(0, n, ell):
-        e = min(b + ell, n)
+    for b, e in _blocks(n, ell):
         out.extend(cond_sample(y[b:e], e - b, bits, x_alphabet).indices)
     return SymbolSeq(x_alphabet or y.alphabet, bytes(out))
 
@@ -634,38 +573,7 @@ def cond_block_sample(y: SymbolSeq, n: int, ell: int, bits: BitSource,
 
 def cond_block_entropy(x: SymbolSeq, y: SymbolSeq, ell: int) -> float:
     """Conditional empirical entropy of ell-blocks: H(joint) - H(y-blocks)."""
-    n = len(x)
-    if ell < 1 or ell > n:
-        raise ValueError("need 1 <= ell <= n")
-    if n % ell:
-        warnings.warn("ell=%d does not divide n=%d; truncating" % (ell, n))
-    m = n // ell
-    joint: dict = {}
-    ymarg: dict = {}
-    for i in range(m):
-        xb = x.indices[i * ell:(i + 1) * ell]
-        yb = y.indices[i * ell:(i + 1) * ell]
-        joint[(xb, yb)] = joint.get((xb, yb), 0) + 1
-        ymarg[yb] = ymarg.get(yb, 0) + 1
-    hj = -sum(c / m * math.log2(c / m) for c in joint.values())
-    hy = -sum(c / m * math.log2(c / m) for c in ymarg.values())
-    return hj - hy
-
-
-def cond_delta_n(n: int, alpha: int, beta: int, s: int, ell: int,
-                 zeta: float) -> float:
-    """delta_n(s, ell) for the conditional c-log-c converse, with
-    K(ell) = ((alpha*beta)**(ell+1) - 1)/(alpha*beta - 1)."""
-    ab = alpha * beta
-    if (ell + 1) * math.log2(ab) > 500:
-        return math.inf
-    K = K_of_ell(ell, ab)
-    log4K2 = math.log2(4 * K * K)
-    en = epsilon_n(n, ab)
-    return (log4K2 * math.log2(ab) / ((1.0 - en) * math.log2(n))
-            + K * K * log4K2 / n
-            + (1 + 3 * math.log2(s) + LOG2E) / ell
-            + (2 * LOG2E + zeta) / n)
+    return block_entropy(pack_pairs(x, y), ell) - block_entropy(y, ell)
 
 
 @dataclass
@@ -706,8 +614,9 @@ def cond_bounds(x: SymbolSeq, y: SymbolSeq, s: int, ell: int,
     h = cond_block_entropy(x, y, ell)
     conv_h = max(zeta * (h - 3 * math.log2(s) - LOG2E) / ell
                  - (2 * LOG2E + zeta) / n, 0.0)
-    conv_u = max(zeta * (jp.u / n - cond_delta_n(
-        n, x.alphabet.size, y.alphabet.size, s, ell, zeta)), 0.0)
+    # the c-log-c converse's delta_n over the product alphabet
+    conv_u = max(zeta * (jp.u / n - delta_n_at(
+        n, x.alphabet.size * y.alphabet.size, s, zeta, ell)), 0.0)
     direct = zeta * (jp.u / n + epsilon1(n))
     return CondBoundReport(n, zeta, s, ell, jp.u, h, q_log2, measured,
                            conv_h, conv_u, direct)
@@ -799,7 +708,7 @@ def cond_fsgm_sequence_prob(spec: CondFSGMSpec, x: SymbolSeq,
                 if out == xb:
                     counts[zp] = counts.get(zp, 0) + 1
             for zp, m in counts.items():
-                w = p * DyadicProb.from_ratio(m, d)
+                w = p * DyadicProb(m, d)
                 nxt[zp] = nxt[zp] + w if zp in nxt else w
         if not nxt:
             return DyadicProb.zero()

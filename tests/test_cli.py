@@ -1,10 +1,16 @@
 import json
 import os
+import re
+import shlex
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lzguess.cli import build_parser, cli_dispatch, main, replay
-from lzguess.fsgm import build_fig1_machine, format_machine
+from lzguess.fsgm import build_fig1_machine, format_machine, parse_machine
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def dispatch(tmp_path, *argv):
@@ -141,6 +147,19 @@ def test_replay_detects_digest_mismatch(tmp_path):
         replay(os.path.join(rec["outdir"], "manifest.json"))
 
 
+def test_replay_detects_changed_file_corpus(tmp_path):
+    src = tmp_path / "c.txt"
+    src.write_text("abbabaabbaaabaa\n")
+    for argv in (["parse", "--corpus", "file:%s" % src, "--n", "15"],
+                 ["sideinfo", "joint-parse", "--corpus-x", "file:%s" % src,
+                  "--corpus-y", "periodic:ab", "--n", "15"]):
+        src.write_text("abbabaabbaaabaa\n")
+        rec = dispatch(tmp_path, *argv)
+        src.write_text("abbabaabbaaabab\n")
+        with pytest.raises(ValueError, match="digest mismatch"):
+            replay(os.path.join(rec["outdir"], "manifest.json"))
+
+
 def test_replay_detects_missing_input(tmp_path):
     src = tmp_path / "x.txt"
     src.write_text("abab\n")
@@ -179,6 +198,56 @@ def test_main_error_path(tmp_path, capsys):
                  "--out-dir", str(tmp_path)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_main_fsgm_dist_builtin_machine(tmp_path):
+    assert main(["fsgm-dist", "--machine", "fig1", "--n", "4",
+                 "--out-dir", str(tmp_path)]) == 0
+
+
+_MACHINE_WORDS = st.sampled_from(["alphabet", "initial", "ab", "a", "b",
+                                  "z", "y", "-", "0", "1", "01", "-1", "#"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_MACHINE_WORDS | st.text(max_size=4), max_size=5)
+                .map(" ".join), max_size=6).map("\n".join))
+def test_machine_file_errors_exit_cleanly(text):
+    try:
+        parse_machine(text)
+    except ValueError:
+        pass
+    else:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.fsm")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        assert main(["fsgm-run", "--machine", path, "--n", "3",
+                     "--out-dir", tmp]) == 1
+
+
+def _readme_commands():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    block = re.search(r"## Command line.*?```\n(.*?)```", text, re.S).group(1)
+    for line in block.replace("\\\n", " ").splitlines():
+        argv = shlex.split(line, comments=True)
+        if argv and argv[0] == "lzguess" and argv[1] != "replay":
+            yield argv[1:]
+
+
+@pytest.mark.parametrize("argv", list(_readme_commands()),
+                         ids=lambda argv: " ".join(argv[:2]))
+def test_readme_command_line_block(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.txt").write_text("abbabaabbaaabaa\n")
+    argv = [a if not os.path.exists(os.path.join(ROOT, a))
+            else os.path.join(ROOT, a) for a in argv]
+    if "--rounds" in argv:
+        i = argv.index("--rounds") + 1
+        argv[i] = str(min(int(argv[i]), 20))
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
 
 
 def test_main_success_prints_run_record(tmp_path, capsys):

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from lzguess.seqcore import Alphabet, BitSource, BudgetError, DyadicProb, SymbolSeq
+from lzguess.seqcore import (Alphabet, BitSource, BudgetError, DyadicProb,
+                             SymbolSeq, play)
 from lzguess.lz78 import incremental_parse
-from lzguess.fsgm import output_distribution
+from lzguess.fsgm import (build_fig1_machine, output_distribution, runner,
+                          simulate_guessing)
 from lzguess.guessers import (Guesser, aligned_guess_prob, block_guess_prob,
                               block_sample, compile_block_guesser_to_fsgm,
                               lz_guess_prob, lz_sample, make_runner,
@@ -335,12 +337,37 @@ def test_run_game_zero_probability_target():
 
 
 def test_run_game_jobs_equivalence():
+    # workers hand back their rounds' counts and the parent folds them in
+    # round order, so no Monte Carlo field depends on the worker count
     g = Guesser("lz_full", B01, 4)
     x = seq("0110", B01)
-    a = run_game(g, x, zeta=1.0, rounds=4000, seed=3, jobs=1)
-    b = run_game(g, x, zeta=1.0, rounds=4000, seed=3, jobs=3)
-    assert a.mc_mean == b.mc_mean
-    assert a.censored == b.censored
+    for zeta, jobs in ((1.0, 3), (1.5, 2), (3.0, 2)):
+        a = run_game(g, x, zeta=zeta, rounds=4000, seed=3, jobs=1)
+        b = run_game(g, x, zeta=zeta, rounds=4000, seed=3, jobs=jobs)
+        assert a.mc_mean == b.mc_mean
+        assert a.mc_ci == b.mc_ci
+        assert a.censored == b.censored
+
+
+def test_play_counts_agree_with_every_game_view():
+    spec = build_fig1_machine()
+    x = SymbolSeq.from_text("abbac", spec.alphabet)    # q = 1/4
+    g = Guesser("fsgm", spec.alphabet, len(x), spec=spec)
+    rounds, seed, cap = 400, 17, 3
+    counts = list(play(runner(spec, x), rounds, seed, cap))
+    assert all(1 <= c <= cap + 1 for c in counts)
+    censored = sum(c > cap for c in counts)
+    assert 0 < censored < rounds
+    est = run_game(g, x, zeta=1.0, rounds=rounds, seed=seed, cap=cap)
+    assert est.censored == censored
+    assert est.mc_mean == sum(min(c, cap) for c in counts) / rounds
+    ks = (1, 2, 3, cap + 1)
+    curve = survival_curve(g, x, ks=ks, rounds=rounds, seed=seed, cap=cap)
+    assert curve == {k: sum(c >= k for c in counts) / rounds for k in ks}
+    assert simulate_guessing(spec, x, rounds, seed, cap) == [
+        c if c <= cap else -cap for c in counts]
+    with pytest.raises(ValueError, match="cap"):
+        next(play(runner(spec, x), rounds, seed, 0))
 
 
 def test_runner_matches_direct_comparison():

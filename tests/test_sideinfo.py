@@ -6,17 +6,17 @@ from fractions import Fraction
 import pytest
 
 from lzguess.seqcore import Alphabet, BitSource, DyadicProb, SymbolSeq, generate_corpus
-from lzguess.lz78 import DecodeError, incremental_parse
+from lzguess.lz78 import BitReader, DecodeError, incremental_parse
 from lzguess.fsgm import FSGMSpec, run as fsgm_run
 from lzguess.sideinfo import (CondBoundReport, chain_code_len, chain_decode,
                               chain_encode, chain_gap_probs, chain_draw,
                               cond_block_guess_prob, cond_block_sample,
                               cond_bounds, cond_code, cond_code_length,
-                              cond_complexity, cond_decode,
+                              cond_decode,
                               cond_fsgm_run, cond_fsgm_sequence_prob,
                               cond_guess_prob, cond_machine_from_fsgm,
                               cond_sample, copy_machine, epsilon1,
-                              joint_parse, pack_pairs, _BitReader)
+                              joint_parse, pack_pairs)
 from conftest import FixedBits, all_seqs, seq
 
 AB = Alphabet(("a", "b"))
@@ -96,7 +96,7 @@ def test_chain_code_complete_and_decodable():
         for g in range(L):
             code = chain_encode(g, L)
             assert len(code) == chain_code_len(g, L)
-            r = _BitReader(code)
+            r = BitReader(code)
             assert chain_decode(r, L) == g and r.pos == len(code)
             assert probs[g].as_fraction() >= Fraction(1, 2 ** len(code))
             kraft += Fraction(1, 2 ** len(code))
