@@ -116,13 +116,16 @@ def epsilon_lz(n: int, alpha: int) -> float:
     return (LOG2E + mid + math.log2(2 * alpha * (n + 1))) / n
 
 
-def entropy_converse_at(x: SymbolSeq, s: int, zeta: float, ell: int) -> float:
-    """The entropy-form converse evaluated at one block length, clamped."""
-    n = len(x)
-    h = block_entropy(x, ell)
+def _entropy_converse(h: float, n: int, s: int, zeta: float,
+                      ell: int) -> float:
     value = zeta * (h / ell - (3 * math.log2(s) + LOG2E) / ell) \
         - (2 * LOG2E + zeta) / n
     return max(value, 0.0)
+
+
+def entropy_converse_at(x: SymbolSeq, s: int, zeta: float, ell: int) -> float:
+    """The entropy-form converse evaluated at one block length, clamped."""
+    return _entropy_converse(block_entropy(x, ell), len(x), s, zeta, ell)
 
 
 def converse_entropy(x: SymbolSeq, s: int, zeta: float) -> float:
@@ -150,24 +153,26 @@ def delta_n(n: int, alpha: int, s: int, zeta: float) -> float:
     return min(delta_n_at(n, alpha, s, zeta, ell) for ell in divisors(n))
 
 
+def _clogc_rate(x: SymbolSeq) -> float:
+    """c_lz log2(c_lz) / n, the parse's per-symbol c-log-c rate."""
+    c = incremental_parse(x).c_lz
+    return c * math.log2(c) / len(x) if c > 1 else 0.0
+
+
 def converse_clogc(x: SymbolSeq, s: int, zeta: float) -> float:
     """The computable c-log-c converse, normalized per symbol and clamped."""
     if s < 1:
         raise ValueError("need s >= 1")
     n = len(x)
-    c = incremental_parse(x).c_lz
-    rate = c * math.log2(c) / n if c > 1 else 0.0
+    rate = _clogc_rate(x)
     return max(zeta * (rate - delta_n(n, x.alphabet.size, s, zeta)), 0.0)
 
 
 def direct_clogc(x: SymbolSeq, zeta: float) -> float:
     """Upper bound on the full-sequence LZ sampler's exponent (bits/symbol)."""
-    n = len(x)
-    if n < 2:
+    if len(x) < 2:
         raise ValueError("need n >= 2")
-    c = incremental_parse(x).c_lz
-    rate = c * math.log2(c) / n if c > 1 else 0.0
-    return zeta * (rate + epsilon_lz(n, x.alphabet.size))
+    return zeta * (_clogc_rate(x) + epsilon_lz(len(x), x.alphabet.size))
 
 
 def rho_upper(x: SymbolSeq, ell: int) -> float:
@@ -217,32 +222,40 @@ def sandwich(x: SymbolSeq, zeta: float, s: int, guesser: Guesser,
     The measured exponent uses the guesser's exact per-round success
     probability; the direct value applies to the full-sequence LZ sampler.
     """
+    return sandwich_sweep(x, [zeta], s, guesser, sequence_id)[0]
+
+
+def sandwich_sweep(x: SymbolSeq, zetas, s: int, guesser: Guesser,
+                   sequence_id: str = "") -> list[BoundReport]:
+    """:func:`sandwich` at each zeta in turn.  The parts that do not depend
+    on zeta (q, the parse and every block entropy) are computed once."""
     n = len(x)
     q = guesser.guess_prob(x)
     if q.is_zero():
         raise ValueError("guesser cannot emit the target")
     q_log2 = q.log2()
-    measured = moment_log2(q_log2, zeta) / n
-    direct = direct_clogc(x, zeta)
     alpha = x.alphabet.size
-    c = incremental_parse(x).c_lz
-    rate = c * math.log2(c) / n if c > 1 else 0.0
-    rows = []
-    best_val = -math.inf
-    best_ell = 1
-    for ell in divisors(n):
-        h = block_entropy(x, ell)
-        ce = entropy_converse_at(x, s, zeta, ell)
-        cc = max(zeta * (rate - delta_n_at(n, alpha, s, zeta, ell)), 0.0)
-        rows.append(BoundRow(ell, h, ce, cc, direct, measured))
-        if ce > best_val:
-            best_val = ce
-            best_ell = ell
-    report = BoundReport(
-        sequence_id=sequence_id or repr(x),
-        n=n, zeta=zeta, s=s, guesser=guesser.describe(),
-        q_log2=q_log2, measured=measured,
-        converse_entropy=max(r.converse_entropy for r in rows),
-        converse_clogc=max(r.converse_clogc for r in rows),
-        direct=direct, chosen_ell=best_ell, rows=rows)
-    return report
+    rate = _clogc_rate(x)
+    entropies = [(ell, block_entropy(x, ell)) for ell in divisors(n)]
+    reports = []
+    for zeta in zetas:
+        measured = moment_log2(q_log2, zeta) / n
+        direct = zeta * (rate + epsilon_lz(n, alpha))
+        rows = []
+        best_val = -math.inf
+        best_ell = 1
+        for ell, h in entropies:
+            ce = _entropy_converse(h, n, s, zeta, ell)
+            cc = max(zeta * (rate - delta_n_at(n, alpha, s, zeta, ell)), 0.0)
+            rows.append(BoundRow(ell, h, ce, cc, direct, measured))
+            if ce > best_val:
+                best_val = ce
+                best_ell = ell
+        reports.append(BoundReport(
+            sequence_id=sequence_id or repr(x),
+            n=n, zeta=zeta, s=s, guesser=guesser.describe(),
+            q_log2=q_log2, measured=measured,
+            converse_entropy=max(r.converse_entropy for r in rows),
+            converse_clogc=max(r.converse_clogc for r in rows),
+            direct=direct, chosen_ell=best_ell, rows=rows))
+    return reports

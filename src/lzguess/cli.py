@@ -241,17 +241,16 @@ def _run_bounds(params, outdir, require_ordering=False):
             if len(seq) % ell:
                 raise ValueError("--ell %d does not divide n=%d"
                                  % (ell, len(seq)))
-    reports = []
+    reports = bounds.sandwich_sweep(seq, params.get("zeta") or [1.0],
+                                    params.get("s") or 2, g,
+                                    sequence_id=params.get("corpus")
+                                    or params.get("input") or "")
     rows = []
-    for zeta in params.get("zeta") or [1.0]:
-        rep = bounds.sandwich(seq, zeta, params.get("s") or 2, g,
-                              sequence_id=params.get("corpus")
-                              or params.get("input") or "")
-        reports.append(rep)
+    for rep in reports:
         for row in rep.rows:
             if ells and row.ell not in ells:
                 continue
-            rows.append({"zeta": zeta, "ell": row.ell, "H_ell": row.H_ell,
+            rows.append({"zeta": rep.zeta, "ell": row.ell, "H_ell": row.H_ell,
                          "converse_entropy": row.converse_entropy,
                          "converse_clogc": row.converse_clogc,
                          "direct": row.direct, "measured": row.measured})
@@ -304,18 +303,15 @@ def _run_sideinfo(params, outdir):
             rows.append(_moment_row(est, len(x)))
         return {"rows": rows}, ("results.csv", _MOMENT_FIELDS, rows)
     if sub == "cond-bounds":
-        rows = []
-        for zeta in params.get("zeta") or [1.0]:
-            for ell in params.get("ell") or [1]:
-                rep = sideinfo.cond_bounds(x, y, params.get("s") or 2,
-                                           ell, zeta)
-                rows.append({"zeta": zeta, "ell": ell, "s": rep.s,
-                             "u": rep.u, "H_ell_cond": rep.H_ell_cond,
-                             "q_log2": rep.q_log2, "measured": rep.measured,
-                             "converse_entropy": rep.converse_entropy,
-                             "converse_u": rep.converse_u,
-                             "direct": rep.direct,
-                             "ordering_ok": rep.ordering_ok})
+        reports = sideinfo.cond_bounds_sweep(x, y, params.get("s") or 2,
+                                             params.get("ell") or [1],
+                                             params.get("zeta") or [1.0])
+        rows = [{"zeta": rep.zeta, "ell": rep.ell, "s": rep.s, "u": rep.u,
+                 "H_ell_cond": rep.H_ell_cond, "q_log2": rep.q_log2,
+                 "measured": rep.measured,
+                 "converse_entropy": rep.converse_entropy,
+                 "converse_u": rep.converse_u, "direct": rep.direct,
+                 "ordering_ok": rep.ordering_ok} for rep in reports]
         fields = ["zeta", "ell", "s", "u", "H_ell_cond", "q_log2",
                   "measured", "converse_entropy", "converse_u", "direct",
                   "ordering_ok"]

@@ -24,6 +24,7 @@ block prefix, symbols still pending emission).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -372,8 +373,8 @@ def moment_exact(q, zeta: float, rel_tol: float = 1e-12,
     qf = float(q)
     if not 0.0 < qf <= 1.0:
         raise ValueError("divergent moment: need 0 < q <= 1, got %r" % (qf,))
-    if zeta <= 0:
-        raise ValueError("need zeta > 0")
+    if not 0 < zeta < math.inf:
+        raise ValueError("need 0 < zeta < inf, got %r" % (zeta,))
     if not force_series:
         if zeta == 1:
             return MomentResult(1.0 / qf, 0.0)
@@ -407,23 +408,78 @@ def moment_lower_bound(q, zeta: float) -> float:
     return (2.0 ** -zeta) / math.e ** 2 * qf ** -zeta
 
 
-def moment_log2(q_log2: float, zeta: float) -> float:
-    """log2 E[G^zeta] from log2 q, usable when q underflows floats.
+# B_2j / (2j)! for j = 1..6: the Euler-Maclaurin corrections of moment_log2
+_EM_COEFFS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
+              -691 / 1307674368000)
+_EM_TOL = 2.0 ** -56
 
-    For q >= 2**-40 this is the exact evaluator in log form.  Below that the
-    geometric sum is the Gamma integral up to corrections of order q, so
-    log2 Gamma(zeta+1) - zeta*log2(q) is accurate to far beyond double
-    precision.
+
+def moment_log2(q_log2: float, zeta: float) -> float:
+    """log2 E[G^zeta] from log2 q, for any q, even one that underflows.
+
+    zeta = 1 and 2 use the closed forms.  Otherwise, with mu = -ln(1-q),
+    E[G^zeta] = (e^mu - 1) Li_{-zeta}(e^-mu).  When mu > pi (q > 0.957) the
+    series of :func:`moment_exact` needs a few dozen terms and is used.
+    Otherwise take the expansion Li_s(e^-mu) = Gamma(1-s) mu^(s-1) +
+    sum_k zeta_R(s-k) (-mu)^k / k! (DLMF 25.12.12, s = -zeta), write each
+    zeta_R(-zeta-k) through the functional equation as a multiple of
+    zeta_R(1+zeta+k) = sum_n n^-(1+zeta+k), and sum the binomial series over
+    k in closed form.  With a = 1 + zeta and r = mu / (2 pi) <= 1/2 that
+    leaves
+
+        Li_{-zeta}(e^-mu) = Gamma(a) mu^-a (1 + R),
+        R = -2 r^a Im(e^(i pi zeta / 2) sum_{n>=1} (n + i r)^-a).
+
+    The sum over n is Euler-Maclaurin (DLMF 2.10.1) at a cut-off N with six
+    corrections.  N comes from the proven remainder bound
+    |B_12|/12! * integral_N^inf |f^(12)|, so the truncation error in R is
+    below 2**-56, whatever zeta is; no sum stops on a small term.  When
+    2 r^a a/zeta, a bound on |R|, is below that, R is 0.  Everything is
+    formed from q_log2, so q below 2**-1074 costs nothing extra.
+
+    Error: at most 1e-12 relative in E[G^zeta].  The series certifies
+    that; the expansion side is within 1e-13 of mpmath.polylog at 40 digits
+    from q = 2**-4000 up to the switch.  The returned float adds its own
+    rounding, which is more than 1e-12 relative once log2 E passes 8192.
     """
-    if q_log2 > 0:
+    if not q_log2 <= 0:
         raise ValueError("q_log2 must be <= 0")
     if zeta == 1:
         return -q_log2
-    if q_log2 >= -40:
-        return math.log2(moment_exact(2.0 ** q_log2, zeta).value)
     if zeta == 2:
+        if q_log2 >= -40:
+            q = 2.0 ** q_log2
+            return math.log2((2.0 - q) / (q * q))
         return 1.0 - 2.0 * q_log2
-    return math.lgamma(zeta + 1.0) * LOG2E - zeta * q_log2
+    if not 0 < zeta < math.inf:
+        raise ValueError("need 0 < zeta < inf, got %r" % (zeta,))
+    q = 2.0 ** q_log2
+    mu = -math.log1p(-q) if q < 1.0 else math.inf
+    if mu > math.pi:
+        return math.log2(moment_exact(q, zeta).value)
+    a = zeta + 1.0
+    r = mu / (2.0 * math.pi)
+    scale = 2.0 * r ** a
+    R = 0.0
+    if scale * a / zeta > _EM_TOL:
+        m = len(_EM_COEFFS)
+        rising = [1.0]                   # rising[p] = a (a+1) ... (a+p-1)
+        for p in range(2 * m):
+            rising.append(rising[-1] * (a + p))
+        order = a + 2 * m - 1
+        rem = abs(_EM_COEFFS[-1]) * rising[2 * m] / order
+        N = max(1, math.ceil((scale * rem / _EM_TOL) ** (1.0 / order)))
+        w = complex(N, r)
+        s = sum(complex(k, r) ** -a for k in range(1, N))
+        s += w ** (1.0 - a) / zeta + 0.5 * w ** -a
+        for j, b in enumerate(_EM_COEFFS, start=1):
+            s += b * rising[2 * j - 1] * w ** (1.0 - a - 2 * j)
+        R = -scale * (cmath.exp(0.5j * math.pi * zeta) * s).imag
+    # log2(e^mu - 1) - a log2(mu) = -zeta log2(q) + mu log2(e) - a log2(mu/q),
+    # so the large part is one product of the inputs; mu/q -> 1 as q -> 0
+    ratio = mu / q if q else 1.0
+    return (-zeta * q_log2 + mu * LOG2E - a * math.log2(ratio)
+            + (math.lgamma(a) + math.log1p(R)) * LOG2E)
 
 
 def moment_lower_bound_log2(q_log2: float, zeta: float) -> float:

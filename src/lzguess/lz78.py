@@ -13,7 +13,9 @@ The concrete code fixes one bit layout:
 
 Given the target length n the decoder is deterministic, so the code is
 prefix-free on each length-n alphabet power and satisfies Kraft's inequality.
-Total length grows like c*log(c) in the phrase count.
+It accepts exactly the streams the encoder writes: a pointer-symbol pair that
+is already a phrase is a DecodeError, like a truncated stream.  Total length
+grows like c*log(c) in the phrase count.
 
 c_max_oracle computes the largest number of *distinct* phrases over all
 partitions by memoized exhaustive search without pruning; it is exponential
@@ -41,6 +43,9 @@ class BitReader:
     __slots__ = ("bits", "pos")
 
     def __init__(self, bits: str):
+        if bits.count("0") + bits.count("1") != len(bits):
+            pos = next(i for i, c in enumerate(bits) if c not in "01")
+            raise DecodeError("bit string holds %r" % bits[pos], pos)
         self.bits = bits
         self.pos = 0
 
@@ -234,6 +239,8 @@ def decode(bits: str, n: int, alphabet: Alphabet) -> SymbolSeq:
         sym = reader.take(a_bits)
         if sym >= alphabet.size:
             raise DecodeError("symbol %d outside alphabet" % sym, reader.pos)
+        if sym in trie.children[ptr]:
+            raise DecodeError("phrase already in dictionary", reader.pos)
         out.extend(word)
         out.append(sym)
         trie.add(ptr, sym)
@@ -251,6 +258,8 @@ def pack_bits(bits: str) -> bytes:
 
 
 def unpack_bits(blob: bytes) -> str:
+    """Invert :func:`pack_bits`; anything pack_bits cannot have written
+    (short or surplus bytes, nonzero padding) raises DecodeError."""
     if len(blob) < 8:
         raise DecodeError("missing bit-count header", 0)
     count = int.from_bytes(blob[:8], "little")
@@ -258,7 +267,11 @@ def unpack_bits(blob: bytes) -> str:
     if len(body) * 8 < count:
         raise DecodeError("packed stream shorter than its header claims",
                           len(body) * 8)
+    if len(body) != -(-count // 8):
+        raise DecodeError("bytes after the last packed bit", count)
     bits = "".join(format(byte, "08b") for byte in body)
+    if "1" in bits[count:]:
+        raise DecodeError("nonzero padding bits", count)
     return bits[:count]
 
 

@@ -4,11 +4,12 @@ probabilities.
 Everything downstream is driven by fair random bits, so every probability that
 occurs is of the form m / 2**e.  :class:`DyadicProb` keeps such values exact
 with arbitrary-precision integers at every n; only the moments evaluated from
-them switch to base-2 log-domain floats at large n.  :class:`BitSource` is a
-counter-based generator (splitmix64) so that substreams can be derived
-reproducibly for parallel Monte Carlo: substream k of master seed s is
-completely determined by (s, k), independent of worker count.  :func:`play`
-is the one Monte Carlo loop of the guessing game built on those substreams.
+them are floats, taken from log2 q so that no n underflows.
+:class:`BitSource` is a counter-based generator (splitmix64) so that
+substreams can be derived reproducibly for parallel Monte Carlo: substream k
+of master seed s is completely determined by (s, k), independent of worker
+count.  :func:`play` is the one Monte Carlo loop of the guessing game built
+on those substreams.
 """
 
 from __future__ import annotations

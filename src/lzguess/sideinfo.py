@@ -13,9 +13,10 @@ is a truncated-gamma index over the fused choices (y-prefix depth, innovation
 symbol): y-prefix candidates are the distinct y-phrases prefixing the
 remaining side information, ordered deepest first, and within each depth the
 innovation symbol that would copy the aligned side-information symbol comes
-first.  Deepest-plus-copy is index zero and costs a single bit, so when y
-determines x the whole phrase costs one bit plus the second field.  The
-second field picks which x-phrase known for that y-prefix the new phrase
+first (a side symbol outside x's alphabet has no copy, and the symbols keep
+their own order).  Deepest-plus-copy is index zero and costs a single bit, so
+when y determines x the whole phrase costs one bit plus the second field.
+The second field picks which x-phrase known for that y-prefix the new phrase
 extends, in ceil(log2(count)) bits (zero when unique).  A short header
 carries the number of complete phrases (padded by the symbol width; see the
 dominance note below) so the decoder knows when the incomplete tail record
@@ -195,15 +196,20 @@ def _gamma_decode(reader: BitReader) -> int:
     return (1 << z) | (reader.take(z) if z else 0)
 
 
-def _rank_sym(sym: int, ystar: int) -> int:
+def _rank_sym(sym: int, ystar: int, alpha: int) -> int:
     """Copy-first symbol order: the aligned side-information symbol gets
-    rank 0, the rest keep their relative order."""
+    rank 0, the rest keep their relative order.  A side symbol outside the
+    x alphabet (index >= alpha) has no copy candidate: rank = symbol."""
+    if ystar >= alpha:
+        return sym
     if sym == ystar:
         return 0
     return sym + 1 if sym < ystar else sym
 
 
-def _unrank_sym(rank: int, ystar: int) -> int:
+def _unrank_sym(rank: int, ystar: int, alpha: int) -> int:
+    if ystar >= alpha:
+        return rank
     if rank == 0:
         return ystar
     return rank - 1 if rank - 1 < ystar else rank
@@ -313,7 +319,8 @@ def cond_code(x: SymbolSeq, y: SymbolSeq) -> str:
             b = n
             break
         chain = state.y_chain_depth(yi, b, n) + 1
-        fused = (chain - 1 - d) * alpha + _rank_sym(xi[b + d], yi[b + d])
+        fused = ((chain - 1 - d) * alpha
+                 + _rank_sym(xi[b + d], yi[b + d], alpha))
         lst = state.D[yi[b:b + d]]
         idx = lst.index(xi[b:b + d])
         width = (len(lst) - 1).bit_length()
@@ -354,7 +361,7 @@ def cond_decode(bits: str, y: SymbolSeq, n: int,
         d = chain - 1 - fused // alpha
         if b + d >= n:
             raise DecodeError("phrase overruns the target", reader.pos)
-        sym = _unrank_sym(fused % alpha, yi[b + d])
+        sym = _unrank_sym(fused % alpha, yi[b + d], alpha)
         lst = state.D[yi[b:b + d]]
         width = (len(lst) - 1).bit_length()
         idx = reader.take(width)
@@ -423,7 +430,7 @@ def cond_sample(y: SymbolSeq, n: int, bits: BitSource,
         # the deepest candidate fills the target exactly; its symbol is
         # surplus, so the rank convention there is immaterial
         ystar = yi[b + d] if b + d < n else 0
-        sym = _unrank_sym(fused % alpha, ystar)
+        sym = _unrank_sym(fused % alpha, ystar, alpha)
         lst = state.D[yi[b:b + d]]
         width = (len(lst) - 1).bit_length()
         u = lst[bits.next_bits(width) % len(lst)]
@@ -532,7 +539,7 @@ def cond_guess_prob(x: SymbolSeq, y: SymbolSeq) -> DyadicProb:
                     p_fused = p_fused + fused_probs[base + r]
                 success = success + pb * p_fused * p_idx
                 break
-            rank = _rank_sym(xi[b + d], yi[b + d])
+            rank = _rank_sym(xi[b + d], yi[b + d], alpha)
             gain = pb * fused_probs[base + rank] * p_idx
             tgt = b + d + 1
             p[tgt] = gain if p[tgt] is None else p[tgt] + gain
@@ -606,20 +613,31 @@ def cond_bounds(x: SymbolSeq, y: SymbolSeq, s: int, ell: int,
     Unlike the unconditional case there is no maximization over ell: the
     block length is part of the machine model here.
     """
+    return cond_bounds_sweep(x, y, s, [ell], [zeta])[0]
+
+
+def cond_bounds_sweep(x: SymbolSeq, y: SymbolSeq, s: int, ells,
+                      zetas) -> list[CondBoundReport]:
+    """:func:`cond_bounds` for every (zeta, ell), zeta-major.  The joint
+    parse and q are computed once, each block entropy once per ell."""
     n = len(x)
     jp = joint_parse(x, y)
     q = cond_guess_prob(x, y)
     q_log2 = q.log2()
-    measured = moment_log2(q_log2, zeta) / n
-    h = cond_block_entropy(x, y, ell)
-    conv_h = max(zeta * (h - 3 * math.log2(s) - LOG2E) / ell
-                 - (2 * LOG2E + zeta) / n, 0.0)
-    # the c-log-c converse's delta_n over the product alphabet
-    conv_u = max(zeta * (jp.u / n - delta_n_at(
-        n, x.alphabet.size * y.alphabet.size, s, zeta, ell)), 0.0)
-    direct = zeta * (jp.u / n + epsilon1(n))
-    return CondBoundReport(n, zeta, s, ell, jp.u, h, q_log2, measured,
-                           conv_h, conv_u, direct)
+    entropies = [(ell, cond_block_entropy(x, y, ell)) for ell in ells]
+    reports = []
+    for zeta in zetas:
+        measured = moment_log2(q_log2, zeta) / n
+        for ell, h in entropies:
+            conv_h = max(zeta * (h - 3 * math.log2(s) - LOG2E) / ell
+                         - (2 * LOG2E + zeta) / n, 0.0)
+            # the c-log-c converse's delta_n over the product alphabet
+            conv_u = max(zeta * (jp.u / n - delta_n_at(
+                n, x.alphabet.size * y.alphabet.size, s, zeta, ell)), 0.0)
+            direct = zeta * (jp.u / n + epsilon1(n))
+            reports.append(CondBoundReport(n, zeta, s, ell, jp.u, h, q_log2,
+                                           measured, conv_h, conv_u, direct))
+    return reports
 
 
 # ---------------------------------------------------------------------------

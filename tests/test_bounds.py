@@ -8,7 +8,8 @@ from lzguess.guessers import Guesser, moment_log2
 from lzguess.bounds import (BoundReport, K_of_ell, block_entropy,
                             converse_clogc, converse_entropy, delta_n,
                             direct_clogc, divisors, epsilon_lz, epsilon_n,
-                            rho_upper, sandwich)
+                            entropy_converse_at, rho_upper, sandwich,
+                            sandwich_sweep)
 from conftest import seq
 
 AB = Alphabet(("a", "b"))
@@ -181,3 +182,18 @@ def test_sandwich_zeta_sweep_monotone():
         assert rep.ordering_ok
         measured.append(rep.measured)
     assert measured == sorted(measured)
+
+
+def test_sandwich_sweep_matches_single_calls():
+    x = generate_corpus("thue_morse", 96)
+    for g in (Guesser("lz_full", x.alphabet, 96),
+              Guesser("lz_block", x.alphabet, 96, ell=8)):
+        zetas = (0.5, 1.0, 1.5, 2.0, 3.0)
+        sweep = sandwich_sweep(x, zetas, 2, g, sequence_id="thue")
+        assert sweep == [sandwich(x, z, 2, g, sequence_id="thue")
+                         for z in zetas]
+        for rep, zeta in zip(sweep, zetas):
+            assert rep.direct == direct_clogc(x, zeta)
+            for row in rep.rows:
+                assert row.converse_entropy == entropy_converse_at(
+                    x, 2, zeta, row.ell)

@@ -205,6 +205,19 @@ def test_main_fsgm_dist_builtin_machine(tmp_path):
                  "--out-dir", str(tmp_path)]) == 0
 
 
+def test_side_alphabet_larger_than_target_alphabet(tmp_path):
+    pair = ["--corpus-x", "periodic:ab", "--corpus-y", "periodic:xyz",
+            "--n", "12", "--out-dir", str(tmp_path)]
+    for action in ("cond-bounds", "cond-guess", "cond-complexity"):
+        assert main(["sideinfo", action] + pair) == 0
+    rec = dispatch(tmp_path, "sideinfo", "cond-complexity", *pair[:-2])
+    assert read_json(rec)["roundtrip_ok"] is True
+    rec = dispatch(tmp_path, "sideinfo", "cond-guess", *pair[:-2],
+                   "--zeta", "1", "--zeta", "1.5")
+    rows = read_json(rec)["rows"]
+    assert rows[0]["exact_moment_log2"] < rows[1]["exact_moment_log2"]
+
+
 _MACHINE_WORDS = st.sampled_from(["alphabet", "initial", "ab", "a", "b",
                                   "z", "y", "-", "0", "1", "01", "-1", "#"])
 

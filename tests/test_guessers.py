@@ -298,6 +298,71 @@ def test_moment_monotone_in_zeta():
         assert vals == sorted(vals)
 
 
+_MU_PI_Q_LOG2 = math.log2(-math.expm1(-math.pi))      # mu = -ln(1-q) = pi
+_POLYLOG_Q_LOG2 = (-4000.0, -1074.0, -60.0, -40.5, -40.0, -39.5, -22.0,
+                   -16.4, -14.42, -5.0, -1.0, -0.1, -1e-3,
+                   _MU_PI_Q_LOG2 - 1e-12, _MU_PI_Q_LOG2 + 1e-12)
+_POLYLOG_ZETAS = (0.25, 0.5, 1.5, 2.5, 3.0, 4.0, 4.7)
+
+
+def _polylog_moment_log2(mp, q_log2, zeta):
+    """log2 of (q/(1-q)) Li_{-zeta}(1-q) by mpmath.polylog at 40 digits;
+    1 - q is formed exactly first, which takes |q_log2| + 200 bits."""
+    with mp.workprec(int(-q_log2) + 200):
+        q = mp.mpf(2) ** q_log2
+        z = 1 - q
+    with mp.workdps(40):
+        return mp.log(q / z * mp.polylog(-zeta, z), 2)
+
+
+def test_moment_log2_against_polylog():
+    mp = pytest.importorskip("mpmath")
+    for q_log2 in _POLYLOG_Q_LOG2:
+        for zeta in _POLYLOG_ZETAS:
+            ref = float(_polylog_moment_log2(mp, q_log2, zeta))
+            got = moment_log2(q_log2, zeta)
+            # relative error of E at most 1e-12; a double near log2 E > 8192
+            # cannot resolve E that finely, so its own ulp is allowed there
+            tol = max(1e-12 / math.log(2), math.ulp(ref))
+            assert abs(got - ref) <= tol, (q_log2, zeta, got, ref)
+
+
+def _mu(q_log2):
+    return -math.log1p(-2.0 ** q_log2)
+
+
+def test_moment_log2_monotone_and_continuous_at_switch():
+    zetas = sorted(_POLYLOG_ZETAS + (1.0, 2.0))
+    for q_log2 in _POLYLOG_Q_LOG2:
+        vals = [moment_log2(q_log2, z) for z in zetas]
+        assert all(a < b for a, b in zip(vals, vals[1:])), q_log2
+    lo, hi = _POLYLOG_Q_LOG2[-2:]
+    assert _mu(lo) <= math.pi < _mu(hi)   # the grid straddles the switch
+    # adjacent doubles on either side of mu = pi: E barely moves between
+    # them, so the two evaluators must agree
+    below = _MU_PI_Q_LOG2
+    while _mu(below) > math.pi:
+        below = math.nextafter(below, -math.inf)
+    above = below
+    while _mu(above) <= math.pi:
+        above = math.nextafter(above, 0.0)
+    assert above - below < 1e-14
+    for zeta in _POLYLOG_ZETAS:
+        a, b = moment_log2(below, zeta), moment_log2(above, zeta)
+        assert abs(a - b) * math.log(2) <= 2e-12, zeta
+
+
+def test_moment_log2_domain():
+    for zeta in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            moment_log2(-100.0, zeta)
+        with pytest.raises(ValueError):
+            moment_exact(0.5, zeta)
+    with pytest.raises(ValueError):
+        moment_log2(0.5, 1.5)
+    assert moment_log2(0.0, 1.5) == 0.0
+
+
 # --- the game -------------------------------------------------------------------
 
 def test_run_game_uniform_mean():

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lzguess.seqcore import Alphabet, BudgetError, SymbolSeq, generate_corpus
 from lzguess.lz78 import (DecodeError, c_max_oracle, code_length, decode,
@@ -174,6 +175,48 @@ def test_pack_unpack():
         unpack_bits(b"\x01\x00")
     with pytest.raises(DecodeError):
         unpack_bits((99).to_bytes(8, "little") + b"\x00")
+
+
+# --- decoder fuzzing --------------------------------------------------------------
+
+_TOKENS = "abcdefghijklmnopqrstuvwxyz"
+_BITS = st.text("01", max_size=80) | st.text("01 _2", max_size=12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(bits=_BITS, n=st.integers(-1, 40), size=st.integers(2, 26))
+def test_decode_fuzz_rejects_cleanly_and_accepts_only_codes(bits, n, size):
+    alphabet = Alphabet(tuple(_TOKENS[:size]))
+    try:
+        x = decode(bits, n, alphabet)
+    except ValueError:          # DecodeError included
+        return
+    # an accepted stream is exactly the code of what it decodes to
+    assert len(x) == max(n, 0)
+    assert encode(x) == bits
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 26).flatmap(
+    lambda size: st.lists(st.integers(0, size - 1), max_size=60)
+    .map(lambda idx: SymbolSeq(Alphabet(tuple(_TOKENS[:size])), bytes(idx)))))
+def test_encode_decode_roundtrip_fuzz(x):
+    bits = encode(x)
+    assert decode(bits, len(x), x.alphabet) == x
+    assert unpack_bits(pack_bits(bits)) == bits
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.binary(max_size=24)
+       | st.tuples(st.integers(0, 80), st.binary(max_size=12))
+       .map(lambda t: t[0].to_bytes(8, "little") + t[1]))
+def test_unpack_bits_fuzz(blob):
+    try:
+        bits = unpack_bits(blob)
+    except ValueError:
+        return
+    assert set(bits) <= {"0", "1"}
+    assert pack_bits(bits) == blob
 
 
 # --- the exhaustive distinct-phrase oracle -----------------------------------

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lzguess.seqcore import Alphabet, BitSource, DyadicProb, SymbolSeq, generate_corpus
 from lzguess.lz78 import BitReader, DecodeError, incremental_parse
@@ -11,7 +12,8 @@ from lzguess.fsgm import FSGMSpec, run as fsgm_run
 from lzguess.sideinfo import (CondBoundReport, chain_code_len, chain_decode,
                               chain_encode, chain_gap_probs, chain_draw,
                               cond_block_guess_prob, cond_block_sample,
-                              cond_bounds, cond_code, cond_code_length,
+                              cond_bounds, cond_bounds_sweep, cond_code,
+                              cond_code_length,
                               cond_decode,
                               cond_fsgm_run, cond_fsgm_sequence_prob,
                               cond_guess_prob, cond_machine_from_fsgm,
@@ -21,6 +23,7 @@ from conftest import FixedBits, all_seqs, seq
 
 AB = Alphabet(("a", "b"))
 B01 = Alphabet(("0", "1"))
+ABC = Alphabet(("a", "b", "c"))
 
 
 def all_pairs(n, alphabet=B01):
@@ -163,6 +166,60 @@ def test_cond_decode_errors():
         cond_decode(code + "0", y, 4)
 
 
+_FUZZ_Y = st.integers(2, 5).flatmap(
+    lambda size: st.lists(st.integers(0, size - 1), max_size=20)
+    .map(lambda idx: SymbolSeq(Alphabet(tuple("pqrst"[:size])), bytes(idx))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(bits=st.text("01", max_size=60) | st.text("01 _2", max_size=10),
+       y=_FUZZ_Y, n=st.integers(-1, 22), alpha=st.integers(2, 5))
+def test_cond_decode_fuzz_rejects_cleanly_and_accepts_only_codes(
+        bits, y, n, alpha):
+    x_alphabet = Alphabet(tuple("abcde"[:alpha]))
+    try:
+        x = cond_decode(bits, y, n, x_alphabet)
+    except ValueError:          # DecodeError included
+        return
+    assert len(x) == max(n, 0)
+    assert cond_code(x, y[:len(x)]) == bits
+
+
+@settings(max_examples=200, deadline=None)
+@given(y=_FUZZ_Y, alpha=st.integers(2, 5), data=st.data())
+def test_cond_code_decode_roundtrip_fuzz(y, alpha, data):
+    x_alphabet = Alphabet(tuple("abcde"[:alpha]))
+    idx = data.draw(st.lists(st.integers(0, alpha - 1), min_size=len(y),
+                             max_size=len(y)))
+    x = SymbolSeq(x_alphabet, bytes(idx))
+    assert cond_decode(cond_code(x, y), y, len(x), x_alphabet) == x
+
+
+def test_side_alphabet_larger_than_target_alphabet():
+    # a side symbol with no counterpart in x's alphabet has no copy
+    # candidate; code, decoder and exact law must still agree
+    y = seq("cabcba", ABC)
+    for n in range(1, 7):
+        yn = y[:n]
+        total = DyadicProb.zero()
+        for x in all_seqs(B01, n):
+            q = cond_guess_prob(x, yn)
+            code = cond_code(x, yn)
+            assert cond_decode(code, yn, n, B01) == x
+            assert q.as_fraction() >= Fraction(1, 2 ** len(code))
+            total = total + q
+        assert total == DyadicProb.one()
+
+
+def test_side_alphabet_larger_sampler_matches_law():
+    y = seq("cac", ABC)
+    dist = blackbox_cond_distribution(y, 3, 12, B01)
+    assert sum(dist.values()) == 1
+    for x in all_seqs(B01, 3):
+        assert dist.get(x, Fraction(0)) == \
+            cond_guess_prob(x, y).as_fraction(), x.render()
+
+
 def test_cond_code_self_is_cheap():
     x = generate_corpus("bernoulli", 4096, p=0.5, seed=7)
     assert cond_code_length(x, x) / 4096 <= 0.25
@@ -184,11 +241,11 @@ def test_cond_length_envelope_on_corpora():
 
 # --- conditional sampler and guess probability ------------------------------------
 
-def blackbox_cond_distribution(y, n, bit_len):
+def blackbox_cond_distribution(y, n, bit_len, x_alphabet=None):
     counts = {}
     for v in range(1 << bit_len):
         bits = FixedBits(format(v, "0%db" % bit_len))
-        out = cond_sample(y, n, bits)
+        out = cond_sample(y, n, bits, x_alphabet)
         counts[out] = counts.get(out, 0) + 1
     return {x: Fraction(c, 1 << bit_len) for x, c in counts.items()}
 
@@ -291,6 +348,34 @@ def test_cond_bounds_ordering_on_corpus_pairs():
         for zeta in (0.5, 1.0, 2.0):
             rep = cond_bounds(x, y, s=2, ell=4, zeta=zeta)
             assert rep.ordering_ok, (zeta, rep)
+
+
+def test_cond_bounds_sweep_matches_single_calls():
+    x = generate_corpus("bernoulli", 96, p=0.5, seed=1)
+    y = generate_corpus("bernoulli", 96, p=0.5, seed=2)
+    zetas, ells = (1.0, 1.5, 2.0), (1, 2, 5)
+    with pytest.warns(UserWarning):
+        sweep = cond_bounds_sweep(x, y, 2, ells, zetas)
+        single = [cond_bounds(x, y, 2, ell, zeta)
+                  for zeta in zetas for ell in ells]
+    assert sweep == single
+
+
+@pytest.mark.filterwarnings("ignore:eps_n")
+def test_cond_bounds_fractional_zeta_random_ternary_pairs():
+    # once a 5-minute stall: zeta = 1.5 at q above 2**-40 summed ~1/q terms
+    from lzguess.guessers import moment_log2
+    rng = random.Random(15)
+    for k in range(20):
+        n = rng.randrange(4, 41 if k < 15 else 301)
+        x = SymbolSeq(ABC, bytes(rng.randrange(3) for _ in range(n)))
+        y = SymbolSeq(ABC, bytes(rng.randrange(3) for _ in range(n)))
+        rep = cond_bounds(x, y, 2, 1, 1.5)
+        assert rep.q_log2 == cond_guess_prob(x, y).log2()
+        # Jensen and Lyapunov: E[G]^1.5 <= E[G^1.5] <= E[G^2]^0.75
+        lo = 1.5 * moment_log2(rep.q_log2, 1.0)
+        hi = 0.75 * moment_log2(rep.q_log2, 2.0)
+        assert lo <= rep.measured * n <= hi
 
 
 def test_cond_bounds_independent_close_to_unconditional():
