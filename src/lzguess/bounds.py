@@ -204,15 +204,18 @@ class BoundReport:
     measured: float              # (1/n) log2 E[G^zeta] from exact q
     converse_entropy: float
     converse_clogc: float
-    direct: float
+    direct: float                # the full-sequence LZ sampler's bound
     chosen_ell: int              # maximizer of the entropy converse
+    direct_applies: bool         # the guesser's law is that sampler's
     rows: list[BoundRow] = field(default_factory=list)
 
     @property
     def ordering_ok(self) -> bool:
+        """converse <= measured, and measured <= direct where it applies."""
         return (self.converse_entropy <= self.measured + 1e-12
                 and self.converse_clogc <= self.measured + 1e-12
-                and self.measured <= self.direct + 1e-12)
+                and (not self.direct_applies
+                     or self.measured <= self.direct + 1e-12))
 
 
 def sandwich(x: SymbolSeq, zeta: float, s: int, guesser: Guesser,
@@ -220,7 +223,8 @@ def sandwich(x: SymbolSeq, zeta: float, s: int, guesser: Guesser,
     """Evaluate converse <= measured <= direct for one guesser and target.
 
     The measured exponent uses the guesser's exact per-round success
-    probability; the direct value applies to the full-sequence LZ sampler.
+    probability; the direct value applies only to a guesser with the
+    full-sequence LZ sampler's law (``guesser.block == n``).
     """
     return sandwich_sweep(x, [zeta], s, guesser, sequence_id)[0]
 
@@ -257,5 +261,6 @@ def sandwich_sweep(x: SymbolSeq, zetas, s: int, guesser: Guesser,
             q_log2=q_log2, measured=measured,
             converse_entropy=max(r.converse_entropy for r in rows),
             converse_clogc=max(r.converse_clogc for r in rows),
-            direct=direct, chosen_ell=best_ell, rows=rows))
+            direct=direct, chosen_ell=best_ell,
+            direct_applies=guesser.block == n, rows=rows))
     return reports

@@ -12,7 +12,8 @@ Because the input bits are i.i.d. fair, the output law is a hidden-Markov
 source with kernel P(x, z'|z) = m(x, z'|z) * 2**-Delta(z), where m counts the
 Delta(z)-bit words w with f(z, w) = x and g(z, w) = z'.  That kernel gives an
 exact forward algorithm for single-sequence probabilities and, at desk scale,
-full output distributions in dyadic arithmetic.
+full output distributions in dyadic arithmetic; both run through
+:func:`lzguess.seqcore.forward`, the package's one exact forward pass.
 
 Machines with variable per-state bit consumption (a prefix-free tree of words
 at each state) are expanded to this fixed-Delta form by padding every tree to
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .seqcore import (Alphabet, BitSource, BudgetError, DyadicProb, SymbolSeq,
-                      play)
+                      forward, play)
 
 MAX_DELTA = 16
 DIST_BUDGET = 1 << 18  # alpha**n * states cap for full output enumeration
@@ -143,35 +144,28 @@ def run(spec: FSGMSpec, bits: BitSource, n: int) -> RunTrace:
 
 
 def sequence_prob(spec: FSGMSpec, x: SymbolSeq) -> DyadicProb:
-    """Exact P(x) under the machine's output law, by the forward algorithm.
+    """Exact P(x) under the machine's output law: the forward algorithm as
+    a :func:`~lzguess.seqcore.forward` pass over (position, state).
 
-    O(n * s^2) dyadic operations; returns zero for unreachable outputs.
+    O(n * s^2) moves; returns zero for unreachable outputs.  The states
+    reached at the end are merged into one, since nothing follows them.
     """
+    n = len(x)
     ker = spec.kernels()
-    fwd = {spec._idx[spec.initial]: DyadicProb.one()}
-    for c in x:
-        nxt: dict = {}
-        for z, p in fwd.items():
-            d = spec.delta[z]
-            for (out, zp), m in ker[z].items():
-                if out != c:
-                    continue
-                w = p * DyadicProb(m, d)
-                if zp in nxt:
-                    nxt[zp] = nxt[zp] + w
-                else:
-                    nxt[zp] = w
-        if not nxt:
-            return DyadicProb.zero()
-        fwd = nxt
-    total = DyadicProb.zero()
-    for p in fwd.values():
-        total = total + p
-    return total
+
+    def step(pos, z):
+        for (out, zp), m in ker[z].items():
+            if out == x.indices[pos]:
+                yield pos + 1, zp if pos + 1 < n else None, m, spec.delta[z]
+
+    start = spec._idx[spec.initial] if n else None
+    return forward(n, start, step).get(None, DyadicProb.zero())
 
 
 def output_distribution(spec: FSGMSpec, n: int) -> dict[SymbolSeq, DyadicProb]:
-    """The exact law of the length-n output, as a dict over sequences.
+    """The exact law of the length-n output, as a dict over sequences: a
+    :func:`~lzguess.seqcore.forward` pass over (prefix, state), whose final
+    states are the prefixes alone.
 
     Enumeration is guarded by alpha**n * s; refuse and point to
     sequence_prob beyond that.
@@ -183,24 +177,17 @@ def output_distribution(spec: FSGMSpec, n: int) -> dict[SymbolSeq, DyadicProb]:
             "(budget %d); use sequence_prob for single sequences"
             % (size, DIST_BUDGET))
     ker = spec.kernels()
-    layer = {((), spec._idx[spec.initial]): DyadicProb.one()}
-    for _ in range(n):
-        nxt: dict = {}
-        for (prefix, z), p in layer.items():
-            d = spec.delta[z]
-            for (out, zp), m in ker[z].items():
-                key = (prefix + (out,), zp)
-                w = p * DyadicProb(m, d)
-                if key in nxt:
-                    nxt[key] = nxt[key] + w
-                else:
-                    nxt[key] = w
-        layer = nxt
-    dist: dict = {}
-    for (prefix, _z), p in layer.items():
-        seq = SymbolSeq(spec.alphabet, bytes(prefix))
-        dist[seq] = dist[seq] + p if seq in dist else p
-    return dist
+
+    def step(pos, state):
+        prefix, z = state
+        for (out, zp), m in ker[z].items():
+            word = prefix + bytes([out])
+            nxt = (word, zp) if pos + 1 < n else word
+            yield pos + 1, nxt, m, spec.delta[z]
+
+    start = (b"", spec._idx[spec.initial]) if n else b""
+    return {SymbolSeq(spec.alphabet, word): p
+            for word, p in forward(n, start, step).items()}
 
 
 # ---------------------------------------------------------------------------

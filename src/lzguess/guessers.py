@@ -13,8 +13,9 @@ bits + symbol bits), which is what makes the sampler dominate 2**-LZ(x).
 
 Because the dictionary state is a function of the emitted prefix alone, the
 exact probability of emitting a given x is a forward pass over positions
-0..n, far cheaper than enumerating draw sequences.  Guess probabilities sum
-to one exactly over each length-n alphabet power.
+0..n, far cheaper than enumerating draw sequences; it runs through
+:func:`lzguess.seqcore.forward`, the package's one exact forward pass.
+Guess probabilities sum to one exactly over each length-n alphabet power.
 
 The block guesser restarts the dictionary every ell symbols (a final short
 block just uses a shorter target), multiplying per-block probabilities, and
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .seqcore import (Alphabet, BitSource, BudgetError, DyadicProb, SymbolSeq,
-                      play)
+                      forward, play)
 from . import fsgm, lz78
 from .fsgm import FSGMSpec
 
@@ -120,45 +121,32 @@ def _subtree_ptr_count(trie: lz78.ParseTrie, node: int, limit: int,
 def lz_guess_prob(x: SymbolSeq) -> DyadicProb:
     """Exact probability that :func:`lz_sample` emits x.
 
-    Forward pass over emitted-prefix lengths e: the dictionary after a
-    matching prefix of length e is the parse trie of x[0:e], so each state
-    only needs the probability mass arriving at it.  From e, a draw either
+    A :func:`~lzguess.seqcore.forward` pass over emitted-prefix lengths e:
+    the dictionary after a matching prefix of length e is the parse trie of
+    x[0:e], so the length is the whole state.  From e, a draw either
     extends the match to e + d + 1 (pointer to the depth-d node on the trie
     path of x[e:], then the matching symbol) or, when the path covers the
     whole residual, overshoots into any descendant and wins with any symbol.
     """
     n = len(x)
-    if n == 0:
-        return DyadicProb.one()
-    alphabet = x.alphabet
-    a_bits = alphabet.bits_per_symbol
-    sym_counts = _sym_counts(alphabet)
+    a_bits = x.alphabet.bits_per_symbol
+    sym_counts = _sym_counts(x.alphabet)
     parse, t_at = _parse_history(x)
     trie = parse.trie
     idx = x.indices
 
-    p: list = [None] * (n + 1)
-    p[0] = DyadicProb.one()
-    success = DyadicProb.zero()
-    for e in range(n):
-        pe = p[e]
-        if pe is None:
-            continue
+    def step(e, _state):
         t = t_at[e]
         width = (t - 1).bit_length()
-        denom = width + a_bits
         for d, node in trie.walk(idx[e:], limit=t):
             if e + d == n:
                 sub = _subtree_ptr_count(trie, node, t, t, width)
-                success = success + pe * DyadicProb(sub, width)
-                break
+                yield n, None, sub, width
+                return
             weight = _ptr_count(node, t, width) * sym_counts[idx[e + d]]
-            gain = pe * DyadicProb(weight, denom)
-            tgt = e + d + 1
-            p[tgt] = gain if p[tgt] is None else p[tgt] + gain
-    if p[n] is not None:
-        success = success + p[n]
-    return success
+            yield e + d + 1, None, weight, width + a_bits
+
+    return forward(n, None, step).get(None, DyadicProb.zero())
 
 
 def aligned_guess_prob(x: SymbolSeq) -> DyadicProb:
@@ -386,16 +374,20 @@ def moment_exact(q, zeta: float, rel_tol: float = 1e-12,
     total = 0.0
     term_geom = qf          # q * (1-q)^(k-1)
     k = 1
-    while True:
-        total += (k ** zeta) * term_geom
-        # past the peak, terms shrink at least geometrically with ratio r
-        r = ((1.0 + 1.0 / k) ** zeta) * one_minus
-        if r < 1.0:
-            tail = (((k + 1) ** zeta) * term_geom * one_minus) / (1.0 - r)
-            if tail <= rel_tol * total:
-                return MomentResult(total + 0.5 * tail, tail / total)
-        term_geom *= one_minus
-        k += 1
+    try:
+        while True:
+            total += (k ** zeta) * term_geom
+            # past the peak, terms shrink at least geometrically with ratio r
+            r = ((1.0 + 1.0 / k) ** zeta) * one_minus
+            if r < 1.0:
+                tail = (((k + 1) ** zeta) * term_geom * one_minus) / (1.0 - r)
+                if tail <= rel_tol * total:
+                    return MomentResult(total + 0.5 * tail, tail / total)
+            term_geom *= one_minus
+            k += 1
+    except OverflowError:
+        raise ValueError("the series for E[G^%r] at q = %r overflows a "
+                         "double" % (zeta, qf)) from None
 
 
 def moment_lower_bound(q, zeta: float) -> float:

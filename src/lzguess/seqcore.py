@@ -9,7 +9,8 @@ them are floats, taken from log2 q so that no n underflows.
 substreams can be derived reproducibly for parallel Monte Carlo: substream k
 of master seed s is completely determined by (s, k), independent of worker
 count.  :func:`play` is the one Monte Carlo loop of the guessing game built
-on those substreams.
+on those substreams.  :func:`forward` is the one exact forward pass: every
+exact law in the package is a step generator over it.
 """
 
 from __future__ import annotations
@@ -343,19 +344,8 @@ class DyadicProb:
         m = (self.m << (e - self.e)) + (other.m << (e - other.e))
         return DyadicProb(m, e)
 
-    def __sub__(self, other: "DyadicProb") -> "DyadicProb":
-        e = max(self.e, other.e)
-        m = (self.m << (e - self.e)) - (other.m << (e - other.e))
-        if m < 0:
-            raise ValueError("dyadic subtraction went negative")
-        return DyadicProb(m, e)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return DyadicProb(self.m * other, self.e)
+    def __mul__(self, other: "DyadicProb") -> "DyadicProb":
         return DyadicProb(self.m * other.m, self.e + other.e)
-
-    __rmul__ = __mul__
 
     def complement(self) -> "DyadicProb":
         """1 - p."""
@@ -419,6 +409,48 @@ class DyadicProb:
 
     def __repr__(self) -> str:
         return "DyadicProb(%d, 2**-%d)" % (self.m, self.e)
+
+
+def forward(n: int, start, step) -> dict:
+    """The one exact forward pass: the law at position n of a process fed
+    fair bits, over positions 0..n.
+
+    The process starts in state `start` at position 0.  `step(pos, state)`
+    yields its moves as (next_pos, next_state, count, bits): `count` of the
+    2**bits equally likely bit patterns move it to `next_state` at
+    `next_pos`, with pos < next_pos <= n.  The mass of each (position,
+    state) is a plain integer numerator over a power of two; two masses are
+    aligned only where two paths meet, and each is checked to be at most 1
+    before it is expanded.  Returns {state: DyadicProb} for the states
+    reached at position n, empty when none is.
+    """
+    layers = {0: {start: (1, 0)}}
+    for pos in range(n):
+        for state, (m, e) in layers.pop(pos, {}).items():
+            if m > 1 << e:
+                raise ValueError("forward mass above 1 at position %d" % pos)
+            if not m & 1:
+                # drop factors of two once per state, so that masses stay
+                # the size of their canonical form (m <= 2**e bounds shift)
+                shift = (m & -m).bit_length() - 1
+                m >>= shift
+                e -= shift
+            for nxt_pos, nxt, count, bits in step(pos, state):
+                if not (pos < nxt_pos <= n and 0 < count <= 1 << bits):
+                    raise ValueError("bad forward move from position %d: %r"
+                                     % (pos, (nxt_pos, nxt, count, bits)))
+                layer = layers.setdefault(nxt_pos, {})
+                mm, ee = m * count, e + bits
+                old = layer.get(nxt)
+                if old is not None:
+                    om, oe = old
+                    if oe > ee:
+                        mm, ee = (mm << (oe - ee)) + om, oe
+                    else:
+                        mm += om << (ee - oe)
+                layer[nxt] = (mm, ee)
+    return {state: DyadicProb(m, e)
+            for state, (m, e) in layers.get(n, {}).items()}
 
 
 # ---------------------------------------------------------------------------

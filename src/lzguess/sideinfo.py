@@ -27,6 +27,8 @@ The conditional sampler feeds the same fields from fair bits: truncated
 gamma for the fused choice, modulo for the x-index.  Its dictionary is kept
 equal to the joint incremental parse of what it has emitted against y, so
 the exact conditional guess probability is a forward pass over positions.
+It, like the exact law of the conditional machines below, runs through
+:func:`lzguess.seqcore.forward`, the package's one exact forward pass.
 Every field's probability is at least 2**-(field width), and the padded
 header covers the fused selector of the final overshooting draw, giving
 cond_guess_prob(x|y) >= 2**-L(x|y) everywhere.
@@ -38,7 +40,7 @@ import bisect
 import math
 from dataclasses import dataclass
 
-from .seqcore import Alphabet, BitSource, DyadicProb, SymbolSeq
+from .seqcore import Alphabet, BitSource, DyadicProb, SymbolSeq, forward
 from .lz78 import BitReader, DecodeError, ParseResult, incremental_parse
 from .guessers import (LOG2E, _blocks, _parse_history, _ptr_count,
                        moment_log2)
@@ -501,25 +503,18 @@ class _CondHistory:
 
 
 def cond_guess_prob(x: SymbolSeq, y: SymbolSeq) -> DyadicProb:
-    """Exact probability that :func:`cond_sample` emits x given y."""
+    """Exact probability that :func:`cond_sample` emits x given y: a
+    :func:`~lzguess.seqcore.forward` pass over emitted-prefix lengths."""
     if len(x) != len(y):
         raise ValueError("x and y must have equal length")
     n = len(x)
-    if n == 0:
-        return DyadicProb.one()
     hist = _CondHistory(x, y)
     trie = hist.trie
     beta = hist.beta
     alpha = x.alphabet.size
     xi, yi = x.indices, y.indices
 
-    p: list = [None] * (n + 1)
-    p[0] = DyadicProb.one()
-    success = DyadicProb.zero()
-    for b in range(n):
-        pb = p[b]
-        if pb is None:
-            continue
+    def step(b, _state):
         t = hist.t_at[b]
         chain = hist.chain_depth(yi, b, n, t) + 1
         fused_probs = chain_gap_probs(chain * alpha)
@@ -530,27 +525,21 @@ def cond_guess_prob(x: SymbolSeq, y: SymbolSeq) -> DyadicProb:
             c = hist.d_count(hist.ywords[node], t) if node else 1
             width = (c - 1).bit_length()
             cnt = _ptr_count(hist.pos_in_D[node], c, width)
-            p_idx = DyadicProb(cnt, width)
             base = (chain - 1 - d) * alpha
             if b + d == n:
                 # overshoot: the surplus symbol is discarded, any rank wins
-                p_fused = fused_probs[base]
-                for r in range(1, alpha):
-                    p_fused = p_fused + fused_probs[base + r]
-                success = success + pb * p_fused * p_idx
-                break
-            rank = _rank_sym(xi[b + d], yi[b + d], alpha)
-            gain = pb * fused_probs[base + rank] * p_idx
-            tgt = b + d + 1
-            p[tgt] = gain if p[tgt] is None else p[tgt] + gain
+                for f in fused_probs[base:base + alpha]:
+                    yield n, None, f.m * cnt, f.e + width
+                return
+            f = fused_probs[base + _rank_sym(xi[b + d], yi[b + d], alpha)]
+            yield b + d + 1, None, f.m * cnt, f.e + width
             nxt = trie.children[node].get(xi[b + d] * beta + yi[b + d])
             if nxt is None or nxt >= t or d + 1 >= chain:
-                break
+                return
             node = nxt
             d += 1
-    if p[n] is not None:
-        success = success + p[n]
-    return success
+
+    return forward(n, None, step).get(None, DyadicProb.zero())
 
 
 def cond_block_guess_prob(x: SymbolSeq, y: SymbolSeq, ell: int) -> DyadicProb:
@@ -710,31 +699,24 @@ def cond_fsgm_run(spec: CondFSGMSpec, y: SymbolSeq, bits: BitSource,
 
 def cond_fsgm_sequence_prob(spec: CondFSGMSpec, x: SymbolSeq,
                             y: SymbolSeq) -> DyadicProb:
-    """Exact P(x|y) for the conditional machine, forward over states."""
+    """Exact P(x|y) for the conditional machine: a
+    :func:`~lzguess.seqcore.forward` pass over (block start, state), with
+    the states reached at the end merged into one."""
     n = len(x)
     if n % spec.ell or len(y) != n:
         raise ValueError("need len(x) = len(y) = multiple of ell")
-    fwd = {spec.initial: DyadicProb.one()}
-    for b in range(0, n, spec.ell):
-        xb = x.indices[b:b + spec.ell]
-        yb = y.indices[b:b + spec.ell]
-        nxt: dict = {}
-        for z, p in fwd.items():
-            d = spec.delta[(z, yb)]
-            counts: dict = {}
-            for out, zp in spec.table[(z, yb)]:
-                if out == xb:
-                    counts[zp] = counts.get(zp, 0) + 1
-            for zp, m in counts.items():
-                w = p * DyadicProb(m, d)
-                nxt[zp] = nxt[zp] + w if zp in nxt else w
-        if not nxt:
-            return DyadicProb.zero()
-        fwd = nxt
-    total = DyadicProb.zero()
-    for p in fwd.values():
-        total = total + p
-    return total
+
+    def step(b, z):
+        # one move per matching word; the kernel merges moves that meet
+        nxt_b = b + spec.ell
+        xb = x.indices[b:nxt_b]
+        yb = y.indices[b:nxt_b]
+        for out, zp in spec.table[(z, yb)]:
+            if out == xb:
+                yield nxt_b, zp if nxt_b < n else None, 1, spec.delta[(z, yb)]
+
+    start = spec.initial if n else None
+    return forward(n, start, step).get(None, DyadicProb.zero())
 
 
 def cond_machine_from_fsgm(plain) -> CondFSGMSpec:

@@ -97,6 +97,25 @@ def test_bounds_and_sandwich(tmp_path):
                      "direct,measured"
 
 
+def test_sandwich_scopes_direct_bound_to_the_lz_sampler(tmp_path):
+    # the direct value bounds the full LZ sampler only, so other guessers
+    # are not held to it
+    for guesser in ("uniform", "block:8"):
+        assert main(["sandwich", "--corpus", "periodic:ab", "--n", "4096",
+                     "--guesser", guesser, "--out-dir", str(tmp_path)]) == 0
+    rec = dispatch(tmp_path, "sandwich", "--corpus", "periodic:ab", "--n",
+                   "4096", "--guesser", "uniform")
+    summary = read_json(rec)["summary"][0]
+    assert summary["measured"] > summary["direct"]
+    assert summary["ordering_ok"] is True
+
+
+def test_moments_overflow_exits_cleanly(tmp_path, capsys):
+    assert main(["moments", "--q", "0.5", "--zeta", "2000",
+                 "--out-dir", str(tmp_path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_bounds_ell_filter(tmp_path):
     rec = dispatch(tmp_path, "bounds", "--corpus", "thue_morse", "--n", "64",
                    "--zeta", "1", "--ell", "4", "--ell", "8")

@@ -264,6 +264,14 @@ def test_moment_divergence_and_domain():
         moment_lower_bound(0.6, 1)
 
 
+def test_moment_overflow_is_value_error():
+    with pytest.raises(ValueError, match="overflow"):
+        moment_exact(0.5, 1000)
+    # q > 0.957 takes the series branch of moment_log2
+    with pytest.raises(ValueError, match="overflow"):
+        moment_log2(-0.01, 2000.0)
+
+
 def test_moment_lower_bound_values():
     assert moment_lower_bound(0.5, 1) == pytest.approx(math.e ** -2)
     assert moment_lower_bound(0.25, 2) == pytest.approx(4 / math.e ** 2)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -5,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lzguess.seqcore import (AB, Alphabet, BitSource, DyadicProb, SymbolSeq,
-                             derive_substream_seed, generate_corpus, ingest,
-                             parse_corpus_spec, thue_morse_bits)
+                             derive_substream_seed, forward, generate_corpus,
+                             ingest, parse_corpus_spec, thue_morse_bits)
 
 
 def test_ingest_basic():
@@ -194,3 +195,89 @@ def test_dyadic_matches_fraction_arithmetic(m1, e1, m2, e2):
         assert (a + b).as_fraction() == fa + fb
     assert (a <= b) == (fa <= fb)
     assert (a == b) == (fa == fb)
+
+
+# --- the forward-pass kernel -------------------------------------------------
+
+def _moves(table):
+    """A step function from {(pos, state): [(next_pos, next_state, count,
+    bits), ...]}."""
+    return lambda pos, state: iter(table.get((pos, state), ()))
+
+
+@pytest.mark.parametrize("first, second", [((1, 1), (3, 3)),
+                                           ((3, 3), (1, 1))])
+def test_forward_merges_meeting_paths(first, second):
+    # two paths of unequal exponent meet at (2, "z"); either may arrive
+    # first, so both alignments of the kernel's merge run
+    step = _moves({(0, "a"): [(1, "b", 1, 1), (1, "c", 1, 1)],
+                   (1, "b"): [(2, "z", *first), (2, "y", 1, 1)],
+                   (1, "c"): [(2, "z", *second)]})
+    out = forward(2, "a", step)
+    expect = (Fraction(1, 2) * Fraction(first[0], 1 << first[1])
+              + Fraction(1, 2) * Fraction(second[0], 1 << second[1]))
+    assert out["z"].as_fraction() == expect
+    assert out["y"] == DyadicProb(1, 2)
+    assert set(out) == {"y", "z"}
+
+
+def test_forward_skips_positions_and_keeps_zero_length():
+    step = _moves({(0, "a"): [(3, "z", 1, 2), (1, "b", 3, 2)],
+                   (1, "b"): [(3, "z", 1, 0)]})
+    assert forward(3, "a", step) == {"z": DyadicProb.one()}
+    assert forward(0, "a", step) == {"a": DyadicProb.one()}
+
+
+def test_forward_rejects_bad_moves_and_excess_mass():
+    with pytest.raises(ValueError):      # count > 2**bits
+        forward(1, "a", _moves({(0, "a"): [(1, "b", 3, 1)]}))
+    with pytest.raises(ValueError):      # no pattern moves it
+        forward(1, "a", _moves({(0, "a"): [(1, "b", 0, 1)]}))
+    with pytest.raises(ValueError):      # past position n
+        forward(1, "a", _moves({(0, "a"): [(2, "b", 1, 1)]}))
+    with pytest.raises(ValueError):      # not forward
+        forward(2, "a", _moves({(0, "a"): [(1, "b", 1, 0)],
+                                (1, "b"): [(1, "c", 1, 1)]}))
+    double = [(1, "b", 1, 0), (1, "b", 1, 0)]
+    with pytest.raises(ValueError):      # mass 2 checked before expansion
+        forward(2, "a", _moves({(0, "a"): double, (1, "b"): []}))
+    with pytest.raises(ValueError):      # and in the final layer
+        forward(1, "a", _moves({(0, "a"): double}))
+
+
+def test_forward_unreachable_end_is_empty_and_callers_return_zero():
+    from lzguess.fsgm import build_fig1_machine, sequence_prob
+    step = _moves({(0, "a"): [(1, "b", 1, 1)]})
+    assert forward(2, "a", step) == {}
+    fig1 = build_fig1_machine()
+    assert sequence_prob(fig1, SymbolSeq(fig1.alphabet, bytes([1, 1]))) \
+        == DyadicProb.zero()
+
+
+def _pin(p):
+    raw = p.m.to_bytes((p.m.bit_length() + 7) // 8, "big")
+    return p.e, hashlib.sha256(raw).hexdigest()
+
+
+def test_forward_laws_pinned_at_large_n():
+    """Exact laws at n >= 2048, pinned as (exponent, sha256 of the
+    numerator) from the per-pass dyadic loops the kernel replaced."""
+    from lzguess.fsgm import build_fig1_machine, run, sequence_prob
+    from lzguess.guessers import lz_guess_prob
+    from lzguess.sideinfo import cond_guess_prob
+    assert _pin(lz_guess_prob(parse_corpus_spec("periodic:ab", 2048))) == (
+        12971,
+        "3ac2ffb5ced380bf9724a5faf5be2e23070a962a02aa1cd6d6b7816dc0eb2976")
+    assert _pin(lz_guess_prob(parse_corpus_spec("bernoulli:0.3:5", 4096))) \
+        == (33798,
+            "2c29c064c7324deac502923ee375513ae84bca5d92ba770734215abd567792ba")
+    x = generate_corpus("bernoulli", 2048, p=0.5, seed=11)
+    y = generate_corpus("bernoulli", 2048, p=0.5, seed=12)
+    assert _pin(cond_guess_prob(x, y)) == (
+        11304,
+        "676b5bbdee1d162903c15e76fa1e79672930a2361f2bafdbac0a7186f1c0bf32")
+    fig1 = build_fig1_machine()
+    out = run(fig1, BitSource(3), 4096).output
+    assert _pin(sequence_prob(fig1, out)) == (
+        2712,
+        "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a")
