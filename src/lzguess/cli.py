@@ -197,14 +197,17 @@ def _moment_row(est: guessers.MomentEstimate, n: int) -> dict:
 def _run_guess(params, outdir):
     seq = _target_sequence(params)
     g = _make_guesser(params, seq.alphabet, len(seq))
-    rows = []
-    for zeta in params.get("zeta") or [1.0]:
-        est = guessers.run_game(g, seq, zeta=zeta,
-                                rounds=params.get("rounds") or 0,
-                                seed=params.get("seed") or 0,
-                                cap=params.get("cap") or DEFAULT_CAP,
-                                jobs=params.get("jobs") or 1)
-        rows.append({"guesser": g.describe(), **_moment_row(est, len(seq))})
+    q = g.guess_prob(seq)
+    ests = [guessers.estimate_moment(q, zeta, len(seq))
+            for zeta in params.get("zeta") or [1.0]]
+    cap = params.get("cap") or DEFAULT_CAP
+    # one pass of rounds serves every zeta: each row folds the same counts
+    counts = guessers.play_counts(g, seq, params.get("rounds", 0),
+                                  params.get("seed") or 0, cap,
+                                  params.get("jobs", 1))
+    rows = [{"guesser": g.describe(), **_moment_row(est.fold(counts, cap),
+                                                    len(seq))}
+            for est in ests]
     return {"rows": rows}, ("results.csv", ["guesser"] + _MOMENT_FIELDS, rows)
 
 
@@ -285,7 +288,6 @@ def _run_sideinfo(params, outdir):
                 "u_plus_envelope": jp.u + len(x) * sideinfo.epsilon1(len(x)),
                 "roundtrip_ok": ok}, None
     if sub == "cond-guess":
-        rows = []
         q = sideinfo.cond_guess_prob(x, y)
         if q.is_zero():
             raise ValueError("conditional sampler cannot emit the target")
@@ -293,14 +295,12 @@ def _run_sideinfo(params, outdir):
         def attempt(bits):
             return sideinfo.cond_sample(y, len(x), bits, x.alphabet) == x
 
-        rounds = params.get("rounds") or 0
         cap = params.get("cap") or DEFAULT_CAP
-        for zeta in params.get("zeta") or [1.0]:
-            est = guessers.estimate_moment(q, zeta, len(x))
-            if rounds:
-                est.fold(play(attempt, rounds, params.get("seed") or 0, cap),
-                         cap)
-            rows.append(_moment_row(est, len(x)))
+        counts = list(play(attempt, params.get("rounds", 0),
+                           params.get("seed") or 0, cap))
+        rows = [_moment_row(guessers.estimate_moment(q, zeta, len(x))
+                            .fold(counts, cap), len(x))
+                for zeta in params.get("zeta") or [1.0]]
         return {"rows": rows}, ("results.csv", _MOMENT_FIELDS, rows)
     if sub == "cond-bounds":
         reports = sideinfo.cond_bounds_sweep(x, y, params.get("s") or 2,

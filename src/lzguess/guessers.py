@@ -356,7 +356,9 @@ def moment_exact(q, zeta: float, rel_tol: float = 1e-12,
     Closed forms for zeta in {1, 2}; otherwise the series
     sum_k k^zeta (1-q)^(k-1) q, stopped once a geometric tail bound
     certifies relative error below rel_tol.  force_series skips the closed
-    forms (used to cross-check the series against them).
+    forms (used to cross-check the series against them).  When 1 - q rounds
+    to 1.0 the tail bound never certifies anything, and the value comes
+    from :func:`moment_log2` with its documented 1e-12 relative error.
     """
     qf = float(q)
     if not 0.0 < qf <= 1.0:
@@ -371,10 +373,13 @@ def moment_exact(q, zeta: float, rel_tol: float = 1e-12,
     if qf == 1.0:
         return MomentResult(1.0, 0.0)
     one_minus = 1.0 - qf
-    total = 0.0
-    term_geom = qf          # q * (1-q)^(k-1)
-    k = 1
     try:
+        if one_minus == 1.0:
+            return MomentResult(2.0 ** moment_log2(math.log2(qf), zeta),
+                                1e-12)
+        total = 0.0
+        term_geom = qf          # q * (1-q)^(k-1)
+        k = 1
         while True:
             total += (k ** zeta) * term_geom
             # past the peak, terms shrink at least geometrically with ratio r
@@ -386,8 +391,8 @@ def moment_exact(q, zeta: float, rel_tol: float = 1e-12,
             term_geom *= one_minus
             k += 1
     except OverflowError:
-        raise ValueError("the series for E[G^%r] at q = %r overflows a "
-                         "double" % (zeta, qf)) from None
+        raise ValueError("E[G^%r] at q = %r overflows a double"
+                         % (zeta, qf)) from None
 
 
 def moment_lower_bound(q, zeta: float) -> float:
@@ -593,7 +598,7 @@ class MomentEstimate:
     def fold(self, counts, cap: int) -> "MomentEstimate":
         """Fill the Monte Carlo fields from per-round guess counts in round
         order, as :func:`play` yields them; a censored round (cap + 1)
-        enters the mean at the cap."""
+        enters the mean at the cap.  No counts leave the fields None."""
         total = total_sq = 0.0
         censored = rounds = 0
         for g in counts:
@@ -604,6 +609,8 @@ class MomentEstimate:
             total += gz
             total_sq += gz * gz
             rounds += 1
+        if not rounds:
+            return self
         mean = total / rounds
         var = max(total_sq / rounds - mean * mean, 0.0)
         self.mc_mean = mean
@@ -630,34 +637,47 @@ def _mc_chunk(args):
     return list(play(make_runner(guesser, x), count, seed, cap, start))
 
 
+def play_counts(guesser: Guesser, x: SymbolSeq, rounds: int, seed: int = 0,
+                cap: int = 1 << 20, jobs: int = 1) -> list[int]:
+    """The guess count of each of `rounds` rounds, in round order (substream
+    k drives round k; a censored round counts cap + 1).
+
+    jobs > 1 fans contiguous blocks of rounds out to worker processes and
+    joins their counts in round order, so the list is the same for any
+    worker count.  One list serves every zeta: fold it with
+    :meth:`MomentEstimate.fold`.
+    """
+    if rounds < 0:
+        raise ValueError("need rounds >= 0, got %r" % (rounds,))
+    if jobs < 1:
+        raise ValueError("need jobs >= 1, got %r" % (jobs,))
+    if rounds == 0:
+        return []
+    if jobs == 1:
+        return _mc_chunk((guesser, x, 0, rounds, seed, cap))
+    from concurrent.futures import ProcessPoolExecutor
+    step = -(-rounds // jobs)
+    chunks = [(guesser, x, start, min(step, rounds - start), seed, cap)
+              for start in range(0, rounds, step)]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return [g for part in pool.map(_mc_chunk, chunks) for g in part]
+
+
 def run_game(guesser: Guesser, x: SymbolSeq, zeta: float = 1.0,
              rounds: int = 0, seed: int = 0, cap: int = 1 << 20,
              jobs: int = 1) -> MomentEstimate:
-    """Play the guessing game: exact moment from the guesser's exact q, plus
-    Monte Carlo over independent rounds (substream k drives round k).
+    """Play the guessing game at one zeta: the exact moment from the
+    guesser's exact q, folded with the Monte Carlo counts of
+    :func:`play_counts` (none when rounds is 0).
 
     Rounds are censored at `cap` guesses; censored rounds enter the mean at
     the cap, so pick caps large enough for the q at hand or read the
-    censored count.  jobs > 1 fans the rounds out to worker processes and
-    folds their counts in round order, so results are identical for any
-    worker count.
+    censored count.  Results are identical for any worker count.  For
+    several zeta, call :func:`play_counts` once and fold its list at each
+    zeta, as the ``guess`` subcommand does.
     """
-    q = guesser.guess_prob(x)
-    if q.is_zero():
-        raise ValueError("zero-probability target for %s" % guesser.describe())
-    est = estimate_moment(q, zeta, len(x))
-    if rounds < 1:
-        return est
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        step = -(-rounds // jobs)
-        chunks = [(guesser, x, start, min(step, rounds - start), seed, cap)
-                  for start in range(0, rounds, step)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            counts = [g for part in pool.map(_mc_chunk, chunks) for g in part]
-    else:
-        counts = play(make_runner(guesser, x), rounds, seed, cap)
-    return est.fold(counts, cap)
+    est = estimate_moment(guesser.guess_prob(x), zeta, len(x))
+    return est.fold(play_counts(guesser, x, rounds, seed, cap, jobs), cap)
 
 
 def survival_curve(guesser: Guesser, x: SymbolSeq, ks, rounds: int,

@@ -290,6 +290,8 @@ def play(attempt: Callable[[BitSource], bool], rounds: int, seed: int,
     """
     if cap < 1:
         raise ValueError("need cap >= 1")
+    if rounds < 0:
+        raise ValueError("need rounds >= 0, got %r" % (rounds,))
     for k in range(start, start + rounds):
         bits = BitSource(seed, substream=k)
         g = 1

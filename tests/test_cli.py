@@ -1,12 +1,17 @@
+import concurrent.futures
 import json
+import math
 import os
 import re
 import shlex
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lzguess import cli, guessers, seqcore, sideinfo
 from lzguess.cli import build_parser, cli_dispatch, main, replay
 from lzguess.fsgm import build_fig1_machine, format_machine, parse_machine
 
@@ -114,6 +119,128 @@ def test_moments_overflow_exits_cleanly(tmp_path, capsys):
     assert main(["moments", "--q", "0.5", "--zeta", "2000",
                  "--out-dir", str(tmp_path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_moments_at_q_where_one_minus_q_rounds_to_one(tmp_path):
+    # 1 - 1e-17 == 1.0, so the series' tail bound never stops it; a child
+    # process with a timeout turns a hang into a failure
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "lzguess.cli", "moments", "--q", "1e-17",
+         "--zeta", "1.5", "--out-dir", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    outdir = json.loads(done.stdout)["outdir"]
+    with open(os.path.join(outdir, "results.json")) as fh:
+        row = json.load(fh)["rows"][0]
+    assert row["rel_err"] == 1e-12
+    assert row["exact"] == pytest.approx(
+        math.gamma(2.5) * 1e-17 ** -1.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ["guess", "--target", "00", "--alphabet", "01", "--rounds", "-3"],
+    ["guess", "--target", "00", "--alphabet", "01", "--jobs", "-2"],
+    ["guess", "--target", "00", "--alphabet", "01", "--rounds", "5",
+     "--jobs", "0"],
+    ["sideinfo", "cond-guess", "--corpus-x", "periodic:ab", "--corpus-y",
+     "periodic:ab", "--n", "4", "--rounds", "-1"],
+], ids=["guess-rounds", "guess-jobs", "guess-jobs-zero", "cond-guess-rounds"])
+def test_bad_rounds_or_jobs_exit_cleanly(argv, tmp_path, capsys):
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: need ")
+    assert "Traceback" not in err
+
+
+def _count_mc_passes(monkeypatch):
+    """Count runner builds and play loops in this process, and pool maps
+    (a worker's own calls happen in its own process)."""
+    calls = {"make_runner": 0, "play": 0, "pool_map": 0}
+    make_runner, play = guessers.make_runner, seqcore.play
+
+    def counted_make_runner(*args, **kwargs):
+        calls["make_runner"] += 1
+        return make_runner(*args, **kwargs)
+
+    def counted_play(*args, **kwargs):
+        calls["play"] += 1
+        return play(*args, **kwargs)
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def map(self, *args, **kwargs):
+            calls["pool_map"] += 1
+            return super().map(*args, **kwargs)
+
+    monkeypatch.setattr(guessers, "make_runner", counted_make_runner)
+    monkeypatch.setattr(guessers, "play", counted_play)
+    monkeypatch.setattr(cli, "play", counted_play)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        CountedPool)
+    return calls
+
+
+_MC_FIELDS = ("q_log2", "exact_moment_log2", "exponent", "mc_mean", "mc_ci",
+              "censored", "rounds")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("guesser,target", [
+    ("lz", "01101001"), ("block:3", "01101001"), ("uniform", "01101001"),
+    ("fsgm:demos/three_word_machine.fsm", "ababab")])
+def test_guess_plays_one_pass_for_every_zeta(guesser, target, jobs, tmp_path,
+                                             monkeypatch):
+    if guesser.startswith("fsgm:"):
+        guesser = "fsgm:" + os.path.join(ROOT, guesser[len("fsgm:"):])
+    zetas = [1.0, 1.5, 2.0, 3.0]
+    rounds, seed, cap = 300, 5, 1 << 12
+    calls = _count_mc_passes(monkeypatch)
+    argv = ["guess", "--guesser", guesser, "--target", target,
+            "--rounds", str(rounds), "--seed", str(seed), "--cap", str(cap),
+            "--jobs", str(jobs)]
+    if not guesser.startswith("fsgm:"):
+        argv += ["--alphabet", "01"]
+    for zeta in zetas:
+        argv += ["--zeta", str(zeta)]
+    rows = read_json(dispatch(tmp_path, *argv))["rows"]
+    if jobs == 1:
+        assert calls == {"make_runner": 1, "play": 1, "pool_map": 0}
+    else:
+        assert calls == {"make_runner": 0, "play": 0, "pool_map": 1}
+    params = {"target": target, "guesser": guesser}
+    if not guesser.startswith("fsgm:"):
+        params["alphabet"] = "01"
+    x = cli._target_sequence(params)
+    g = cli._make_guesser(params, x.alphabet, len(x))
+    assert [row["zeta"] for row in rows] == zetas
+    for row in rows:
+        est = guessers.run_game(g, x, zeta=row["zeta"], rounds=rounds,
+                                seed=seed, cap=cap)
+        assert {f: row[f] for f in _MC_FIELDS} == {
+            f: getattr(est, f) for f in _MC_FIELDS}
+        assert row["rounds"] == rounds
+
+
+def test_cond_guess_plays_one_pass_for_every_zeta(tmp_path, monkeypatch):
+    rounds, seed, cap = 40, 6, 1 << 12
+    calls = _count_mc_passes(monkeypatch)
+    rows = read_json(dispatch(
+        tmp_path, "sideinfo", "cond-guess", "--corpus-x", "periodic:ab",
+        "--corpus-y", "periodic:ab", "--n", "8", "--zeta", "1", "--zeta",
+        "2", "--rounds", str(rounds), "--seed", str(seed)))["rows"]
+    assert calls["play"] == 1
+    x = seqcore.parse_corpus_spec("periodic:ab", 8)
+    q = sideinfo.cond_guess_prob(x, x)
+
+    def attempt(bits):
+        return sideinfo.cond_sample(x, len(x), bits, x.alphabet) == x
+
+    for row in rows:
+        est = guessers.estimate_moment(q, row["zeta"], len(x)).fold(
+            seqcore.play(attempt, rounds, seed, cap), cap)
+        assert {f: row[f] for f in _MC_FIELDS} == {
+            f: getattr(est, f) for f in _MC_FIELDS}
+        assert row["rounds"] == rounds
 
 
 def test_bounds_ell_filter(tmp_path):

@@ -14,8 +14,8 @@ from lzguess.guessers import (Guesser, aligned_guess_prob, block_guess_prob,
                               block_sample, compile_block_guesser_to_fsgm,
                               lz_guess_prob, lz_sample, make_runner,
                               moment_exact, moment_log2, moment_lower_bound,
-                              moment_lower_bound_log2, run_game,
-                              survival_curve)
+                              moment_lower_bound_log2, play_counts,
+                              run_game, survival_curve)
 from conftest import FixedBits, all_seqs, seq
 
 B01 = Alphabet(("0", "1"))
@@ -272,6 +272,22 @@ def test_moment_overflow_is_value_error():
         moment_log2(-0.01, 2000.0)
 
 
+def test_moment_when_one_minus_q_rounds_to_one():
+    # the series cannot stop here: (1 + 1/k)^zeta * (1 - q) stays >= 1
+    for q, zeta in itertools.chain(
+            itertools.product((1e-17, 2.0 ** -80), (0.5, 1.5, 3.0)),
+            [(5e-324, 0.5)]):
+        assert 1.0 - q == 1.0
+        got = moment_exact(q, zeta)
+        assert got.rel_err == 1e-12
+        # E[G^zeta] -> Gamma(zeta + 1) / q^zeta as q -> 0
+        want = math.exp(math.lgamma(zeta + 1) - zeta * math.log(q))
+        assert got.value == pytest.approx(want, rel=1e-12)
+    assert moment_exact(1e-17, 1.5, force_series=True).rel_err == 1e-12
+    with pytest.raises(ValueError, match="overflow"):
+        moment_exact(1e-300, 4.0)
+
+
 def test_moment_lower_bound_values():
     assert moment_lower_bound(0.5, 1) == pytest.approx(math.e ** -2)
     assert moment_lower_bound(0.25, 2) == pytest.approx(4 / math.e ** 2)
@@ -420,6 +436,24 @@ def test_run_game_jobs_equivalence():
         assert a.mc_mean == b.mc_mean
         assert a.mc_ci == b.mc_ci
         assert a.censored == b.censored
+
+
+def test_play_counts_in_round_order_for_any_worker_count():
+    g = Guesser("lz_full", B01, 4)
+    x = seq("0110", B01)
+    counts = play_counts(g, x, 500, seed=3, cap=50)
+    assert counts == list(play(make_runner(g, x), 500, 3, 50))
+    assert play_counts(g, x, 500, seed=3, cap=50, jobs=2) == counts
+    assert play_counts(g, x, 0) == []
+    est = run_game(g, x, zeta=2.0)
+    assert (est.mc_mean, est.mc_ci, est.censored, est.rounds) == (
+        None, None, None, None)
+    with pytest.raises(ValueError, match="rounds"):
+        play_counts(g, x, -1)
+    with pytest.raises(ValueError, match="jobs"):
+        play_counts(g, x, 10, jobs=0)
+    with pytest.raises(ValueError, match="rounds"):
+        next(play(make_runner(g, x), -1, 0, 10))
 
 
 def test_play_counts_agree_with_every_game_view():
