@@ -185,29 +185,35 @@ _MOMENT_FIELDS = ["n", "zeta", "q_log2", "exact_moment_log2", "exponent",
                   "mc_mean", "mc_ci", "censored", "rounds"]
 
 
-def _moment_row(est: guessers.MomentEstimate, n: int) -> dict:
-    """One results row of `guess` or `sideinfo cond-guess`."""
-    return {"n": n, "zeta": est.zeta, "q_log2": est.q_log2,
-            "exact_moment_log2": est.exact_moment_log2,
-            "exponent": est.exponent, "mc_mean": est.mc_mean,
-            "mc_ci": est.mc_ci, "censored": est.censored,
-            "rounds": est.rounds}
+def _moment_rows(params, q, n: int, play_rounds) -> list[dict]:
+    """The zeta rows of `guess` and `sideinfo cond-guess`.  One pass of
+    rounds, play_rounds(rounds, seed, cap), serves every zeta: each row
+    folds the same counts."""
+    cap = params.get("cap", DEFAULT_CAP)
+    if cap < 1:
+        raise ValueError("need cap >= 1, got %r" % (cap,))
+    # exact fields first: a zero q fails before any round is played
+    ests = [guessers.estimate_moment(q, zeta, n)
+            for zeta in params.get("zeta") or [1.0]]
+    counts = play_rounds(params.get("rounds", 0), params.get("seed") or 0,
+                         cap)
+    for est in ests:
+        est.fold(counts, cap)
+    return [{"n": n, "zeta": est.zeta, "q_log2": est.q_log2,
+             "exact_moment_log2": est.exact_moment_log2,
+             "exponent": est.exponent, "mc_mean": est.mc_mean,
+             "mc_ci": est.mc_ci, "censored": est.censored,
+             "rounds": est.rounds} for est in ests]
 
 
 def _run_guess(params, outdir):
     seq = _target_sequence(params)
     g = _make_guesser(params, seq.alphabet, len(seq))
-    q = g.guess_prob(seq)
-    ests = [guessers.estimate_moment(q, zeta, len(seq))
-            for zeta in params.get("zeta") or [1.0]]
-    cap = params.get("cap") or DEFAULT_CAP
-    # one pass of rounds serves every zeta: each row folds the same counts
-    counts = guessers.play_counts(g, seq, params.get("rounds", 0),
-                                  params.get("seed") or 0, cap,
-                                  params.get("jobs", 1))
-    rows = [{"guesser": g.describe(), **_moment_row(est.fold(counts, cap),
-                                                    len(seq))}
-            for est in ests]
+    rows = _moment_rows(
+        params, g.guess_prob(seq), len(seq),
+        lambda rounds, seed, cap: guessers.play_counts(
+            g, seq, rounds, seed, cap, params.get("jobs", 1)))
+    rows = [{"guesser": g.describe(), **row} for row in rows]
     return {"rows": rows}, ("results.csv", ["guesser"] + _MOMENT_FIELDS, rows)
 
 
@@ -295,12 +301,9 @@ def _run_sideinfo(params, outdir):
         def attempt(bits):
             return sideinfo.cond_sample(y, len(x), bits, x.alphabet) == x
 
-        cap = params.get("cap") or DEFAULT_CAP
-        counts = list(play(attempt, params.get("rounds", 0),
-                           params.get("seed") or 0, cap))
-        rows = [_moment_row(guessers.estimate_moment(q, zeta, len(x))
-                            .fold(counts, cap), len(x))
-                for zeta in params.get("zeta") or [1.0]]
+        rows = _moment_rows(params, q, len(x),
+                            lambda rounds, seed, cap:
+                            list(play(attempt, rounds, seed, cap)))
         return {"rows": rows}, ("results.csv", _MOMENT_FIELDS, rows)
     if sub == "cond-bounds":
         reports = sideinfo.cond_bounds_sweep(x, y, params.get("s") or 2,

@@ -59,48 +59,23 @@ def lz_sample(alphabet: Alphabet, n: int, bits: BitSource) -> SymbolSeq:
         raise ValueError("need n >= 1")
     a_bits = alphabet.bits_per_symbol
     alpha = alphabet.size
-    words = [b""]
-    children: list[dict] = [{}]
+    trie = lz78.ParseTrie()
+    children = trie.children
     cursor = 0
     out = bytearray()
     while len(out) < n:
-        t = len(words)
+        t = len(children)
         ptr = bits.next_bits((t - 1).bit_length()) % t
         sym = bits.next_bits(a_bits) % alpha
-        word = words[ptr] + bytes([sym])
-        for c in word:
-            if len(out) == n:
-                break
+        for c in (trie.word(ptr) + bytes([sym]))[:n - len(out)]:
             out.append(c)
             child = children[cursor].get(c)
             if child is None:
-                children[cursor][c] = len(words)
-                words.append(words[cursor] + bytes([c]))
-                children.append({})
+                trie.add(cursor, c)
                 cursor = 0
             else:
                 cursor = child
     return SymbolSeq(alphabet, bytes(out))
-
-
-def _parse_history(x: SymbolSeq):
-    """The parse trie of x plus t_at[e] = node count after e symbols."""
-    parse = lz78.incremental_parse(x)
-    trie = parse.trie
-    t_at = [1] * (len(x) + 1)
-    node = 0
-    t = 1
-    for e, c in enumerate(x):
-        child = trie.children[node].get(c)
-        # replay: a child created later than the current count is the one
-        # this very step creates
-        if child is None or child >= t:
-            t += 1
-            node = 0
-        else:
-            node = child
-        t_at[e + 1] = t
-    return parse, t_at
 
 
 def _subtree_ptr_count(trie: lz78.ParseTrie, node: int, limit: int,
@@ -131,7 +106,8 @@ def lz_guess_prob(x: SymbolSeq) -> DyadicProb:
     n = len(x)
     a_bits = x.alphabet.bits_per_symbol
     sym_counts = _sym_counts(x.alphabet)
-    parse, t_at = _parse_history(x)
+    parse = lz78.incremental_parse(x)
+    t_at = parse.node_counts()
     trie = parse.trie
     idx = x.indices
 
@@ -162,7 +138,8 @@ def aligned_guess_prob(x: SymbolSeq) -> DyadicProb:
     alphabet = x.alphabet
     a_bits = alphabet.bits_per_symbol
     sym_counts = _sym_counts(alphabet)
-    parse, t_at = _parse_history(x)
+    parse = lz78.incremental_parse(x)
+    t_at = parse.node_counts()
     trie = parse.trie
     idx = x.indices
     prob = DyadicProb.one()
@@ -254,9 +231,8 @@ def compile_block_guesser_to_fsgm(ell: int, alphabet: Alphabet,
                 pending.append(nxt)
             continue
         # draw state: dictionary is the parse trie of u
-        parse, t_at = _parse_history(SymbolSeq(alphabet, u))
-        trie = parse.trie
-        t = t_at[len(u)]
+        trie = lz78.incremental_parse(SymbolSeq(alphabet, u)).trie
+        t = len(trie)
         width = (t - 1).bit_length()
         delta[z] = width + a_bits
         rows = []
@@ -356,9 +332,9 @@ def moment_exact(q, zeta: float, rel_tol: float = 1e-12,
     Closed forms for zeta in {1, 2}; otherwise the series
     sum_k k^zeta (1-q)^(k-1) q, stopped once a geometric tail bound
     certifies relative error below rel_tol.  force_series skips the closed
-    forms (used to cross-check the series against them).  When 1 - q rounds
-    to 1.0 the tail bound never certifies anything, and the value comes
-    from :func:`moment_log2` with its documented 1e-12 relative error.
+    forms (used to cross-check the series against them).  The series needs
+    about zeta/q terms, so below q = 2**-20 the value comes from
+    :func:`moment_log2` with its documented 1e-12 relative error.
     """
     qf = float(q)
     if not 0.0 < qf <= 1.0:
@@ -374,7 +350,7 @@ def moment_exact(q, zeta: float, rel_tol: float = 1e-12,
         return MomentResult(1.0, 0.0)
     one_minus = 1.0 - qf
     try:
-        if one_minus == 1.0:
+        if qf < 2.0 ** -20:
             return MomentResult(2.0 ** moment_log2(math.log2(qf), zeta),
                                 1e-12)
         total = 0.0
@@ -499,7 +475,8 @@ def _lz_run_tables(x: SymbolSeq):
     alphabet = x.alphabet
     a_bits = alphabet.bits_per_symbol
     alpha = alphabet.size
-    parse, t_at = _parse_history(x)
+    parse = lz78.incremental_parse(x)
+    t_at = parse.node_counts()
     trie = parse.trie
     idx = x.indices
     widths = []

@@ -70,12 +70,11 @@ class ParseTrie:
     phrase.  children[v] maps an edge symbol to the child id.
     """
 
-    __slots__ = ("parent", "sym", "depth", "children")
+    __slots__ = ("parent", "sym", "children")
 
     def __init__(self):
         self.parent = [-1]
         self.sym = [-1]
-        self.depth = [0]
         self.children = [{}]
 
     def __len__(self) -> int:
@@ -85,16 +84,16 @@ class ParseTrie:
         node = len(self.parent)
         self.parent.append(parent)
         self.sym.append(sym)
-        self.depth.append(self.depth[parent] + 1)
         self.children.append({})
         self.children[parent][sym] = node
         return node
 
     def word(self, node: int) -> bytes:
+        parent, sym = self.parent, self.sym
         out = bytearray()
         while node:
-            out.append(self.sym[node])
-            node = self.parent[node]
+            out.append(sym[node])
+            node = parent[node]
         out.reverse()
         return bytes(out)
 
@@ -130,6 +129,15 @@ class ParseResult:
     @property
     def complete_count(self) -> int:
         return self.c_lz - (0 if self.last_complete else 1)
+
+    def node_counts(self) -> list[int]:
+        """t[e] = dictionary node count after the first e symbols."""
+        ends = self.boundaries[1:] + [len(self.seq)]
+        counts = []
+        for t, (b, e) in enumerate(zip(self.boundaries, ends), 1):
+            counts += [t] * (e - b)
+        counts.append(len(self.trie))
+        return counts
 
     def phrases(self) -> list[SymbolSeq]:
         ends = self.boundaries[1:] + [len(self.seq)]

@@ -29,6 +29,15 @@ equal to the joint incremental parse of what it has emitted against y, so
 the exact conditional guess probability is a forward pass over positions.
 It, like the exact law of the conditional machines below, runs through
 :func:`lzguess.seqcore.forward`, the package's one exact forward pass.
+
+Coder, decoder, sampler, exact law and :func:`joint_parse` read one
+dictionary, :class:`_JointDict`: the joint parse as a
+:class:`~lzguess.lz78.ParseTrie` over pair symbols a * beta + b, with the
+y-word of each node, the nodes of each y-word in id order and the node
+that created each y-word beside it.  The coder and decoder grow it phrase
+by phrase and the sampler pair by pair; the exact law indexes the parse of
+the whole pair stream and reads it, through node ids, as it stood after
+each emitted prefix.
 Every field's probability is at least 2**-(field width), and the padded
 header covers the fused selector of the final overshooting draw, giving
 cond_guess_prob(x|y) >= 2**-L(x|y) everywhere.
@@ -41,9 +50,9 @@ import math
 from dataclasses import dataclass
 
 from .seqcore import Alphabet, BitSource, DyadicProb, SymbolSeq, forward
-from .lz78 import BitReader, DecodeError, ParseResult, incremental_parse
-from .guessers import (LOG2E, _blocks, _parse_history, _ptr_count,
-                       moment_log2)
+from .lz78 import (BitReader, DecodeError, ParseResult, ParseTrie,
+                   incremental_parse)
+from .guessers import LOG2E, _blocks, _ptr_count, moment_log2
 from .bounds import block_entropy, delta_n_at
 
 
@@ -83,24 +92,18 @@ class JointParseResult:
 
 
 def joint_parse(x: SymbolSeq, y: SymbolSeq) -> JointParseResult:
-    packed = pack_pairs(x, y)
-    parse = incremental_parse(packed)
+    parse = incremental_parse(pack_pairs(x, y))
     beta = y.alphabet.size
     trie = parse.trie
-    ywords: dict[int, bytes] = {0: b""}
-    order: list[bytes] = []
-    counts: dict[bytes, int] = {}
-    for node in range(1, parse.complete_count + 1):
-        yw = ywords[trie.parent[node]] + bytes([trie.sym[node] % beta])
-        ywords[node] = yw
-        if yw not in counts:
-            counts[yw] = 0
-            order.append(yw)
-        counts[yw] += 1
-    c_j = [counts[w] for w in order]
+    dic = _JointDict(beta, trie)
+    ywords = [b""]
+    for v in dic.ymade[1:]:
+        ywords.append(ywords[dic.ynode[trie.parent[v]]]
+                      + bytes((trie.sym[v] % beta,)))
+    c_j = [len(nodes) for nodes in dic.members[1:]]
     u = sum(c * math.log2(c) for c in c_j if c > 1)
     tail = 0 if parse.last_complete else len(x) - parse.boundaries[-1]
-    return JointParseResult(parse, parse.complete_count, order, c_j, u,
+    return JointParseResult(parse, parse.complete_count, ywords[1:], c_j, u,
                             parse.last_complete, tail)
 
 
@@ -112,13 +115,7 @@ def chain_code_len(gap: int, size: int) -> int:
     """Bits used to index `gap` in a chain of `size` candidates."""
     if not 0 <= gap < size:
         raise ValueError("gap %d outside chain of size %d" % (gap, size))
-    v = gap + 1
-    Z = size.bit_length() - 1
-    z = v.bit_length() - 1
-    if z < Z:
-        return 2 * z + 1
-    mz = size - (1 << Z) + 1
-    return Z + (mz - 1).bit_length()
+    return len(chain_encode(gap, size))
 
 
 def chain_encode(gap: int, size: int) -> str:
@@ -156,34 +153,36 @@ def chain_gap_probs(size: int) -> list[DyadicProb]:
     return probs
 
 
-def chain_decode(reader: BitReader, size: int) -> int:
+def chain_read(take, size: int) -> int:
+    """One chain field read through `take(width)`, which returns the next
+    width bits as an integer, first bit most significant.  A top-level
+    value past the chain comes back as a gap >= size."""
     Z = size.bit_length() - 1
     z = 0
-    while z < Z and reader.take(1) == 0:
+    while z < Z and take(1) == 0:
         z += 1
     if z < Z:
-        v = (1 << z) + (reader.take(z) if z else 0)
-    else:
-        mz = size - (1 << Z) + 1
-        w = (mz - 1).bit_length()
-        val = reader.take(w)
-        if val >= mz:
-            raise DecodeError("chain index %d out of range" % val, reader.pos)
-        v = (1 << Z) + val
-    return v - 1
+        return (1 << z) + (take(z) if z else 0) - 1
+    return (1 << Z) + take((size - (1 << Z)).bit_length()) - 1
+
+
+def chain_decode(reader: BitReader, size: int) -> int:
+    gap = chain_read(reader.take, size)
+    if gap >= size:
+        raise DecodeError("chain index %d out of range"
+                          % (gap + 1 - (1 << (size.bit_length() - 1))),
+                          reader.pos)
+    return gap
 
 
 def chain_draw(bits: BitSource, size: int) -> int:
-    """Random gap with the :func:`chain_gap_probs` law."""
-    Z = size.bit_length() - 1
-    z = 0
-    while z < Z and bits.next_bits(1) == 0:
-        z += 1
-    if z < Z:
-        return (1 << z) + (bits.next_bits(z) if z else 0) - 1
-    mz = size - (1 << Z) + 1
-    w = (mz - 1).bit_length()
-    return (1 << Z) + (bits.next_bits(w) % mz) - 1
+    """Random gap with the :func:`chain_gap_probs` law: a top-level value
+    past the chain folds back modulo the top level's size."""
+    gap = chain_read(bits.next_bits, size)
+    if gap < size:
+        return gap
+    top = (1 << (size.bit_length() - 1)) - 1
+    return top + (gap - top) % (size - top)
 
 
 def _gamma_encode(v: int) -> str:
@@ -218,72 +217,72 @@ def _unrank_sym(rank: int, ystar: int, alpha: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# shared dictionary state for coder, decoder, and sampler
+# the joint dictionary behind the coder, decoder, sampler and exact law
 # ---------------------------------------------------------------------------
 
-class _CondDict:
-    """Joint parse trie plus the y-phrase trie and per-y-phrase x lists."""
+class _JointDict:
+    """The joint parse as one :class:`~lzguess.lz78.ParseTrie` over pair
+    symbols a * beta + b, with a y-word index beside it.
 
-    def __init__(self):
-        self.children: list[dict] = [{}]     # keyed by (x sym, y sym)
-        self.xword: list[bytes] = [b""]
-        self.yword: list[bytes] = [b""]
-        self.D: dict[bytes, list[bytes]] = {b"": [b""]}
-        self.ytrie: list[dict] = [{}]        # keyed by y sym
-        self.cursor = 0                      # joint parse cursor
+    ynode[v] is the y-word of joint node v (a node of the y-word trie
+    ychildren), members[w] the joint nodes with y-word w in id order,
+    pos[v] the place of v in members[ynode[v]], and ymade[w] the joint
+    node that created y-word w.  Ids are creation order, so the dictionary
+    as it stood at node count t is the part with ids below t.  xwords[v],
+    the x-word of node v, is kept for the nodes :meth:`feed` adds: the
+    coder, decoder and sampler grow their dictionary that way, and the
+    readers of an indexed parse need no x-words.
+    """
 
-    def y_chain_depth(self, yidx: bytes, b: int, nmax: int) -> int:
-        """Depth of the deepest distinct y-phrase prefixing y[b:nmax]."""
-        node = 0
-        d = 0
-        while b + d < nmax:
-            node = self.ytrie[node].get(yidx[b + d])
-            if node is None:
-                break
-            d += 1
-        return d
+    def __init__(self, beta: int, trie: ParseTrie | None = None):
+        self.beta = beta
+        self.trie = ParseTrie() if trie is None else trie
+        self.xwords = [b""]
+        self.ynode = [0]
+        self.pos = [0]
+        self.ychildren: list[dict] = [{}]
+        self.ymade = [0]
+        self.members = [[0]]
+        for v in range(1, len(self.trie)):
+            self._index(v)
 
-    def _add_node(self, parent: int, key: tuple, xw: bytes, yw: bytes):
-        """Create the joint node for phrase (xw, yw) under `parent`."""
-        self.children[parent][key] = len(self.children)
-        self.children.append({})
-        self.xword.append(xw)
-        self.yword.append(yw)
-        if yw in self.D:
-            self.D[yw].append(xw)
-        else:
-            self.D[yw] = [xw]
-            node = 0
-            for c in yw:
-                nxt = self.ytrie[node].get(c)
-                if nxt is None:
-                    nxt = len(self.ytrie)
-                    self.ytrie.append({})
-                    self.ytrie[node][c] = nxt
-                node = nxt
+    def _index(self, v: int):
+        parent = self.trie.parent[v]
+        ys = self.trie.sym[v] % self.beta
+        up = self.ychildren[self.ynode[parent]]
+        w = up.get(ys)
+        if w is None:
+            w = up[ys] = len(self.members)
+            self.ychildren.append({})
+            self.ymade.append(v)
+            self.members.append([])
+        self.ynode.append(w)
+        self.pos.append(len(self.members[w]))
+        self.members[w].append(v)
 
-    def insert_phrase(self, xw: bytes, yw: bytes):
-        """Insert one complete joint phrase (its proper prefixes exist)."""
-        node = 0
-        for xs, ys in zip(xw[:-1], yw[:-1]):
-            node = self.children[node].get((xs, ys))
-            if node is None:
-                raise DecodeError("phrase prefix missing from dictionary", 0)
-        key = (xw[-1], yw[-1])
-        if key in self.children[node]:
-            raise DecodeError("phrase already in dictionary", 0)
-        self._add_node(node, key, xw, yw)
-
-    def feed_pair(self, xs: int, ys: int):
-        """Advance the parse cursor by one emitted pair (sampler side)."""
-        child = self.children[self.cursor].get((xs, ys))
+    def feed(self, cursor: int, xs: int, ys: int) -> int:
+        """Advance the parse cursor by the pair (xs, ys): the child, or 0
+        (the root) after a new node, which joins the index."""
+        sym = xs * self.beta + ys
+        child = self.trie.children[cursor].get(sym)
         if child is None:
-            self._add_node(self.cursor, (xs, ys),
-                           self.xword[self.cursor] + bytes([xs]),
-                           self.yword[self.cursor] + bytes([ys]))
-            self.cursor = 0
-        else:
-            self.cursor = child
+            self._index(self.trie.add(cursor, sym))
+            self.xwords.append(self.xwords[cursor] + bytes((xs,)))
+            return 0
+        return child
+
+    def ypath(self, yidx: bytes, b: int, n: int, t: int = 0) -> list[int]:
+        """The y-words prefixing y[b:n], the empty one first; a positive t
+        keeps those created below node count t."""
+        ychildren, ymade = self.ychildren, self.ymade
+        path = [0]
+        w = 0
+        for i in range(b, n):
+            w = ychildren[w].get(yidx[i])
+            if w is None or (t and ymade[w] >= t):
+                break
+            path.append(w)
+        return path
 
 
 # ---------------------------------------------------------------------------
@@ -298,43 +297,45 @@ def cond_code(x: SymbolSeq, y: SymbolSeq) -> str:
     alpha = x.alphabet.size
     a_bits = x.alphabet.bits_per_symbol
     xi, yi = x.indices, y.indices
-    state = _CondDict()
+    dic = _JointDict(y.alphabet.size)
+    children = dic.trie.children
     records = []
-    n_complete = 0
     b = 0
     while b < n:
         node = 0
         d = 0
         while b + d < n:
-            child = state.children[node].get((xi[b + d], yi[b + d]))
+            child = children[node].get(xi[b + d] * dic.beta + yi[b + d])
             if child is None:
                 break
             node = child
             d += 1
-        if b + d == n and d > 0:
-            # incomplete tail: an existing phrase's x-word, indexed within
-            # the x-phrases of its y-part
-            lst = state.D[yi[b:n]]
-            idx = lst.index(xi[b:n])
-            width = (len(lst) - 1).bit_length()
-            records.append(format(idx, "0%db" % width) if width else "")
-            b = n
+        # the x-word x[b:b+d] by its place among the x-phrases of y[b:b+d]
+        width = (len(dic.members[dic.ynode[node]]) - 1).bit_length()
+        index = format(dic.pos[node], "0%db" % width) if width else ""
+        if b + d == n:
+            # incomplete tail: an existing phrase, sent by its index alone
+            records.append(index)
             break
-        chain = state.y_chain_depth(yi, b, n) + 1
+        chain = len(dic.ypath(yi, b, n))
         fused = ((chain - 1 - d) * alpha
                  + _rank_sym(xi[b + d], yi[b + d], alpha))
-        lst = state.D[yi[b:b + d]]
-        idx = lst.index(xi[b:b + d])
-        width = (len(lst) - 1).bit_length()
-        rec = [chain_encode(fused, chain * alpha),
-               format(idx, "0%db" % width) if width else ""]
-        records.append("".join(rec))
-        state.insert_phrase(xi[b:b + d + 1], yi[b:b + d + 1])
-        n_complete += 1
+        records.append(chain_encode(fused, chain * alpha) + index)
+        dic.feed(node, xi[b + d], yi[b + d])
         b += d + 1
     # the header value is shifted by the symbol width so its gamma length
     # also covers the fused selector of a final overshooting draw (dominance)
+    n_complete = len(dic.trie) - 1
     return _gamma_encode((n_complete + 1) << a_bits) + "".join(records)
+
+
+def _read_member(reader: BitReader, nodes: list[int], what: str) -> int:
+    """The joint node a ceil(log2(len(nodes)))-bit index field picks."""
+    idx = reader.take((len(nodes) - 1).bit_length())
+    if idx >= len(nodes):
+        raise DecodeError("%s index %d out of range" % (what, idx),
+                          reader.pos)
+    return nodes[idx]
 
 
 def cond_decode(bits: str, y: SymbolSeq, n: int,
@@ -351,38 +352,31 @@ def cond_decode(bits: str, y: SymbolSeq, n: int,
     if header & ((1 << a_bits) - 1):
         raise DecodeError("corrupt header", reader.pos)
     n_complete = (header >> a_bits) - 1
-    state = _CondDict()
+    dic = _JointDict(y.alphabet.size)
     out = bytearray()
     b = 0
     for _ in range(n_complete):
         if b >= n:
             raise DecodeError("more phrases than the target length admits",
                               reader.pos)
-        chain = state.y_chain_depth(yi, b, n) + 1
+        path = dic.ypath(yi, b, n)
+        chain = len(path)
         fused = chain_decode(reader, chain * alpha)
         d = chain - 1 - fused // alpha
         if b + d >= n:
             raise DecodeError("phrase overruns the target", reader.pos)
         sym = _unrank_sym(fused % alpha, yi[b + d], alpha)
-        lst = state.D[yi[b:b + d]]
-        width = (len(lst) - 1).bit_length()
-        idx = reader.take(width)
-        if idx >= len(lst):
-            raise DecodeError("x-phrase index %d out of range" % idx,
-                              reader.pos)
-        xw = lst[idx] + bytes([sym])
-        state.insert_phrase(xw, yi[b:b + d + 1])
-        out.extend(xw)
+        parent = _read_member(reader, dic.members[path[d]], "x-phrase")
+        if dic.feed(parent, sym, yi[b + d]):
+            raise DecodeError("phrase already in dictionary", reader.pos)
+        out.extend(dic.xwords[-1])
         b += d + 1
     if b < n:
-        lst = state.D.get(yi[b:n])
-        if lst is None:
+        path = dic.ypath(yi, b, n)
+        if len(path) <= n - b:
             raise DecodeError("tail y-phrase unknown", reader.pos)
-        width = (len(lst) - 1).bit_length()
-        idx = reader.take(width)
-        if idx >= len(lst):
-            raise DecodeError("tail index %d out of range" % idx, reader.pos)
-        out.extend(lst[idx])
+        out.extend(dic.xwords[_read_member(reader, dic.members[path[-1]],
+                                           "tail")])
     if reader.pos != len(bits):
         raise DecodeError("trailing bits after decoding", reader.pos)
     return SymbolSeq(alphabet, bytes(out))
@@ -422,109 +416,54 @@ def cond_sample(y: SymbolSeq, n: int, bits: BitSource,
     alphabet = x_alphabet or y.alphabet
     alpha = alphabet.size
     yi = y.indices
-    state = _CondDict()
+    dic = _JointDict(y.alphabet.size)
+    cursor = 0
     out = bytearray()
     while len(out) < n:
         b = len(out)
-        chain = state.y_chain_depth(yi, b, n) + 1
+        path = dic.ypath(yi, b, n)
+        chain = len(path)
         fused = chain_draw(bits, chain * alpha)
         d = chain - 1 - fused // alpha
         # the deepest candidate fills the target exactly; its symbol is
         # surplus, so the rank convention there is immaterial
         ystar = yi[b + d] if b + d < n else 0
         sym = _unrank_sym(fused % alpha, ystar, alpha)
-        lst = state.D[yi[b:b + d]]
-        width = (len(lst) - 1).bit_length()
-        u = lst[bits.next_bits(width) % len(lst)]
-        xblock = u + bytes([sym])
-        for i, xs in enumerate(xblock):
-            if len(out) == n:
-                break
+        nodes = dic.members[path[d]]
+        width = (len(nodes) - 1).bit_length()
+        u = dic.xwords[nodes[bits.next_bits(width) % len(nodes)]]
+        for i, xs in enumerate((u + bytes([sym]))[:n - b]):
             out.append(xs)
-            state.feed_pair(xs, yi[b + i])
+            cursor = dic.feed(cursor, xs, yi[b + i])
     return SymbolSeq(alphabet, bytes(out))
-
-
-class _CondHistory:
-    """Time-indexed view of the dictionary along the joint parse of (x, y),
-    for the forward pass: everything the sampler could know after emitting
-    e matching symbols is a function of e."""
-
-    def __init__(self, x: SymbolSeq, y: SymbolSeq):
-        parse, t_at = _parse_history(pack_pairs(x, y))
-        trie = parse.trie
-        beta = y.alphabet.size
-        self.trie = trie
-        self.t_at = t_at
-        self.beta = beta
-        # y words per node, y-trie with establishment ids, D positions
-        ywords = {0: b""}
-        ytrie: list[dict] = [{}]
-        yestab = [0]
-        dcount: dict[bytes, int] = {b"": 1}
-        pos_in_D = [0] * len(trie.parent)
-        for v in range(1, len(trie.parent)):
-            yw = ywords[trie.parent[v]] + bytes([trie.sym[v] % beta])
-            ywords[v] = yw
-            node = 0
-            for cy in yw:
-                nxt = ytrie[node].get(cy)
-                if nxt is None:
-                    nxt = len(ytrie)
-                    ytrie.append({})
-                    yestab.append(v)
-                    ytrie[node][cy] = nxt
-                node = nxt
-            pos_in_D[v] = dcount.get(yw, 0)
-            dcount[yw] = pos_in_D[v] + 1
-        self.ytrie = ytrie
-        self.yestab = yestab
-        self.pos_in_D = pos_in_D
-        self.ywords = ywords
-        # D sizes over time: entries of D[w] are nodes in id order, so the
-        # count visible at node-count t is how many of them have id < t
-        self.d_entries: dict[bytes, list[int]] = {b"": [0]}
-        for v in range(1, len(trie.parent)):
-            self.d_entries.setdefault(ywords[v], []).append(v)
-
-    def d_count(self, w: bytes, t: int) -> int:
-        return bisect.bisect_left(self.d_entries.get(w, ()), t)
-
-    def chain_depth(self, yidx: bytes, b: int, n: int, t: int) -> int:
-        node = 0
-        d = 0
-        while b + d < n:
-            nxt = self.ytrie[node].get(yidx[b + d])
-            if nxt is None or self.yestab[nxt] >= t:
-                break
-            node = nxt
-            d += 1
-        return d
 
 
 def cond_guess_prob(x: SymbolSeq, y: SymbolSeq) -> DyadicProb:
     """Exact probability that :func:`cond_sample` emits x given y: a
-    :func:`~lzguess.seqcore.forward` pass over emitted-prefix lengths."""
+    :func:`~lzguess.seqcore.forward` pass over emitted-prefix lengths.
+    After e matching symbols the sampler's dictionary is the joint parse of
+    (x, y) as it stood at node count t_at[e]."""
     if len(x) != len(y):
         raise ValueError("x and y must have equal length")
     n = len(x)
-    hist = _CondHistory(x, y)
-    trie = hist.trie
-    beta = hist.beta
+    parse = incremental_parse(pack_pairs(x, y))
+    pairs = memoryview(parse.seq.indices)
+    t_at = parse.node_counts()
+    dic = _JointDict(y.alphabet.size, parse.trie)
     alpha = x.alphabet.size
     xi, yi = x.indices, y.indices
 
     def step(b, _state):
-        t = hist.t_at[b]
-        chain = hist.chain_depth(yi, b, n, t) + 1
+        t = t_at[b]
+        chain = len(dic.ypath(yi, b, n, t))
         fused_probs = chain_gap_probs(chain * alpha)
-        node = 0
-        d = 0
-        while True:
-            # the depth-d candidate: x-word x[b:b+d] within D[y[b:b+d]]
-            c = hist.d_count(hist.ywords[node], t) if node else 1
+        # the depth-d candidate: x-word x[b:b+d] among the x-phrases of
+        # y[b:b+d] that exist at node count t; d < chain, because a joint
+        # node's y-word is no younger than the node
+        for d, node in dic.trie.walk(pairs[b:], limit=t):
+            c = bisect.bisect_left(dic.members[dic.ynode[node]], t)
             width = (c - 1).bit_length()
-            cnt = _ptr_count(hist.pos_in_D[node], c, width)
+            cnt = _ptr_count(dic.pos[node], c, width)
             base = (chain - 1 - d) * alpha
             if b + d == n:
                 # overshoot: the surplus symbol is discarded, any rank wins
@@ -533,11 +472,6 @@ def cond_guess_prob(x: SymbolSeq, y: SymbolSeq) -> DyadicProb:
                 return
             f = fused_probs[base + _rank_sym(xi[b + d], yi[b + d], alpha)]
             yield b + d + 1, None, f.m * cnt, f.e + width
-            nxt = trie.children[node].get(xi[b + d] * beta + yi[b + d])
-            if nxt is None or nxt >= t or d + 1 >= chain:
-                return
-            node = nxt
-            d += 1
 
     return forward(n, None, step).get(None, DyadicProb.zero())
 

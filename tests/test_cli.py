@@ -153,6 +153,40 @@ def test_bad_rounds_or_jobs_exit_cleanly(argv, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("rounds", ["0", "3"])
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["guess", "--target", "0110", "--alphabet", "01"],
+    ["sideinfo", "cond-guess", "--corpus-x", "periodic:ab", "--corpus-y",
+     "periodic:ab", "--n", "4"],
+], ids=["guess", "cond-guess"])
+def test_cap_below_one_is_an_error(argv, cap, rounds, tmp_path, capsys):
+    # checked before any round is played, so --rounds 0 does not hide it
+    argv = argv + ["--cap", cap, "--rounds", rounds, "--out-dir", str(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: need cap >= 1")
+
+
+def test_moments_at_small_q_does_not_sum_the_series(tmp_path):
+    # the series needs about zeta/q terms: 1e12 here; a child process with
+    # a timeout turns a hang into a failure
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "lzguess.cli", "moments", "--q", "1e-12",
+         "--zeta", "1.5", "--out-dir", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    outdir = json.loads(done.stdout)["outdir"]
+    with open(os.path.join(outdir, "results.json")) as fh:
+        row = json.load(fh)["rows"][0]
+    assert row["rel_err"] == 1e-12
+    assert row["exact"] == pytest.approx(
+        2.0 ** guessers.moment_log2(math.log2(1e-12), 1.5), rel=1e-15)
+    assert row["exact"] == pytest.approx(math.gamma(2.5) * 1e-12 ** -1.5,
+                                         rel=1e-9)
+
+
 def _count_mc_passes(monkeypatch):
     """Count runner builds and play loops in this process, and pool maps
     (a worker's own calls happen in its own process)."""

@@ -288,6 +288,15 @@ def test_moment_when_one_minus_q_rounds_to_one():
         moment_exact(1e-300, 4.0)
 
 
+def test_moment_below_series_threshold_reads_the_evaluator():
+    # the series needs about zeta/q terms, over a million below q = 2**-20
+    for q in (0.99 * 2.0 ** -20, 1e-9, 1e-12):
+        for zeta in (0.5, 1.5, 3.0):
+            got = moment_exact(q, zeta)
+            assert got.rel_err == 1e-12
+            assert got.value == 2.0 ** moment_log2(math.log2(q), zeta)
+
+
 def test_moment_lower_bound_values():
     assert moment_lower_bound(0.5, 1) == pytest.approx(math.e ** -2)
     assert moment_lower_bound(0.25, 2) == pytest.approx(4 / math.e ** 2)

@@ -281,3 +281,47 @@ def test_forward_laws_pinned_at_large_n():
     assert _pin(sequence_prob(fig1, out)) == (
         2712,
         "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a")
+
+
+def _noisy_pair(n, seed, flip):
+    """A fair-coin x and y = x with each symbol flipped with prob. flip."""
+    x = generate_corpus("bernoulli", n, p=0.5, seed=seed)
+    noise = generate_corpus("bernoulli", n, p=flip, seed=seed + 1)
+    return x, SymbolSeq(x.alphabet, bytes(
+        a ^ b for a, b in zip(x.indices, noise.indices)))
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_conditional_paths_pinned_at_large_n():
+    """The conditional code, joint parse and sampler at large n, pinned
+    from the separate coder, history and sampler dictionaries that the one
+    joint dictionary replaced."""
+    from lzguess.sideinfo import cond_code, cond_decode, cond_sample, joint_parse
+    x, y = _noisy_pair(4096, 31, 0.1)
+    code = cond_code(x, y)
+    assert _sha(code.encode()) == (
+        "9c497a2b5ce660688404a295c0d904a4aec694ca1a07cae5b5fbfb0a145c83b4")
+    assert cond_decode(code, y, len(x), x.alphabet) == x
+    # a ternary x against a 4-ary y: side symbol 3 has no copy candidate
+    bits = BitSource(33)
+    x = SymbolSeq(Alphabet(("a", "b", "c")),
+                  bytes(bits.next_bits(2) % 3 for _ in range(4096)))
+    y = SymbolSeq(Alphabet(("0", "1", "2", "3")),
+                  bytes((c + bits.next_bits(1)) % 4 for c in x.indices))
+    code = cond_code(x, y)
+    assert (len(code), _sha(code.encode())) == (
+        5227,
+        "be52e39bf011b22ceeb7d60abe48a402eb8bf15535a408e4690f55d6b4f86bcf")
+    assert cond_decode(code, y, len(x), x.alphabet) == x
+    c_j = joint_parse(*_noisy_pair(65536, 35, 0.1)).c_j
+    assert (len(c_j), _sha(",".join(map(str, c_j)).encode())) == (
+        2991,
+        "be6aa562374b10cb535ee9307df957ed08bbbc27f5469dd830f4e98e51814836")
+    _, y = _noisy_pair(32, 37, 0.05)
+    samples = [cond_sample(y, 32, BitSource(39, k)) for k in range(50)]
+    assert samples[0].render() == "bbbbbabbabbaabababbbbbabababbbbb"
+    assert _sha(b"".join(s.indices for s in samples)) == (
+        "6bafd671ff8d7153de74d0ffec765566f13e574e12413fff313ed5c8887553a5")

@@ -107,6 +107,22 @@ def test_chain_code_complete_and_decodable():
         assert chain_code_len(0, L) == (1 if L > 1 else 0)
 
 
+def test_chain_decode_and_draw_read_one_layout():
+    # the same bits through both readers: the decoder rejects a top-level
+    # value past the chain exactly where the sampler folds it
+    for L in range(1, 20):
+        Z = L.bit_length() - 1
+        for pattern in itertools.product("01", repeat=8):
+            text = "".join(pattern)
+            reader, fixed = BitReader(text), FixedBits(text)
+            drawn = chain_draw(fixed, L)
+            try:
+                assert chain_decode(reader, L) == drawn
+            except DecodeError:
+                assert (1 << Z) - 1 <= drawn < L
+            assert reader.pos == fixed.pos
+
+
 def test_chain_draw_matches_probs():
     L = 6
     probs = chain_gap_probs(L)

@@ -1,0 +1,33 @@
+"""Checks that the benchmark's tooling still matches the package.
+
+perfbench/tracer.py wraps functions by (module, name); a rename inside
+src/ would make a traced benchmark run crash on a missing attribute.
+"""
+
+import ast
+import importlib
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _tracer_layers():
+    """LAYERS of perfbench/tracer.py, read from its source without
+    importing or executing the file."""
+    path = os.path.join(ROOT, "perfbench", "tracer.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and getattr(node.targets[0], "id", None) == "LAYERS"):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py defines no LAYERS")
+
+
+def test_tracer_layers_resolve_in_src():
+    layers = _tracer_layers()
+    assert layers
+    for module, function, _layer in layers:
+        assert module.startswith("lzguess.")
+        target = getattr(importlib.import_module(module), function, None)
+        assert callable(target), "%s.%s is gone" % (module, function)
