@@ -14,7 +14,7 @@ from .lz78 import (ParseResult, ParseTrie, c_max_oracle, code_length, decode,
                    encode, incremental_parse)
 from .fsgm import (FSGMSpec, RunTrace, TreeFSGMSpec, build_fig1_machine,
                    expand_tree_machine, output_distribution, run,
-                   sequence_prob, simulate_guessing)
+                   sequence_prob)
 from .guessers import (Guesser, MomentEstimate, block_guess_prob,
                        block_sample, compile_block_guesser_to_fsgm,
                        lz_guess_prob, lz_sample, moment_exact,

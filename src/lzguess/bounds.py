@@ -224,7 +224,8 @@ def sandwich(x: SymbolSeq, zeta: float, s: int, guesser: Guesser,
 
     The measured exponent uses the guesser's exact per-round success
     probability; the direct value applies only to a guesser with the
-    full-sequence LZ sampler's law (``guesser.block == n``).
+    full-sequence LZ sampler's law (``guesser.block == n``, no side
+    information).
     """
     return sandwich_sweep(x, [zeta], s, guesser, sequence_id)[0]
 
@@ -262,5 +263,6 @@ def sandwich_sweep(x: SymbolSeq, zetas, s: int, guesser: Guesser,
             converse_entropy=max(r.converse_entropy for r in rows),
             converse_clogc=max(r.converse_clogc for r in rows),
             direct=direct, chosen_ell=best_ell,
-            direct_applies=guesser.block == n, rows=rows))
+            direct_applies=guesser.block == n and guesser.side is None,
+            rows=rows))
     return reports

@@ -16,12 +16,12 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 import sys
 from datetime import datetime, timezone
 
 from . import __version__
-from .seqcore import (Alphabet, BitSource, SymbolSeq, ingest,
-                      parse_corpus_spec, play)
+from .seqcore import Alphabet, BitSource, SymbolSeq, ingest, parse_corpus_spec
 from . import lz78, fsgm, guessers, bounds, sideinfo
 
 DEFAULT_CAP = 1 << 20
@@ -185,21 +185,23 @@ _MOMENT_FIELDS = ["n", "zeta", "q_log2", "exact_moment_log2", "exponent",
                   "mc_mean", "mc_ci", "censored", "rounds"]
 
 
-def _moment_rows(params, q, n: int, play_rounds) -> list[dict]:
-    """The zeta rows of `guess` and `sideinfo cond-guess`.  One pass of
-    rounds, play_rounds(rounds, seed, cap), serves every zeta: each row
+def _moment_rows(params, g: guessers.Guesser, x: SymbolSeq) -> list[dict]:
+    """The zeta rows of `guess` and `sideinfo cond-guess`: the exact q
+    once, one pass of rounds (:func:`guessers.play_counts`), and each row
     folds the same counts."""
+    q = g.guess_prob(x)
     cap = params.get("cap", DEFAULT_CAP)
     if cap < 1:
         raise ValueError("need cap >= 1, got %r" % (cap,))
     # exact fields first: a zero q fails before any round is played
-    ests = [guessers.estimate_moment(q, zeta, n)
+    ests = [guessers.estimate_moment(q, zeta, len(x))
             for zeta in params.get("zeta") or [1.0]]
-    counts = play_rounds(params.get("rounds", 0), params.get("seed") or 0,
-                         cap)
+    counts = guessers.play_counts(g, x, params.get("rounds", 0),
+                                  params.get("seed") or 0, cap,
+                                  params.get("jobs", 1))
     for est in ests:
         est.fold(counts, cap)
-    return [{"n": n, "zeta": est.zeta, "q_log2": est.q_log2,
+    return [{"n": len(x), "zeta": est.zeta, "q_log2": est.q_log2,
              "exact_moment_log2": est.exact_moment_log2,
              "exponent": est.exponent, "mc_mean": est.mc_mean,
              "mc_ci": est.mc_ci, "censored": est.censored,
@@ -209,11 +211,8 @@ def _moment_rows(params, q, n: int, play_rounds) -> list[dict]:
 def _run_guess(params, outdir):
     seq = _target_sequence(params)
     g = _make_guesser(params, seq.alphabet, len(seq))
-    rows = _moment_rows(
-        params, g.guess_prob(seq), len(seq),
-        lambda rounds, seed, cap: guessers.play_counts(
-            g, seq, rounds, seed, cap, params.get("jobs", 1)))
-    rows = [{"guesser": g.describe(), **row} for row in rows]
+    rows = [{"guesser": g.describe(), **row}
+            for row in _moment_rows(params, g, seq)]
     return {"rows": rows}, ("results.csv", ["guesser"] + _MOMENT_FIELDS, rows)
 
 
@@ -294,16 +293,8 @@ def _run_sideinfo(params, outdir):
                 "u_plus_envelope": jp.u + len(x) * sideinfo.epsilon1(len(x)),
                 "roundtrip_ok": ok}, None
     if sub == "cond-guess":
-        q = sideinfo.cond_guess_prob(x, y)
-        if q.is_zero():
-            raise ValueError("conditional sampler cannot emit the target")
-
-        def attempt(bits):
-            return sideinfo.cond_sample(y, len(x), bits, x.alphabet) == x
-
-        rows = _moment_rows(params, q, len(x),
-                            lambda rounds, seed, cap:
-                            list(play(attempt, rounds, seed, cap)))
+        g = guessers.Guesser("lz_full", x.alphabet, len(x), side=y)
+        rows = _moment_rows(params, g, x)
         return {"rows": rows}, ("results.csv", _MOMENT_FIELDS, rows)
     if sub == "cond-bounds":
         reports = sideinfo.cond_bounds_sweep(x, y, params.get("s") or 2,
@@ -357,8 +348,17 @@ def _execute(subcommand: str, params: dict, out_root: str,
     digests = {p: _sha256(p) for p in _input_paths(params)}
     run_id = run_id_for(subcommand, params, digests)
     outdir = run_dir or os.path.join(out_root, run_id)
+    # the topmost folder this call creates, removed again if the run fails
+    created, parent = None, os.path.abspath(outdir)
+    while not os.path.isdir(parent):
+        created, parent = parent, os.path.dirname(parent)
     os.makedirs(outdir, exist_ok=True)
-    results, table = _EXECUTORS[subcommand](params, outdir)
+    try:
+        results, table = _EXECUTORS[subcommand](params, outdir)
+    except BaseException:
+        if created:
+            shutil.rmtree(created, ignore_errors=True)
+        raise
     results_path = os.path.join(outdir, "results.json")
     with open(results_path, "wb") as fh:
         fh.write(_json_bytes(results))

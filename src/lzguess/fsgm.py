@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .seqcore import (Alphabet, BitSource, BudgetError, DyadicProb, SymbolSeq,
-                      forward, play)
+                      forward)
 
 MAX_DELTA = 16
 DIST_BUDGET = 1 << 18  # alpha**n * states cap for full output enumeration
@@ -412,19 +412,3 @@ def runner(spec: FSGMSpec, x: SymbolSeq) -> Callable[[BitSource], bool]:
         return True
 
     return attempt
-
-
-def simulate_guessing(spec: FSGMSpec, x: SymbolSeq, rounds: int, seed: int,
-                      cap: int) -> list[int]:
-    """Per-round counts of independent machine runs until the output is x.
-
-    Round k draws its bits from substream k of the seed (see :func:`play`).
-    Counts are censored at `cap`, reported as -cap (negative marks a
-    censored round).
-    """
-    if rounds < 1 or cap < 1:
-        raise ValueError("need rounds >= 1 and cap >= 1")
-    if sequence_prob(spec, x).is_zero():
-        raise ValueError("unreachable target: the machine never outputs it")
-    return [g if g <= cap else -cap
-            for g in play(runner(spec, x), rounds, seed, cap)]

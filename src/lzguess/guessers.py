@@ -36,6 +36,8 @@ from . import fsgm, lz78
 from .fsgm import FSGMSpec
 
 LOG2E = math.log2(math.e)
+_COMPILE_STATE_BUDGET = 4096    # ell * alpha**ell states at most
+_SERIES_REL_TOL = 1e-12         # moment_exact's series stop
 
 
 def _sym_counts(alphabet: Alphabet) -> list[int]:
@@ -189,8 +191,7 @@ def block_guess_prob(x: SymbolSeq, ell: int) -> DyadicProb:
     return prob
 
 
-def compile_block_guesser_to_fsgm(ell: int, alphabet: Alphabet,
-                                  state_budget: int = 4096) -> FSGMSpec:
+def compile_block_guesser_to_fsgm(ell: int, alphabet: Alphabet) -> FSGMSpec:
     """An explicit machine whose output law equals the block guesser's.
 
     State (u, k): the block's first |u| symbols are determined to be u and
@@ -203,9 +204,9 @@ def compile_block_guesser_to_fsgm(ell: int, alphabet: Alphabet,
     alpha = alphabet.size
     if ell < 1:
         raise ValueError("need ell >= 1")
-    if ell * alpha ** ell > state_budget:
+    if ell * alpha ** ell > _COMPILE_STATE_BUDGET:
         raise BudgetError("compile budget exceeded: ell*alpha**ell = %d > %d"
-                          % (ell * alpha ** ell, state_budget))
+                          % (ell * alpha ** ell, _COMPILE_STATE_BUDGET))
     a_bits = alphabet.bits_per_symbol
 
     def name(u: bytes, k: int) -> str:
@@ -276,6 +277,10 @@ class Guesser:
     (an explicit machine).  lz_full is the block guesser with ell = n and
     uniform the one with ell = 1; `block` holds that restart period and is
     None for a machine.
+
+    Given a length-n side sequence, an LZ guesser is the conditional
+    sampler instead: each block draws ``sideinfo.cond_sample`` against its
+    slice of `side`, and its law is the product of the blocks' laws.
     """
 
     kind: str
@@ -283,6 +288,7 @@ class Guesser:
     n: int
     ell: int | None = None
     spec: FSGMSpec | None = None
+    side: SymbolSeq | None = None
     block: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -292,20 +298,30 @@ class Guesser:
             raise ValueError("lz_block needs ell >= 1")
         if self.kind == "fsgm" and self.spec is None:
             raise ValueError("fsgm guesser needs a machine spec")
+        if self.side is not None and self.kind not in ("lz_full", "lz_block"):
+            raise ValueError("side information needs an LZ guesser")
+        if self.side is not None and len(self.side) != self.n:
+            raise ValueError("side length %d != guesser length %d"
+                             % (len(self.side), self.n))
         block = {"lz_full": self.n, "uniform": 1}.get(self.kind, self.ell)
         object.__setattr__(self, "block", block)
 
     def describe(self) -> str:
-        if self.kind == "lz_block":
-            return "lz_block(ell=%d)" % self.ell
         if self.kind == "fsgm":
             return "fsgm(%s)" % (self.spec.name or "anonymous")
-        return self.kind
+        name = ("lz_block(ell=%d)" % self.ell if self.kind == "lz_block"
+                else self.kind)
+        return name if self.side is None else "cond_" + name
 
     def sample(self, bits: BitSource) -> SymbolSeq:
         if self.block is None:
             return fsgm.run(self.spec, bits, self.n).output
-        return block_sample(self.alphabet, self.n, self.block, bits)
+        if self.side is None:
+            return block_sample(self.alphabet, self.n, self.block, bits)
+        from .sideinfo import cond_sample
+        return SymbolSeq(self.alphabet, b"".join(
+            cond_sample(self.side[b:e], e - b, bits, self.alphabet).indices
+            for b, e in _blocks(self.n, self.block)))
 
     def guess_prob(self, x: SymbolSeq) -> DyadicProb:
         if len(x) != self.n:
@@ -313,7 +329,13 @@ class Guesser:
                              % (len(x), self.n))
         if self.block is None:
             return fsgm.sequence_prob(self.spec, x)
-        return block_guess_prob(x, self.block)
+        if self.side is None:
+            return block_guess_prob(x, self.block)
+        from .sideinfo import cond_guess_prob
+        prob = DyadicProb.one()
+        for b, e in _blocks(self.n, self.block):
+            prob = prob * cond_guess_prob(x[b:e], self.side[b:e])
+        return prob
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +347,12 @@ class MomentResult(NamedTuple):
     rel_err: float
 
 
-def moment_exact(q, zeta: float, rel_tol: float = 1e-12,
-                 force_series: bool = False) -> MomentResult:
+def moment_exact(q, zeta: float, force_series: bool = False) -> MomentResult:
     """E[G^zeta] for G geometric with success probability q.
 
     Closed forms for zeta in {1, 2}; otherwise the series
     sum_k k^zeta (1-q)^(k-1) q, stopped once a geometric tail bound
-    certifies relative error below rel_tol.  force_series skips the closed
+    certifies relative error below 1e-12.  force_series skips the closed
     forms (used to cross-check the series against them).  The series needs
     about zeta/q terms, so below q = 2**-20 the value comes from
     :func:`moment_log2` with its documented 1e-12 relative error.
@@ -362,7 +383,7 @@ def moment_exact(q, zeta: float, rel_tol: float = 1e-12,
             r = ((1.0 + 1.0 / k) ** zeta) * one_minus
             if r < 1.0:
                 tail = (((k + 1) ** zeta) * term_geom * one_minus) / (1.0 - r)
-                if tail <= rel_tol * total:
+                if tail <= _SERIES_REL_TOL * total:
                     return MomentResult(total + 0.5 * tail, tail / total)
             term_geom *= one_minus
             k += 1
@@ -535,8 +556,17 @@ def _lz_full_runner(x: SymbolSeq) -> Callable[[BitSource], bool]:
     return attempt
 
 
-def _block_runner(x: SymbolSeq, ell: int) -> Callable[[BitSource], bool]:
-    runners = [_lz_full_runner(x[b:e]) for b, e in _blocks(len(x), ell)]
+def _cond_runner(x: SymbolSeq, y: SymbolSeq) -> Callable[[BitSource], bool]:
+    from .sideinfo import cond_sample
+    n, alphabet = len(x), x.alphabet
+    return lambda bits: cond_sample(y, n, bits, alphabet) == x
+
+
+def _block_runner(x: SymbolSeq, ell: int,
+                  side: SymbolSeq | None) -> Callable[[BitSource], bool]:
+    runners = [_lz_full_runner(x[b:e]) if side is None
+               else _cond_runner(x[b:e], side[b:e])
+               for b, e in _blocks(len(x), ell)]
     if len(runners) == 1:
         return runners[0]
 
@@ -554,7 +584,7 @@ def make_runner(guesser: Guesser, x: SymbolSeq) -> Callable[[BitSource], bool]:
     unread bits are independent, so the per-run success law is unchanged)."""
     if guesser.block is None:
         return fsgm.runner(guesser.spec, x)
-    return _block_runner(x, guesser.block)
+    return _block_runner(x, guesser.block, guesser.side)
 
 
 @dataclass
@@ -665,6 +695,5 @@ def survival_curve(guesser: Guesser, x: SymbolSeq, ks, rounds: int,
     fraction of rounds whose first k-1 attempts all failed.
     """
     ks = sorted(ks)
-    counts = list(play(make_runner(guesser, x), rounds, seed,
-                       cap or ks[-1]))
+    counts = play_counts(guesser, x, rounds, seed, cap or ks[-1])
     return {k: sum(g >= k for g in counts) / rounds for k in ks}

@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 from .seqcore import Alphabet, BudgetError, SymbolSeq
 
+_C_MAX_ORACLE_N = 24            # c_max_oracle refuses longer sequences
+
 
 class DecodeError(ValueError):
     """Corrupt or truncated code stream; carries the failing bit position."""
@@ -287,20 +289,20 @@ def unpack_bits(blob: bytes) -> str:
 # exhaustive oracle for the maximal distinct-phrase count
 # ---------------------------------------------------------------------------
 
-def c_max_oracle(seq: SymbolSeq, max_n: int = 24) -> int:
+def c_max_oracle(seq: SymbolSeq) -> int:
     """Largest number of distinct phrases whose concatenation equals `seq`.
 
     Exhaustive search over partitions with memoization on (position, set of
     used phrases short enough to still matter); there is no pruning, so the
-    cost is exponential.  Guarded: refuses n > max_n; use c_lz as the
+    cost is exponential.  Guarded: refuses n > 24; use c_lz as the
     surrogate there.
     """
     n = len(seq)
-    if n > max_n:
+    if n > _C_MAX_ORACLE_N:
         raise BudgetError(
             "c_max_oracle is exponential and capped at n=%d (got n=%d); "
             "use incremental_parse(...).c_lz as the computable surrogate"
-            % (max_n, n))
+            % (_C_MAX_ORACLE_N, n))
     if n == 0:
         return 0
     x = seq.indices

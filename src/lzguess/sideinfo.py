@@ -29,6 +29,8 @@ equal to the joint incremental parse of what it has emitted against y, so
 the exact conditional guess probability is a forward pass over positions.
 It, like the exact law of the conditional machines below, runs through
 :func:`lzguess.seqcore.forward`, the package's one exact forward pass.
+The game is played by ``guessers.Guesser(..., side=y)``, whole or in
+blocks, on the same path as every other guesser.
 
 Coder, decoder, sampler, exact law and :func:`joint_parse` read one
 dictionary, :class:`_JointDict`: the joint parse as a
@@ -52,7 +54,7 @@ from dataclasses import dataclass
 from .seqcore import Alphabet, BitSource, DyadicProb, SymbolSeq, forward
 from .lz78 import (BitReader, DecodeError, ParseResult, ParseTrie,
                    incremental_parse)
-from .guessers import LOG2E, _blocks, _ptr_count, moment_log2
+from .guessers import LOG2E, _ptr_count, moment_log2
 from .bounds import block_entropy, delta_n_at
 
 
@@ -474,27 +476,6 @@ def cond_guess_prob(x: SymbolSeq, y: SymbolSeq) -> DyadicProb:
             yield b + d + 1, None, f.m * cnt, f.e + width
 
     return forward(n, None, step).get(None, DyadicProb.zero())
-
-
-def cond_block_guess_prob(x: SymbolSeq, y: SymbolSeq, ell: int) -> DyadicProb:
-    """Product of per-block conditional probabilities (dictionaries reset
-    every ell symbols; a final short block uses its own length)."""
-    if ell < 1:
-        raise ValueError("need ell >= 1")
-    prob = DyadicProb.one()
-    for b, e in _blocks(len(x), ell):
-        prob = prob * cond_guess_prob(x[b:e], y[b:e])
-    return prob
-
-
-def cond_block_sample(y: SymbolSeq, n: int, ell: int, bits: BitSource,
-                      x_alphabet: Alphabet | None = None) -> SymbolSeq:
-    if ell < 1:
-        raise ValueError("need ell >= 1")
-    out = bytearray()
-    for b, e in _blocks(n, ell):
-        out.extend(cond_sample(y[b:e], e - b, bits, x_alphabet).indices)
-    return SymbolSeq(x_alphabet or y.alphabet, bytes(out))
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,23 @@ def test_cap_below_one_is_an_error(argv, cap, rounds, tmp_path, capsys):
     assert err.startswith("error: need cap >= 1")
 
 
+@pytest.mark.parametrize("argv", [
+    ["guess", "--target", "0110", "--alphabet", "01"],
+    ["sideinfo", "cond-guess", "--corpus-x", "periodic:ab", "--corpus-y",
+     "periodic:ab", "--n", "4"],
+], ids=["guess", "cond-guess"])
+def test_failed_run_leaves_no_run_folder(argv, tmp_path):
+    root = tmp_path / "D"
+    assert main(argv + ["--cap", "0", "--out-dir", str(root)]) == 1
+    assert not root.exists()
+    # an out-dir that was there before stays, empty
+    root.mkdir()
+    assert main(argv + ["--cap", "0", "--out-dir", str(root)]) == 1
+    assert list(root.iterdir()) == []
+    assert main(argv + ["--out-dir", str(root)]) == 0
+    assert len(list(root.iterdir())) == 1
+
+
 def test_moments_at_small_q_does_not_sum_the_series(tmp_path):
     # the series needs about zeta/q terms: 1e12 here; a child process with
     # a timeout turns a hang into a failure
@@ -208,7 +225,6 @@ def _count_mc_passes(monkeypatch):
 
     monkeypatch.setattr(guessers, "make_runner", counted_make_runner)
     monkeypatch.setattr(guessers, "play", counted_play)
-    monkeypatch.setattr(cli, "play", counted_play)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         CountedPool)
     return calls
@@ -262,7 +278,7 @@ def test_cond_guess_plays_one_pass_for_every_zeta(tmp_path, monkeypatch):
         tmp_path, "sideinfo", "cond-guess", "--corpus-x", "periodic:ab",
         "--corpus-y", "periodic:ab", "--n", "8", "--zeta", "1", "--zeta",
         "2", "--rounds", str(rounds), "--seed", str(seed)))["rows"]
-    assert calls["play"] == 1
+    assert calls == {"make_runner": 1, "play": 1, "pool_map": 0}
     x = seqcore.parse_corpus_spec("periodic:ab", 8)
     q = sideinfo.cond_guess_prob(x, x)
 

@@ -9,7 +9,8 @@ from lzguess.seqcore import Alphabet, BitSource, BudgetError, DyadicProb, Symbol
 from lzguess.fsgm import (FSGMSpec, TreeFSGMSpec, build_fig1_machine,
                           expand_tree_machine, fig1_word_expansion,
                           format_machine, output_distribution, parse_machine,
-                          run, sequence_prob, simulate_guessing, tree_run)
+                          run, sequence_prob, tree_run)
+from lzguess.guessers import Guesser, play_counts, run_game
 from lzguess.bounds import block_entropy
 from conftest import FixedBits, all_seqs, seq
 
@@ -243,25 +244,31 @@ def test_machine_file_rejects_mixed_word_lengths():
 
 # --- guessing against a machine ---------------------------------------------------
 
+def fsgm_guesser(spec, n):
+    return Guesser("fsgm", spec.alphabet, n, spec=spec)
+
+
 def test_simulate_guessing_deterministic_match():
     spec = FSGMSpec(B01, ["p"], "p", {"p": 0}, {"p": [(1, "p")]})
     x = seq("111", B01)
-    samples = simulate_guessing(spec, x, rounds=20, seed=1, cap=10)
+    samples = play_counts(fsgm_guesser(spec, 3), x, rounds=20, seed=1, cap=10)
     assert samples == [1] * 20
 
 
 def test_simulate_guessing_unreachable_target():
     spec = FSGMSpec(B01, ["p"], "p", {"p": 0}, {"p": [(1, "p")]})
-    with pytest.raises(ValueError, match="unreachable"):
-        simulate_guessing(spec, seq("0", B01), rounds=5, seed=1, cap=10)
+    with pytest.raises(ValueError, match="zero-probability"):
+        run_game(fsgm_guesser(spec, 1), seq("0", B01), rounds=5, seed=1,
+                 cap=10)
 
 
 def test_simulate_guessing_geometric_mean():
     spec = uniform_machine()
     x = seq("01", B01)
-    rounds = 20000
-    samples = simulate_guessing(spec, x, rounds=rounds, seed=3, cap=1 << 16)
-    assert all(g > 0 for g in samples)
+    rounds, cap = 20000, 1 << 16
+    samples = play_counts(fsgm_guesser(spec, 2), x, rounds=rounds, seed=3,
+                          cap=cap)
+    assert all(g <= cap for g in samples)      # no round censored
     mean = sum(samples) / rounds
     # q = 1/4: mean 4, sd sqrt(12); 3 sigma band
     assert abs(mean - 4.0) <= 3 * math.sqrt(12.0 / rounds)
@@ -271,7 +278,8 @@ def test_simulate_guessing_tail_matches_geometric():
     spec = uniform_machine()
     x = seq("00", B01)
     rounds = 20000
-    samples = simulate_guessing(spec, x, rounds=rounds, seed=5, cap=1 << 16)
+    samples = play_counts(fsgm_guesser(spec, 2), x, rounds=rounds, seed=5,
+                          cap=1 << 16)
     q = 0.25
     for k in (2, 5, 10):
         emp = sum(1 for g in samples if g >= k) / rounds

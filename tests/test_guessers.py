@@ -8,8 +8,7 @@ import pytest
 from lzguess.seqcore import (Alphabet, BitSource, BudgetError, DyadicProb,
                              SymbolSeq, play)
 from lzguess.lz78 import incremental_parse
-from lzguess.fsgm import (build_fig1_machine, output_distribution, runner,
-                          simulate_guessing)
+from lzguess.fsgm import build_fig1_machine, output_distribution, runner
 from lzguess.guessers import (Guesser, aligned_guess_prob, block_guess_prob,
                               block_sample, compile_block_guesser_to_fsgm,
                               lz_guess_prob, lz_sample, make_runner,
@@ -480,21 +479,40 @@ def test_play_counts_agree_with_every_game_view():
     ks = (1, 2, 3, cap + 1)
     curve = survival_curve(g, x, ks=ks, rounds=rounds, seed=seed, cap=cap)
     assert curve == {k: sum(c >= k for c in counts) / rounds for k in ks}
-    assert simulate_guessing(spec, x, rounds, seed, cap) == [
-        c if c <= cap else -cap for c in counts]
+    assert play_counts(g, x, rounds, seed, cap) == counts
     with pytest.raises(ValueError, match="cap"):
         next(play(runner(spec, x), rounds, seed, 0))
 
 
-def test_runner_matches_direct_comparison():
-    # the early-abort runner and literal sample-and-compare agree per round
-    x = seq("0011", B01)
-    g = Guesser("lz_full", B01, 4)
+def _fig1_case():
+    spec = build_fig1_machine()
+    return (Guesser("fsgm", spec.alphabet, 5, spec=spec),
+            SymbolSeq.from_text("abbac", spec.alphabet))
+
+
+_RUNNER_CASES = {
+    "lz": lambda: (Guesser("lz_full", B01, 4), seq("0011", B01)),
+    "block:3": lambda: (Guesser("lz_block", B01, 5, ell=3), seq("00101", B01)),
+    "uniform": lambda: (Guesser("uniform", B01, 4), seq("0110", B01)),
+    "fsgm": _fig1_case,
+    "cond": lambda: (Guesser("lz_full", B01, 6, side=seq("011010", B01)),
+                     seq("011011", B01)),
+    "cond-block:3": lambda: (Guesser("lz_block", B01, 7, ell=3,
+                                     side=seq("0110100", B01)),
+                             seq("0110110", B01)),
+}
+
+
+@pytest.mark.parametrize("case", list(_RUNNER_CASES))
+def test_runner_matches_direct_comparison(case):
+    # the early-abort runner and literal sample-and-compare agree on every
+    # fresh substream
+    g, x = _RUNNER_CASES[case]()
     attempt = make_runner(g, x)
-    hits_fast = sum(attempt(BitSource(5, substream=k)) for k in range(3000))
-    hits_slow = sum(lz_sample(B01, 4, BitSource(5, substream=k)) == x
-                    for k in range(3000))
-    assert hits_fast == hits_slow
+    fast = [attempt(BitSource(5, substream=k)) for k in range(3000)]
+    slow = [g.sample(BitSource(5, substream=k)) == x for k in range(3000)]
+    assert fast == slow
+    assert 0 < sum(fast) < len(fast)
 
 
 def test_survival_curve_matches_geometric_tail():

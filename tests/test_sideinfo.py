@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from lzguess.seqcore import Alphabet, BitSource, DyadicProb, SymbolSeq, generate_corpus
 from lzguess.lz78 import BitReader, DecodeError, incremental_parse
 from lzguess.fsgm import FSGMSpec, run as fsgm_run
+from lzguess.guessers import Guesser
 from lzguess.sideinfo import (CondBoundReport, chain_code_len, chain_decode,
                               chain_encode, chain_gap_probs, chain_draw,
-                              cond_block_guess_prob, cond_block_sample,
                               cond_bounds, cond_bounds_sweep, cond_code,
                               cond_code_length,
                               cond_decode,
@@ -335,13 +335,43 @@ def test_cond_block_product():
         for b in range(0, n, ell):
             e = min(b + ell, n)
             expect *= cond_guess_prob(x[b:e], y[b:e]).as_fraction()
-        assert cond_block_guess_prob(x, y, ell).as_fraction() == expect
+        g = Guesser("lz_block", B01, n, ell=ell, side=y)
+        assert g.guess_prob(x).as_fraction() == expect
+    g = Guesser("lz_full", B01, n, side=y)
+    assert g.guess_prob(x) == cond_guess_prob(x, y)
 
 
 def test_cond_block_sample_runs():
     y = generate_corpus("bernoulli", 32, p=0.5, seed=6)
-    out = cond_block_sample(y, 32, 8, BitSource(3))
+    out = Guesser("lz_block", y.alphabet, 32, ell=8, side=y).sample(
+        BitSource(3))
     assert len(out) == 32
+    # the blocks are independent cond_sample draws, one after the other
+    bits = BitSource(3)
+    assert out.indices == b"".join(
+        cond_sample(y[b:b + 8], 8, bits, y.alphabet).indices
+        for b in range(0, 32, 8))
+
+
+def test_side_guesser_arguments():
+    y = seq("abab", AB)
+    with pytest.raises(ValueError, match="side length"):
+        Guesser("lz_full", AB, 3, side=y)
+    for kind, extra in (("uniform", {}), ("fsgm", {"spec": object()})):
+        with pytest.raises(ValueError, match="LZ guesser"):
+            Guesser(kind, AB, 4, side=y, **extra)
+    assert Guesser("lz_full", AB, 4, side=y).describe() == "cond_lz_full"
+    assert (Guesser("lz_block", AB, 4, ell=2, side=y).describe()
+            == "cond_lz_block(ell=2)")
+
+
+def test_sandwich_does_not_take_a_side_guesser_for_the_lz_sampler():
+    from lzguess.bounds import sandwich_sweep
+    x = generate_corpus("periodic", 64, pattern="ab")
+    plain, cond = (sandwich_sweep(x, [1.0], 2, Guesser(
+        "lz_full", x.alphabet, 64, side=side))[0] for side in (None, x))
+    assert plain.direct_applies and not cond.direct_applies
+    assert cond.q_log2 == cond_guess_prob(x, x).log2() > plain.q_log2
 
 
 # --- conditional bounds -------------------------------------------------------------

@@ -31,3 +31,19 @@ def test_tracer_layers_resolve_in_src():
         assert module.startswith("lzguess.")
         target = getattr(importlib.import_module(module), function, None)
         assert callable(target), "%s.%s is gone" % (module, function)
+
+
+def test_bench_imports_resolve_in_src():
+    # perfbench/run.py imports private helpers (the CLI's guesser parser,
+    # the exact conditional law) next to code that moves between modules
+    path = os.path.join(ROOT, "perfbench", "run.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    names = [(node.module, alias.name) for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and (node.module or "").startswith("lzguess")
+             for alias in node.names]
+    assert names
+    for module, name in names:
+        target = getattr(importlib.import_module(module), name, None)
+        assert target is not None, "%s.%s is gone" % (module, name)
