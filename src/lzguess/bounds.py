@@ -234,6 +234,8 @@ def sandwich_sweep(x: SymbolSeq, zetas, s: int, guesser: Guesser,
                    sequence_id: str = "") -> list[BoundReport]:
     """:func:`sandwich` at each zeta in turn.  The parts that do not depend
     on zeta (q, the parse and every block entropy) are computed once."""
+    if s < 1:
+        raise ValueError("need s >= 1, got %r" % (s,))
     n = len(x)
     q = guesser.guess_prob(x)
     if q.is_zero():

@@ -77,8 +77,10 @@ def _load_sequence(params: dict, key_input="input", key_corpus="corpus",
                       mode=mode)
     if params.get(key_corpus):
         n = params.get("n")
-        if not n:
+        if n is None:
             raise ValueError("--corpus needs --n")
+        if n < 1:
+            raise ValueError("need --n >= 1, got %d" % n)
         return parse_corpus_spec(params[key_corpus], n)
     raise ValueError("one of --%s or --%s is required"
                      % (key_input, key_corpus))
@@ -244,13 +246,13 @@ def _run_bounds(params, outdir, require_ordering=False):
     seq = _load_sequence(params)
     g = _make_guesser(params, seq.alphabet, len(seq))
     ells = params.get("ell")
-    if ells:
-        for ell in ells:
-            if len(seq) % ell:
-                raise ValueError("--ell %d does not divide n=%d"
-                                 % (ell, len(seq)))
+    for ell in ells or []:
+        if ell < 1:
+            raise ValueError("need --ell >= 1, got %d" % ell)
+        if len(seq) % ell:
+            raise ValueError("--ell %d does not divide n=%d" % (ell, len(seq)))
     reports = bounds.sandwich_sweep(seq, params.get("zeta") or [1.0],
-                                    params.get("s") or 2, g,
+                                    params["s"], g,
                                     sequence_id=params.get("corpus")
                                     or params.get("input") or "")
     rows = []
@@ -297,7 +299,7 @@ def _run_sideinfo(params, outdir):
         rows = _moment_rows(params, g, x)
         return {"rows": rows}, ("results.csv", _MOMENT_FIELDS, rows)
     if sub == "cond-bounds":
-        reports = sideinfo.cond_bounds_sweep(x, y, params.get("s") or 2,
+        reports = sideinfo.cond_bounds_sweep(x, y, params["s"],
                                              params.get("ell") or [1],
                                              params.get("zeta") or [1.0])
         rows = [{"zeta": rep.zeta, "ell": rep.ell, "s": rep.s, "u": rep.u,

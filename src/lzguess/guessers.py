@@ -80,19 +80,47 @@ def lz_sample(alphabet: Alphabet, n: int, bits: BitSource) -> SymbolSeq:
     return SymbolSeq(alphabet, bytes(out))
 
 
-def _subtree_ptr_count(trie: lz78.ParseTrie, node: int, limit: int,
-                       t: int, width: int) -> int:
-    """Sum of pointer-pattern counts over node and its descendants with
-    id < limit (descendant ids always exceed ancestor ids)."""
-    total = 0
-    stack = [node]
-    while stack:
-        v = stack.pop()
-        total += _ptr_count(v, t, width)
-        for child in trie.children[v].values():
-            if child < limit:
-                stack.append(child)
-    return total
+def _lz_draws(x: SymbolSeq):
+    """The draws of :func:`lz_sample` that keep matching x, the one draw
+    rule behind the exact law, the aligned witness and the run tables.
+
+    Yields (e, t, draws) for each matched length e = 0..n-1, t being the
+    dictionary size after x[:e].  A draw (node, sym, e', count, bits)
+    points to the depth-d node on the trie path of x[e:] and needs the
+    symbol sym = x[e+d], reaching e' = e+d+1; `count` of the 2**bits
+    pointer+symbol patterns make it.  When the path covers the whole
+    residual, the last draw is the overshoot (nodes, None, n, count, bits):
+    a pointer to the full-residual node or any descendant wins with any
+    symbol, so only its pointer bits count.  The last draw at e is always
+    the one x's own parse takes.
+    """
+    n = len(x)
+    a_bits = x.alphabet.bits_per_symbol
+    sym_counts = _sym_counts(x.alphabet)
+    parse = lz78.incremental_parse(x)
+    t_at = parse.node_counts()
+    children = parse.trie.children
+    idx = x.indices
+    for e in range(n):
+        t = t_at[e]
+        width = (t - 1).bit_length()
+        draws = []
+        node = 0
+        for p in range(e, n):
+            sym = idx[p]
+            draws.append((node, sym, p + 1, _ptr_count(node, t, width)
+                          * sym_counts[sym], width + a_bits))
+            node = children[node].get(sym)
+            if node is None or node >= t:
+                break
+        else:
+            # descendant ids exceed ancestor ids: an id >= t prunes a subtree
+            nodes = [node]
+            for v in nodes:
+                nodes.extend(c for c in children[v].values() if c < t)
+            draws.append((nodes, None, n, sum(_ptr_count(v, t, width)
+                                              for v in nodes), width))
+        yield e, t, draws
 
 
 def lz_guess_prob(x: SymbolSeq) -> DyadicProb:
@@ -100,64 +128,32 @@ def lz_guess_prob(x: SymbolSeq) -> DyadicProb:
 
     A :func:`~lzguess.seqcore.forward` pass over emitted-prefix lengths e:
     the dictionary after a matching prefix of length e is the parse trie of
-    x[0:e], so the length is the whole state.  From e, a draw either
-    extends the match to e + d + 1 (pointer to the depth-d node on the trie
-    path of x[e:], then the matching symbol) or, when the path covers the
-    whole residual, overshoots into any descendant and wins with any symbol.
+    x[0:e], so the length is the whole state, and the moves from e are the
+    :func:`_lz_draws` at e.
     """
-    n = len(x)
-    a_bits = x.alphabet.bits_per_symbol
-    sym_counts = _sym_counts(x.alphabet)
-    parse = lz78.incremental_parse(x)
-    t_at = parse.node_counts()
-    trie = parse.trie
-    idx = x.indices
+    draws_at = _lz_draws(x)
 
     def step(e, _state):
-        t = t_at[e]
-        width = (t - 1).bit_length()
-        for d, node in trie.walk(idx[e:], limit=t):
-            if e + d == n:
-                sub = _subtree_ptr_count(trie, node, t, t, width)
-                yield n, None, sub, width
-                return
-            weight = _ptr_count(node, t, width) * sym_counts[idx[e + d]]
-            yield e + d + 1, None, weight, width + a_bits
+        # the root draw always reaches e + 1, so every e is asked for in turn
+        for _node, _sym, nxt, count, bits in next(draws_at)[2]:
+            yield nxt, None, count, bits
 
-    return forward(n, None, step).get(None, DyadicProb.zero())
+    return forward(len(x), None, step).get(None, DyadicProb.zero())
 
 
 def aligned_guess_prob(x: SymbolSeq) -> DyadicProb:
     """Probability of the single draw path aligned with x's own parse.
 
-    One factor per complete phrase (pointer patterns hitting the parent node
-    times symbol patterns hitting the innovation) plus an overshoot factor
-    for an incomplete tail.  A lower bound on lz_guess_prob and at least
-    2**-code_length(x)."""
-    n = len(x)
-    if n == 0:
-        return DyadicProb.one()
-    alphabet = x.alphabet
-    a_bits = alphabet.bits_per_symbol
-    sym_counts = _sym_counts(alphabet)
-    parse = lz78.incremental_parse(x)
-    t_at = parse.node_counts()
-    trie = parse.trie
-    idx = x.indices
+    One factor per phrase, the last of the :func:`_lz_draws` at its start:
+    pointer patterns hitting the parent node times symbol patterns hitting
+    the innovation, or the overshoot for an incomplete tail.  A lower bound
+    on lz_guess_prob and at least 2**-code_length(x)."""
     prob = DyadicProb.one()
-    ends = parse.boundaries[1:] + [n]
-    for j, (b, end) in enumerate(zip(parse.boundaries, ends), start=1):
-        t = t_at[b]
-        width = (t - 1).bit_length()
-        if j == parse.c_lz and not parse.last_complete:
-            node = next(v for d, v in trie.walk(idx[b:], limit=t)
-                        if d == end - b)
-            sub = _subtree_ptr_count(trie, node, t, t, width)
-            prob = prob * DyadicProb(sub, width)
-        else:
-            parent = trie.parent[j]
-            weight = _ptr_count(parent, t, width) * sym_counts[idx[end - 1]]
-            prob = prob * DyadicProb(weight, width + a_bits)
+    start = 0
+    for e, _t, draws in _lz_draws(x):
+        if e == start:
+            _node, _sym, start, count, bits = draws[-1]
+            prob = prob * DyadicProb(count, bits)
     return prob
 
 
@@ -491,52 +487,26 @@ def _lz_run_tables(x: SymbolSeq):
     """Per-position draw outcome tables for fast game simulation.
 
     tables[e] is indexed by the raw pointer+symbol field; entries are the
-    next matched length, WIN (-2), or FAIL (-1)."""
+    next matched length, WIN (-2), or FAIL (-1).  Only the raw patterns of
+    the :func:`_lz_draws` at e are filled in."""
     n = len(x)
-    alphabet = x.alphabet
-    a_bits = alphabet.bits_per_symbol
-    alpha = alphabet.size
-    parse = lz78.incremental_parse(x)
-    t_at = parse.node_counts()
-    trie = parse.trie
-    idx = x.indices
+    alpha = x.alphabet.size
+    a_bits = x.alphabet.bits_per_symbol
+    span = 1 << a_bits
     widths = []
     tables = []
-    for e in range(n):
-        t = t_at[e]
-        width = (t - 1).bit_length()
-        size = 1 << (width + a_bits)
-        table = [-1] * size
-        path = dict(trie.walk(idx[e:], limit=t))
-        node_to_depth = {v: d for d, v in path.items()}
-        for raw_ptr in range(1 << width):
-            node = raw_ptr % t
-            base = raw_ptr << a_bits
-            d = node_to_depth.get(node)
-            if d is None:
-                continue
-            if e + d == n:
-                for raw_sym in range(1 << a_bits):
-                    table[base | raw_sym] = -2
-                continue
-            want = idx[e + d]
-            tgt = e + d + 1
-            code = -2 if tgt == n else tgt
-            for raw_sym in range(1 << a_bits):
-                if raw_sym % alpha == want:
-                    table[base | raw_sym] = code
-        # overshoot wins: descendants of the full-residual node
-        full = next((v for d, v in path.items() if d == n - e), None)
-        if full is not None:
-            stack = [v for v in trie.children[full].values() if v < t]
-            while stack:
-                v = stack.pop()
-                for raw_ptr in range(v, 1 << width, t):
-                    base = raw_ptr << a_bits
-                    for raw_sym in range(1 << a_bits):
-                        table[base | raw_sym] = -2
-                stack.extend(c for c in trie.children[v].values() if c < t)
-        widths.append(width + a_bits)
+    for _e, t, draws in _lz_draws(x):
+        bits = (t - 1).bit_length() + a_bits
+        table = [-1] * (1 << bits)
+        for node, sym, nxt, _count, _bits in draws:
+            code = -2 if nxt == n else nxt
+            nodes, first, stride = (((node,), sym, alpha) if sym is not None
+                                    else (node, 0, 1))
+            fill = [code] * len(range(first, span, stride))
+            for v in nodes:
+                for base in range(v << a_bits, 1 << bits, t << a_bits):
+                    table[base + first:base + span:stride] = fill
+        widths.append(bits)
         tables.append(table)
     return widths, tables
 
@@ -562,11 +532,17 @@ def _cond_runner(x: SymbolSeq, y: SymbolSeq) -> Callable[[BitSource], bool]:
     return lambda bits: cond_sample(y, n, bits, alphabet) == x
 
 
-def _block_runner(x: SymbolSeq, ell: int,
-                  side: SymbolSeq | None) -> Callable[[BitSource], bool]:
+def make_runner(guesser: Guesser, x: SymbolSeq) -> Callable[[BitSource], bool]:
+    """A single-guess attempt function.  The LZ and machine runners stop
+    at the first mismatched draw (the unread bits are independent, so the
+    per-run success law is unchanged); the conditional runner compares
+    whole ``cond_sample`` draws, one block at a time."""
+    if guesser.block is None:
+        return fsgm.runner(guesser.spec, x)
+    side = guesser.side
     runners = [_lz_full_runner(x[b:e]) if side is None
                else _cond_runner(x[b:e], side[b:e])
-               for b, e in _blocks(len(x), ell)]
+               for b, e in _blocks(len(x), guesser.block)]
     if len(runners) == 1:
         return runners[0]
 
@@ -577,14 +553,6 @@ def _block_runner(x: SymbolSeq, ell: int,
         return True
 
     return attempt
-
-
-def make_runner(guesser: Guesser, x: SymbolSeq) -> Callable[[BitSource], bool]:
-    """A single-guess attempt function; aborts at the first mismatch (the
-    unread bits are independent, so the per-run success law is unchanged)."""
-    if guesser.block is None:
-        return fsgm.runner(guesser.spec, x)
-    return _block_runner(x, guesser.block, guesser.side)
 
 
 @dataclass

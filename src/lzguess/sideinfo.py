@@ -524,6 +524,8 @@ def cond_bounds_sweep(x: SymbolSeq, y: SymbolSeq, s: int, ells,
                       zetas) -> list[CondBoundReport]:
     """:func:`cond_bounds` for every (zeta, ell), zeta-major.  The joint
     parse and q are computed once, each block entropy once per ell."""
+    if s < 1:
+        raise ValueError("need s >= 1, got %r" % (s,))
     n = len(x)
     jp = joint_parse(x, y)
     q = cond_guess_prob(x, y)

@@ -1,4 +1,7 @@
 import itertools
+import os
+import re
+import shlex
 
 import pytest
 
@@ -50,3 +53,15 @@ def all_seqs(alphabet, n):
 
 def seq(text, alphabet):
     return SymbolSeq.from_text(text, alphabet)
+
+
+def readme_commands():
+    """The argv of every `lzguess ...` line in the README's "Command line"
+    block, without the program name; backslash continuations are joined."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    block = re.search(r"## Command line.*?```\n(.*?)```", text, re.S).group(1)
+    commands = [shlex.split(line, comments=True)
+                for line in block.replace("\\\n", " ").splitlines()]
+    return [argv[1:] for argv in commands if argv[:1] == ["lzguess"]]

@@ -2,8 +2,6 @@ import concurrent.futures
 import json
 import math
 import os
-import re
-import shlex
 import subprocess
 import sys
 import tempfile
@@ -14,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from lzguess import cli, guessers, seqcore, sideinfo
 from lzguess.cli import build_parser, cli_dispatch, main, replay
 from lzguess.fsgm import build_fig1_machine, format_machine, parse_machine
+from conftest import readme_commands
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -183,6 +182,34 @@ def test_failed_run_leaves_no_run_folder(argv, tmp_path):
     assert list(root.iterdir()) == []
     assert main(argv + ["--out-dir", str(root)]) == 0
     assert len(list(root.iterdir())) == 1
+
+
+@pytest.mark.parametrize("flag", [["--s", "0"], ["--s", "-1"],
+                                  ["--ell", "0"], ["--ell", "-2"]],
+                         ids=["s0", "s-1", "ell0", "ell-2"])
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--corpus", "periodic:ab", "--n", "8"],
+    ["sandwich", "--corpus", "periodic:ab", "--n", "8"],
+    ["sideinfo", "cond-bounds", "--corpus-x", "periodic:ab", "--corpus-y",
+     "periodic:ab", "--n", "8"],
+], ids=["bounds", "sandwich", "cond-bounds"])
+def test_bad_s_or_ell_is_an_error(argv, flag, tmp_path, capsys):
+    root = tmp_path / "D"
+    assert main(argv + flag + ["--out-dir", str(root)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: need ")
+    assert "Traceback" not in err
+    assert not root.exists()
+
+
+@pytest.mark.parametrize("n,message", [(["--n", "0"], "need --n >= 1, got 0"),
+                                       ([], "--corpus needs --n")])
+def test_corpus_length_errors(n, message, tmp_path, capsys):
+    root = tmp_path / "D"
+    assert main(["bounds", "--corpus", "periodic:ab"] + n
+                + ["--out-dir", str(root)]) == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not root.exists()
 
 
 def test_moments_at_small_q_does_not_sum_the_series(tmp_path):
@@ -436,17 +463,8 @@ def test_machine_file_errors_exit_cleanly(text):
                      "--out-dir", tmp]) == 1
 
 
-def _readme_commands():
-    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
-        text = fh.read()
-    block = re.search(r"## Command line.*?```\n(.*?)```", text, re.S).group(1)
-    for line in block.replace("\\\n", " ").splitlines():
-        argv = shlex.split(line, comments=True)
-        if argv and argv[0] == "lzguess" and argv[1] != "replay":
-            yield argv[1:]
-
-
-@pytest.mark.parametrize("argv", list(_readme_commands()),
+@pytest.mark.parametrize("argv", [argv for argv in readme_commands()
+                                  if argv[0] != "replay"],
                          ids=lambda argv: " ".join(argv[:2]))
 def test_readme_command_line_block(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

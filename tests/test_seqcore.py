@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -281,6 +282,68 @@ def test_forward_laws_pinned_at_large_n():
     assert _pin(sequence_prob(fig1, out)) == (
         2712,
         "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a")
+
+
+def _tables_sha(tables):
+    h = hashlib.sha256()
+    for width, table in zip(*tables):
+        h.update(("%d:%s;" % (width, ",".join(map(str, table)))).encode())
+    return h.hexdigest()
+
+
+def test_lz_draw_paths_pinned_at_large_n():
+    """The aligned witness and the Monte Carlo run tables at n >= 2048,
+    pinned from the separate trie walks that the one draw rule replaced."""
+    from lzguess.guessers import _lz_run_tables, aligned_guess_prob
+    pins = {
+        ("periodic:ab", 2048): (
+            (586, "e7cf46a078fed4fafd0b5e3aff144802"
+                  "b853f8ae459a4f0c14add3314b7cc3a6"),
+            "29451217be9947eb3976c0c4899ecb03584ed7005a851cefeb3c480748657c70"),
+        ("bernoulli:0.3:5", 4096): (
+            (4399, "ca358758f6d27e6cf45272937977a748"
+                   "fd88391db679ceda7dc7bf1f005ee879"),
+            "25128e750aee7489ae3dffa20baf2dc64f101a79377193ca54e1af386a5e1f4f"),
+        ("thue_morse", 4096): (
+            (3025, "2b4c342f5433ebe591a1da77e013d1b7"
+                   "2475562d48578dca8b84bac6651c3cb9"),
+            "df55f99fb16ed92051fe72dac52fe8cc24215e332350b9f73af22aa735854a08"),
+    }
+    for (spec, n), (aligned, tables) in pins.items():
+        x = parse_corpus_spec(spec, n)
+        assert _pin(aligned_guess_prob(x)) == aligned
+        assert _tables_sha(_lz_run_tables(x)) == tables
+
+
+def _table_law(x):
+    """Pr(the run tables reach WIN from matched length 0), by a dynamic
+    program over table-entry counts: every raw field is equally likely."""
+    from lzguess.guessers import _lz_run_tables
+    widths, tables = _lz_run_tables(x)
+    mass = [Fraction(0)] * len(x)
+    mass[0] = Fraction(1)
+    win = Fraction(0)
+    for e, (width, table) in enumerate(zip(widths, tables)):
+        assert len(table) == 1 << width
+        share = mass[e] / len(table)
+        for code in table:
+            if code == -2:
+                win += share
+            elif code >= 0:
+                assert e < code < len(x)
+                mass[code] += share
+    return win
+
+
+@pytest.mark.parametrize("size,max_n", [(2, 8), (3, 5)])
+def test_run_tables_law_is_the_exact_law(size, max_n):
+    # every target up to max_n, so each overshoot and modulo case shows up
+    from lzguess.guessers import lz_guess_prob
+    alphabet = Alphabet(tuple("abc"[:size]))
+    for n in range(1, max_n + 1):
+        for word in itertools.product(range(size), repeat=n):
+            x = SymbolSeq(alphabet, bytes(word))
+            assert _table_law(x) == lz_guess_prob(x).as_fraction()
 
 
 def _noisy_pair(n, seed, flip):

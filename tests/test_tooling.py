@@ -1,12 +1,17 @@
-"""Checks that the benchmark's tooling still matches the package.
+"""Checks that the benchmark's tooling and the README still match the
+package.
 
 perfbench/tracer.py wraps functions by (module, name); a rename inside
-src/ would make a traced benchmark run crash on a missing attribute.
+src/ would make a traced benchmark run crash on a missing attribute.  The
+README's command examples must stay accepted by the CLI parser.
 """
 
 import ast
 import importlib
 import os
+
+from conftest import readme_commands
+from lzguess.cli import build_parser
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -47,3 +52,15 @@ def test_bench_imports_resolve_in_src():
     for module, name in names:
         target = getattr(importlib.import_module(module), name, None)
         assert target is not None, "%s.%s is gone" % (module, name)
+
+
+def test_readme_commands_parse():
+    # parsed only, never run: every example, replay included
+    commands = readme_commands()
+    assert commands
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            raise AssertionError("README command rejected: lzguess %s"
+                                 % " ".join(argv)) from None
