@@ -6,9 +6,10 @@ x), the conditional code approaches that measure, and the conditional
 sampler guesses dramatically faster than the unconditional one.
 """
 
-from lzguess import (Alphabet, BitSource, SymbolSeq, cond_bounds, cond_code,
+from lzguess import (Alphabet, BitSource, Guesser, SymbolSeq, cond_code,
                      cond_decode, cond_guess_prob, cond_sample,
-                     generate_corpus, joint_parse, lz_guess_prob)
+                     generate_corpus, joint_parse, lz_guess_prob,
+                     sandwich_sweep)
 
 ab = Alphabet(("a", "b"))
 x = SymbolSeq.from_text("abab", ab)
@@ -35,10 +36,12 @@ print("  unconditional       : %.4f" % (-lz_guess_prob(xb).log2() / n))
 print("  conditional on y=x  : %.4f" % (-cond_guess_prob(xb, xb).log2() / n))
 print("  conditional, indep y: %.4f" % (-cond_guess_prob(xb, yb).log2() / n))
 
-rep = cond_bounds(xb, yb, s=2, ell=4, zeta=1.0)
+# the same sandwich as for any guesser, on one that sees y
+rep = sandwich_sweep(xb, [1.0], 2, Guesser("lz_full", xb.alphabet, n, side=yb),
+                     ells=[4])[0]
 print("\nconditional sandwich (independent y, ell=4, s=2):")
 print("  converse(H) %.4f  converse(u) %.4f  measured %.4f  direct %.4f  %s"
-      % (rep.converse_entropy, rep.converse_u, rep.measured, rep.direct,
+      % (rep.converse_entropy, rep.converse_clogc, rep.measured, rep.direct,
          "ok" if rep.ordering_ok else "VIOLATED"))
 
 short = generate_corpus("periodic", 12, pattern="ab")

@@ -26,6 +26,12 @@ phrase-count bound c_lz <= n log2(alpha) / ((1 - eps_n) log2 n); the eps_n
 closed form follows the Cover-Thomas style estimate adapted to alphabet
 size alpha and is clamped (with a warning) when n is too small for it to be
 meaningful.
+
+Side information.  For a guesser given a side sequence y, each term takes
+the paper's conditional form: Ziv's u(x, y) from sideinfo.joint_parse
+replaces c_lz log2 c_lz, H_ell is the pair stream's minus y's, delta_n runs
+over the pair alphabet (alpha * beta symbols), and the direct value uses
+sideinfo.epsilon1(n), a calibrated envelope, not a proven one.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from dataclasses import dataclass, field
 from .seqcore import SymbolSeq
 from .lz78 import incremental_parse
 from .guessers import LOG2E, Guesser, moment_log2
+from .sideinfo import epsilon1, joint_parse
 
 
 def divisors(n: int) -> list[int]:
@@ -153,10 +160,18 @@ def delta_n(n: int, alpha: int, s: int, zeta: float) -> float:
     return min(delta_n_at(n, alpha, s, zeta, ell) for ell in divisors(n))
 
 
-def _clogc_rate(x: SymbolSeq) -> float:
-    """c_lz log2(c_lz) / n, the parse's per-symbol c-log-c rate."""
+def _clogc(x: SymbolSeq) -> float:
+    """c_lz log2(c_lz) in bits, the parse's c-log-c complexity."""
     c = incremental_parse(x).c_lz
-    return c * math.log2(c) / len(x) if c > 1 else 0.0
+    return c * math.log2(c) if c > 1 else 0.0
+
+
+def _complexity_converse(rate: float, delta: float, zeta: float) -> float:
+    return max(zeta * (rate - delta), 0.0)
+
+
+def _direct(rate: float, eps: float, zeta: float) -> float:
+    return zeta * (rate + eps)
 
 
 def converse_clogc(x: SymbolSeq, s: int, zeta: float) -> float:
@@ -164,15 +179,16 @@ def converse_clogc(x: SymbolSeq, s: int, zeta: float) -> float:
     if s < 1:
         raise ValueError("need s >= 1")
     n = len(x)
-    rate = _clogc_rate(x)
-    return max(zeta * (rate - delta_n(n, x.alphabet.size, s, zeta)), 0.0)
+    return _complexity_converse(_clogc(x) / n,
+                                delta_n(n, x.alphabet.size, s, zeta), zeta)
 
 
 def direct_clogc(x: SymbolSeq, zeta: float) -> float:
     """Upper bound on the full-sequence LZ sampler's exponent (bits/symbol)."""
     if len(x) < 2:
         raise ValueError("need n >= 2")
-    return zeta * (_clogc_rate(x) + epsilon_lz(len(x), x.alphabet.size))
+    return _direct(_clogc(x) / len(x), epsilon_lz(len(x), x.alphabet.size),
+                   zeta)
 
 
 def rho_upper(x: SymbolSeq, ell: int) -> float:
@@ -193,7 +209,9 @@ class BoundRow:
 
 @dataclass
 class BoundReport:
-    """Converse and direct values around one measured guessing exponent."""
+    """Converse and direct values around one measured guessing exponent.
+    For a side guesser, `direct` rests on the calibrated epsilon1 envelope,
+    not on a theorem."""
 
     sequence_id: str
     n: int
@@ -202,20 +220,24 @@ class BoundReport:
     guesser: str
     q_log2: float
     measured: float              # (1/n) log2 E[G^zeta] from exact q
+    complexity: float            # c_lz log2 c_lz bits, or u(x, y) with side
     converse_entropy: float
     converse_clogc: float
-    direct: float                # the full-sequence LZ sampler's bound
+    direct: float
     chosen_ell: int              # maximizer of the entropy converse
     direct_applies: bool         # the guesser's law is that sampler's
     rows: list[BoundRow] = field(default_factory=list)
 
+    def ordered(self, row: BoundRow) -> bool:
+        """converse <= measured, and measured <= direct where it applies."""
+        return (row.converse_entropy <= row.measured + 1e-12
+                and row.converse_clogc <= row.measured + 1e-12
+                and (not self.direct_applies
+                     or row.measured <= row.direct + 1e-12))
+
     @property
     def ordering_ok(self) -> bool:
-        """converse <= measured, and measured <= direct where it applies."""
-        return (self.converse_entropy <= self.measured + 1e-12
-                and self.converse_clogc <= self.measured + 1e-12
-                and (not self.direct_applies
-                     or self.measured <= self.direct + 1e-12))
+        return all(self.ordered(row) for row in self.rows)
 
 
 def sandwich(x: SymbolSeq, zeta: float, s: int, guesser: Guesser,
@@ -224,16 +246,17 @@ def sandwich(x: SymbolSeq, zeta: float, s: int, guesser: Guesser,
 
     The measured exponent uses the guesser's exact per-round success
     probability; the direct value applies only to a guesser with the
-    full-sequence LZ sampler's law (``guesser.block == n``, no side
-    information).
+    full-sequence sampler's law (``guesser.block == n``), with or without
+    side information.
     """
     return sandwich_sweep(x, [zeta], s, guesser, sequence_id)[0]
 
 
 def sandwich_sweep(x: SymbolSeq, zetas, s: int, guesser: Guesser,
-                   sequence_id: str = "") -> list[BoundReport]:
-    """:func:`sandwich` at each zeta in turn.  The parts that do not depend
-    on zeta (q, the parse and every block entropy) are computed once."""
+                   sequence_id: str = "", ells=None) -> list[BoundReport]:
+    """:func:`sandwich` at each zeta, one row per ell in `ells` (default:
+    every divisor of n); a side guesser gets the conditional terms.  q, the
+    parse and every block entropy are computed once."""
     if s < 1:
         raise ValueError("need s >= 1, got %r" % (s,))
     n = len(x)
@@ -241,30 +264,34 @@ def sandwich_sweep(x: SymbolSeq, zetas, s: int, guesser: Guesser,
     if q.is_zero():
         raise ValueError("guesser cannot emit the target")
     q_log2 = q.log2()
-    alpha = x.alphabet.size
-    rate = _clogc_rate(x)
-    entropies = [(ell, block_entropy(x, ell)) for ell in divisors(n)]
+    ells = divisors(n) if ells is None else ells
+    y = guesser.side
+    if y is None:
+        complexity, alpha = _clogc(x), x.alphabet.size
+        eps = epsilon_lz(n, alpha)
+        entropies = [(ell, block_entropy(x, ell)) for ell in ells]
+    else:
+        jp = joint_parse(x, y)
+        complexity, alpha = jp.u, x.alphabet.size * y.alphabet.size
+        eps = epsilon1(n)
+        entropies = [(ell, block_entropy(jp.joint.seq, ell)
+                      - block_entropy(y, ell)) for ell in ells]
+    rate = complexity / n
     reports = []
     for zeta in zetas:
         measured = moment_log2(q_log2, zeta) / n
-        direct = zeta * (rate + epsilon_lz(n, alpha))
-        rows = []
-        best_val = -math.inf
-        best_ell = 1
-        for ell, h in entropies:
-            ce = _entropy_converse(h, n, s, zeta, ell)
-            cc = max(zeta * (rate - delta_n_at(n, alpha, s, zeta, ell)), 0.0)
-            rows.append(BoundRow(ell, h, ce, cc, direct, measured))
-            if ce > best_val:
-                best_val = ce
-                best_ell = ell
+        direct = _direct(rate, eps, zeta)
+        rows = [BoundRow(ell, h, _entropy_converse(h, n, s, zeta, ell),
+                         _complexity_converse(
+                             rate, delta_n_at(n, alpha, s, zeta, ell), zeta),
+                         direct, measured) for ell, h in entropies]
+        best = max(rows, key=lambda r: r.converse_entropy)
         reports.append(BoundReport(
             sequence_id=sequence_id or repr(x),
             n=n, zeta=zeta, s=s, guesser=guesser.describe(),
-            q_log2=q_log2, measured=measured,
-            converse_entropy=max(r.converse_entropy for r in rows),
+            q_log2=q_log2, measured=measured, complexity=complexity,
+            converse_entropy=best.converse_entropy,
             converse_clogc=max(r.converse_clogc for r in rows),
-            direct=direct, chosen_ell=best_ell,
-            direct_applies=guesser.block == n and guesser.side is None,
-            rows=rows))
+            direct=direct, chosen_ell=best.ell,
+            direct_applies=guesser.block == n, rows=rows))
     return reports

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
 import shutil
 import sys
+import warnings
 from datetime import datetime, timezone
 
 from . import __version__
@@ -255,15 +257,8 @@ def _run_bounds(params, outdir, require_ordering=False):
                                     params["s"], g,
                                     sequence_id=params.get("corpus")
                                     or params.get("input") or "")
-    rows = []
-    for rep in reports:
-        for row in rep.rows:
-            if ells and row.ell not in ells:
-                continue
-            rows.append({"zeta": rep.zeta, "ell": row.ell, "H_ell": row.H_ell,
-                         "converse_entropy": row.converse_entropy,
-                         "converse_clogc": row.converse_clogc,
-                         "direct": row.direct, "measured": row.measured})
+    rows = [{"zeta": rep.zeta, **dataclasses.asdict(row)} for rep in reports
+            for row in rep.rows if not ells or row.ell in ells]
     summary = [{"zeta": r.zeta, "s": r.s, "q_log2": r.q_log2,
                 "measured": r.measured,
                 "converse_entropy": r.converse_entropy,
@@ -299,15 +294,17 @@ def _run_sideinfo(params, outdir):
         rows = _moment_rows(params, g, x)
         return {"rows": rows}, ("results.csv", _MOMENT_FIELDS, rows)
     if sub == "cond-bounds":
-        reports = sideinfo.cond_bounds_sweep(x, y, params["s"],
-                                             params.get("ell") or [1],
-                                             params.get("zeta") or [1.0])
-        rows = [{"zeta": rep.zeta, "ell": rep.ell, "s": rep.s, "u": rep.u,
-                 "H_ell_cond": rep.H_ell_cond, "q_log2": rep.q_log2,
-                 "measured": rep.measured,
-                 "converse_entropy": rep.converse_entropy,
-                 "converse_u": rep.converse_u, "direct": rep.direct,
-                 "ordering_ok": rep.ordering_ok} for rep in reports]
+        g = guessers.Guesser("lz_full", x.alphabet, len(x), side=y)
+        reports = bounds.sandwich_sweep(x, params.get("zeta") or [1.0],
+                                        params["s"], g,
+                                        ells=params.get("ell") or [1])
+        rows = [{"zeta": rep.zeta, "ell": row.ell, "s": rep.s,
+                 "u": rep.complexity, "H_ell_cond": row.H_ell,
+                 "q_log2": rep.q_log2, "measured": row.measured,
+                 "converse_entropy": row.converse_entropy,
+                 "converse_u": row.converse_clogc, "direct": row.direct,
+                 "ordering_ok": rep.ordered(row)}
+                for rep in reports for row in rep.rows]
         fields = ["zeta", "ell", "s", "u", "H_ell_cond", "q_log2",
                   "measured", "converse_entropy", "converse_u", "direct",
                   "ordering_ok"]
@@ -508,11 +505,15 @@ def cli_dispatch(argv) -> dict:
 
 
 def main(argv=None) -> int:
-    try:
-        record = cli_dispatch(sys.argv[1:] if argv is None else argv)
-    except (ValueError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        # one "warning: ..." line per library warning, without its source
+        warnings.showwarning = lambda message, *_: print(
+            "warning: %s" % message, file=sys.stderr)
+        try:
+            record = cli_dispatch(sys.argv[1:] if argv is None else argv)
+        except (ValueError, OSError) as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 1
     print(json.dumps({"run_id": record["run_id"], "outdir": record["outdir"]},
                      sort_keys=True))
     return 0

@@ -170,6 +170,8 @@ def output_distribution(spec: FSGMSpec, n: int) -> dict[SymbolSeq, DyadicProb]:
     Enumeration is guarded by alpha**n * s; refuse and point to
     sequence_prob beyond that.
     """
+    if n < 0:
+        raise ValueError("need n >= 0, got %d" % n)
     size = spec.alphabet.size ** n * spec.state_count
     if size > DIST_BUDGET:
         raise BudgetError(

@@ -30,7 +30,8 @@ the exact conditional guess probability is a forward pass over positions.
 It, like the exact law of the conditional machines below, runs through
 :func:`lzguess.seqcore.forward`, the package's one exact forward pass.
 The game is played by ``guessers.Guesser(..., side=y)``, whole or in
-blocks, on the same path as every other guesser.
+blocks, on the same path as every other guesser, and
+``bounds.sandwich_sweep`` on that guesser gives its conditional bounds.
 
 Coder, decoder, sampler, exact law and :func:`joint_parse` read one
 dictionary, :class:`_JointDict`: the joint parse as a
@@ -54,8 +55,7 @@ from dataclasses import dataclass
 from .seqcore import Alphabet, BitSource, DyadicProb, SymbolSeq, forward
 from .lz78 import (BitReader, DecodeError, ParseResult, ParseTrie,
                    incremental_parse)
-from .guessers import LOG2E, _ptr_count, moment_log2
-from .bounds import block_entropy, delta_n_at
+from .guessers import _ptr_count
 
 
 # ---------------------------------------------------------------------------
@@ -476,74 +476,6 @@ def cond_guess_prob(x: SymbolSeq, y: SymbolSeq) -> DyadicProb:
             yield b + d + 1, None, f.m * cnt, f.e + width
 
     return forward(n, None, step).get(None, DyadicProb.zero())
-
-
-# ---------------------------------------------------------------------------
-# conditional bounds
-# ---------------------------------------------------------------------------
-
-def cond_block_entropy(x: SymbolSeq, y: SymbolSeq, ell: int) -> float:
-    """Conditional empirical entropy of ell-blocks: H(joint) - H(y-blocks)."""
-    return block_entropy(pack_pairs(x, y), ell) - block_entropy(y, ell)
-
-
-@dataclass
-class CondBoundReport:
-    """Conditional sandwich at one (s, ell, zeta)."""
-
-    n: int
-    zeta: float
-    s: int
-    ell: int
-    u: float
-    H_ell_cond: float
-    q_log2: float
-    measured: float
-    converse_entropy: float
-    converse_u: float
-    direct: float
-
-    @property
-    def ordering_ok(self) -> bool:
-        return (self.converse_entropy <= self.measured + 1e-12
-                and self.converse_u <= self.measured + 1e-12
-                and self.measured <= self.direct + 1e-12)
-
-
-def cond_bounds(x: SymbolSeq, y: SymbolSeq, s: int, ell: int,
-                zeta: float) -> CondBoundReport:
-    """Converse and direct values around the conditional sampler's exponent.
-
-    Unlike the unconditional case there is no maximization over ell: the
-    block length is part of the machine model here.
-    """
-    return cond_bounds_sweep(x, y, s, [ell], [zeta])[0]
-
-
-def cond_bounds_sweep(x: SymbolSeq, y: SymbolSeq, s: int, ells,
-                      zetas) -> list[CondBoundReport]:
-    """:func:`cond_bounds` for every (zeta, ell), zeta-major.  The joint
-    parse and q are computed once, each block entropy once per ell."""
-    if s < 1:
-        raise ValueError("need s >= 1, got %r" % (s,))
-    n = len(x)
-    jp = joint_parse(x, y)
-    q = cond_guess_prob(x, y)
-    q_log2 = q.log2()
-    entropies = [(ell, cond_block_entropy(x, y, ell)) for ell in ells]
-    reports = []
-    for zeta in zetas:
-        measured = moment_log2(q_log2, zeta) / n
-        for ell, h in entropies:
-            conv_h = max(zeta * (h - 3 * math.log2(s) - LOG2E) / ell
-                         - (2 * LOG2E + zeta) / n, 0.0)
-            # the c-log-c converse's delta_n over the product alphabet
-            conv_u = max(zeta * (jp.u / n - delta_n_at(
-                n, x.alphabet.size * y.alphabet.size, s, zeta, ell)), 0.0)
-            direct = zeta * (jp.u / n + epsilon1(n))
-            reports.append(CondBoundReport(n, zeta, s, ell, jp.u, h, q_log2,
-                                           measured, conv_h, conv_u, direct))
-    return reports
 
 
 # ---------------------------------------------------------------------------

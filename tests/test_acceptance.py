@@ -17,9 +17,9 @@ from lzguess.fsgm import build_fig1_machine, fig1_word_expansion, \
 from lzguess.guessers import (Guesser, compile_block_guesser_to_fsgm,
                               block_guess_prob, lz_guess_prob, moment_exact,
                               moment_lower_bound, survival_curve)
-from lzguess.bounds import block_entropy, sandwich
-from lzguess.sideinfo import (cond_bounds, cond_code, cond_decode,
-                              cond_guess_prob, joint_parse)
+from lzguess.bounds import block_entropy, sandwich, sandwich_sweep
+from lzguess.sideinfo import (cond_code, cond_decode, cond_guess_prob,
+                              joint_parse)
 from conftest import FixedBits, all_seqs
 
 B01 = Alphabet(("0", "1"))
@@ -189,7 +189,8 @@ def test_criterion_09_side_information():
     yb = generate_corpus("bernoulli", 4096, p=0.5, seed=8)
     xt = generate_corpus("thue_morse", 4096)
     for xx, yy in ((xb, xb), (xb, yb), (xt, xb), (xt, xt)):
-        rep = cond_bounds(xx, yy, s=2, ell=4, zeta=1.0)
+        rep = sandwich_sweep(xx, [1.0], 2, Guesser(
+            "lz_full", xx.alphabet, 4096, side=yy), ells=[4])[0]
         assert rep.ordering_ok, (rep.measured, rep.direct)
     _report(9, "u(x,x)=0 on corpora; conditional Kraft and exact round "
                "trips exhaustive at n=6; L(x|x)/n = %.3f <= 0.25; "

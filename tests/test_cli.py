@@ -212,6 +212,27 @@ def test_corpus_length_errors(n, message, tmp_path, capsys):
     assert not root.exists()
 
 
+def test_library_warning_is_one_line_on_stderr(tmp_path, capsys):
+    # eps_n >= 1 at n = 8: the run still succeeds, and the warning reads as
+    # one "warning: ..." line, without the source file or its code line
+    assert main(["bounds", "--corpus", "periodic:ab", "--n", "8",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == (
+        "warning: eps_n >= 1 at n=8; clamped (bounds are vacuous here)\n")
+
+
+def test_fsgm_dist_negative_length_is_an_error(tmp_path, capsys):
+    # at n = -1 the law was once empty, summing to 0, and the run exited 0
+    root = tmp_path / "D"
+    assert main(["fsgm-dist", "--machine", "fig1", "--n", "-1",
+                 "--out-dir", str(root)]) == 1
+    assert capsys.readouterr().err == "error: need n >= 0, got -1\n"
+    assert not root.exists()
+    rec = dispatch(tmp_path, "fsgm-dist", "--machine", "fig1", "--n", "0")
+    assert read_json(rec)["distribution"] == [
+        {"x": "", "numerator": 1, "exp2": 0, "log2": 0.0}]
+
+
 def test_moments_at_small_q_does_not_sum_the_series(tmp_path):
     # the series needs about zeta/q terms: 1e12 here; a child process with
     # a timeout turns a hang into a failure

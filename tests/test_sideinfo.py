@@ -10,11 +10,11 @@ from lzguess.seqcore import Alphabet, BitSource, DyadicProb, SymbolSeq, generate
 from lzguess.lz78 import BitReader, DecodeError, incremental_parse
 from lzguess.fsgm import FSGMSpec, run as fsgm_run
 from lzguess.guessers import Guesser
-from lzguess.sideinfo import (CondBoundReport, chain_code_len, chain_decode,
+from lzguess.bounds import (block_entropy, delta_n_at, direct_clogc,
+                            sandwich_sweep)
+from lzguess.sideinfo import (chain_code_len, chain_decode,
                               chain_encode, chain_gap_probs, chain_draw,
-                              cond_bounds, cond_bounds_sweep, cond_code,
-                              cond_code_length,
-                              cond_decode,
+                              cond_code, cond_code_length, cond_decode,
                               cond_fsgm_run, cond_fsgm_sequence_prob,
                               cond_guess_prob, cond_machine_from_fsgm,
                               cond_sample, copy_machine, epsilon1,
@@ -366,22 +366,40 @@ def test_side_guesser_arguments():
 
 
 def test_sandwich_does_not_take_a_side_guesser_for_the_lz_sampler():
-    from lzguess.bounds import sandwich_sweep
+    # a side guesser is held to its own, conditional direct value: u(x, x)
+    # = 0 here, so that value is zeta * epsilon1(n), and it applies
     x = generate_corpus("periodic", 64, pattern="ab")
     plain, cond = (sandwich_sweep(x, [1.0], 2, Guesser(
         "lz_full", x.alphabet, 64, side=side))[0] for side in (None, x))
-    assert plain.direct_applies and not cond.direct_applies
+    assert plain.direct_applies and cond.direct_applies
     assert cond.q_log2 == cond_guess_prob(x, x).log2() > plain.q_log2
+    assert plain.direct == direct_clogc(x, 1.0)
+    assert cond.complexity == 0.0
+    assert cond.direct == epsilon1(64) != plain.direct
+    assert cond.ordering_ok
+    block = sandwich_sweep(x, [1.0], 2, Guesser(
+        "lz_block", x.alphabet, 64, ell=8, side=x))[0]
+    assert not block.direct_applies and block.direct == cond.direct
 
 
 # --- conditional bounds -------------------------------------------------------------
 
+def cond_sandwich(x, y, s, ells, zetas):
+    """The conditional sandwich: :func:`sandwich_sweep` on a side guesser."""
+    g = Guesser("lz_full", x.alphabet, len(x), side=y)
+    return sandwich_sweep(x, zetas, s, g, ells=ells)
+
+
+def cond_bounds(x, y, s, ell, zeta):
+    return cond_sandwich(x, y, s, [ell], [zeta])[0]
+
+
 def test_cond_bounds_self_clamps_and_orders():
     x = generate_corpus("bernoulli", 1024, p=0.5, seed=7)
     rep = cond_bounds(x, x, s=2, ell=4, zeta=1.0)
-    assert rep.converse_u == 0.0
+    assert rep.converse_clogc == 0.0
     assert rep.ordering_ok
-    assert rep.u == 0.0
+    assert rep.complexity == 0.0
 
 
 def test_cond_bounds_ordering_on_corpus_pairs():
@@ -401,10 +419,16 @@ def test_cond_bounds_sweep_matches_single_calls():
     y = generate_corpus("bernoulli", 96, p=0.5, seed=2)
     zetas, ells = (1.0, 1.5, 2.0), (1, 2, 5)
     with pytest.warns(UserWarning):
-        sweep = cond_bounds_sweep(x, y, 2, ells, zetas)
+        sweep = cond_sandwich(x, y, 2, ells, zetas)
         single = [cond_bounds(x, y, 2, ell, zeta)
                   for zeta in zetas for ell in ells]
-    assert sweep == single
+    assert [row for rep in sweep for row in rep.rows] == [
+        rep.rows[0] for rep in single]
+    for rep in sweep:
+        assert rep.converse_entropy == max(r.converse_entropy
+                                           for r in rep.rows)
+        assert all(r.measured == rep.measured and r.direct == rep.direct
+                   for r in rep.rows)
 
 
 @pytest.mark.filterwarnings("ignore:eps_n")
@@ -428,16 +452,73 @@ def test_cond_bounds_independent_close_to_unconditional():
     # only meaningful in the well-sampled regime: at large ell the m = n/ell
     # joint blocks are almost all distinct and the empirical conditional
     # entropy collapses, so the comparison is made at ell = 2
-    from lzguess.bounds import block_entropy
-    from lzguess.guessers import Guesser, lz_guess_prob, moment_log2
+    from lzguess.guessers import lz_guess_prob, moment_log2
     n = 4096
     x = generate_corpus("bernoulli", n, p=0.5, seed=7)
     y = generate_corpus("bernoulli", n, p=0.5, seed=8)
     rep = cond_bounds(x, y, s=2, ell=2, zeta=1.0)
     h_plain = block_entropy(x, 2)
-    assert rep.H_ell_cond == pytest.approx(h_plain, abs=0.1)
+    assert rep.rows[0].H_ell == pytest.approx(h_plain, abs=0.1)
     measured_plain = moment_log2(lz_guess_prob(x).log2(), 1.0) / n
     assert rep.measured == pytest.approx(measured_plain, abs=0.35)
+
+
+def _oracle_rows(x, y, s, ells, zetas):
+    """The conditional rows by the formulas written out inline, as they
+    stood before the conditional bounds ran on :func:`sandwich_sweep`."""
+    from lzguess.guessers import LOG2E, moment_log2
+    n = len(x)
+    u = joint_parse(x, y).u
+    q_log2 = cond_guess_prob(x, y).log2()
+    pair_alpha = x.alphabet.size * y.alphabet.size
+    rows = []
+    for zeta in zetas:
+        measured = moment_log2(q_log2, zeta) / n
+        for ell in ells:
+            h = block_entropy(pack_pairs(x, y), ell) - block_entropy(y, ell)
+            conv_h = max(zeta * (h - 3 * math.log2(s) - LOG2E) / ell
+                         - (2 * LOG2E + zeta) / n, 0.0)
+            conv_u = max(zeta * (u / n - delta_n_at(n, pair_alpha, s, zeta,
+                                                    ell)), 0.0)
+            rows.append((zeta, ell, u, h, q_log2, measured, conv_h, conv_u,
+                         zeta * (u / n + epsilon1(n))))
+    return rows
+
+
+@pytest.mark.filterwarnings("ignore:eps_n")
+@pytest.mark.parametrize("xspec,yspec,n,alphabets", [
+    ("bernoulli:0.3:5", "thue_morse", 512, (2, 2)),
+    ("thue_morse", "bernoulli:0.3:5", 512, (2, 2)),
+    ("thue_morse", "bernoulli:0.5:8", 96, (2, 2)),
+    ("bernoulli:0.5:1", "bernoulli:0.5:1", 64, (2, 2)),
+    ("ternary", "binary", 90, (3, 2)),
+], ids=["bern-thue", "thue-bern", "thue-bern96", "copy", "ternary"])
+def test_cond_sandwich_matches_the_old_formulas(xspec, yspec, n, alphabets):
+    from lzguess.seqcore import parse_corpus_spec
+    rng = random.Random(n)
+    pick = {"ternary": ABC, "binary": B01}
+    x, y = (SymbolSeq(pick[spec], bytes(rng.randrange(size)
+                                        for _ in range(n)))
+            if spec in pick else parse_corpus_spec(spec, n)
+            for spec, size in zip((xspec, yspec), alphabets))
+    zetas, ells = (0.5, 1.0, 1.5, 3.0), [1, 2, 3, 4, 5]
+    truncated = {"ell=%d does not divide n=%d; truncating the tail"
+                 % (ell, n) for ell in ells if n % ell}
+    assert truncated
+    for s in (1, 2, 4):
+        with pytest.warns(UserWarning, match="truncating") as caught:
+            reports = cond_sandwich(x, y, s, ells, zetas)
+            want = _oracle_rows(x, y, s, ells, zetas)
+        assert {str(w.message) for w in caught
+                if "truncating" in str(w.message)} == truncated
+        got = [(rep.zeta, row.ell, rep.complexity, row.H_ell, rep.q_log2,
+                row.measured, row.converse_entropy, row.converse_clogc,
+                row.direct) for rep in reports for row in rep.rows]
+        assert len(got) == len(want) == len(zetas) * len(ells)
+        for g, w in zip(got, want):
+            assert g[:6] == w[:6] and g[7:] == w[7:], (g, w)
+            assert g[6] == pytest.approx(w[6], rel=1e-15, abs=0.0), (g, w)
+        assert all(rep.s == s and rep.direct_applies for rep in reports)
 
 
 # --- conditional machines -------------------------------------------------------------

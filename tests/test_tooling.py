@@ -3,34 +3,39 @@ package.
 
 perfbench/tracer.py wraps functions by (module, name); a rename inside
 src/ would make a traced benchmark run crash on a missing attribute.  The
+benchmark compares every job's results.json with perfbench/reference.json,
+so a renamed or dropped output key fails it as an incorrect output.  The
 README's command examples must stay accepted by the CLI parser.
 """
 
 import ast
 import importlib
+import json
 import os
 
+import pytest
+
 from conftest import readme_commands
-from lzguess.cli import build_parser
+from lzguess.cli import build_parser, cli_dispatch
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _tracer_layers():
-    """LAYERS of perfbench/tracer.py, read from its source without
-    importing or executing the file."""
-    path = os.path.join(ROOT, "perfbench", "tracer.py")
+def _perfbench_constant(filename, name):
+    """A literal module constant of perfbench/<filename>, read from its
+    source without importing or executing the file."""
+    path = os.path.join(ROOT, "perfbench", filename)
     with open(path, encoding="utf-8") as fh:
         tree = ast.parse(fh.read(), path)
     for node in tree.body:
         if (isinstance(node, ast.Assign) and len(node.targets) == 1
-                and getattr(node.targets[0], "id", None) == "LAYERS"):
+                and getattr(node.targets[0], "id", None) == name):
             return ast.literal_eval(node.value)
-    raise AssertionError("perfbench/tracer.py defines no LAYERS")
+    raise AssertionError("perfbench/%s defines no %s" % (filename, name))
 
 
 def test_tracer_layers_resolve_in_src():
-    layers = _tracer_layers()
+    layers = _perfbench_constant("tracer.py", "LAYERS")
     assert layers
     for module, function, _layer in layers:
         assert module.startswith("lzguess.")
@@ -64,3 +69,49 @@ def test_readme_commands_parse():
         except SystemExit:
             raise AssertionError("README command rejected: lzguess %s"
                                  % " ".join(argv)) from None
+
+
+def _key_shape(obj, ignore):
+    """The dict keys of a JSON value at every level, a list by its first
+    element; keys in `ignore` are dropped."""
+    if isinstance(obj, dict):
+        return {k: _key_shape(v, ignore) for k, v in obj.items()
+                if k not in ignore}
+    if isinstance(obj, list):
+        return [_key_shape(obj[0], ignore)] if obj else []
+    return None
+
+
+MACHINE = os.path.join(ROOT, "demos", "three_word_machine.fsm")
+
+
+# each exact-only job kind of the benchmark, as (reference argv prefix,
+# a desk-size argv of the same kind)
+@pytest.mark.filterwarnings("ignore:eps_n")
+@pytest.mark.parametrize("prefix,argv", [
+    (["bounds"], ["bounds", "--corpus", "thue_morse", "--n", "16",
+                  "--zeta", "1.5", "--zeta", "3"]),
+    (["sandwich"], ["sandwich", "--corpus", "periodic:ab", "--n", "32"]),
+    (["sideinfo", "cond-bounds"],
+     ["sideinfo", "cond-bounds", "--corpus-x", "bernoulli:0.5:1",
+      "--corpus-y", "bernoulli:0.5:2", "--n", "64"]),
+    (["moments"], ["moments", "--q", "0.25", "--zeta", "1.5"]),
+    (["fsgm-dist"], ["fsgm-dist", "--machine", "fig1", "--n", "4"]),
+    (["guess"], ["guess", "--guesser", "fsgm:" + MACHINE, "--target",
+                 "ababbac", "--alphabet", "abc", "--jobs", "1"]),
+], ids=["bounds", "sandwich", "cond-bounds", "moments", "fsgm-dist", "guess"])
+def test_results_keys_match_the_bench_reference(prefix, argv, tmp_path):
+    with open(os.path.join(ROOT, "perfbench", "reference.json"),
+              encoding="utf-8") as fh:
+        reference = json.load(fh)["jobs"]
+    ignore = set(_perfbench_constant("checks.py", "MC_FIELDS"))
+    # the exact-only jobs of this kind: no Monte Carlo rounds
+    shapes = [_key_shape(job["results"], ignore) for job in reference.values()
+              if job["argv"][:len(prefix)] == prefix
+              and "--rounds" not in job["argv"]]
+    assert shapes
+    record = cli_dispatch(argv + ["--out-dir", str(tmp_path)])
+    with open(record["artifacts"]["results.json"], encoding="utf-8") as fh:
+        got = _key_shape(json.load(fh), ignore)
+    for shape in shapes:
+        assert got == shape
