@@ -22,6 +22,5 @@ from .guessers import (Guesser, MomentEstimate, block_guess_prob,
 from .bounds import (BoundReport, K_of_ell, block_entropy, converse_clogc,
                      converse_entropy, direct_clogc, epsilon_lz, epsilon_n,
                      rho_upper, sandwich, sandwich_sweep)
-from .sideinfo import (CondFSGMSpec, JointParseResult, cond_code, cond_decode,
-                       cond_fsgm_run, cond_guess_prob, cond_sample,
-                       joint_parse)
+from .sideinfo import (JointParseResult, cond_code, cond_decode,
+                       cond_guess_prob, cond_sample, joint_parse)

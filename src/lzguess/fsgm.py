@@ -15,6 +15,11 @@ exact forward algorithm for single-sequence probabilities and, at desk scale,
 full output distributions in dyadic arithmetic; both run through
 :func:`lzguess.seqcore.forward`, the package's one exact forward pass.
 
+A machine given a side alphabet also reads y_i beside its state (Delta, f
+and g take (z_i, y_i)), and the same pass gives the exact P(x|y).  An
+ell-block conditional machine is one over block alphabets: pack the
+ell-blocks of x and y into alpha**ell and beta**ell symbols.
+
 Machines with variable per-state bit consumption (a prefix-free tree of words
 at each state) are expanded to this fixed-Delta form by padding every tree to
 full depth and letting all descendants of an original leaf inherit its
@@ -37,38 +42,46 @@ DIST_BUDGET = 1 << 18  # alpha**n * states cap for full output enumeration
 class FSGMSpec:
     """A validated machine: total transition tables, reachable states only.
 
-    `table[z]` has exactly 2**delta[z] entries; entry w (the word read as an
-    integer, first bit most significant) is `(output index, next state)`.
-    Unreachable states are pruned with a warning.
+    `delta` and `table` are keyed by state, or by (state, side-symbol
+    index) given a `side_alphabet` of beta symbols.  Each table row has
+    exactly 2**delta entries; entry w (the word read as an integer, first
+    bit most significant) is `(output index, next state)`.  States that no
+    side symbol reaches are pruned with a warning.  Stored rows are flat:
+    state z reading side symbol b is row z * beta + b, and next states are
+    stored times beta, so a plain machine (beta = 1) has rows by state.
     """
 
     def __init__(self, alphabet: Alphabet, state_names, initial,
-                 delta: dict, table: dict, name: str = ""):
+                 delta: dict, table: dict, name: str = "",
+                 side_alphabet: Alphabet | None = None):
         names = list(state_names)
         if initial not in names:
             raise ValueError("initial state %r not among states" % (initial,))
-        for z in names:
-            if z not in delta:
-                raise ValueError("missing bit budget for state %r" % (z,))
-            if not 0 <= delta[z] <= MAX_DELTA:
+        beta = 1 if side_alphabet is None else side_alphabet.size
+        keys_of = {z: [z] if side_alphabet is None else
+                   [(z, b) for b in range(beta)] for z in names}
+        for key in [key for z in names for key in keys_of[z]]:
+            if key not in delta:
+                raise ValueError("missing bit budget for state %r" % (key,))
+            if not 0 <= delta[key] <= MAX_DELTA:
                 raise ValueError("Delta(%r)=%d outside [0, %d]"
-                                 % (z, delta[z], MAX_DELTA))
-            rows = table.get(z)
-            if rows is None or len(rows) != 1 << delta[z]:
+                                 % (key, delta[key], MAX_DELTA))
+            rows = table.get(key)
+            if rows is None or len(rows) != 1 << delta[key]:
                 raise ValueError(
                     "state %r needs a total table with %d entries, got %d"
-                    % (z, 1 << delta[z], 0 if rows is None else len(rows)))
+                    % (key, 1 << delta[key], 0 if rows is None else len(rows)))
             for out, nxt in rows:
                 if not 0 <= out < alphabet.size:
                     raise ValueError("output index %d outside alphabet" % out)
-                if nxt not in delta:
+                if nxt not in keys_of:
                     raise ValueError("next state %r undefined" % (nxt,))
 
         reachable = {initial}
         frontier = [initial]
         while frontier:
             z = frontier.pop()
-            for _, nxt in table[z]:
+            for _, nxt in [row for key in keys_of[z] for row in table[key]]:
                 if nxt not in reachable:
                     reachable.add(nxt)
                     frontier.append(nxt)
@@ -77,14 +90,17 @@ class FSGMSpec:
             warnings.warn("pruning unreachable states %r" % (dropped,))
             names = [z for z in names if z in reachable]
 
+        idx = {z: i for i, z in enumerate(names)}
+        flat = [key for z in names for key in keys_of[z]]
         self.alphabet = alphabet
+        self.side_alphabet = side_alphabet
+        self.beta = beta
         self.names = tuple(names)
         self.initial = initial
-        self._idx = {z: i for i, z in enumerate(names)}
-        self.delta = tuple(delta[z] for z in names)
-        self.table = tuple(
-            tuple((out, self._idx[nxt]) for out, nxt in table[z])
-            for z in names)
+        self.start = idx[initial] * beta
+        self.delta = tuple(delta[key] for key in flat)
+        self.table = tuple(tuple((out, idx[nxt] * beta)
+                                 for out, nxt in table[key]) for key in flat)
         self.name = name
         self._kernels = None
 
@@ -93,7 +109,7 @@ class FSGMSpec:
         return len(self.names)
 
     def kernels(self):
-        """Per state: dict (output, next state) -> word count m(x, z'|z)."""
+        """Per row: dict (output, next state) -> word count m(x, z'|z)."""
         if self._kernels is None:
             ker = []
             for rows in self.table:
@@ -107,6 +123,19 @@ class FSGMSpec:
     def __repr__(self) -> str:
         return "FSGMSpec(%s, states=%d, alpha=%d)" % (
             self.name or "anonymous", self.state_count, self.alphabet.size)
+
+
+def _side_indices(spec: FSGMSpec, side: SymbolSeq | None, n: int) -> bytes:
+    """The side symbols read at 0..n-1; zeros for a plain machine."""
+    if (side is None) != (spec.side_alphabet is None):
+        raise ValueError("a machine takes a side sequence exactly when it "
+                         "has a side alphabet")
+    if side is None:
+        return bytes(n)
+    if side.alphabet != spec.side_alphabet or len(side) < n:
+        raise ValueError("need a side sequence of length >= %d over the "
+                         "side alphabet %r" % (n, spec.side_alphabet))
+    return side.indices
 
 
 @dataclass
@@ -123,42 +152,47 @@ class RunTrace:
         return self.cursors[-1]
 
 
-def run(spec: FSGMSpec, bits: BitSource, n: int) -> RunTrace:
-    """Drive the machine for n output symbols."""
+def run(spec: FSGMSpec, bits: BitSource, n: int,
+        side: SymbolSeq | None = None) -> RunTrace:
+    """Drive the machine for n output symbols (reading side[:n])."""
     if n < 1:
         raise ValueError("need n >= 1")
+    ys = _side_indices(spec, side, n)
     cursors = [0]
     words = []
     path = [spec.initial]
     out = bytearray()
-    z = spec._idx[spec.initial]
-    for _ in range(n):
-        d = spec.delta[z]
+    z = spec.start
+    for b in ys[:n]:
+        d = spec.delta[z + b]
         w = bits.next_bits(d)
-        x, z = spec.table[z][w]
+        x, z = spec.table[z + b][w]
         out.append(x)
         cursors.append(cursors[-1] + d)
         words.append(format(w, "0%db" % d) if d else "")
-        path.append(spec.names[z])
+        path.append(spec.names[z // spec.beta])
     return RunTrace(cursors, words, path, SymbolSeq(spec.alphabet, bytes(out)))
 
 
-def sequence_prob(spec: FSGMSpec, x: SymbolSeq) -> DyadicProb:
-    """Exact P(x) under the machine's output law: the forward algorithm as
-    a :func:`~lzguess.seqcore.forward` pass over (position, state).
+def sequence_prob(spec: FSGMSpec, x: SymbolSeq,
+                  side: SymbolSeq | None = None) -> DyadicProb:
+    """Exact P(x), or P(x|side), under the machine's output law: the
+    forward algorithm as a :func:`~lzguess.seqcore.forward` pass.
 
     O(n * s^2) moves; returns zero for unreachable outputs.  The states
     reached at the end are merged into one, since nothing follows them.
     """
     n = len(x)
     ker = spec.kernels()
+    xs, ys = x.indices, _side_indices(spec, side, n)
 
     def step(pos, z):
-        for (out, zp), m in ker[z].items():
-            if out == x.indices[pos]:
-                yield pos + 1, zp if pos + 1 < n else None, m, spec.delta[z]
+        row = z + ys[pos]
+        for (out, zp), m in ker[row].items():
+            if out == xs[pos]:
+                yield pos + 1, zp if pos + 1 < n else None, m, spec.delta[row]
 
-    start = spec._idx[spec.initial] if n else None
+    start = spec.start if n else None
     return forward(n, start, step).get(None, DyadicProb.zero())
 
 
@@ -170,6 +204,8 @@ def output_distribution(spec: FSGMSpec, n: int) -> dict[SymbolSeq, DyadicProb]:
     Enumeration is guarded by alpha**n * s; refuse and point to
     sequence_prob beyond that.
     """
+    if spec.side_alphabet is not None:
+        raise ValueError("output_distribution needs a plain machine")
     if n < 0:
         raise ValueError("need n >= 0, got %d" % n)
     size = spec.alphabet.size ** n * spec.state_count
@@ -187,7 +223,7 @@ def output_distribution(spec: FSGMSpec, n: int) -> dict[SymbolSeq, DyadicProb]:
             nxt = (word, zp) if pos + 1 < n else word
             yield pos + 1, nxt, m, spec.delta[z]
 
-    start = (b"", spec._idx[spec.initial]) if n else b""
+    start = (b"", spec.start) if n else b""
     return {SymbolSeq(spec.alphabet, word): p
             for word, p in forward(n, start, step).items()}
 
@@ -327,7 +363,10 @@ def fig1_word_expansion(bit_text: str, n_words: int | None = None) -> str:
 # ---------------------------------------------------------------------------
 
 def format_machine(spec: FSGMSpec) -> str:
-    """Serialize to the plain-text table format (see parse_machine)."""
+    """Serialize to the plain-text table format (see parse_machine); the
+    format describes plain machines only."""
+    if spec.side_alphabet is not None:
+        raise ValueError("machine files describe plain machines only")
     lines = ["alphabet %s" % "".join(str(t) for t in spec.alphabet.tokens),
              "initial %s" % spec.initial]
     for zi, z in enumerate(spec.names):
@@ -396,16 +435,17 @@ def parse_machine(text: str, name: str = "") -> FSGMSpec:
 # the guessing game against a machine
 # ---------------------------------------------------------------------------
 
-def runner(spec: FSGMSpec, x: SymbolSeq) -> Callable[[BitSource], bool]:
+def runner(spec: FSGMSpec, x: SymbolSeq,
+           side: SymbolSeq | None = None) -> Callable[[BitSource], bool]:
     """A single-guess attempt function: drive the machine against x and
     abort at the first mismatched symbol.  The unread bits are independent
     of that decision, so the success law per run is unchanged."""
     target = x.indices
-    init = spec._idx[spec.initial]
-    delta = spec.delta
-    table = spec.table
+    ys = _side_indices(spec, side, len(x))
+    init, delta, table = spec.start, spec.delta, spec.table
 
     def attempt(bits: BitSource) -> bool:
+        # the Monte Carlo hot path: a plain machine looks up no side symbol
         z = init
         for want in target:
             out, z = table[z][bits.next_bits(delta[z])]
@@ -413,4 +453,12 @@ def runner(spec: FSGMSpec, x: SymbolSeq) -> Callable[[BitSource], bool]:
                 return False
         return True
 
-    return attempt
+    def side_attempt(bits: BitSource) -> bool:
+        z = init
+        for want, b in zip(target, ys):
+            out, z = table[z + b][bits.next_bits(delta[z + b])]
+            if out != want:
+                return False
+        return True
+
+    return attempt if spec.side_alphabet is None else side_attempt

@@ -263,6 +263,12 @@ def compile_block_guesser_to_fsgm(ell: int, alphabet: Alphabet) -> FSGMSpec:
 # guesser objects
 # ---------------------------------------------------------------------------
 
+def _onto(s: SymbolSeq, alphabet: Alphabet) -> SymbolSeq:
+    """s over `alphabet`, token by token (a missing token is an error)."""
+    return (s if s.alphabet == alphabet
+            else SymbolSeq.from_tokens(s.tokens(), alphabet))
+
+
 @dataclass(frozen=True)
 class Guesser:
     """A randomized guessing distribution over length-n sequences.
@@ -276,7 +282,9 @@ class Guesser:
 
     Given a length-n side sequence, an LZ guesser is the conditional
     sampler instead: each block draws ``sideinfo.cond_sample`` against its
-    slice of `side`, and its law is the product of the blocks' laws.
+    slice of `side`, and its law is the product of the blocks' laws.  A
+    machine with a side alphabet needs `side` (a plain one refuses it);
+    it reads targets and sides token by token over its own alphabets.
     """
 
     kind: str
@@ -294,24 +302,31 @@ class Guesser:
             raise ValueError("lz_block needs ell >= 1")
         if self.kind == "fsgm" and self.spec is None:
             raise ValueError("fsgm guesser needs a machine spec")
-        if self.side is not None and self.kind not in ("lz_full", "lz_block"):
-            raise ValueError("side information needs an LZ guesser")
+        if (self.kind == "uniform" and self.side is not None) or (
+                self.kind == "fsgm"
+                and (self.side is None) != (self.spec.side_alphabet is None)):
+            raise ValueError("side information needs an LZ guesser or a "
+                             "side machine, and a side machine needs it")
         if self.side is not None and len(self.side) != self.n:
             raise ValueError("side length %d != guesser length %d"
                              % (len(self.side), self.n))
+        if self.kind == "fsgm" and self.side is not None:
+            object.__setattr__(self, "side",
+                               _onto(self.side, self.spec.side_alphabet))
         block = {"lz_full": self.n, "uniform": 1}.get(self.kind, self.ell)
         object.__setattr__(self, "block", block)
 
     def describe(self) -> str:
         if self.kind == "fsgm":
-            return "fsgm(%s)" % (self.spec.name or "anonymous")
-        name = ("lz_block(ell=%d)" % self.ell if self.kind == "lz_block"
-                else self.kind)
+            name = "fsgm(%s)" % (self.spec.name or "anonymous")
+        else:
+            name = ("lz_block(ell=%d)" % self.ell if self.kind == "lz_block"
+                    else self.kind)
         return name if self.side is None else "cond_" + name
 
     def sample(self, bits: BitSource) -> SymbolSeq:
         if self.block is None:
-            return fsgm.run(self.spec, bits, self.n).output
+            return fsgm.run(self.spec, bits, self.n, self.side).output
         if self.side is None:
             return block_sample(self.alphabet, self.n, self.block, bits)
         from .sideinfo import cond_sample
@@ -324,7 +339,8 @@ class Guesser:
             raise ValueError("target length %d != guesser length %d"
                              % (len(x), self.n))
         if self.block is None:
-            return fsgm.sequence_prob(self.spec, x)
+            return fsgm.sequence_prob(self.spec, _onto(x, self.spec.alphabet),
+                                      self.side)
         if self.side is None:
             return block_guess_prob(x, self.block)
         from .sideinfo import cond_guess_prob
@@ -538,7 +554,8 @@ def make_runner(guesser: Guesser, x: SymbolSeq) -> Callable[[BitSource], bool]:
     per-run success law is unchanged); the conditional runner compares
     whole ``cond_sample`` draws, one block at a time."""
     if guesser.block is None:
-        return fsgm.runner(guesser.spec, x)
+        return fsgm.runner(guesser.spec, _onto(x, guesser.spec.alphabet),
+                           guesser.side)
     side = guesser.side
     runners = [_lz_full_runner(x[b:e]) if side is None
                else _cond_runner(x[b:e], side[b:e])

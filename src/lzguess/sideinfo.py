@@ -27,7 +27,8 @@ The conditional sampler feeds the same fields from fair bits: truncated
 gamma for the fused choice, modulo for the x-index.  Its dictionary is kept
 equal to the joint incremental parse of what it has emitted against y, so
 the exact conditional guess probability is a forward pass over positions.
-It, like the exact law of the conditional machines below, runs through
+It, like the exact law of a machine that reads side information
+(``fsgm.FSGMSpec`` with a side alphabet), runs through
 :func:`lzguess.seqcore.forward`, the package's one exact forward pass.
 The game is played by ``guessers.Guesser(..., side=y)``, whole or in
 blocks, on the same path as every other guesser, and
@@ -476,120 +477,3 @@ def cond_guess_prob(x: SymbolSeq, y: SymbolSeq) -> DyadicProb:
             yield b + d + 1, None, f.m * cnt, f.e + width
 
     return forward(n, None, step).get(None, DyadicProb.zero())
-
-
-# ---------------------------------------------------------------------------
-# conditional finite-state machines (block-oriented)
-# ---------------------------------------------------------------------------
-
-class CondFSGMSpec:
-    """A machine reading one ell-block of side information per step and
-    emitting one ell-block of output, consuming Delta(z, y-block) bits."""
-
-    def __init__(self, x_alphabet: Alphabet, y_alphabet: Alphabet, ell: int,
-                 state_names, initial, delta: dict, table: dict,
-                 name: str = ""):
-        self.x_alphabet = x_alphabet
-        self.y_alphabet = y_alphabet
-        self.ell = ell
-        names = list(state_names)
-        if initial not in names:
-            raise ValueError("initial state %r not among states" % (initial,))
-        yblocks = [bytes(t) for t in _all_blocks(y_alphabet.size, ell)]
-        for z in names:
-            for yb in yblocks:
-                if (z, yb) not in delta:
-                    raise ValueError("missing Delta(%r, %r)" % (z, yb))
-                rows = table.get((z, yb))
-                if rows is None or len(rows) != 1 << delta[(z, yb)]:
-                    raise ValueError("state %r, y-block %r: table not total"
-                                     % (z, yb))
-                for xb, nxt in rows:
-                    if len(xb) != ell:
-                        raise ValueError("output block must have length ell")
-                    if nxt not in names:
-                        raise ValueError("next state %r undefined" % (nxt,))
-        self.names = tuple(names)
-        self.initial = initial
-        self.delta = dict(delta)
-        self.table = dict(table)
-        self.name = name
-
-    @property
-    def state_count(self) -> int:
-        return len(self.names)
-
-
-def _all_blocks(size: int, ell: int):
-    if ell == 0:
-        yield ()
-        return
-    for rest in _all_blocks(size, ell - 1):
-        for c in range(size):
-            yield rest + (c,)
-
-
-def cond_fsgm_run(spec: CondFSGMSpec, y: SymbolSeq, bits: BitSource,
-                  n: int) -> SymbolSeq:
-    """Drive the conditional machine for n = (multiple of ell) symbols."""
-    if n % spec.ell:
-        raise ValueError("ell=%d must divide n=%d" % (spec.ell, n))
-    if len(y) < n:
-        raise ValueError("side information shorter than n")
-    z = spec.initial
-    out = bytearray()
-    for b in range(0, n, spec.ell):
-        yb = y.indices[b:b + spec.ell]
-        d = spec.delta[(z, yb)]
-        xb, z = spec.table[(z, yb)][bits.next_bits(d)]
-        out.extend(xb)
-    return SymbolSeq(spec.x_alphabet, bytes(out))
-
-
-def cond_fsgm_sequence_prob(spec: CondFSGMSpec, x: SymbolSeq,
-                            y: SymbolSeq) -> DyadicProb:
-    """Exact P(x|y) for the conditional machine: a
-    :func:`~lzguess.seqcore.forward` pass over (block start, state), with
-    the states reached at the end merged into one."""
-    n = len(x)
-    if n % spec.ell or len(y) != n:
-        raise ValueError("need len(x) = len(y) = multiple of ell")
-
-    def step(b, z):
-        # one move per matching word; the kernel merges moves that meet
-        nxt_b = b + spec.ell
-        xb = x.indices[b:nxt_b]
-        yb = y.indices[b:nxt_b]
-        for out, zp in spec.table[(z, yb)]:
-            if out == xb:
-                yield nxt_b, zp if nxt_b < n else None, 1, spec.delta[(z, yb)]
-
-    start = spec.initial if n else None
-    return forward(n, start, step).get(None, DyadicProb.zero())
-
-
-def cond_machine_from_fsgm(plain) -> CondFSGMSpec:
-    """Embed a plain machine as an ell=1 conditional machine ignoring y."""
-    y_alphabet = plain.alphabet
-    delta = {}
-    table = {}
-    for zi, z in enumerate(plain.names):
-        for yb in [bytes([c]) for c in range(y_alphabet.size)]:
-            delta[(z, yb)] = plain.delta[zi]
-            table[(z, yb)] = [(bytes([out]), plain.names[nxt])
-                              for out, nxt in plain.table[zi]]
-    return CondFSGMSpec(plain.alphabet, y_alphabet, 1, plain.names,
-                        plain.initial, delta, table,
-                        name="lifted-" + (plain.name or "fsgm"))
-
-
-def copy_machine(alphabet: Alphabet, ell: int = 1) -> CondFSGMSpec:
-    """Delta = 0 everywhere; the output block is the side-information block."""
-    delta = {}
-    table = {}
-    for yb_t in _all_blocks(alphabet.size, ell):
-        yb = bytes(yb_t)
-        delta[("z", yb)] = 0
-        table[("z", yb)] = [(yb, "z")]
-    return CondFSGMSpec(alphabet, alphabet, ell, ["z"], "z", delta, table,
-                        name="copy")

@@ -5,6 +5,7 @@ import shlex
 
 import pytest
 
+from lzguess.fsgm import FSGMSpec
 from lzguess.seqcore import Alphabet, SymbolSeq
 
 
@@ -53,6 +54,16 @@ def all_seqs(alphabet, n):
 
 def seq(text, alphabet):
     return SymbolSeq.from_text(text, alphabet)
+
+
+def xor_machine():
+    """A binary side machine: two states, each reads one bit and emits it
+    xor the side symbol; bit 0 moves to q, bit 1 to p."""
+    binary = Alphabet(("0", "1"))
+    keys = [(z, b) for z in ("p", "q") for b in (0, 1)]
+    return FSGMSpec(binary, ["p", "q"], "p", {key: 1 for key in keys},
+                    {(z, b): [(b, "q"), (1 - b, "p")] for z, b in keys},
+                    name="xor", side_alphabet=binary)
 
 
 def readme_commands():

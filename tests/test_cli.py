@@ -233,6 +233,26 @@ def test_fsgm_dist_negative_length_is_an_error(tmp_path, capsys):
         {"x": "", "numerator": 1, "exp2": 0, "log2": 0.0}]
 
 
+@pytest.mark.parametrize("target,alphabet", [("ba", "ba"), ("ca", "cab")])
+def test_machine_guesser_compares_targets_by_token(target, alphabet,
+                                                   tmp_path, capsys):
+    # the example machine's output always opens with "ab"; read by index
+    # over these alphabets, either target once passed for "ab" (q = 1)
+    machine = os.path.join(ROOT, "demos", "three_word_machine.fsm")
+    assert main(["guess", "--guesser", "fsgm:" + machine, "--target", target,
+                 "--alphabet", alphabet, "--rounds", "5",
+                 "--out-dir", str(tmp_path / "D")]) == 1
+    assert capsys.readouterr().err == "error: zero-probability target\n"
+    assert not (tmp_path / "D").exists()
+    # over the inferred alphabet "ab" the indices agree with the machine's
+    rows = read_json(dispatch(tmp_path, "guess", "--guesser",
+                              "fsgm:" + machine, "--target", "ababab"))["rows"]
+    spec = build_fig1_machine()
+    assert rows[0]["q_log2"] == guessers.Guesser(
+        "fsgm", spec.alphabet, 6, spec=spec).guess_prob(
+            seqcore.SymbolSeq.from_text("ababab", spec.alphabet)).log2()
+
+
 def test_moments_at_small_q_does_not_sum_the_series(tmp_path):
     # the series needs about zeta/q terms: 1e12 here; a child process with
     # a timeout turns a hang into a failure

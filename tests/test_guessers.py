@@ -15,7 +15,7 @@ from lzguess.guessers import (Guesser, aligned_guess_prob, block_guess_prob,
                               moment_exact, moment_log2, moment_lower_bound,
                               moment_lower_bound_log2, play_counts,
                               run_game, survival_curve)
-from conftest import FixedBits, all_seqs, seq
+from conftest import FixedBits, all_seqs, seq, xor_machine
 
 B01 = Alphabet(("0", "1"))
 ABC = Alphabet(("a", "b", "c"))
@@ -495,6 +495,11 @@ _RUNNER_CASES = {
     "block:3": lambda: (Guesser("lz_block", B01, 5, ell=3), seq("00101", B01)),
     "uniform": lambda: (Guesser("uniform", B01, 4), seq("0110", B01)),
     "fsgm": _fig1_case,
+    "fsgm-side": lambda: (
+        Guesser("fsgm", B01, 8, spec=xor_machine(),
+                side=SymbolSeq(B01, bytes(random.Random(8).randrange(2)
+                                          for _ in range(8)))),
+        seq("01100110", B01)),
     "cond": lambda: (Guesser("lz_full", B01, 6, side=seq("011010", B01)),
                      seq("011011", B01)),
     "cond-block:3": lambda: (Guesser("lz_block", B01, 7, ell=3,

@@ -284,6 +284,21 @@ def test_forward_laws_pinned_at_large_n():
         "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a")
 
 
+def test_fsgm_run_pinned_on_fig1():
+    """Traces of the plain example machine on substreams 0-49, pinned from
+    the machine model that kept its tables by state alone."""
+    from lzguess.fsgm import build_fig1_machine, run
+    fig1 = build_fig1_machine()
+    h = hashlib.sha256()
+    for k in range(50):
+        t = run(fig1, BitSource(7, substream=k), 300)
+        h.update(("%s|%s|%s|%s;" % (t.output.render(), ",".join(t.states),
+                                    ",".join(t.words),
+                                    ",".join(map(str, t.cursors)))).encode())
+    assert h.hexdigest() == (
+        "da0e2e386eea95ba29931587ac49eda5ebb0bd049e3a36f1710e76ea9f3a14da")
+
+
 def _tables_sha(tables):
     h = hashlib.sha256()
     for width, table in zip(*tables):

@@ -6,20 +6,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lzguess.seqcore import Alphabet, BitSource, DyadicProb, SymbolSeq, generate_corpus
+from lzguess.seqcore import (Alphabet, BitSource, DyadicProb, SymbolSeq,
+                             forward, generate_corpus)
 from lzguess.lz78 import BitReader, DecodeError, incremental_parse
-from lzguess.fsgm import FSGMSpec, run as fsgm_run
-from lzguess.guessers import Guesser
+from lzguess.fsgm import (FSGMSpec, build_fig1_machine, run as fsgm_run,
+                          runner, sequence_prob)
+from lzguess.guessers import Guesser, make_runner
 from lzguess.bounds import (block_entropy, delta_n_at, direct_clogc,
                             sandwich_sweep)
 from lzguess.sideinfo import (chain_code_len, chain_decode,
                               chain_encode, chain_gap_probs, chain_draw,
                               cond_code, cond_code_length, cond_decode,
-                              cond_fsgm_run, cond_fsgm_sequence_prob,
-                              cond_guess_prob, cond_machine_from_fsgm,
-                              cond_sample, copy_machine, epsilon1,
+                              cond_guess_prob, cond_sample, epsilon1,
                               joint_parse, pack_pairs)
-from conftest import FixedBits, all_seqs, seq
+from conftest import FixedBits, all_seqs, seq, xor_machine
 
 AB = Alphabet(("a", "b"))
 B01 = Alphabet(("0", "1"))
@@ -357,7 +357,8 @@ def test_side_guesser_arguments():
     y = seq("abab", AB)
     with pytest.raises(ValueError, match="side length"):
         Guesser("lz_full", AB, 3, side=y)
-    for kind, extra in (("uniform", {}), ("fsgm", {"spec": object()})):
+    for kind, extra in (("uniform", {}),
+                        ("fsgm", {"spec": build_fig1_machine()})):
         with pytest.raises(ValueError, match="LZ guesser"):
             Guesser(kind, AB, 4, side=y, **extra)
     assert Guesser("lz_full", AB, 4, side=y).describe() == "cond_lz_full"
@@ -521,54 +522,210 @@ def test_cond_sandwich_matches_the_old_formulas(xspec, yspec, n, alphabets):
         assert all(rep.s == s and rep.direct_applies for rep in reports)
 
 
-# --- conditional machines -------------------------------------------------------------
+# --- machines that read side information ------------------------------------
+
+def lift(plain, side_alphabet):
+    """The plain machine as a side machine that ignores y."""
+    keys = [(zi, (z, b)) for zi, z in enumerate(plain.names)
+            for b in range(side_alphabet.size)]
+    return FSGMSpec(
+        plain.alphabet, plain.names, plain.initial,
+        {key: plain.delta[zi] for zi, key in keys},
+        {key: [(out, plain.names[nxt]) for out, nxt in plain.table[zi]]
+         for zi, key in keys},
+        name="lifted-" + (plain.name or "fsgm"), side_alphabet=side_alphabet)
+
+
+def copy_machine(alphabet):
+    """Delta = 0 everywhere; the output symbol is the side symbol."""
+    return FSGMSpec(alphabet, ["z"], "z",
+                    {("z", b): 0 for b in range(alphabet.size)},
+                    {("z", b): [(b, "z")] for b in range(alphabet.size)},
+                    name="copy", side_alphabet=alphabet)
+
 
 def test_lifted_machine_equals_plain_run():
     plain = FSGMSpec(B01, ["z"], "z", {"z": 1}, {"z": [(0, "z"), (1, "z")]})
-    lifted = cond_machine_from_fsgm(plain)
+    lifted = lift(plain, B01)
     y = seq("0101", B01)
-    out_plain = fsgm_run(plain, FixedBits("0110"), 4).output
-    out_cond = cond_fsgm_run(lifted, y, FixedBits("0110"), 4)
+    out_plain = fsgm_run(plain, FixedBits("0110"), 4)
+    out_cond = fsgm_run(lifted, FixedBits("0110"), 4, side=y)
     assert out_plain == out_cond
+    for x in all_seqs(B01, 4):
+        assert sequence_prob(lifted, x, y) == sequence_prob(plain, x)
 
 
 def test_copy_machine_reproduces_y():
-    spec = copy_machine(B01, ell=1)
+    spec = copy_machine(B01)
     y = seq("011010", B01)
-    out = cond_fsgm_run(spec, y, FixedBits(""), 6)
+    out = fsgm_run(spec, FixedBits(""), 6, side=y).output
     assert out == y
-    assert cond_fsgm_sequence_prob(spec, y, y) == DyadicProb.one()
+    assert sequence_prob(spec, y, y) == DyadicProb.one()
     other = seq("011011", B01)
-    assert cond_fsgm_sequence_prob(spec, other, y).is_zero()
+    assert sequence_prob(spec, other, y).is_zero()
 
 
 def test_cond_fsgm_forward_matches_enumeration():
-    # 2-state, ell=1 machine that reads one bit and xors with y
-    delta = {}
-    table = {}
-    for z in ("p", "q"):
-        for yb in (b"\x00", b"\x01"):
-            delta[(z, yb)] = 1
-            flip = yb[0]
-            table[(z, yb)] = [(bytes([0 ^ flip]), "q"),
-                              (bytes([1 ^ flip]), "p")]
-    spec = __import__("lzguess.sideinfo", fromlist=["CondFSGMSpec"]).\
-        CondFSGMSpec(B01, B01, 1, ["p", "q"], "p", delta, table)
+    # 2-state machine that reads one bit and xors it with y
+    spec = xor_machine()
     y = seq("0110", B01)
     total = DyadicProb.zero()
     counts = {}
     for v in range(1 << 4):
-        out = cond_fsgm_run(spec, y, FixedBits(format(v, "04b")), 4)
+        out = fsgm_run(spec, FixedBits(format(v, "04b")), 4, side=y).output
         counts[out] = counts.get(out, 0) + 1
     for x in all_seqs(B01, 4):
         expect = Fraction(counts.get(x, 0), 16)
-        got = cond_fsgm_sequence_prob(spec, x, y)
+        got = sequence_prob(spec, x, y)
         assert got.as_fraction() == expect
         total = total + got
     assert total == DyadicProb.one()
 
 
 def test_cond_fsgm_run_requires_divisibility():
-    spec = copy_machine(B01, ell=2)
-    with pytest.raises(ValueError, match="divide"):
-        cond_fsgm_run(spec, seq("010", B01), FixedBits(""), 3)
+    # a side machine reads one side symbol per output symbol: a side shorter
+    # than n, a side over another alphabet, or none at all is refused, and
+    # a plain machine takes no side
+    spec = xor_machine()
+    x = seq("0101", B01)
+    for side in (seq("010", B01), seq("abab", AB)):
+        for call in (lambda: fsgm_run(spec, FixedBits(""), 4, side=side),
+                     lambda: sequence_prob(spec, x, side),
+                     lambda: runner(spec, x, side)):
+            with pytest.raises(ValueError, match="length >= 4 over the side"):
+                call()
+    plain = build_fig1_machine()
+    abab = seq("abab", ABC)
+    for machine, target, side in ((spec, x, None), (plain, abab, abab)):
+        with pytest.raises(ValueError, match="exactly when it has a side"):
+            sequence_prob(machine, target, side)
+
+
+def _old_block_law(ell, initial, delta, table, x, y):
+    """Test-local copy of the removed ``cond_fsgm_sequence_prob``: the
+    forward pass over (block start, state) of an ell-block conditional
+    machine keyed by (state, y-block), one move per matching table entry."""
+    n = len(x)
+    if n % ell or len(y) != n:
+        raise ValueError("need len(x) = len(y) = multiple of ell")
+
+    def step(b, z):
+        nxt_b = b + ell
+        xb = x.indices[b:nxt_b]
+        yb = y.indices[b:nxt_b]
+        for out, zp in table[(z, yb)]:
+            if out == xb:
+                yield nxt_b, zp if nxt_b < n else None, 1, delta[(z, yb)]
+
+    start = initial if n else None
+    return forward(n, start, step).get(None, DyadicProb.zero())
+
+
+def _blocks_of(alphabet, ell):
+    """The ell-blocks over `alphabet` as bytes, in packing order."""
+    return [bytes(t) for t in itertools.product(range(alphabet.size),
+                                                repeat=ell)]
+
+
+def _pack(s, ell, block_alphabet):
+    """The ell-blocks of s as one symbol each over the block alphabet."""
+    size = s.alphabet.size
+    return SymbolSeq(block_alphabet, bytes(
+        sum(c * size ** (ell - 1 - i)
+            for i, c in enumerate(s.indices[b:b + ell]))
+        for b in range(0, len(s), ell)))
+
+
+def _random_block_machine(rng, ell, states):
+    """An old-style ell-block conditional machine over binary x and y."""
+    delta, table = {}, {}
+    xblocks = _blocks_of(B01, ell)
+    for z in states:
+        for yb in _blocks_of(B01, ell):
+            d = rng.randrange(3)
+            delta[(z, yb)] = d
+            table[(z, yb)] = [(rng.choice(xblocks), rng.choice(states))
+                              for _ in range(1 << d)]
+    return delta, table
+
+
+@pytest.mark.filterwarnings("ignore:pruning")
+@pytest.mark.parametrize("ell", [1, 2])
+def test_block_machine_packed_law_equals_the_old_block_law(ell):
+    # an ell-block conditional machine is a side machine over the block
+    # alphabets: pack x and y into 2**ell-symbol blocks and compare laws
+    rng = random.Random(40 + ell)
+    xs_alpha = Alphabet(tuple(range(1 << ell)))
+    ys_alpha = Alphabet(tuple(range(1 << ell)))
+    for trial in range(3):
+        states = ["s%d" % i for i in range(1 + trial)]
+        delta, table = _random_block_machine(rng, ell, states)
+        keys = [(z, yi, yb) for z in states
+                for yi, yb in enumerate(_blocks_of(B01, ell))]
+        spec = FSGMSpec(
+            xs_alpha, states, "s0",
+            {(z, yi): delta[(z, yb)] for z, yi, yb in keys},
+            {(z, yi): [(_pack(SymbolSeq(B01, xb), ell, xs_alpha)[0], nxt)
+                       for xb, nxt in table[(z, yb)]]
+             for z, yi, yb in keys},
+            side_alphabet=ys_alpha)
+        for n in range(ell, 7, ell):
+            for y in all_seqs(B01, n):
+                total = DyadicProb.zero()
+                for x in all_seqs(B01, n):
+                    got = sequence_prob(spec, _pack(x, ell, xs_alpha),
+                                        _pack(y, ell, ys_alpha))
+                    assert got == _old_block_law(ell, "s0", delta, table,
+                                                 x, y)
+                    total = total + got
+                assert total == DyadicProb.one()
+
+
+@pytest.mark.filterwarnings("ignore:eps_n")
+def test_copy_machine_sandwich_measures_zero():
+    x = generate_corpus("periodic", 8, pattern="ab")
+    g = Guesser("fsgm", x.alphabet, 8, spec=copy_machine(x.alphabet), side=x)
+    assert g.describe() == "cond_fsgm(copy)"
+    for rep in sandwich_sweep(x, [1.0, 2.0], 2, g):
+        assert rep.q_log2 == 0.0 and rep.measured == 0.0
+        assert rep.complexity == 0.0 and not rep.direct_applies
+        assert rep.ordering_ok
+
+
+def test_lifted_fig1_guesser_gives_the_plain_law():
+    fig1 = build_fig1_machine()
+    lifted = lift(fig1, B01)
+    y = generate_corpus("bernoulli", 12, p=0.5, seed=3)
+    y = SymbolSeq(B01, y.indices)
+    plain = Guesser("fsgm", fig1.alphabet, 12, spec=fig1)
+    side = Guesser("fsgm", fig1.alphabet, 12, spec=lifted, side=y)
+    outputs = {fsgm_run(fig1, BitSource(9, substream=k), 12).output
+               for k in range(40)}
+    assert len(outputs) > 5
+    for x in outputs:
+        assert side.guess_prob(x) == plain.guess_prob(x) > DyadicProb.zero()
+    miss = seq("ab" * 6, ABC)
+    assert side.guess_prob(miss) == plain.guess_prob(miss)
+
+
+def test_side_machine_guesser_refusals():
+    fig1 = build_fig1_machine()
+    y = seq("0110", B01)
+    for spec, side in ((xor_machine(), None), (fig1, y)):
+        with pytest.raises(ValueError, match="or a side machine, and a side"):
+            Guesser("fsgm", spec.alphabet, 4, spec=spec, side=side)
+    with pytest.raises(ValueError, match="side length"):
+        Guesser("fsgm", B01, 3, spec=xor_machine(), side=y)
+    # targets and sides are read token by token over the machine's alphabets
+    with pytest.raises(ValueError, match="not in the alphabet"):
+        Guesser("fsgm", B01, 4, spec=xor_machine(), side=seq("abba", AB))
+    g = Guesser("fsgm", B01, 4, spec=xor_machine(), side=y)
+    with pytest.raises(ValueError, match="not in the alphabet"):
+        g.guess_prob(seq("abba", AB))
+    yb = Alphabet(("1", "0"))
+    g = Guesser("fsgm", B01, 4, spec=xor_machine(),
+                side=SymbolSeq.from_text("0110", yb))
+    x = seq("1100", B01)
+    assert g.guess_prob(x) == sequence_prob(xor_machine(), x, y)
+    assert make_runner(g, x)(BitSource(1)) == (
+        g.sample(BitSource(1)) == x)

@@ -5,10 +5,13 @@ perfbench/tracer.py wraps functions by (module, name); a rename inside
 src/ would make a traced benchmark run crash on a missing attribute.  The
 benchmark compares every job's results.json with perfbench/reference.json,
 so a renamed or dropped output key fails it as an incorrect output.  The
-README's command examples must stay accepted by the CLI parser.
+README's command examples must stay accepted by the CLI parser.  Every
+top-level definition in src/ is reached from a user-facing entry point, or
+is a test oracle named below.
 """
 
 import ast
+import glob
 import importlib
 import json
 import os
@@ -57,6 +60,79 @@ def test_bench_imports_resolve_in_src():
     for module, name in names:
         target = getattr(importlib.import_module(module), name, None)
         assert target is not None, "%s.%s is gone" % (module, name)
+
+
+# top-level definitions that only the tests call, each kept on purpose
+TEST_ONLY = {
+    "tree_run": "the bit-by-bit tree semantics, oracle for the expansion",
+    "fig1_word_expansion": "the example machine's word map, its oracle",
+    "aligned_guess_prob": "the aligned witness between q and 2**-L(x)",
+    "moment_lower_bound_log2": "moment_lower_bound in the log domain",
+    "survival_curve": "empirical Pr{G >= k}, the geometric-tail check",
+    "chain_code_len": "one chain field's width, oracle for its law",
+    "cond_code_length": "L(x|y), the conditional dominance bound",
+}
+
+
+def _parse(path):
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), path)
+
+
+def _used_names(node, strings=False):
+    """Every name a syntax tree mentions: identifiers, attributes, imported
+    names and, with strings=True, string constants."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.alias):
+            names.add(n.name.rsplit(".", 1)[-1])
+        elif (strings and isinstance(n, ast.Constant)
+              and isinstance(n.value, str)):
+            names.add(n.value)
+    return names
+
+
+def unreached_definitions(root=ROOT):
+    """The top-level defs and classes of src/lzguess that nothing reaches,
+    by name, from the console entry point `cli.main`, the package's
+    exports, module-level code, demos/ or perfbench/ (tracer strings
+    included; its tests are not entry points)."""
+    defs, roots = {}, {"main"}
+    for path in glob.glob(os.path.join(root, "src", "lzguess", "*.py")):
+        exports = os.path.basename(path) == "__init__.py"
+        for node in _parse(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append(node)
+            elif exports or not isinstance(node, (ast.Import,
+                                                  ast.ImportFrom)):
+                roots |= _used_names(node)
+    for path in glob.glob(os.path.join(root, "demos", "*.py")):
+        roots |= _used_names(_parse(path))
+    for path in glob.glob(os.path.join(root, "perfbench", "*.py")):
+        if not os.path.basename(path).startswith("test_"):
+            roots |= _used_names(_parse(path), strings=True)
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name in defs and name not in reached:
+            reached.add(name)
+            for node in defs[name]:
+                todo.extend(_used_names(node))
+    return set(defs) - reached
+
+
+def test_every_definition_is_reached_or_a_named_oracle():
+    unreached = unreached_definitions()
+    assert not unreached - set(TEST_ONLY), (
+        "only tests reach these; wire them in, delete them, or name them "
+        "in TEST_ONLY with a reason: %s" % sorted(unreached - set(TEST_ONLY)))
+    assert not set(TEST_ONLY) - unreached, (
+        "reached or gone, so drop them from TEST_ONLY: %s"
+        % sorted(set(TEST_ONLY) - unreached))
 
 
 def test_readme_commands_parse():
