@@ -125,6 +125,15 @@ class FSGMSpec:
             self.name or "anonymous", self.state_count, self.alphabet.size)
 
 
+def _target_indices(spec: FSGMSpec, x: SymbolSeq) -> bytes:
+    """The target's symbols, which must be over the machine's alphabet:
+    indices over another alphabet would name other tokens."""
+    if x.alphabet != spec.alphabet:
+        raise ValueError("need a target over the machine's alphabet %r"
+                         % (spec.alphabet,))
+    return x.indices
+
+
 def _side_indices(spec: FSGMSpec, side: SymbolSeq | None, n: int) -> bytes:
     """The side symbols read at 0..n-1; zeros for a plain machine."""
     if (side is None) != (spec.side_alphabet is None):
@@ -184,7 +193,7 @@ def sequence_prob(spec: FSGMSpec, x: SymbolSeq,
     """
     n = len(x)
     ker = spec.kernels()
-    xs, ys = x.indices, _side_indices(spec, side, n)
+    xs, ys = _target_indices(spec, x), _side_indices(spec, side, n)
 
     def step(pos, z):
         row = z + ys[pos]
@@ -440,7 +449,7 @@ def runner(spec: FSGMSpec, x: SymbolSeq,
     """A single-guess attempt function: drive the machine against x and
     abort at the first mismatched symbol.  The unread bits are independent
     of that decision, so the success law per run is unchanged."""
-    target = x.indices
+    target = _target_indices(spec, x)
     ys = _side_indices(spec, side, len(x))
     init, delta, table = spec.start, spec.delta, spec.table
 

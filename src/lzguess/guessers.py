@@ -285,6 +285,8 @@ class Guesser:
     slice of `side`, and its law is the product of the blocks' laws.  A
     machine with a side alphabet needs `side` (a plain one refuses it);
     it reads targets and sides token by token over its own alphabets.
+    Every kind's Monte Carlo runner (:func:`make_runner`) stops at the
+    first draw that leaves the target.
     """
 
     kind: str
@@ -542,23 +544,58 @@ def _lz_full_runner(x: SymbolSeq) -> Callable[[BitSource], bool]:
     return attempt
 
 
-def _cond_runner(x: SymbolSeq, y: SymbolSeq) -> Callable[[BitSource], bool]:
-    from .sideinfo import cond_sample
-    n, alphabet = len(x), x.alphabet
-    return lambda bits: cond_sample(y, n, bits, alphabet) == x
+def _cond_run_tables(x: SymbolSeq, y: SymbolSeq):
+    """Per-position tables of the conditional runner, from the
+    :func:`~lzguess.sideinfo._cond_draws` of (x, y).
+
+    tables[b] is (size, moves): the chain field's size after x[:b] and a
+    dict from each chain value that keeps matching x to (width, c, pos,
+    next b); an index field v of `width` bits keeps matching when
+    v % c == pos, and next b == n wins."""
+    from .sideinfo import _cond_draws
+    tables = []
+    for size, draws in _cond_draws(x, y):
+        moves = {}
+        for fused, width, c, pos, nxt in draws:
+            for f in fused:
+                moves[f] = (width, c, pos, nxt)
+        tables.append((size, moves))
+    return tables
+
+
+def _cond_full_runner(x: SymbolSeq,
+                      y: SymbolSeq) -> Callable[[BitSource], bool]:
+    from .sideinfo import chain_draw
+    n = len(x)
+    tables = _cond_run_tables(x, y)
+
+    def attempt(bits: BitSource) -> bool:
+        b = 0
+        while True:
+            size, moves = tables[b]
+            move = moves.get(chain_draw(bits, size))
+            if move is None:
+                return False
+            width, c, pos, b = move
+            if bits.next_bits(width) % c != pos:
+                return False
+            if b == n:
+                return True
+
+    return attempt
 
 
 def make_runner(guesser: Guesser, x: SymbolSeq) -> Callable[[BitSource], bool]:
-    """A single-guess attempt function.  The LZ and machine runners stop
-    at the first mismatched draw (the unread bits are independent, so the
-    per-run success law is unchanged); the conditional runner compares
-    whole ``cond_sample`` draws, one block at a time."""
+    """A single-guess attempt function.  Every runner stops at the first
+    mismatched draw, block by block: the unread bits are independent, so
+    the per-run success law is unchanged, and a run reads a prefix of the
+    bits the guesser's sampler reads, all of them when it wins."""
     if guesser.block is None:
         return fsgm.runner(guesser.spec, _onto(x, guesser.spec.alphabet),
                            guesser.side)
     side = guesser.side
     runners = [_lz_full_runner(x[b:e]) if side is None
-               else _cond_runner(x[b:e], side[b:e])
+               else _cond_full_runner(x[b:e], side[b:e])
                for b, e in _blocks(len(x), guesser.block)]
     if len(runners) == 1:
         return runners[0]

@@ -26,22 +26,27 @@ decoder sees y, so no lengths are ever transmitted.
 The conditional sampler feeds the same fields from fair bits: truncated
 gamma for the fused choice, modulo for the x-index.  Its dictionary is kept
 equal to the joint incremental parse of what it has emitted against y, so
-the exact conditional guess probability is a forward pass over positions.
-It, like the exact law of a machine that reads side information
-(``fsgm.FSGMSpec`` with a side alphabet), runs through
-:func:`lzguess.seqcore.forward`, the package's one exact forward pass.
-The game is played by ``guessers.Guesser(..., side=y)``, whole or in
-blocks, on the same path as every other guesser, and
-``bounds.sandwich_sweep`` on that guesser gives its conditional bounds.
+the draws that keep matching a target x depend on the matched length
+alone.  One generator, :func:`_cond_draws`, yields them, the conditional
+twin of ``guessers._lz_draws``.  The exact conditional guess probability
+re-yields them as a forward pass over positions; it, like the exact law
+of a machine that reads side information (``fsgm.FSGMSpec`` with a side
+alphabet), runs through :func:`lzguess.seqcore.forward`, the package's
+one exact forward pass.  The Monte Carlo runner of
+``guessers.make_runner`` reads them as tables and stops at the first
+field that leaves x.  The game is played by
+``guessers.Guesser(..., side=y)``, whole or in blocks, on the same path
+as every other guesser, and ``bounds.sandwich_sweep`` on that guesser
+gives its conditional bounds.
 
-Coder, decoder, sampler, exact law and :func:`joint_parse` read one
+Coder, decoder, sampler, draw rule and :func:`joint_parse` read one
 dictionary, :class:`_JointDict`: the joint parse as a
 :class:`~lzguess.lz78.ParseTrie` over pair symbols a * beta + b, with the
 y-word of each node, the nodes of each y-word in id order and the node
 that created each y-word beside it.  The coder and decoder grow it phrase
-by phrase and the sampler pair by pair; the exact law indexes the parse of
-the whole pair stream and reads it, through node ids, as it stood after
-each emitted prefix.
+by phrase and the sampler pair by pair; the draw rule indexes the parse
+of the whole pair stream and reads it, through node ids, as it stood
+after each emitted prefix.
 Every field's probability is at least 2**-(field width), and the padded
 header covers the fused selector of the final overshooting draw, giving
 cond_guess_prob(x|y) >= 2**-L(x|y) everywhere.
@@ -441,39 +446,69 @@ def cond_sample(y: SymbolSeq, n: int, bits: BitSource,
     return SymbolSeq(alphabet, bytes(out))
 
 
-def cond_guess_prob(x: SymbolSeq, y: SymbolSeq) -> DyadicProb:
-    """Exact probability that :func:`cond_sample` emits x given y: a
-    :func:`~lzguess.seqcore.forward` pass over emitted-prefix lengths.
-    After e matching symbols the sampler's dictionary is the joint parse of
-    (x, y) as it stood at node count t_at[e]."""
-    if len(x) != len(y):
-        raise ValueError("x and y must have equal length")
+def _cond_draws(x: SymbolSeq, y: SymbolSeq):
+    """The draws of :func:`cond_sample` that keep matching x given y, the
+    one conditional draw rule behind the exact law and the run tables.
+
+    Returns an iterator over the matched lengths b = 0..n-1 in turn; the
+    pair stream is checked and parsed before it starts.  It yields (size,
+    draws), `size` being the chain field's size chain * alpha after x[:b].
+    After b matching symbols the sampler's dictionary is the joint parse
+    of (x, y) as it stood at node count t_at[b].  A draw (fused, width, c,
+    pos, b') is the depth-d candidate on that dictionary's walk of the
+    pairs from b: a chain value in `fused` picks depth d and the
+    innovation symbol x[b+d], and a `width`-bit index v with v % c == pos
+    picks the x-word x[b:b+d] among the c x-phrases of y[b:b+d], reaching
+    b' = b+d+1.  At an overshoot (b+d == n) the surplus symbol is
+    discarded, so every rank wins and b' = n.
+    """
     n = len(x)
     parse = incremental_parse(pack_pairs(x, y))
     pairs = memoryview(parse.seq.indices)
     t_at = parse.node_counts()
     dic = _JointDict(y.alphabet.size, parse.trie)
+    members, ynode, pos = dic.members, dic.ynode, dic.pos
     alpha = x.alphabet.size
     xi, yi = x.indices, y.indices
 
-    def step(b, _state):
-        t = t_at[b]
-        chain = len(dic.ypath(yi, b, n, t))
-        fused_probs = chain_gap_probs(chain * alpha)
-        # the depth-d candidate: x-word x[b:b+d] among the x-phrases of
-        # y[b:b+d] that exist at node count t; d < chain, because a joint
-        # node's y-word is no younger than the node
-        for d, node in dic.trie.walk(pairs[b:], limit=t):
-            c = bisect.bisect_left(dic.members[dic.ynode[node]], t)
-            width = (c - 1).bit_length()
-            cnt = _ptr_count(dic.pos[node], c, width)
-            base = (chain - 1 - d) * alpha
-            if b + d == n:
-                # overshoot: the surplus symbol is discarded, any rank wins
-                for f in fused_probs[base:base + alpha]:
-                    yield n, None, f.m * cnt, f.e + width
-                return
-            f = fused_probs[base + _rank_sym(xi[b + d], yi[b + d], alpha)]
-            yield b + d + 1, None, f.m * cnt, f.e + width
+    def draws_at():
+        for b in range(n):
+            t = t_at[b]
+            chain = len(dic.ypath(yi, b, n, t))
+            draws = []
+            # d < chain: a joint node's y-word is no younger than the node
+            for d, node in dic.trie.walk(pairs[b:], limit=t):
+                c = bisect.bisect_left(members[ynode[node]], t)
+                base = (chain - 1 - d) * alpha
+                if b + d == n:
+                    fused, nxt = range(base, base + alpha), n
+                else:
+                    fused = (base + _rank_sym(xi[b + d], yi[b + d], alpha),)
+                    nxt = b + d + 1
+                draws.append((fused, (c - 1).bit_length(), c, pos[node],
+                              nxt))
+            yield chain * alpha, draws
 
-    return forward(n, None, step).get(None, DyadicProb.zero())
+    return draws_at()
+
+
+def cond_guess_prob(x: SymbolSeq, y: SymbolSeq) -> DyadicProb:
+    """Exact probability that :func:`cond_sample` emits x given y: a
+    :func:`~lzguess.seqcore.forward` pass over emitted-prefix lengths b
+    whose moves from b are the :func:`_cond_draws` at b."""
+    draws_at = _cond_draws(x, y)
+    gap_probs = {}
+
+    def step(_b, _state):
+        # the depth-0 draw always reaches b + 1, so every b is asked for in
+        # turn
+        size, draws = next(draws_at)
+        probs = gap_probs.get(size)
+        if probs is None:
+            probs = gap_probs[size] = chain_gap_probs(size)
+        for fused, width, c, pos, nxt in draws:
+            cnt = _ptr_count(pos, c, width)
+            for f in fused:
+                yield nxt, None, probs[f].m * cnt, probs[f].e + width
+
+    return forward(len(x), None, step).get(None, DyadicProb.zero())

@@ -349,10 +349,8 @@ def test_cond_guess_plays_one_pass_for_every_zeta(tmp_path, monkeypatch):
     assert calls == {"make_runner": 1, "play": 1, "pool_map": 0}
     x = seqcore.parse_corpus_spec("periodic:ab", 8)
     q = sideinfo.cond_guess_prob(x, x)
-
-    def attempt(bits):
-        return sideinfo.cond_sample(x, len(x), bits, x.alphabet) == x
-
+    attempt = guessers.make_runner(
+        guessers.Guesser("lz_full", x.alphabet, len(x), side=x), x)
     for row in rows:
         est = guessers.estimate_moment(q, row["zeta"], len(x)).fold(
             seqcore.play(attempt, rounds, seed, cap), cap)

@@ -9,7 +9,7 @@ from lzguess.seqcore import Alphabet, BitSource, BudgetError, DyadicProb, Symbol
 from lzguess.fsgm import (FSGMSpec, TreeFSGMSpec, build_fig1_machine,
                           expand_tree_machine, fig1_word_expansion,
                           format_machine, output_distribution, parse_machine,
-                          run, sequence_prob, tree_run)
+                          run, runner, sequence_prob, tree_run)
 from lzguess.guessers import Guesser, play_counts, run_game
 from lzguess.bounds import block_entropy
 from conftest import FixedBits, all_seqs, seq
@@ -94,6 +94,18 @@ def test_sequence_prob_unreachable_is_zero():
     fig1 = build_fig1_machine()
     x = SymbolSeq(fig1.alphabet, bytes([1, 0]))  # "ba": first symbol forced
     assert sequence_prob(fig1, x).is_zero()
+
+
+@pytest.mark.parametrize("tokens", ["ba", "ab", "abcd"])
+def test_target_over_another_alphabet_is_refused(tokens):
+    # "ba" by index over {b, a} would read as "ab", which fig1 always opens
+    # with; a target must be over the machine's own alphabet
+    fig1 = build_fig1_machine()
+    x = SymbolSeq.from_text("ba", Alphabet(tokens))
+    with pytest.raises(ValueError, match="machine's alphabet"):
+        sequence_prob(fig1, x)
+    with pytest.raises(ValueError, match="machine's alphabet"):
+        runner(fig1, x)
 
 
 def test_distribution_budget_guard():

@@ -19,6 +19,7 @@ from conftest import FixedBits, all_seqs, seq, xor_machine
 
 B01 = Alphabet(("0", "1"))
 ABC = Alphabet(("a", "b", "c"))
+T012 = Alphabet(("0", "1", "2"))
 
 
 # --- independent oracles for the sampling process ---------------------------
@@ -505,17 +506,29 @@ _RUNNER_CASES = {
     "cond-block:3": lambda: (Guesser("lz_block", B01, 7, ell=3,
                                      side=seq("0110100", B01)),
                              seq("0110110", B01)),
+    # a ternary side for a binary target: side symbol 2 has no copy
+    "cond-tern": lambda: (Guesser("lz_full", B01, 6, side=seq("021201", T012)),
+                          seq("011001", B01)),
+    "cond-tern-block:3": lambda: (
+        Guesser("lz_block", B01, 6, ell=3, side=seq("021201", T012)),
+        seq("011001", B01)),
 }
 
 
 @pytest.mark.parametrize("case", list(_RUNNER_CASES))
 def test_runner_matches_direct_comparison(case):
     # the early-abort runner and literal sample-and-compare agree on every
-    # fresh substream
+    # fresh substream, and the runner reads a prefix of the sampler's bits:
+    # all of them when it wins
     g, x = _RUNNER_CASES[case]()
     attempt = make_runner(g, x)
-    fast = [attempt(BitSource(5, substream=k)) for k in range(3000)]
-    slow = [g.sample(BitSource(5, substream=k)) == x for k in range(3000)]
+    fast, slow = [], []
+    for k in range(3000):
+        run_bits, sample_bits = BitSource(5, k), BitSource(5, k)
+        fast.append(attempt(run_bits))
+        slow.append(g.sample(sample_bits) == x)
+        assert run_bits.consumed <= sample_bits.consumed
+        assert run_bits.consumed == sample_bits.consumed or not fast[-1]
     assert fast == slow
     assert 0 < sum(fast) < len(fast)
 

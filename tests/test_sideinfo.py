@@ -87,6 +87,10 @@ def test_pack_pairs_guard():
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError):
         joint_parse(seq("ab", AB), seq("a", AB))
+    # an empty target has no draws to read, and is still checked
+    for x, y in ((seq("", AB), seq("ab", AB)), (seq("ab", AB), seq("a", AB))):
+        with pytest.raises(ValueError, match="equal length"):
+            cond_guess_prob(x, y)
 
 
 # --- the chain index code -------------------------------------------------------
