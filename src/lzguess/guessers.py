@@ -28,6 +28,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate, repeat
+from operator import add, mul
 from typing import Callable, NamedTuple
 
 from .seqcore import (Alphabet, BitSource, BudgetError, DyadicProb, SymbolSeq,
@@ -38,6 +40,7 @@ from .fsgm import FSGMSpec
 LOG2E = math.log2(math.e)
 _COMPILE_STATE_BUDGET = 4096    # ell * alpha**ell states at most
 _SERIES_REL_TOL = 1e-12         # moment_exact's series stop
+_SERIES_CHUNK = 4096            # moment_exact's largest chunk of terms
 
 
 def _sym_counts(alphabet: Alphabet) -> list[int]:
@@ -178,12 +181,18 @@ def block_sample(alphabet: Alphabet, n: int, ell: int,
 
 
 def block_guess_prob(x: SymbolSeq, ell: int) -> DyadicProb:
-    """Product of per-block emission probabilities (trie reset per block)."""
+    """Product of per-block emission probabilities (trie reset per block),
+    each distinct block's law computed once."""
     if ell < 1:
         raise ValueError("need ell >= 1")
+    laws = {}
     prob = DyadicProb.one()
     for b, e in _blocks(len(x), ell):
-        prob = prob * lz_guess_prob(x[b:e])
+        block = x[b:e]
+        law = laws.get(block.indices)
+        if law is None:
+            law = laws[block.indices] = lz_guess_prob(block)
+        prob = prob * law
     return prob
 
 
@@ -366,7 +375,9 @@ def moment_exact(q, zeta: float, force_series: bool = False) -> MomentResult:
 
     Closed forms for zeta in {1, 2}; otherwise the series
     sum_k k^zeta (1-q)^(k-1) q, stopped once a geometric tail bound
-    certifies relative error below 1e-12.  force_series skips the closed
+    certifies relative error below 1e-12; its terms are formed and added by
+    C iterators over chunks of k, in the order of a term-by-term loop, so
+    the float result is that loop's.  force_series skips the closed
     forms (used to cross-check the series against them).  The series needs
     about zeta/q terms, so below q = 2**-20 the value comes from
     :func:`moment_log2` with its documented 1e-12 relative error.
@@ -388,22 +399,51 @@ def moment_exact(q, zeta: float, force_series: bool = False) -> MomentResult:
         if qf < 2.0 ** -20:
             return MomentResult(2.0 ** moment_log2(math.log2(qf), zeta),
                                 1e-12)
-        total = 0.0
-        term_geom = qf          # q * (1-q)^(k-1)
-        k = 1
+        # the terms k^zeta * q(1-q)^(k-1) and their running sums, in the
+        # order of a term-by-term loop, over chunks of k that double
+        total, geom, k, size = 0.0, qf, 1, 8
         while True:
-            total += (k ** zeta) * term_geom
-            # past the peak, terms shrink at least geometrically with ratio r
-            r = ((1.0 + 1.0 / k) ** zeta) * one_minus
-            if r < 1.0:
-                tail = (((k + 1) ** zeta) * term_geom * one_minus) / (1.0 - r)
-                if tail <= _SERIES_REL_TOL * total:
-                    return MomentResult(total + 0.5 * tail, tail / total)
-            term_geom *= one_minus
-            k += 1
+            try:
+                geoms = list(accumulate(repeat(one_minus, size - 1), mul,
+                                        initial=geom))
+                totals = list(accumulate(
+                    map(mul, map(pow, range(k, k + size), repeat(zeta)),
+                        geoms), add, initial=total))
+                stop = _series_tail(k + size - 1, geoms[-1], totals[-1],
+                                    zeta, one_minus)
+            except OverflowError:
+                if size == 1:
+                    raise
+                size = 1    # find the term that overflows one at a time
+                continue
+            if stop is not None:
+                # past the peak, tail/total falls, so the first k of this
+                # chunk that stops is the first k of all
+                for j in range(size):
+                    tail = _series_tail(k + j, geoms[j], totals[j + 1], zeta,
+                                        one_minus)
+                    if tail is not None:
+                        total = totals[j + 1]
+                        return MomentResult(total + 0.5 * tail, tail / total)
+            total, geom, k = totals[-1], geoms[-1] * one_minus, k + size
+            size = min(2 * size, _SERIES_CHUNK)
     except OverflowError:
         raise ValueError("E[G^%r] at q = %r overflows a double"
                          % (zeta, qf)) from None
+
+
+def _series_tail(k: int, geom: float, total: float, zeta: float,
+                 one_minus: float):
+    """The certified tail bound of moment_exact's series after term k,
+    whose geometric factor is `geom` and running sum `total`, or None if
+    it does not yet stop the series."""
+    # past the peak, terms shrink at least geometrically with ratio r
+    r = ((1.0 + 1.0 / k) ** zeta) * one_minus
+    if r < 1.0:
+        tail = (((k + 1) ** zeta) * geom * one_minus) / (1.0 - r)
+        if tail <= _SERIES_REL_TOL * total:
+            return tail
+    return None
 
 
 def moment_lower_bound(q, zeta: float) -> float:

@@ -413,6 +413,19 @@ class DyadicProb:
         return "DyadicProb(%d, 2**-%d)" % (self.m, self.e)
 
 
+def _add(table: dict, key, m: int, e: int) -> None:
+    """table[key] += m / 2**e, aligning the numerators only where a value
+    is already there."""
+    old = table.get(key)
+    if old is not None:
+        om, oe = old
+        if oe > e:
+            m, e = (m << (oe - e)) + om, oe
+        else:
+            m += om << (e - oe)
+    table[key] = (m, e)
+
+
 def forward(n: int, start, step) -> dict:
     """The one exact forward pass: the law at position n of a process fed
     fair bits, over positions 0..n.
@@ -423,12 +436,28 @@ def forward(n: int, start, step) -> dict:
     `next_pos`, with pos < next_pos <= n.  The mass of each (position,
     state) is a plain integer numerator over a power of two; two masses are
     aligned only where two paths meet, and each is checked to be at most 1
-    before it is expanded.  Returns {state: DyadicProb} for the states
-    reached at position n, empty when none is.
+    before it is expanded.
+
+    Moves from one (position, state) that reach consecutive positions with
+    the same next state, count and bits form a run.  Its first move is an
+    ordinary one; the rest, when more than one, form a span, whose one term
+    mass * count / 2**bits joins a running sum for its next state at the
+    span's first position and leaves it, by exact subtraction, after its
+    last.  Each position adds each open running sum once, so big-integer
+    work is per run, not per move, and nothing is done for spans while
+    none is open.  Returns {state: DyadicProb} for the states reached at
+    position n, empty when none is.
     """
     layers = {0: {start: (1, 0)}}
+    sums = {}       # next state -> the open spans' terms, summed
+    edges = {}      # position -> [(next state, +-term numerator, exponent)]
     for pos in range(n):
-        for state, (m, e) in layers.pop(pos, {}).items():
+        layer = layers.pop(pos, None)
+        if edges or sums:
+            layer = _arrive(pos, layer, sums, edges)
+        if layer is None:
+            continue
+        for state, (m, e) in layer.items():
             if m > 1 << e:
                 raise ValueError("forward mass above 1 at position %d" % pos)
             if not m & 1:
@@ -437,22 +466,69 @@ def forward(n: int, start, step) -> dict:
                 shift = (m & -m).bit_length() - 1
                 m >>= shift
                 e -= shift
-            for nxt_pos, nxt, count, bits in step(pos, state):
+            # the run of the last ordinary move would go on to `reach`;
+            # `span` of its moves after that one are pending
+            reach, span = -1, 0
+            for move in step(pos, state):
+                nxt_pos, nxt, count, bits = move
+                if (nxt_pos == reach and count == run[2] and bits == run[3]
+                        and nxt == run[1] and reach <= n):
+                    reach += 1
+                    span += 1
+                    continue
+                if span:
+                    _run_tail(layers, edges, n, reach - 1, span, run, m, e)
+                    span = 0
                 if not (pos < nxt_pos <= n and 0 < count <= 1 << bits):
                     raise ValueError("bad forward move from position %d: %r"
                                      % (pos, (nxt_pos, nxt, count, bits)))
-                layer = layers.setdefault(nxt_pos, {})
+                # _add, inlined on the per-move path
+                target = layers.setdefault(nxt_pos, {})
                 mm, ee = m * count, e + bits
-                old = layer.get(nxt)
+                old = target.get(nxt)
                 if old is not None:
                     om, oe = old
                     if oe > ee:
                         mm, ee = (mm << (oe - ee)) + om, oe
                     else:
                         mm += om << (ee - oe)
-                layer[nxt] = (mm, ee)
-    return {state: DyadicProb(m, e)
-            for state, (m, e) in layers.get(n, {}).items()}
+                target[nxt] = (mm, ee)
+                reach = nxt_pos + 1
+                run = move
+            if span:
+                _run_tail(layers, edges, n, reach - 1, span, run, m, e)
+    layer = _arrive(n, layers.pop(n, None), sums, edges) or {}
+    return {state: DyadicProb(m, e) for state, (m, e) in layer.items()}
+
+
+def _arrive(pos, layer, sums, edges):
+    """The layer at `pos` with the spans that reach it added in: first the
+    spans' terms enter or, negated, leave the running sums, then each open
+    running sum joins its state once."""
+    for nxt, mm, ee in edges.pop(pos, ()):
+        _add(sums, nxt, mm, ee)
+        if not sums[nxt][0]:
+            del sums[nxt]
+    if sums:
+        if layer is None:
+            layer = {}
+        for nxt, (mm, ee) in sums.items():
+            _add(layer, nxt, mm, ee)
+    return layer
+
+
+def _run_tail(layers, edges, n, last, span, move, m, e):
+    """Record a run's `span` moves after its first, like `move` and ending
+    at `last`, from a mass m / 2**e: an ordinary move when there is one,
+    else a span."""
+    _, nxt, count, bits = move
+    m, e = m * count, e + bits
+    if span == 1:
+        _add(layers.setdefault(last, {}), nxt, m, e)
+        return
+    edges.setdefault(last - span + 1, []).append((nxt, m, e))
+    if last < n:
+        edges.setdefault(last + 1, []).append((nxt, -m, e))
 
 
 # ---------------------------------------------------------------------------

@@ -312,6 +312,41 @@ def test_moment_lower_bound_sweep():
         assert moment_lower_bound(q, zeta) <= moment_exact(q, zeta).value
 
 
+def _series_term_by_term(qf, zeta, tol=1e-12):
+    """moment_exact's series as one term per loop iteration: the reference
+    the chunked series must equal bit for bit."""
+    one_minus = 1.0 - qf
+    total, term_geom, k = 0.0, qf, 1
+    while True:
+        total += (k ** zeta) * term_geom
+        r = ((1.0 + 1.0 / k) ** zeta) * one_minus
+        if r < 1.0:
+            tail = (((k + 1) ** zeta) * term_geom * one_minus) / (1.0 - r)
+            if tail <= tol * total:
+                return total + 0.5 * tail, tail / total
+        term_geom *= one_minus
+        k += 1
+
+
+# the benchmark's moments-window qs at seed 1, with zeta 1.5 and 3
+_WINDOW_QS = (0.00021094531388311813, 0.00014127985039861263)
+
+
+@pytest.mark.parametrize("q", (1 - 1e-9, 0.999, 0.75, 0.5, 0.1, 0.01,
+                               2.0 ** -7.3, 1e-3) + _WINDOW_QS)
+def test_moment_series_equals_term_by_term_loop(q):
+    for zeta in (0.01, 0.5, 1, 1.5, 2, 3, 7.7, 170, 1100):
+        if q < 1e-3 and zeta not in (1.5, 3):
+            continue
+        try:
+            want = _series_term_by_term(q, zeta)
+        except OverflowError:
+            with pytest.raises(ValueError, match="overflows a double"):
+                moment_exact(q, zeta, force_series=True)
+            continue
+        assert tuple(moment_exact(q, zeta, force_series=True)) == want, zeta
+
+
 def test_moment_log2_consistency():
     for q in (0.5, 0.01, 1e-6):
         for zeta in (0.5, 1.0, 2.0, 2.5):

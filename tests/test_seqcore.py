@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from lzguess.seqcore import (AB, Alphabet, BitSource, DyadicProb, SymbolSeq,
                              derive_substream_seed, forward, generate_corpus,
                              ingest, parse_corpus_spec, thue_morse_bits)
-from conftest import FixedBits
+from conftest import FixedBits, all_seqs
 
 
 def test_ingest_basic():
@@ -256,6 +256,121 @@ def test_forward_unreachable_end_is_empty_and_callers_return_zero():
     fig1 = build_fig1_machine()
     assert sequence_prob(fig1, SymbolSeq(fig1.alphabet, bytes([1, 1]))) \
         == DyadicProb.zero()
+
+
+def _forward_per_move(n, start, step):
+    """The forward pass one big-integer update per move, as it was before
+    spans: the reference the span kernel must equal exactly."""
+    layers = {0: {start: (1, 0)}}
+    for pos in range(n):
+        for state, (m, e) in layers.pop(pos, {}).items():
+            if m > 1 << e:
+                raise ValueError("forward mass above 1 at position %d" % pos)
+            for nxt_pos, nxt, count, bits in step(pos, state):
+                if not (pos < nxt_pos <= n and 0 < count <= 1 << bits):
+                    raise ValueError("bad forward move from position %d: %r"
+                                     % (pos, (nxt_pos, nxt, count, bits)))
+                layer = layers.setdefault(nxt_pos, {})
+                mm, ee = m * count, e + bits
+                old = layer.get(nxt)
+                if old is not None:
+                    om, oe = old
+                    if oe > ee:
+                        mm, ee = (mm << (oe - ee)) + om, oe
+                    else:
+                        mm += om << (ee - oe)
+                layer[nxt] = (mm, ee)
+    return {state: DyadicProb(m, e)
+            for state, (m, e) in layers.get(n, {}).items()}
+
+
+def test_forward_spans_overlap_end_at_n_and_keep_single_moves():
+    # from (0, "a"): a length-1 run, a span over 1..3 and one ending at n;
+    # from (1, "b"), at another exponent, a span over 2..4 that overlaps
+    # the first on (2, "z") and (3, "z"), and a repeated move
+    step = _moves({(0, "a"): [(1, "b", 1, 2), (1, "z", 1, 3), (2, "z", 1, 3),
+                              (3, "z", 1, 3), (4, "z", 1, 4), (5, "z", 1, 4),
+                              (3, "y", 1, 4)],
+                   (1, "b"): [(2, "z", 3, 5), (3, "z", 3, 5), (4, "z", 3, 5),
+                              (5, "z", 1, 3), (5, "z", 1, 3)],
+                   (2, "z"): [(3, "y", 1, 1), (4, "y", 1, 1)],
+                   (3, "z"): [(4, "z", 1, 0)],
+                   (4, "z"): [(5, "z", 1, 0)]})
+    assert forward(5, "a", step) == _forward_per_move(5, "a", step) \
+        == {"z": DyadicProb(23, 6)}
+
+
+@st.composite
+def _random_steps(draw):
+    """A random step table over positions 0..n and states 0..2 whose moves
+    from each (position, state) split at most its mass, in runs of one to
+    four consecutive positions, some running up to n."""
+    n = draw(st.integers(1, 9))
+    table = {}
+    for pos in range(n):
+        for state in range(3):
+            bits = draw(st.integers(0, 6))
+            budget = 1 << bits
+            moves = []
+            for _ in range(draw(st.integers(0, 4))):
+                first = draw(st.integers(pos + 1, n))
+                length = draw(st.integers(1, min(4, n - first + 1)))
+                if budget < length:
+                    break
+                count = draw(st.integers(1, budget // length))
+                budget -= count * length
+                nxt = draw(st.integers(0, 2))
+                moves.extend((p, nxt, count, bits)
+                             for p in range(first, first + length))
+            table[pos, state] = moves
+    return n, table
+
+
+@given(_random_steps())
+def test_forward_spans_equal_per_move_pass(case):
+    n, table = case
+    step = _moves(table)
+    assert forward(n, 0, step) == _forward_per_move(n, 0, step)
+
+
+@pytest.mark.parametrize("alphabet", [Alphabet("01"), Alphabet("abc")],
+                         ids=["binary", "ternary"])
+def test_lz_laws_equal_per_move_pass(alphabet, monkeypatch):
+    """lz_guess_prob on every x up to n = 10 equals the per-move pass over
+    the same moves bit for bit (ternary symbol counts (2, 1, 1) break
+    runs), and block_guess_prob is the product of those laws, computed
+    once per distinct block."""
+    from lzguess import guessers
+
+    def checked_forward(n, start, step):
+        # an LZ pass has one state and asks for the positions in order
+        step = _moves({(pos, start): list(step(pos, start))
+                       for pos in range(n)})
+        law = forward(n, start, step)
+        assert law == _forward_per_move(n, start, step)
+        return law
+
+    laws = {}
+    calls = []
+
+    def known_law(block):
+        calls.append(block.indices)
+        return laws[block.indices]
+
+    lz_guess_prob = guessers.lz_guess_prob
+    monkeypatch.setattr(guessers, "forward", checked_forward)
+    monkeypatch.setattr(guessers, "lz_guess_prob", known_law)
+    for n in range(1, 11):
+        for x in all_seqs(alphabet, n):
+            laws[x.indices] = lz_guess_prob(x)
+            blocks = [x.indices[b:b + 3] for b in range(0, n, 3)]
+            calls.clear()
+            block = guessers.block_guess_prob(x, 3)
+            assert sorted(calls) == sorted(set(blocks)), x
+            want = DyadicProb.one()
+            for u in blocks:
+                want = want * laws[u]
+            assert block == want, x
 
 
 def _pin(p):
