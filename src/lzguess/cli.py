@@ -145,14 +145,13 @@ def _run_parse(params, outdir):
 
 def _run_codelen(params, outdir):
     seq = _load_sequence(params)
-    r = lz78.incremental_parse(seq)
     code = lz78.encode(seq)
     packed = lz78.pack_bits(code)
     with open(os.path.join(outdir, "encoded.bin"), "wb") as fh:
         fh.write(packed)
     ok = lz78.decode(code, len(seq), seq.alphabet) == seq
     return {"n": len(seq), "alpha": seq.alphabet.size,
-            "code_length_bits": r.code_length_bits,
+            "code_length_bits": len(code),
             "packed_bytes": len(packed), "encoded_file": "encoded.bin",
             "roundtrip_ok": ok}, None
 

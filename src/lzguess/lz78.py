@@ -17,6 +17,11 @@ It accepts exactly the streams the encoder writes: a pointer-symbol pair that
 is already a phrase is a DecodeError, like a truncated stream.  Total length
 grows like c*log(c) in the phrase count.
 
+Only the parse walks the sequence symbol by symbol: the encoder reads the
+code off the parse trie, one pointer-symbol field per phrase, and the
+decoder copies each pointer's word from where it first wrote that word in
+its own output.
+
 c_max_oracle computes the largest number of *distinct* phrases over all
 partitions by memoized exhaustive search without pruning; it is exponential
 and guarded to n <= 24.
@@ -198,25 +203,25 @@ def code_length(parse: ParseResult, alpha: int | None = None) -> int:
 
 
 def encode(seq: SymbolSeq) -> str:
-    """Encode a sequence; returns the code as a '0'/'1' string."""
+    """Encode a sequence; returns the code as a '0'/'1' string.
+
+    The code is read off the parse trie one phrase at a time: complete
+    phrase j is node j, sent as (parent[j], sym[j]), and an incomplete
+    tail is the node where the trie walk of the last phrase ends.
+    """
     parse = incremental_parse(seq)
     trie = parse.trie
+    parent, sym = trie.parent, trie.sym
     a_bits = seq.alphabet.bits_per_symbol
-    out = []
-    node = 0
-    t = 1
-    for c in seq:
-        child = trie.children[node].get(c)
-        if child is not None and child < t:
-            node = child
-            continue
-        # phrase complete: pointer to current node, then the innovation symbol
-        out.append(format(node, "0%db" % _ptr_width(t)) if t > 1 else "")
-        out.append(format(c, "0%db" % a_bits))
-        t += 1
-        node = 0
-    if node != 0:
-        out.append(format(node, "0%db" % _ptr_width(t)) if t > 1 else "")
+    # pointer and symbol of phrase j fill one field of ptr_width(j) + a_bits
+    out = [format(parent[j] << a_bits | sym[j],
+                  "0%db" % (_ptr_width(j) + a_bits))
+           for j in range(1, len(trie))]
+    if not parse.last_complete:
+        tail = seq.indices[parse.boundaries[-1]:]
+        for _, node in trie.walk(tail):
+            pass
+        out.append(format(node, "0%db" % _ptr_width(len(trie))))
     code = "".join(out)
     assert len(code) == parse.code_length_bits
     return code
@@ -225,35 +230,39 @@ def encode(seq: SymbolSeq) -> str:
 def decode(bits: str, n: int, alphabet: Alphabet) -> SymbolSeq:
     """Invert :func:`encode` given the true sequence length n.
 
-    Raises DecodeError with the failing bit position on a truncated or
-    corrupt stream.
+    Each pointer's word is copied from where it was first written in the
+    output.  Raises DecodeError with the failing bit position on a
+    truncated or corrupt stream.
     """
-    trie = ParseTrie()
     a_bits = alphabet.bits_per_symbol
+    starts, lengths = [0], [0]      # per node: where its word is in `out`
+    seen = set()                    # (pointer, symbol) of every phrase
     out = bytearray()
     reader = BitReader(bits)
     while len(out) < n:
-        t = len(trie)
+        t = len(starts)
         ptr = reader.take(_ptr_width(t))
         if ptr >= t:
             raise DecodeError("pointer %d out of range for %d nodes" % (ptr, t),
                               reader.pos)
-        word = trie.word(ptr)
+        start, length = starts[ptr], lengths[ptr]
         remaining = n - len(out)
-        if len(word) == remaining:
+        if length == remaining:
             # incomplete final phrase: an existing node's word, no symbol
-            out.extend(word)
+            out += out[start:start + length]
             break
-        if len(word) > remaining:
+        if length > remaining:
             raise DecodeError("phrase overruns the target length", reader.pos)
         sym = reader.take(a_bits)
         if sym >= alphabet.size:
             raise DecodeError("symbol %d outside alphabet" % sym, reader.pos)
-        if sym in trie.children[ptr]:
+        if (ptr, sym) in seen:
             raise DecodeError("phrase already in dictionary", reader.pos)
-        out.extend(word)
+        seen.add((ptr, sym))
+        starts.append(len(out))
+        lengths.append(length + 1)
+        out += out[start:start + length]
         out.append(sym)
-        trie.add(ptr, sym)
     if reader.pos != len(bits):
         raise DecodeError("trailing bits after decoding", reader.pos)
     return SymbolSeq(alphabet, bytes(out))
@@ -262,9 +271,10 @@ def decode(bits: str, n: int, alphabet: Alphabet) -> SymbolSeq:
 def pack_bits(bits: str) -> bytes:
     """Pack a bit string into bytes behind an 8-byte little-endian bit count."""
     header = len(bits).to_bytes(8, "little")
+    if not bits:
+        return header
     padded = bits + "0" * (-len(bits) % 8)
-    body = bytes(int(padded[i:i + 8], 2) for i in range(0, len(padded), 8))
-    return header + body
+    return header + int(padded, 2).to_bytes(len(padded) // 8, "big")
 
 
 def unpack_bits(blob: bytes) -> str:
@@ -279,7 +289,9 @@ def unpack_bits(blob: bytes) -> str:
                           len(body) * 8)
     if len(body) != -(-count // 8):
         raise DecodeError("bytes after the last packed bit", count)
-    bits = "".join(format(byte, "08b") for byte in body)
+    if not body:
+        return ""
+    bits = format(int.from_bytes(body, "big"), "0%db" % (len(body) * 8))
     if "1" in bits[count:]:
         raise DecodeError("nonzero padding bits", count)
     return bits[:count]

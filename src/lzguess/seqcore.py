@@ -48,6 +48,12 @@ class Alphabet:
         self.tokens = toks
         self.size = len(toks)
         self._index = {t: i for i, t in enumerate(toks)}
+        if all(isinstance(t, int) for t in toks):
+            self._render_kind = "bytes"
+        elif all(isinstance(t, str) and len(t) == 1 for t in toks):
+            self._render_kind = "chars"
+        else:
+            self._render_kind = "lines"
 
     def index(self, token) -> int:
         try:
@@ -100,7 +106,7 @@ class SymbolSeq:
     __slots__ = ("alphabet", "indices")
 
     def __init__(self, alphabet: Alphabet, indices: bytes):
-        if any(i >= alphabet.size for i in indices):
+        if indices and max(indices) >= alphabet.size:
             raise ValueError("symbol index out of range for alphabet of size %d"
                              % alphabet.size)
         self.alphabet = alphabet
@@ -108,11 +114,17 @@ class SymbolSeq:
 
     @classmethod
     def from_tokens(cls, tokens: Sequence, alphabet: Alphabet) -> "SymbolSeq":
-        return cls(alphabet, bytes(alphabet.index(t) for t in tokens))
+        try:
+            indices = bytes(map(alphabet._index.__getitem__, tokens))
+        except KeyError:
+            for t in tokens:
+                alphabet.index(t)       # raises on the first unknown token
+            raise
+        return cls(alphabet, indices)
 
     @classmethod
     def from_text(cls, text: str, alphabet: Alphabet) -> "SymbolSeq":
-        return cls.from_tokens(tuple(text), alphabet)
+        return cls.from_tokens(text, alphabet)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -142,10 +154,11 @@ class SymbolSeq:
         Single-character tokens are concatenated, multi-character tokens are
         joined by newlines, and byte tokens render as a hex string.
         """
-        toks = self.tokens()
-        if all(isinstance(t, int) for t in self.alphabet.tokens):
+        toks = map(self.alphabet.tokens.__getitem__, self.indices)
+        kind = self.alphabet._render_kind
+        if kind == "bytes":
             return bytes(toks).hex()
-        if all(isinstance(t, str) and len(t) == 1 for t in self.alphabet.tokens):
+        if kind == "chars":
             return "".join(toks)
         return "\n".join(toks)
 
@@ -170,11 +183,11 @@ def ingest(data, alphabet_spec=None, mode: str = "text") -> SymbolSeq:
     if mode == "bytes":
         if not isinstance(data, (bytes, bytearray)):
             raise ValueError("bytes mode requires bytes input")
-        tokens = list(data)
+        tokens = data
     elif mode == "lines":
         tokens = [ln for ln in str(data).splitlines() if ln != ""]
     elif mode == "text":
-        tokens = list(str(data))
+        tokens = str(data)
     else:
         raise ValueError("unknown ingest mode %r" % mode)
 
@@ -194,12 +207,15 @@ def ingest(data, alphabet_spec=None, mode: str = "text") -> SymbolSeq:
     else:
         alphabet = Alphabet.from_spec(str(alphabet_spec))
 
-    out = bytearray()
-    for pos, tok in enumerate(tokens, start=1):
-        if tok not in alphabet:
-            raise ValueError("unknown token %r at position %d" % (tok, pos))
-        out.append(alphabet.index(tok))
-    return SymbolSeq(alphabet, bytes(out))
+    try:
+        indices = bytes(map(alphabet._index.__getitem__, tokens))
+    except KeyError:
+        for pos, tok in enumerate(tokens, start=1):
+            if tok not in alphabet:
+                raise ValueError("unknown token %r at position %d"
+                                 % (tok, pos)) from None
+        raise
+    return SymbolSeq(alphabet, indices)
 
 
 # ---------------------------------------------------------------------------
@@ -535,12 +551,18 @@ def _run_tail(layers, edges, n, last, span, move, m, e):
 # corpus generation
 # ---------------------------------------------------------------------------
 
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
 def thue_morse_bits(n: int) -> bytes:
-    """First n terms of the Thue-Morse sequence: t(2k)=t(k), t(2k+1)=1-t(k)."""
-    out = bytearray(n)
-    for k in range(n):
-        out[k] = bin(k).count("1") & 1
-    return bytes(out)
+    """First n terms of the Thue-Morse sequence: t(2k)=t(k), t(2k+1)=1-t(k).
+
+    Built by doubling: t(2**k + i) = 1 - t(i) for i < 2**k.
+    """
+    out = b"\x00"
+    while len(out) < n:
+        out += out.translate(_FLIP)
+    return out[:n]
 
 
 def generate_corpus(kind: str, n: int, *, pattern: str | None = None,

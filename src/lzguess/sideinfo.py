@@ -77,7 +77,10 @@ def pack_pairs(x: SymbolSeq, y: SymbolSeq) -> SymbolSeq:
     if alpha * beta > 256:
         raise ValueError("product alphabet too large (%d)" % (alpha * beta))
     tokens = tuple((a, b) for a in x.alphabet.tokens for b in y.alphabet.tokens)
-    packed = bytes(a * beta + b for a, b in zip(x.indices, y.indices))
+    # every pair a * beta + b is below alpha * beta <= 256, so byte by byte
+    # nothing carries: the stream packs as one big-integer multiply-add
+    packed = (int.from_bytes(x.indices, "big") * beta
+              + int.from_bytes(y.indices, "big")).to_bytes(len(x), "big")
     return SymbolSeq(Alphabet(tokens), packed)
 
 

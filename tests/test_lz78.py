@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lzguess.seqcore import Alphabet, BudgetError, SymbolSeq, generate_corpus
-from lzguess.lz78 import (DecodeError, c_max_oracle, code_length, decode,
-                          encode, incremental_parse, pack_bits, unpack_bits)
+from lzguess.seqcore import (Alphabet, BudgetError, SymbolSeq, generate_corpus,
+                             ingest)
+from lzguess.lz78 import (BitReader, DecodeError, ParseTrie, c_max_oracle,
+                          code_length, decode, encode, incremental_parse,
+                          pack_bits, unpack_bits)
 from conftest import all_seqs, seq
 
 AB = Alphabet(("a", "b"))
@@ -217,6 +219,116 @@ def test_unpack_bits_fuzz(blob):
         return
     assert set(bits) <= {"0", "1"}
     assert pack_bits(bits) == blob
+
+
+# --- the per-phrase codec against the former per-symbol one -----------------
+
+def _encode_per_symbol(x):
+    """encode as it was before it read the parse trie per phrase: the
+    sequence is walked again symbol by symbol; kept as the reference."""
+    trie = incremental_parse(x).trie
+    a_bits = x.alphabet.bits_per_symbol
+    out = []
+    node = 0
+    t = 1
+    for c in x:
+        child = trie.children[node].get(c)
+        if child is not None and child < t:
+            node = child
+            continue
+        out.append(format(node, "0%db" % (t - 1).bit_length()) if t > 1 else "")
+        out.append(format(c, "0%db" % a_bits))
+        t += 1
+        node = 0
+    if node != 0:
+        out.append(format(node, "0%db" % (t - 1).bit_length()) if t > 1 else "")
+    return "".join(out)
+
+
+def _decode_by_trie_walk(bits, n, alphabet):
+    """decode as it was before it copied from its own output: each
+    phrase rebuilt by ParseTrie.word; kept as the reference."""
+    trie = ParseTrie()
+    a_bits = alphabet.bits_per_symbol
+    out = bytearray()
+    reader = BitReader(bits)
+    while len(out) < n:
+        t = len(trie)
+        ptr = reader.take((t - 1).bit_length())
+        if ptr >= t:
+            raise DecodeError("pointer %d out of range for %d nodes" % (ptr, t),
+                              reader.pos)
+        word = trie.word(ptr)
+        remaining = n - len(out)
+        if len(word) == remaining:
+            out.extend(word)
+            break
+        if len(word) > remaining:
+            raise DecodeError("phrase overruns the target length", reader.pos)
+        sym = reader.take(a_bits)
+        if sym >= alphabet.size:
+            raise DecodeError("symbol %d outside alphabet" % sym, reader.pos)
+        if sym in trie.children[ptr]:
+            raise DecodeError("phrase already in dictionary", reader.pos)
+        out.extend(word)
+        out.append(sym)
+        trie.add(ptr, sym)
+    if reader.pos != len(bits):
+        raise DecodeError("trailing bits after decoding", reader.pos)
+    return SymbolSeq(alphabet, bytes(out))
+
+
+def _pack_bits_per_byte(bits):
+    """pack_bits as it was before it went through one big integer."""
+    padded = bits + "0" * (-len(bits) % 8)
+    return len(bits).to_bytes(8, "little") + bytes(
+        int(padded[i:i + 8], 2) for i in range(0, len(padded), 8))
+
+
+def _decode_outcome(fn, bits, n, alphabet):
+    """A decoder's result, or the message and bit position it failed at."""
+    try:
+        return fn(bits, n, alphabet)
+    except DecodeError as exc:
+        return str(exc), exc.bit_position
+
+
+@pytest.mark.parametrize("alphabet", [B01, Alphabet(("a", "b", "c"))],
+                         ids=["binary", "ternary"])
+def test_codec_equals_per_symbol_reference_exhaustive(alphabet):
+    for n in range(11):
+        for x in all_seqs(alphabet, n):
+            bits = encode(x)
+            assert bits == _encode_per_symbol(x)
+            assert decode(bits, n, alphabet) == x
+            assert _decode_by_trie_walk(bits, n, alphabet) == x
+            assert pack_bits(bits) == _pack_bits_per_byte(bits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 26).flatmap(
+    lambda size: st.text(_TOKENS[:size], max_size=120)
+    .map(lambda text: seq(text, Alphabet(tuple(_TOKENS[:size]))))))
+def test_encode_equals_per_symbol_reference_on_strings(x):
+    bits = encode(x)
+    assert bits == _encode_per_symbol(x)
+    assert decode(bits, len(x), x.alphabet) == x
+    assert pack_bits(bits) == _pack_bits_per_byte(bits)
+
+
+@settings(max_examples=400, deadline=None)
+@given(bits=_BITS, n=st.integers(-1, 40), size=st.integers(2, 26))
+def test_decode_equals_trie_walk_reference_on_any_stream(bits, n, size):
+    alphabet = Alphabet(tuple(_TOKENS[:size]))
+    assert (_decode_outcome(decode, bits, n, alphabet)
+            == _decode_outcome(_decode_by_trie_walk, bits, n, alphabet))
+
+
+def test_phrase_texts_of_a_bytes_parse_are_hex():
+    x = ingest(b"\x00\x00\xff\x00\xff\x10", mode="bytes")
+    assert incremental_parse(x).phrase_texts() == ["00", "00ff", "00ff10"]
+    subset = ingest(b"ab\x00", b"\x00ab", mode="bytes")
+    assert incremental_parse(subset).phrase_texts() == ["61", "62", "00"]
 
 
 # --- the exhaustive distinct-phrase oracle -----------------------------------

@@ -69,6 +69,120 @@ def test_symbolseq_slicing_and_equality():
     assert hash(s) == hash(ingest("abbab", "ab"))
 
 
+def test_symbolseq_rejects_out_of_range_index_from_bytes_or_list():
+    for indices in (b"\x00\x02\x01", [0, 2, 1], b"\xff", [255]):
+        with pytest.raises(ValueError, match="out of range for alphabet of "
+                                             "size 2"):
+            SymbolSeq(AB, indices)
+    assert SymbolSeq(AB, [1, 0]).indices == b"\x01\x00"
+
+
+def test_symbolseq_accepts_empty_sequence():
+    for empty in (b"", [], bytearray()):
+        s = SymbolSeq(AB, empty)
+        assert len(s) == 0 and s.indices == b"" and s.render() == ""
+    assert SymbolSeq.from_tokens((), AB) == SymbolSeq(AB, b"")
+    assert ingest("", "ab") == SymbolSeq(AB, b"")
+
+
+def test_render_for_each_alphabet_kind():
+    chars = Alphabet.from_spec("xyz")
+    assert SymbolSeq(chars, b"\x02\x00\x01\x02").render() == "zxyz"
+    # multi-character tokens, as an --alphabet-file lists them
+    words = Alphabet(("north", "south", "e"))
+    assert SymbolSeq(words, b"\x01\x02\x00").render() == "south\ne\nnorth"
+    subset = Alphabet.bytes_alphabet(b"\x10\xff\x00")
+    s = SymbolSeq(subset, b"\x00\x01\x02\x00")
+    assert s.render() == "10ff0010"
+    assert ingest(bytes.fromhex(s.render()), b"\x10\xff\x00",
+                  mode="bytes") == s
+    full = Alphabet.bytes_alphabet()
+    assert SymbolSeq(full, b"\x00\x7f\xff").render() == "007fff"
+
+
+def _ingest_per_token(data, alphabet_spec=None, mode="text"):
+    """ingest as it was before the C-level mapping: one dict probe per
+    token, in a Python loop; kept as the reference."""
+    if mode == "bytes":
+        tokens = list(data)
+    elif mode == "lines":
+        tokens = [ln for ln in str(data).splitlines() if ln != ""]
+    else:
+        tokens = list(str(data))
+    if alphabet_spec is None:
+        if mode == "bytes":
+            alphabet = Alphabet.bytes_alphabet()
+        else:
+            seen = dict.fromkeys(tokens)
+            if len(seen) < 2:
+                raise ValueError("cannot infer an alphabet from %d distinct "
+                                 "tokens" % len(seen))
+            alphabet = Alphabet(tuple(seen))
+    elif isinstance(alphabet_spec, Alphabet):
+        alphabet = alphabet_spec
+    elif isinstance(alphabet_spec, (bytes, bytearray)):
+        alphabet = Alphabet.bytes_alphabet(bytes(alphabet_spec))
+    else:
+        alphabet = Alphabet.from_spec(str(alphabet_spec))
+    out = bytearray()
+    for pos, tok in enumerate(tokens, start=1):
+        if tok not in alphabet:
+            raise ValueError("unknown token %r at position %d" % (tok, pos))
+        out.append(alphabet.index(tok))
+    return SymbolSeq(alphabet, bytes(out))
+
+
+def _outcome(fn, *args, **kwargs):
+    """A call's result, or the type and message of the ValueError it
+    raised."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("alphabet", [AB, Alphabet(("a", "b", "c"))],
+                         ids=["binary", "ternary"])
+def test_ingest_equals_per_token_loop_exhaustive(alphabet):
+    spec = "".join(alphabet.tokens)
+    for n in range(11):
+        for x in all_seqs(alphabet, n):
+            text = x.render()
+            assert ingest(text, spec) == _ingest_per_token(text, spec) == x
+            assert SymbolSeq.from_text(text, alphabet) == x
+            assert _outcome(ingest, text) == _outcome(_ingest_per_token, text)
+
+
+@given(st.text("abc\nxy", max_size=40), st.sampled_from([None, "ab", "abc"]),
+       st.sampled_from(["text", "lines"]))
+def test_ingest_equals_per_token_loop_on_strings(text, spec, mode):
+    assert (_outcome(ingest, text, spec, mode=mode)
+            == _outcome(_ingest_per_token, text, spec, mode=mode))
+
+
+@given(st.binary(max_size=40), st.sampled_from([None, b"\x00\x01", b"ab\xff"]))
+def test_ingest_equals_per_token_loop_on_bytes(data, allowed):
+    assert (_outcome(ingest, data, allowed, mode="bytes")
+            == _outcome(_ingest_per_token, data, allowed, mode="bytes"))
+
+
+def test_unknown_token_message_and_position_in_every_mode():
+    cases = [("abcab", "ab", "text", "unknown token 'c' at position 3"),
+             ("north\n\nsouth\nq\nnorth", Alphabet(("north", "south")),
+              "lines", "unknown token 'q' at position 3"),
+             (b"\x01\x00\x07\x00", b"\x00\x01", "bytes",
+              "unknown token 7 at position 3")]
+    for data, spec, mode, message in cases:
+        for fn in (ingest, _ingest_per_token):
+            with pytest.raises(ValueError) as info:
+                fn(data, spec, mode=mode)
+            assert str(info.value) == message
+    with pytest.raises(ValueError, match=r"^token 'c' is not in the alphabet$"):
+        SymbolSeq.from_text("abca", AB)
+    with pytest.raises(ValueError, match=r"^token 'q' is not in the alphabet$"):
+        SymbolSeq.from_tokens(["north", "q"], Alphabet(("north", "south")))
+
+
 # --- corpora ---------------------------------------------------------------
 
 def test_periodic_corpus():
@@ -83,6 +197,16 @@ def test_thue_morse_against_recurrence():
         t[k] = t[k // 2] if k % 2 == 0 else 1 - t[k // 2]
     assert list(thue_morse_bits(64)) == t
     assert generate_corpus("thue_morse", 8).render() == "abbabaab"
+
+
+def test_thue_morse_equals_popcount_parity():
+    # the former per-symbol definition: t(k) = parity of k's one bits
+    ref = bytes(bin(k).count("1") & 1 for k in range(4100))
+    for n in range(4101):
+        assert thue_morse_bits(n) == ref[:n]
+    for k in range(13):
+        for n in (2 ** k - 1, 2 ** k, 2 ** k + 1):
+            assert thue_morse_bits(n) == ref[:n]
 
 
 def test_bernoulli_reproducible():

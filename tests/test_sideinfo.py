@@ -84,6 +84,25 @@ def test_pack_pairs_guard():
         pack_pairs(x, x)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(2, 2), (3, 2), (2, 5), (16, 16), (2, 128), (128, 2),
+                        (17, 15)])
+       .flatmap(lambda ab: st.lists(
+           st.tuples(st.integers(0, ab[0] - 1), st.integers(0, ab[1] - 1)),
+           max_size=40).map(lambda pairs: (ab, pairs))))
+def test_pack_pairs_equals_per_pair_packing(case):
+    (alpha, beta), pairs = case
+    x = SymbolSeq(Alphabet(tuple(range(alpha))), bytes(a for a, _ in pairs))
+    y = SymbolSeq(Alphabet(tuple(range(beta))), bytes(b for _, b in pairs))
+    packed = pack_pairs(x, y)
+    assert packed.indices == bytes(a * beta + b for a, b in pairs)
+    assert packed.alphabet.size == alpha * beta
+    # the largest pair of a full product alphabet is byte 255
+    top = SymbolSeq(x.alphabet, bytes([alpha - 1] * 3))
+    assert pack_pairs(top, SymbolSeq(y.alphabet, bytes([beta - 1] * 3))
+                      ).indices == bytes([alpha * beta - 1] * 3)
+
+
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError):
         joint_parse(seq("ab", AB), seq("a", AB))
