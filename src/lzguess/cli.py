@@ -16,6 +16,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import shutil
 import sys
@@ -188,20 +189,39 @@ _MOMENT_FIELDS = ["n", "zeta", "q_log2", "exact_moment_log2", "exponent",
                   "mc_mean", "mc_ci", "censored", "rounds"]
 
 
+def _expected_guesses(rounds: int, q_log2: float, cap: int) -> float:
+    """rounds * E[min(G, cap)] = rounds * (1 - (1 - q)**cap) / q for G
+    geometric with success probability q, with (1 - q)**cap taken in the
+    log domain.  When cap * q is too small to move it (q may underflow),
+    the value is rounds * cap."""
+    q = 2.0 ** q_log2
+    log_miss = cap * math.log1p(-q) if q < 1.0 else -math.inf
+    if log_miss > -2.0 ** -40:
+        return float(rounds * cap)
+    return rounds * -math.expm1(log_miss) / q
+
+
 def _moment_rows(params, g: guessers.Guesser, x: SymbolSeq) -> list[dict]:
     """The zeta rows of `guess` and `sideinfo cond-guess`: the exact q
     once, one pass of rounds (:func:`guessers.play_counts`), and each row
     folds the same counts."""
     q = g.guess_prob(x)
-    cap = params.get("cap", DEFAULT_CAP)
+    cap, rounds, jobs = (params.get("cap", DEFAULT_CAP),
+                         params.get("rounds", 0), params.get("jobs", 1))
     if cap < 1:
         raise ValueError("need cap >= 1, got %r" % (cap,))
+    if jobs < 1:
+        raise ValueError("need jobs >= 1, got %r" % (jobs,))
     # exact fields first: a zero q fails before any round is played
     ests = [guessers.estimate_moment(q, zeta, len(x))
             for zeta in params.get("zeta") or [1.0]]
-    counts = guessers.play_counts(g, x, params.get("rounds", 0),
-                                  params.get("seed") or 0, cap,
-                                  params.get("jobs", 1))
+    if rounds > 0:
+        # the forecast comes once every argument has passed
+        print("note: about %d guesses expected"
+              % round(_expected_guesses(rounds, ests[0].q_log2, cap)),
+              file=sys.stderr)
+    counts = guessers.play_counts(g, x, rounds, params.get("seed") or 0, cap,
+                                  jobs)
     for est in ests:
         est.fold(counts, cap)
     return [{"n": len(x), "zeta": est.zeta, "q_log2": est.q_log2,

@@ -30,10 +30,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
-from .seqcore import (Alphabet, BitSource, BudgetError, DyadicProb, SymbolSeq,
-                      forward)
+from .seqcore import (FAIL, WIN, Alphabet, BitSource, BudgetError, DyadicProb,
+                      SymbolSeq, forward)
 
 MAX_DELTA = 16
 DIST_BUDGET = 1 << 18  # alpha**n * states cap for full output enumeration
@@ -444,30 +443,45 @@ def parse_machine(text: str, name: str = "") -> FSGMSpec:
 # the guessing game against a machine
 # ---------------------------------------------------------------------------
 
-def runner(spec: FSGMSpec, x: SymbolSeq,
-           side: SymbolSeq | None = None) -> Callable[[BitSource], bool]:
-    """A single-guess attempt function: drive the machine against x and
-    abort at the first mismatched symbol.  The unread bits are independent
-    of that decision, so the success law per run is unchanged."""
+def automaton(spec: FSGMSpec, x: SymbolSeq, side: SymbolSeq | None = None):
+    """The machine against target x in the automaton form that
+    :func:`~lzguess.seqcore.play` runs.
+
+    State (i, row) reads the row's Delta bits at position i; a word whose
+    output is x_i moves to position i + 1 and its next row (a win after
+    the last symbol), any other word fails.  States are numbered as they
+    are found from (0, start row), which is state 0; a Delta = 0 row
+    that a word leads to reads no bits, so its one word is followed on
+    the spot.  The reads are those of driving the machine against x and
+    stopping at the first mismatched symbol."""
     target = _target_indices(spec, x)
-    ys = _side_indices(spec, side, len(x))
-    init, delta, table = spec.start, spec.delta, spec.table
+    n = len(target)
+    ys = _side_indices(spec, side, n)
+    delta, rows = spec.delta, spec.table
+    keys = [(0, spec.start + ys[0])]
+    ids = {keys[0]: 0}
 
-    def attempt(bits: BitSource) -> bool:
-        # the Monte Carlo hot path: a plain machine looks up no side symbol
-        z = init
-        for want in target:
-            out, z = table[z][bits.next_bits(delta[z])]
-            if out != want:
-                return False
-        return True
+    def dest(i, z):
+        while i < n:
+            row = z + ys[i]
+            if delta[row]:
+                s = ids.get((i, row))
+                if s is None:
+                    s = ids[(i, row)] = len(keys)
+                    keys.append((i, row))
+                return s
+            out, z = rows[row][0]
+            if out != target[i]:
+                return FAIL
+            i += 1
+        return WIN
 
-    def side_attempt(bits: BitSource) -> bool:
-        z = init
-        for want, b in zip(target, ys):
-            out, z = table[z + b][bits.next_bits(delta[z + b])]
-            if out != want:
-                return False
-        return True
-
-    return attempt if spec.side_alphabet is None else side_attempt
+    widths, tables = [], []
+    for i, row in keys:         # grows as dest finds states
+        want = target[i]
+        links = {z: dest(i + 1, z) for out, z in dict.fromkeys(rows[row])
+                 if out == want}
+        widths.append(delta[row])
+        tables.append([links[z] if out == want else FAIL
+                       for out, z in rows[row]])
+    return widths, tables

@@ -32,8 +32,8 @@ from itertools import accumulate, repeat
 from operator import add, mul
 from typing import Callable, NamedTuple
 
-from .seqcore import (Alphabet, BitSource, BudgetError, DyadicProb, SymbolSeq,
-                      forward, play)
+from .seqcore import (FAIL, WIN, Alphabet, BitSource, BudgetError, DyadicProb,
+                      SymbolSeq, forward, play)
 from . import fsgm, lz78
 from .fsgm import FSGMSpec
 
@@ -294,8 +294,11 @@ class Guesser:
     slice of `side`, and its law is the product of the blocks' laws.  A
     machine with a side alphabet needs `side` (a plain one refuses it);
     it reads targets and sides token by token over its own alphabets.
-    Every kind's Monte Carlo runner (:func:`make_runner`) stops at the
-    first draw that leaves the target.
+    Against a target, every kind compiles to one automaton form
+    (:func:`compile_automaton`): states that each read a field of fair
+    bits and look the raw field up in a table of next states, FAIL and
+    WIN.  ``seqcore.play``, the one Monte Carlo engine, runs it; an
+    attempt stops at the first draw that leaves the target.
     """
 
     kind: str
@@ -542,11 +545,12 @@ def moment_lower_bound_log2(q_log2: float, zeta: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _lz_run_tables(x: SymbolSeq):
-    """Per-position draw outcome tables for fast game simulation.
+    """The whole LZ guess against x in the automaton form of
+    :func:`~lzguess.seqcore.play`, with the matched length e as the state.
 
     tables[e] is indexed by the raw pointer+symbol field; entries are the
-    next matched length, WIN (-2), or FAIL (-1).  Only the raw patterns of
-    the :func:`_lz_draws` at e are filled in."""
+    next matched length, WIN or FAIL.  Only the raw patterns of the
+    :func:`_lz_draws` at e are filled in."""
     n = len(x)
     alpha = x.alphabet.size
     a_bits = x.alphabet.bits_per_symbol
@@ -555,9 +559,9 @@ def _lz_run_tables(x: SymbolSeq):
     tables = []
     for _e, t, draws in _lz_draws(x):
         bits = (t - 1).bit_length() + a_bits
-        table = [-1] * (1 << bits)
+        table = [FAIL] * (1 << bits)
         for node, sym, nxt, _count, _bits in draws:
-            code = -2 if nxt == n else nxt
+            code = WIN if nxt == n else nxt
             nodes, first, stride = (((node,), sym, alpha) if sym is not None
                                     else (node, 0, 1))
             fill = [code] * len(range(first, span, stride))
@@ -569,23 +573,8 @@ def _lz_run_tables(x: SymbolSeq):
     return widths, tables
 
 
-def _lz_full_runner(x: SymbolSeq) -> Callable[[BitSource], bool]:
-    widths, tables = _lz_run_tables(x)
-
-    def attempt(bits: BitSource) -> bool:
-        e = 0
-        while True:
-            e = tables[e][bits.next_bits(widths[e])]
-            if e == -2:
-                return True
-            if e == -1:
-                return False
-
-    return attempt
-
-
 def _cond_run_tables(x: SymbolSeq, y: SymbolSeq):
-    """Per-position tables of the conditional runner, from the
+    """Per-position tables of the conditional automaton, from the
     :func:`~lzguess.sideinfo._cond_draws` of (x, y).
 
     tables[b] is (size, moves): the chain field's size after x[:b] and a
@@ -603,48 +592,117 @@ def _cond_run_tables(x: SymbolSeq, y: SymbolSeq):
     return tables
 
 
-def _cond_full_runner(x: SymbolSeq,
-                      y: SymbolSeq) -> Callable[[BitSource], bool]:
-    from .sideinfo import chain_draw
+def _cond_automaton(x: SymbolSeq, y: SymbolSeq):
+    """The :func:`_cond_run_tables` of (x, y) as automaton states.
+
+    At each matched length b the chain field is read the way
+    ``sideinfo.chain_read`` takes it: Z = floor(log2 size) one-bit unary
+    states, where a 1 at the z-th picks level z and a 0 goes on, then the
+    z-bit payload of level z or, after the last unary state, the top
+    level's payload, folded as ``sideinfo.chain_draw`` folds it.  A chain
+    value leads to the index field of its draw (none when that field is 0
+    bits wide) and on to the first unary state of its next b, numbered
+    when first reached; a b that no draw reaches gets no states."""
     n = len(x)
-    tables = _cond_run_tables(x, y)
+    widths, tables = [], []
+    starts = {}
 
-    def attempt(bits: BitSource) -> bool:
-        b = 0
-        while True:
-            size, moves = tables[b]
-            move = moves.get(chain_draw(bits, size))
+    def state(width, table=None):
+        widths.append(width)
+        tables.append(table)
+        return len(tables) - 1
+
+    def start(b):
+        if b == n:
+            return WIN
+        if b not in starts:
+            starts[b] = state(1)
+        return starts[b]
+
+    start(0)
+    for b, (size, moves) in enumerate(_cond_run_tables(x, y)):
+        if b not in starts:
+            continue        # no draw reaches b
+        links = {}
+
+        def link(gap):
+            move = moves.get(gap)
             if move is None:
-                return False
-            width, c, pos, b = move
-            if bits.next_bits(width) % c != pos:
-                return False
-            if b == n:
-                return True
+                return FAIL
+            if move not in links:
+                width, c, pos, nxt = move
+                links[move] = state(width, [
+                    start(nxt) if v % c == pos else FAIL
+                    for v in range(1 << width)]) if width else start(nxt)
+            return links[move]
 
-    return attempt
+        z_top = size.bit_length() - 1
+        top = (1 << z_top) - 1
+        width = (size - top - 1).bit_length()
+        go = state(width, [link(top + v % (size - top))
+                           for v in range(1 << width)]) if width else link(top)
+        for z in reversed(range(z_top)):
+            stop = state(z, [link((1 << z) - 1 + v) for v in range(1 << z)]
+                         ) if z else link(0)
+            unary = state(1) if z else start(b)
+            tables[unary] = [go, stop]
+            go = unary
+    return widths, tables
+
+
+def _chain(parts):
+    """Blocks' automata played in turn as one: each block's states follow
+    the last block's, and its WIN is the next block's start."""
+    if len(parts) == 1:
+        return parts[0]
+    widths, tables = [], []
+    for k, (ws, ts) in enumerate(parts):
+        base = len(tables)
+        win = base + len(ts) if k + 1 < len(parts) else WIN
+        widths.extend(ws)
+        tables.extend([v + base if v >= 0 else win if v == WIN else FAIL
+                       for v in table] for table in ts)
+    return widths, tables
+
+
+def compile_automaton(guesser: Guesser, x: SymbolSeq):
+    """The guesser against target x as the automaton that
+    :func:`~lzguess.seqcore.play` runs.
+
+    A whole LZ guess is its :func:`_lz_run_tables` as they are, a
+    conditional one its :func:`_cond_automaton`, a machine its
+    ``fsgm.automaton``; a block-restarted guesser chains its blocks'
+    automata, each distinct block compiled once.  An attempt stops at the
+    first draw that leaves x: the unread bits are independent, so the
+    per-attempt success law is unchanged, and an attempt reads a prefix of
+    the bits the guesser's sampler reads, all of them when it wins."""
+    if guesser.block is None:
+        return fsgm.automaton(guesser.spec, _onto(x, guesser.spec.alphabet),
+                              guesser.side)
+    side = guesser.side
+    compiled = {}
+    parts = []
+    for b, e in _blocks(len(x), guesser.block):
+        key = x.indices[b:e] if side is None else (x.indices[b:e],
+                                                   side.indices[b:e])
+        if key not in compiled:
+            compiled[key] = (_lz_run_tables(x[b:e]) if side is None
+                             else _cond_automaton(x[b:e], side[b:e]))
+        parts.append(compiled[key])
+    return _chain(parts)
 
 
 def make_runner(guesser: Guesser, x: SymbolSeq) -> Callable[[BitSource], bool]:
-    """A single-guess attempt function.  Every runner stops at the first
-    mismatched draw, block by block: the unread bits are independent, so
-    the per-run success law is unchanged, and a run reads a prefix of the
-    bits the guesser's sampler reads, all of them when it wins."""
-    if guesser.block is None:
-        return fsgm.runner(guesser.spec, _onto(x, guesser.spec.alphabet),
-                           guesser.side)
-    side = guesser.side
-    runners = [_lz_full_runner(x[b:e]) if side is None
-               else _cond_full_runner(x[b:e], side[b:e])
-               for b, e in _blocks(len(x), guesser.block)]
-    if len(runners) == 1:
-        return runners[0]
+    """One attempt of :func:`compile_automaton`'s automaton, its fields
+    read through ``BitSource.next_bits``: the oracle for the inline
+    reader of :func:`~lzguess.seqcore.play`."""
+    widths, tables = compile_automaton(guesser, x)
 
     def attempt(bits: BitSource) -> bool:
-        for r in runners:
-            if not r(bits):
-                return False
-        return True
+        state = 0
+        while state >= 0:
+            state = tables[state][bits.next_bits(widths[state])]
+        return state == WIN
 
     return attempt
 
@@ -703,7 +761,7 @@ def _mc_chunk(args):
     """The guess counts of one contiguous block of rounds; a top-level
     function so worker processes can receive it."""
     guesser, x, start, count, seed, cap = args
-    return list(play(make_runner(guesser, x), count, seed, cap, start))
+    return list(play(compile_automaton(guesser, x), count, seed, cap, start))
 
 
 def play_counts(guesser: Guesser, x: SymbolSeq, rounds: int, seed: int = 0,

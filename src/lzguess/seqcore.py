@@ -8,9 +8,13 @@ them are floats, taken from log2 q so that no n underflows.
 :class:`BitSource` is a counter-based generator (splitmix64) so that
 substreams can be derived reproducibly for parallel Monte Carlo: substream k
 of master seed s is completely determined by (s, k), independent of worker
-count.  :func:`play` is the one Monte Carlo loop of the guessing game built
-on those substreams.  :func:`forward` is the one exact forward pass: every
-exact law in the package is a step generator over it.
+count.  :func:`play` is the one Monte Carlo engine of the guessing game.
+It runs every guesser in one compiled form, an automaton whose states each
+read a field of fair bits and look the raw field up in a table of next
+states, FAIL and WIN, and it reads those bits inline from the substreams'
+splitmix64 words, the bits :class:`BitSource` would deliver.
+:func:`forward` is the one exact forward pass: every exact law in the
+package is a step generator over it.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class BudgetError(ValueError):
@@ -294,28 +298,58 @@ class BitSource:
         return self.next_bits(53) / 9007199254740992.0
 
 
-def play(attempt: Callable[[BitSource], bool], rounds: int, seed: int,
-         cap: int, start: int = 0) -> Iterator[int]:
-    """The guessing game: per round, the number of guesses G until
-    `attempt` succeeds.
+WIN, FAIL = -2, -1     # the automaton table entries that end an attempt
+_LOW_BITS = tuple((1 << a) - 1 for a in range(64))
 
-    Round k (from `start` on) draws all its guesses from substream k of
-    `seed`, so a round's count does not depend on how rounds are split
-    across workers.  A round is censored after `cap` failed guesses and
-    yields cap + 1.
+
+def play(automaton, rounds: int, seed: int, cap: int,
+         start: int = 0) -> Iterator[int]:
+    """The guessing game: per round, the number of guesses G until an
+    attempt of `automaton` wins.
+
+    `automaton` is (widths, tables), the one form every guesser compiles
+    to: state s reads a field of widths[s] fair bits, and tables[s],
+    indexed by the raw field, holds the next state, FAIL or WIN.  Every
+    attempt starts in state 0.  Round k (from `start` on) draws all its
+    guesses from substream k of `seed`: the bits are those of
+    ``BitSource(seed, k).next_bits``, read inline from the same
+    splitmix64 words, most significant bit first, so a round's count does
+    not depend on how rounds are split across workers.  A round is
+    censored after `cap` failed guesses and yields cap + 1.
     """
     if cap < 1:
         raise ValueError("need cap >= 1")
     if rounds < 0:
         raise ValueError("need rounds >= 0, got %r" % (rounds,))
+    widths, tables = automaton
+    mask, low = _MASK64, _LOW_BITS
     for k in range(start, start + rounds):
-        bits = BitSource(seed, substream=k)
+        # BitSource.next_bits and _mix64 inlined: `counter` steps through
+        # the words' splitmix64 inputs, and `buf` holds the `avail` unread
+        # bits, fewer than 64 after each read
+        counter = derive_substream_seed(seed, k)
+        buf = avail = 0
         g = 1
-        while not attempt(bits):
-            if g >= cap:
-                g = cap + 1
-                break
-            g += 1
+        state = 0
+        while True:
+            width = widths[state]
+            while avail < width:
+                counter = (counter + _GOLDEN) & mask
+                z = ((counter ^ (counter >> 30)) * 0xBF58476D1CE4E5B9) & mask
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+                buf = (buf << 64) | z ^ (z >> 31)
+                avail += 64
+            avail -= width
+            state = tables[state][buf >> avail]
+            buf &= low[avail]
+            if state < 0:
+                if state == WIN:
+                    break
+                if g >= cap:
+                    g = cap + 1
+                    break
+                g += 1
+                state = 0
         yield g
 
 

@@ -32,12 +32,13 @@ twin of ``guessers._lz_draws``.  The exact conditional guess probability
 re-yields them as a forward pass over positions; it, like the exact law
 of a machine that reads side information (``fsgm.FSGMSpec`` with a side
 alphabet), runs through :func:`lzguess.seqcore.forward`, the package's
-one exact forward pass.  The Monte Carlo runner of
-``guessers.make_runner`` reads them as tables and stops at the first
-field that leaves x.  The game is played by
-``guessers.Guesser(..., side=y)``, whole or in blocks, on the same path
-as every other guesser, and ``bounds.sandwich_sweep`` on that guesser
-gives its conditional bounds.
+one exact forward pass.  ``guessers.compile_automaton`` compiles them,
+the chain field bit by bit and then the index field, to the automaton
+form that ``seqcore.play``, the one Monte Carlo engine, runs for every
+guesser; an attempt stops at the first field that leaves x.  The game is
+played by ``guessers.Guesser(..., side=y)``, whole or in blocks, on the
+same path as every other guesser, and ``bounds.sandwich_sweep`` on that
+guesser gives its conditional bounds.
 
 Coder, decoder, sampler, draw rule and :func:`joint_parse` read one
 dictionary, :class:`_JointDict`: the joint parse as a
@@ -282,12 +283,13 @@ class _JointDict:
             return 0
         return child
 
-    def ypath(self, yidx: bytes, b: int, n: int, t: int = 0) -> list[int]:
-        """The y-words prefixing y[b:n], the empty one first; a positive t
-        keeps those created below node count t."""
+    def ypath(self, yidx: bytes, b: int, n: int, t: int = 0,
+              w: int = 0) -> list[int]:
+        """The y-words that extend y-word w along y[b:n], w first: from the
+        empty word, the y-words prefixing y[b:n].  A positive t keeps
+        those created below node count t."""
         ychildren, ymade = self.ychildren, self.ymade
-        path = [0]
-        w = 0
+        path = [w]
         for i in range(b, n):
             w = ychildren[w].get(yidx[i])
             if w is None or (t and ymade[w] >= t):
@@ -328,7 +330,8 @@ def cond_code(x: SymbolSeq, y: SymbolSeq) -> str:
             # incomplete tail: an existing phrase, sent by its index alone
             records.append(index)
             break
-        chain = len(dic.ypath(yi, b, n))
+        # the y-words of y[b:b+d] lie along the joint walk; go on from there
+        chain = d + len(dic.ypath(yi, b + d, n, w=dic.ynode[node]))
         fused = ((chain - 1 - d) * alpha
                  + _rank_sym(xi[b + d], yi[b + d], alpha))
         records.append(chain_encode(fused, chain * alpha) + index)

@@ -273,14 +273,14 @@ def test_moments_at_small_q_does_not_sum_the_series(tmp_path):
 
 
 def _count_mc_passes(monkeypatch):
-    """Count runner builds and play loops in this process, and pool maps
+    """Count automaton builds and play loops in this process, and pool maps
     (a worker's own calls happen in its own process)."""
-    calls = {"make_runner": 0, "play": 0, "pool_map": 0}
-    make_runner, play = guessers.make_runner, seqcore.play
+    calls = {"compile_automaton": 0, "play": 0, "pool_map": 0}
+    compile_automaton, play = guessers.compile_automaton, seqcore.play
 
-    def counted_make_runner(*args, **kwargs):
-        calls["make_runner"] += 1
-        return make_runner(*args, **kwargs)
+    def counted_compile_automaton(*args, **kwargs):
+        calls["compile_automaton"] += 1
+        return compile_automaton(*args, **kwargs)
 
     def counted_play(*args, **kwargs):
         calls["play"] += 1
@@ -291,7 +291,8 @@ def _count_mc_passes(monkeypatch):
             calls["pool_map"] += 1
             return super().map(*args, **kwargs)
 
-    monkeypatch.setattr(guessers, "make_runner", counted_make_runner)
+    monkeypatch.setattr(guessers, "compile_automaton",
+                        counted_compile_automaton)
     monkeypatch.setattr(guessers, "play", counted_play)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         CountedPool)
@@ -322,9 +323,9 @@ def test_guess_plays_one_pass_for_every_zeta(guesser, target, jobs, tmp_path,
         argv += ["--zeta", str(zeta)]
     rows = read_json(dispatch(tmp_path, *argv))["rows"]
     if jobs == 1:
-        assert calls == {"make_runner": 1, "play": 1, "pool_map": 0}
+        assert calls == {"compile_automaton": 1, "play": 1, "pool_map": 0}
     else:
-        assert calls == {"make_runner": 0, "play": 0, "pool_map": 1}
+        assert calls == {"compile_automaton": 0, "play": 0, "pool_map": 1}
     params = {"target": target, "guesser": guesser}
     if not guesser.startswith("fsgm:"):
         params["alphabet"] = "01"
@@ -346,17 +347,45 @@ def test_cond_guess_plays_one_pass_for_every_zeta(tmp_path, monkeypatch):
         tmp_path, "sideinfo", "cond-guess", "--corpus-x", "periodic:ab",
         "--corpus-y", "periodic:ab", "--n", "8", "--zeta", "1", "--zeta",
         "2", "--rounds", str(rounds), "--seed", str(seed)))["rows"]
-    assert calls == {"make_runner": 1, "play": 1, "pool_map": 0}
+    assert calls == {"compile_automaton": 1, "play": 1, "pool_map": 0}
     x = seqcore.parse_corpus_spec("periodic:ab", 8)
     q = sideinfo.cond_guess_prob(x, x)
-    attempt = guessers.make_runner(
+    game = guessers.compile_automaton(
         guessers.Guesser("lz_full", x.alphabet, len(x), side=x), x)
     for row in rows:
         est = guessers.estimate_moment(q, row["zeta"], len(x)).fold(
-            seqcore.play(attempt, rounds, seed, cap), cap)
+            seqcore.play(game, rounds, seed, cap), cap)
         assert {f: row[f] for f in _MC_FIELDS} == {
             f: getattr(est, f) for f in _MC_FIELDS}
         assert row["rounds"] == rounds
+
+
+@pytest.mark.parametrize("rounds", [5, 0])
+def test_guess_forecasts_its_cost(rounds, tmp_path, capsys):
+    # q = 1/4: E[min(G, 3)] = 1 + 3/4 + 9/16 guesses per round
+    machine = os.path.join(ROOT, "demos", "three_word_machine.fsm")
+    rec = dispatch(tmp_path, "guess", "--guesser", "fsgm:" + machine,
+                   "--target", "abbac", "--alphabet", "abc", "--rounds",
+                   str(rounds), "--cap", "3")
+    notes = [line for line in capsys.readouterr().err.splitlines()
+             if line.startswith("note:")]
+    if rounds:
+        assert notes == ["note: about 12 guesses expected"]
+    else:
+        assert notes == []
+        assert read_json(rec)["rows"][0]["rounds"] is None
+
+
+def test_expected_guesses_in_the_log_domain():
+    # rounds * (1 - (1 - q)**cap) / q, against the sum of Pr{G >= k}
+    for q_log2, cap in ((-2.0, 3), (-1.0, 50), (-9.5, 1 << 12), (0.0, 7)):
+        q = 2.0 ** q_log2
+        direct = 10 * sum((1 - q) ** k for k in range(cap))
+        assert cli._expected_guesses(10, q_log2, cap) == pytest.approx(
+            direct, rel=1e-12)
+    # q far below 1/cap, even below the float range: rounds * cap
+    for q_log2 in (-80.0, -2000.0):
+        assert cli._expected_guesses(10, q_log2, 1 << 20) == 10 * (1 << 20)
 
 
 def test_bounds_ell_filter(tmp_path):

@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 
 from lzguess.seqcore import Alphabet, BitSource, BudgetError, DyadicProb, SymbolSeq
-from lzguess.fsgm import (FSGMSpec, TreeFSGMSpec, build_fig1_machine,
-                          expand_tree_machine, fig1_word_expansion,
-                          format_machine, output_distribution, parse_machine,
-                          run, runner, sequence_prob, tree_run)
+from lzguess.fsgm import (FSGMSpec, TreeFSGMSpec, automaton,
+                          build_fig1_machine, expand_tree_machine,
+                          fig1_word_expansion, format_machine,
+                          output_distribution, parse_machine, run,
+                          sequence_prob, tree_run)
 from lzguess.guessers import Guesser, play_counts, run_game
 from lzguess.bounds import block_entropy
 from conftest import FixedBits, all_seqs, seq
@@ -105,7 +106,7 @@ def test_target_over_another_alphabet_is_refused(tokens):
     with pytest.raises(ValueError, match="machine's alphabet"):
         sequence_prob(fig1, x)
     with pytest.raises(ValueError, match="machine's alphabet"):
-        runner(fig1, x)
+        automaton(fig1, x)
 
 
 def test_distribution_budget_guard():

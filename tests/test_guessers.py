@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -5,12 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from lzguess.seqcore import (Alphabet, BitSource, BudgetError, DyadicProb,
-                             SymbolSeq, play)
+from lzguess.seqcore import (FAIL, WIN, Alphabet, BitSource, BudgetError,
+                             DyadicProb, SymbolSeq, play)
 from lzguess.lz78 import incremental_parse
-from lzguess.fsgm import build_fig1_machine, output_distribution, runner
+from lzguess.fsgm import automaton, build_fig1_machine, output_distribution
 from lzguess.guessers import (Guesser, aligned_guess_prob, block_guess_prob,
-                              block_sample, compile_block_guesser_to_fsgm,
+                              block_sample, compile_automaton,
+                              compile_block_guesser_to_fsgm,
                               lz_guess_prob, lz_sample, make_runner,
                               moment_exact, moment_log2, moment_lower_bound,
                               moment_lower_bound_log2, play_counts,
@@ -486,7 +488,7 @@ def test_play_counts_in_round_order_for_any_worker_count():
     g = Guesser("lz_full", B01, 4)
     x = seq("0110", B01)
     counts = play_counts(g, x, 500, seed=3, cap=50)
-    assert counts == list(play(make_runner(g, x), 500, 3, 50))
+    assert counts == list(play(compile_automaton(g, x), 500, 3, 50))
     assert play_counts(g, x, 500, seed=3, cap=50, jobs=2) == counts
     assert play_counts(g, x, 0) == []
     est = run_game(g, x, zeta=2.0)
@@ -497,7 +499,7 @@ def test_play_counts_in_round_order_for_any_worker_count():
     with pytest.raises(ValueError, match="jobs"):
         play_counts(g, x, 10, jobs=0)
     with pytest.raises(ValueError, match="rounds"):
-        next(play(make_runner(g, x), -1, 0, 10))
+        next(play(compile_automaton(g, x), -1, 0, 10))
 
 
 def test_play_counts_agree_with_every_game_view():
@@ -505,7 +507,7 @@ def test_play_counts_agree_with_every_game_view():
     x = SymbolSeq.from_text("abbac", spec.alphabet)    # q = 1/4
     g = Guesser("fsgm", spec.alphabet, len(x), spec=spec)
     rounds, seed, cap = 400, 17, 3
-    counts = list(play(runner(spec, x), rounds, seed, cap))
+    counts = list(play(automaton(spec, x), rounds, seed, cap))
     assert all(1 <= c <= cap + 1 for c in counts)
     censored = sum(c > cap for c in counts)
     assert 0 < censored < rounds
@@ -517,7 +519,7 @@ def test_play_counts_agree_with_every_game_view():
     assert curve == {k: sum(c >= k for c in counts) / rounds for k in ks}
     assert play_counts(g, x, rounds, seed, cap) == counts
     with pytest.raises(ValueError, match="cap"):
-        next(play(runner(spec, x), rounds, seed, 0))
+        next(play(automaton(spec, x), rounds, seed, 0))
 
 
 def _fig1_case():
@@ -566,6 +568,117 @@ def test_runner_matches_direct_comparison(case):
         assert run_bits.consumed == sample_bits.consumed or not fast[-1]
     assert fast == slow
     assert 0 < sum(fast) < len(fast)
+
+
+@pytest.mark.parametrize("case", list(_RUNNER_CASES))
+def test_play_reads_the_bits_of_the_runner_oracle(case):
+    # the inline reader of play against make_runner attempts, one after
+    # another over BitSource(seed, k), the way play met them before it
+    # read bits inline: equal counts, censored rounds included, and the
+    # same for two workers
+    g, x = _RUNNER_CASES[case]()
+    attempt, game = make_runner(g, x), compile_automaton(g, x)
+    rounds, cap = 60, 4
+    seen = set()
+    for seed in (0, 1, 7, 2 ** 40 + 3):
+        want = []
+        for k in range(rounds):
+            bits = BitSource(seed, k)
+            guesses = 1
+            while not attempt(bits):
+                if guesses > cap:
+                    break
+                guesses += 1
+            want.append(guesses)
+        assert list(play(game, rounds, seed, cap)) == want
+        assert list(play(game, rounds - 5, seed, cap, start=5)) == want[5:]
+        seen.update(c > cap for c in want)
+    assert seen == {False, True}
+    assert play_counts(g, x, rounds, seed, cap, jobs=2) == want
+
+
+def _automaton_law(widths, tables):
+    """Pr(an attempt of the automaton wins), every raw field equally
+    likely: a dynamic program over its states in reverse topological
+    order, which raises KeyError on a cycle."""
+    win = {WIN: Fraction(1), FAIL: Fraction(0)}
+    order, seen, stack = [], set(), [(0, False)]
+    while stack:
+        state, done = stack.pop()
+        if done:
+            order.append(state)
+        elif state not in seen:
+            seen.add(state)
+            assert len(tables[state]) == 1 << widths[state]
+            stack.append((state, True))
+            stack.extend((nxt, False) for nxt in set(tables[state])
+                         if nxt >= 0)
+    for state in order:
+        hits = collections.Counter(tables[state])
+        win[state] = sum(win[nxt] * c for nxt, c in hits.items()) / len(
+            tables[state])
+    return win[0]
+
+
+def _with_every_side(guesser, side_alphabet):
+    def cases(n):
+        for y in all_seqs(side_alphabet, n):
+            for x in all_seqs(B01, n):
+                yield guesser(n, y), x
+    return cases
+
+
+_LAW_CASES = {
+    "lz": (7, lambda n: ((Guesser("lz_full", B01, n), x)
+                         for x in all_seqs(B01, n))),
+    "block:3": (7, lambda n: ((Guesser("lz_block", B01, n, ell=3), x)
+                              for x in all_seqs(B01, n))),
+    # three symbols in a 2-bit field: the modulo counts differ
+    "uniform": (4, lambda n: ((Guesser("uniform", ABC, n), x)
+                              for x in all_seqs(ABC, n))),
+    # most targets are outside the machine's support: law 0
+    "fsgm": (5, lambda n: ((Guesser("fsgm", ABC, n,
+                                    spec=build_fig1_machine()), x)
+                           for x in all_seqs(ABC, n))),
+    "fsgm-side": (5, _with_every_side(
+        lambda n, y: Guesser("fsgm", B01, n, spec=xor_machine(), side=y),
+        B01)),
+    "cond": (6, _with_every_side(
+        lambda n, y: Guesser("lz_full", B01, n, side=y), B01)),
+    "cond-block:3": (6, _with_every_side(
+        lambda n, y: Guesser("lz_block", B01, n, ell=3, side=y), B01)),
+    # side symbol 2 has no copy candidate
+    "cond-tern": (5, _with_every_side(
+        lambda n, y: Guesser("lz_full", B01, n, side=y), T012)),
+}
+
+
+@pytest.mark.parametrize("kind", list(_LAW_CASES))
+def test_automaton_law_is_the_exact_law(kind):
+    # every target (and side) up to a small n: block chaining, idle machine
+    # states and the chain-field states all show up
+    max_n, cases = _LAW_CASES[kind]
+    for n in range(1, max_n + 1):
+        for g, x in cases(n):
+            assert (_automaton_law(*compile_automaton(g, x))
+                    == g.guess_prob(x).as_fraction())
+
+
+def test_cond_automaton_law_on_longer_pairs():
+    # index fields over three or more x-phrases, whose modulo counts differ
+    # by position, need longer pairs than the exhaustive test reaches
+    rng = random.Random(15)
+    for n in (16, 24, 32):
+        for side_alphabet in (B01, T012):
+            for _ in range(6):
+                y = SymbolSeq(side_alphabet, bytes(
+                    rng.randrange(side_alphabet.size) for _ in range(n)))
+                x = SymbolSeq(B01, bytes(min(b, 1) ^ (rng.random() < 0.2)
+                                         for b in y.indices))
+                for ell in (n, 8):
+                    g = Guesser("lz_block", B01, n, ell=ell, side=y)
+                    assert (_automaton_law(*compile_automaton(g, x))
+                            == g.guess_prob(x).as_fraction())
 
 
 def test_survival_curve_matches_geometric_tail():

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from lzguess.seqcore import (Alphabet, BitSource, DyadicProb, SymbolSeq,
                              forward, generate_corpus)
 from lzguess.lz78 import BitReader, DecodeError, incremental_parse
-from lzguess.fsgm import (FSGMSpec, build_fig1_machine, run as fsgm_run,
-                          runner, sequence_prob)
+from lzguess.fsgm import (FSGMSpec, automaton, build_fig1_machine,
+                          run as fsgm_run, sequence_prob)
 from lzguess.guessers import Guesser, make_runner
 from lzguess.bounds import (block_entropy, delta_n_at, direct_clogc,
                             sandwich_sweep)
@@ -614,7 +614,7 @@ def test_cond_fsgm_run_requires_divisibility():
     for side in (seq("010", B01), seq("abab", AB)):
         for call in (lambda: fsgm_run(spec, FixedBits(""), 4, side=side),
                      lambda: sequence_prob(spec, x, side),
-                     lambda: runner(spec, x, side)):
+                     lambda: automaton(spec, x, side)):
             with pytest.raises(ValueError, match="length >= 4 over the side"):
                 call()
     plain = build_fig1_machine()
