@@ -198,7 +198,8 @@ def sequence_prob(spec: FSGMSpec, x: SymbolSeq,
         row = z + ys[pos]
         for (out, zp), m in ker[row].items():
             if out == xs[pos]:
-                yield pos + 1, zp if pos + 1 < n else None, m, spec.delta[row]
+                nxt = pos + 1
+                yield nxt, nxt, zp if nxt < n else None, m, spec.delta[row]
 
     start = spec.start if n else None
     return forward(n, start, step).get(None, DyadicProb.zero())
@@ -229,7 +230,7 @@ def output_distribution(spec: FSGMSpec, n: int) -> dict[SymbolSeq, DyadicProb]:
         for (out, zp), m in ker[z].items():
             word = prefix + bytes([out])
             nxt = (word, zp) if pos + 1 < n else word
-            yield pos + 1, nxt, m, spec.delta[z]
+            yield pos + 1, pos + 1, nxt, m, spec.delta[z]
 
     start = (b"", spec.start) if n else b""
     return {SymbolSeq(spec.alphabet, word): p

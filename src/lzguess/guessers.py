@@ -25,10 +25,11 @@ block prefix, symbols still pending emission).
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
+from itertools import accumulate, groupby, repeat
 from operator import add, mul
 from typing import Callable, NamedTuple
 
@@ -41,12 +42,6 @@ LOG2E = math.log2(math.e)
 _COMPILE_STATE_BUDGET = 4096    # ell * alpha**ell states at most
 _SERIES_REL_TOL = 1e-12         # moment_exact's series stop
 _SERIES_CHUNK = 4096            # moment_exact's largest chunk of terms
-
-
-def _sym_counts(alphabet: Alphabet) -> list[int]:
-    """How many raw symbol-field patterns map to each symbol under mod."""
-    a = alphabet.bits_per_symbol
-    return [((1 << a) - 1 - s) // alphabet.size + 1 for s in range(alphabet.size)]
 
 
 def _ptr_count(node: int, t: int, width: int) -> int:
@@ -84,46 +79,74 @@ def lz_sample(alphabet: Alphabet, n: int, bits: BitSource) -> SymbolSeq:
 
 
 def _lz_draws(x: SymbolSeq):
-    """The draws of :func:`lz_sample` that keep matching x, the one draw
-    rule behind the exact law, the aligned witness and the run tables.
+    """The draws of :func:`lz_sample` that keep matching x, in runs: the one
+    draw rule behind the exact law, the aligned witness and the run tables.
 
-    Yields (e, t, draws) for each matched length e = 0..n-1, t being the
-    dictionary size after x[:e].  A draw (node, sym, e', count, bits)
-    points to the depth-d node on the trie path of x[e:] and needs the
-    symbol sym = x[e+d], reaching e' = e+d+1; `count` of the 2**bits
-    pointer+symbol patterns make it.  When the path covers the whole
-    residual, the last draw is the overshoot (nodes, None, n, count, bits):
-    a pointer to the full-residual node or any descendant wins with any
-    symbol, so only its pointer bits count.  The last draw at e is always
-    the one x's own parse takes.
+    Yields (e, t, moves, path, over) for each matched length e = 0..n-1, t
+    being the dictionary size after x[:e].  The depth-d draw points to
+    path[d], the depth-d node on the trie path of x[e:], reads width(t) +
+    bits per symbol bits, and needs x[e+d], reaching e+d+1; its count is
+    path[d]'s pointer count times x[e+d]'s symbol count.  Ids grow along
+    the path, so the pointer count (2 below id 2**width - t, else 1)
+    changes at most once.  Each longest stretch of depths with one count
+    is one :func:`~lzguess.seqcore.forward` move (first, last, None, count,
+    bits).  When the path covers the whole residual, the last move is the
+    overshoot (n, n, None, count, width(t)): a pointer to any node of
+    `over` (else empty), the full-residual node and its descendants below
+    t, wins with any symbol.  The last move at e is x's own parse's draw.
     """
-    n = len(x)
+    n, alpha = len(x), x.alphabet.size
     a_bits = x.alphabet.bits_per_symbol
-    sym_counts = _sym_counts(x.alphabet)
+    # how many raw symbol-field patterns map to each symbol under mod
+    sym_counts = [((1 << a_bits) - 1 - s) // alpha + 1 for s in range(alpha)]
     parse = lz78.incremental_parse(x)
     t_at = parse.node_counts()
     children = parse.trie.children
     idx = x.indices
+    ends = None     # ends[p]: where the stretch from p of x[p]'s count ends
+    if len(set(sym_counts)) > 1:
+        ends = []
+        for _count, stretch in groupby(map(sym_counts.__getitem__, idx)):
+            k = len(list(stretch))
+            ends += [len(ends) + k] * k
+    view = memoryview(idx)
     for e in range(n):
         t = t_at[e]
         width = (t - 1).bit_length()
-        draws = []
-        node = 0
-        for p in range(e, n):
-            sym = idx[p]
-            draws.append((node, sym, p + 1, _ptr_count(node, t, width)
-                          * sym_counts[sym], width + a_bits))
-            node = children[node].get(sym)
-            if node is None or node >= t:
+        bits = width + a_bits
+        path, over, node = [0], [], 0
+        for sym in view[e:]:
+            node = children[node].get(sym, t)
+            if node >= t:
                 break
+            path.append(node)
         else:
+            over.append(path.pop())
+        low = (1 << width) - t      # ids below it have pointer count 2
+        split = bisect.bisect_left(path, low)
+        if ends is None:
+            # every symbol count is 1: the pointer split is the one break
+            moves = [(e + 1, e + split, None, 2, bits)] if split else []
+            if split < len(path):
+                moves.append((e + split + 1, e + len(path), None, 1, bits))
+        else:
+            moves, lo = [], 0
+            for hi, ptr in ((split, 2), (len(path), 1)):
+                while lo < hi:
+                    top = min(hi, ends[e + lo] - e)
+                    count = ptr * sym_counts[idx[e + lo]]
+                    if moves and moves[-1][3] == count:
+                        # across the split, 2 * 1 and 1 * 2 draw alike
+                        lo = moves.pop()[0] - e - 1
+                    moves.append((e + lo + 1, e + top, None, count, bits))
+                    lo = top
+        if over:
             # descendant ids exceed ancestor ids: an id >= t prunes a subtree
-            nodes = [node]
-            for v in nodes:
-                nodes.extend(c for c in children[v].values() if c < t)
-            draws.append((nodes, None, n, sum(_ptr_count(v, t, width)
-                                              for v in nodes), width))
-        yield e, t, draws
+            for v in over:
+                over.extend(filter(t.__gt__, children[v].values()))
+            moves.append((n, n, None, len(over) + sum(map(low.__gt__, over)),
+                          width))
+        yield e, t, moves, path, over
 
 
 def lz_guess_prob(x: SymbolSeq) -> DyadicProb:
@@ -132,16 +155,12 @@ def lz_guess_prob(x: SymbolSeq) -> DyadicProb:
     A :func:`~lzguess.seqcore.forward` pass over emitted-prefix lengths e:
     the dictionary after a matching prefix of length e is the parse trie of
     x[0:e], so the length is the whole state, and the moves from e are the
-    :func:`_lz_draws` at e.
+    :func:`_lz_draws` at e, one move per run.
     """
     draws_at = _lz_draws(x)
-
-    def step(e, _state):
-        # the root draw always reaches e + 1, so every e is asked for in turn
-        for _node, _sym, nxt, count, bits in next(draws_at)[2]:
-            yield nxt, None, count, bits
-
-    return forward(len(x), None, step).get(None, DyadicProb.zero())
+    # the root draw always reaches e + 1, so every e is asked for in turn
+    return forward(len(x), None, lambda _e, _state: next(draws_at)[2]).get(
+        None, DyadicProb.zero())
 
 
 def aligned_guess_prob(x: SymbolSeq) -> DyadicProb:
@@ -153,9 +172,9 @@ def aligned_guess_prob(x: SymbolSeq) -> DyadicProb:
     on lz_guess_prob and at least 2**-code_length(x)."""
     prob = DyadicProb.one()
     start = 0
-    for e, _t, draws in _lz_draws(x):
+    for e, _t, moves, _path, _over in _lz_draws(x):
         if e == start:
-            _node, _sym, start, count, bits = draws[-1]
+            _first, start, _state, count, bits = moves[-1]
             prob = prob * DyadicProb(count, bits)
     return prob
 
@@ -551,23 +570,23 @@ def _lz_run_tables(x: SymbolSeq):
     tables[e] is indexed by the raw pointer+symbol field; entries are the
     next matched length, WIN or FAIL.  Only the raw patterns of the
     :func:`_lz_draws` at e are filled in."""
-    n = len(x)
-    alpha = x.alphabet.size
+    n, alpha, idx = len(x), x.alphabet.size, x.indices
     a_bits = x.alphabet.bits_per_symbol
     span = 1 << a_bits
-    widths = []
-    tables = []
-    for _e, t, draws in _lz_draws(x):
+    widths, tables = [], []
+    for e, t, _moves, path, over in _lz_draws(x):
         bits = (t - 1).bit_length() + a_bits
         table = [FAIL] * (1 << bits)
-        for node, sym, nxt, _count, _bits in draws:
-            code = WIN if nxt == n else nxt
-            nodes, first, stride = (((node,), sym, alpha) if sym is not None
-                                    else (node, 0, 1))
-            fill = [code] * len(range(first, span, stride))
+        # (pointers, first raw symbol, stride, next e) of each draw: a draw
+        # takes the raw symbols that map to its symbol, the overshoot every
+        # raw symbol
+        draws = [((v,), idx[e + d], alpha, e + d + 1)
+                 for d, v in enumerate(path)]
+        for nodes, sym, stride, nxt in draws + [(over, 0, 1, n)]:
+            fill = [WIN if nxt == n else nxt] * len(range(sym, span, stride))
             for v in nodes:
                 for base in range(v << a_bits, 1 << bits, t << a_bits):
-                    table[base + first:base + span:stride] = fill
+                    table[base + sym:base + span:stride] = fill
         widths.append(bits)
         tables.append(table)
     return widths, tables

@@ -14,7 +14,7 @@ read a field of fair bits and look the raw field up in a table of next
 states, FAIL and WIN, and it reads those bits inline from the substreams'
 splitmix64 words, the bits :class:`BitSource` would deliver.
 :func:`forward` is the one exact forward pass: every exact law in the
-package is a step generator over it.
+package is a step function over it.
 """
 
 from __future__ import annotations
@@ -481,20 +481,21 @@ def forward(n: int, start, step) -> dict:
     fair bits, over positions 0..n.
 
     The process starts in state `start` at position 0.  `step(pos, state)`
-    yields its moves as (next_pos, next_state, count, bits): `count` of the
-    2**bits equally likely bit patterns move it to `next_state` at
-    `next_pos`, with pos < next_pos <= n.  The mass of each (position,
+    yields its moves as (first_pos, last_pos, next_state, count, bits):
+    `count` of the 2**bits equally likely bit patterns move it to
+    `next_state` at first_pos, and as many others to `next_state` at each
+    later position up to last_pos, with pos < first_pos <= last_pos <= n.
+    A single move has first_pos == last_pos.  The mass of each (position,
     state) is a plain integer numerator over a power of two; two masses are
     aligned only where two paths meet, and each is checked to be at most 1
     before it is expanded.
 
-    Moves from one (position, state) that reach consecutive positions with
-    the same next state, count and bits form a run.  Its first move is an
-    ordinary one; the rest, when more than one, form a span, whose one term
-    mass * count / 2**bits joins a running sum for its next state at the
-    span's first position and leaves it, by exact subtraction, after its
-    last.  Each position adds each open running sum once, so big-integer
-    work is per run, not per move, and nothing is done for spans while
+    A single move adds its term mass * count / 2**bits to its target, and
+    a move over two positions adds it to both.  A move over three or more,
+    a span, adds that one term to a running sum for its next state at
+    first_pos and takes it out, by exact subtraction, after last_pos.  Each
+    position adds each open running sum once, so big-integer work is per
+    span, not per position it covers, and nothing is done for spans while
     none is open.  Returns {state: DyadicProb} for the states reached at
     position n, empty when none is.
     """
@@ -508,7 +509,7 @@ def forward(n: int, start, step) -> dict:
         if layer is None:
             continue
         for state, (m, e) in layer.items():
-            if m > 1 << e:
+            if m.bit_length() > e and m != 1 << e:
                 raise ValueError("forward mass above 1 at position %d" % pos)
             if not m & 1:
                 # drop factors of two once per state, so that masses stay
@@ -516,25 +517,22 @@ def forward(n: int, start, step) -> dict:
                 shift = (m & -m).bit_length() - 1
                 m >>= shift
                 e -= shift
-            # the run of the last ordinary move would go on to `reach`;
-            # `span` of its moves after that one are pending
-            reach, span = -1, 0
             for move in step(pos, state):
-                nxt_pos, nxt, count, bits = move
-                if (nxt_pos == reach and count == run[2] and bits == run[3]
-                        and nxt == run[1] and reach <= n):
-                    reach += 1
-                    span += 1
-                    continue
-                if span:
-                    _run_tail(layers, edges, n, reach - 1, span, run, m, e)
-                    span = 0
-                if not (pos < nxt_pos <= n and 0 < count <= 1 << bits):
+                first, last, nxt, count, bits = move
+                if not (pos < first <= last <= n and 0 < count <= 1 << bits):
                     raise ValueError("bad forward move from position %d: %r"
-                                     % (pos, (nxt_pos, nxt, count, bits)))
-                # _add, inlined on the per-move path
-                target = layers.setdefault(nxt_pos, {})
+                                     % (pos, move))
                 mm, ee = m * count, e + bits
+                if last - first > 1:
+                    edges.setdefault(first, []).append((nxt, mm, ee))
+                    if last < n:
+                        edges.setdefault(last + 1, []).append((nxt, -mm, ee))
+                    continue
+                if first < last:
+                    # two single moves cost no more adds than a span
+                    _add(layers.setdefault(first, {}), nxt, mm, ee)
+                # _add, inlined on the single-move path
+                target = layers.setdefault(last, {})
                 old = target.get(nxt)
                 if old is not None:
                     om, oe = old
@@ -543,10 +541,6 @@ def forward(n: int, start, step) -> dict:
                     else:
                         mm += om << (ee - oe)
                 target[nxt] = (mm, ee)
-                reach = nxt_pos + 1
-                run = move
-            if span:
-                _run_tail(layers, edges, n, reach - 1, span, run, m, e)
     layer = _arrive(n, layers.pop(n, None), sums, edges) or {}
     return {state: DyadicProb(m, e) for state, (m, e) in layer.items()}
 
@@ -565,20 +559,6 @@ def _arrive(pos, layer, sums, edges):
         for nxt, (mm, ee) in sums.items():
             _add(layer, nxt, mm, ee)
     return layer
-
-
-def _run_tail(layers, edges, n, last, span, move, m, e):
-    """Record a run's `span` moves after its first, like `move` and ending
-    at `last`, from a mass m / 2**e: an ordinary move when there is one,
-    else a span."""
-    _, nxt, count, bits = move
-    m, e = m * count, e + bits
-    if span == 1:
-        _add(layers.setdefault(last, {}), nxt, m, e)
-        return
-    edges.setdefault(last - span + 1, []).append((nxt, m, e))
-    if last < n:
-        edges.setdefault(last + 1, []).append((nxt, -m, e))
 
 
 # ---------------------------------------------------------------------------

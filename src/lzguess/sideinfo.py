@@ -515,6 +515,6 @@ def cond_guess_prob(x: SymbolSeq, y: SymbolSeq) -> DyadicProb:
         for fused, width, c, pos, nxt in draws:
             cnt = _ptr_count(pos, c, width)
             for f in fused:
-                yield nxt, None, probs[f].m * cnt, probs[f].e + width
+                yield nxt, nxt, None, probs[f].m * cnt, probs[f].e + width
 
     return forward(len(x), None, step).get(None, DyadicProb.zero())

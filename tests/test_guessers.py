@@ -7,12 +7,12 @@ from fractions import Fraction
 import pytest
 
 from lzguess.seqcore import (FAIL, WIN, Alphabet, BitSource, BudgetError,
-                             DyadicProb, SymbolSeq, play)
+                             DyadicProb, SymbolSeq, parse_corpus_spec, play)
 from lzguess.lz78 import incremental_parse
 from lzguess.fsgm import automaton, build_fig1_machine, output_distribution
-from lzguess.guessers import (Guesser, aligned_guess_prob, block_guess_prob,
-                              block_sample, compile_automaton,
-                              compile_block_guesser_to_fsgm,
+from lzguess.guessers import (Guesser, _lz_draws, aligned_guess_prob,
+                              block_guess_prob, block_sample,
+                              compile_automaton, compile_block_guesser_to_fsgm,
                               lz_guess_prob, lz_sample, make_runner,
                               moment_exact, moment_log2, moment_lower_bound,
                               moment_lower_bound_log2, play_counts,
@@ -137,6 +137,88 @@ def test_aligned_path_is_a_lower_bound():
         L = incremental_parse(x).code_length_bits
         assert q >= a
         assert a.as_fraction() >= Fraction(1, 2 ** L)
+
+
+def _lz_draws_per_draw(x):
+    """Test-local copy of the per-draw LZ draw rule that the run form
+    replaced: yields (e, t, draws), one (node, sym, e', count, bits) per
+    draw and the overshoot as (nodes, None, n, count, bits)."""
+    n = len(x)
+    a_bits = x.alphabet.bits_per_symbol
+    alpha = x.alphabet.size
+    sym_counts = [((1 << a_bits) - 1 - s) // alpha + 1 for s in range(alpha)]
+    parse = incremental_parse(x)
+    t_at = parse.node_counts()
+    children = parse.trie.children
+    idx = x.indices
+    for e in range(n):
+        t = t_at[e]
+        width = (t - 1).bit_length()
+
+        def ptr_count(node):
+            return ((1 << width) - 1 - node) // t + 1
+        draws = []
+        node = 0
+        for p in range(e, n):
+            sym = idx[p]
+            draws.append((node, sym, p + 1, ptr_count(node) * sym_counts[sym],
+                          width + a_bits))
+            node = children[node].get(sym)
+            if node is None or node >= t:
+                break
+        else:
+            nodes = [node]
+            for v in nodes:
+                nodes.extend(c for c in children[v].values() if c < t)
+            draws.append((nodes, None, n, sum(map(ptr_count, nodes)), width))
+        yield e, t, draws
+
+
+def _check_runs_against_per_draw_rule(x):
+    """The runs of _lz_draws, expanded draw by draw over the path they
+    carry, are the per-draw rule's draws; each run starts where the last
+    ended, two runs in a row differ in count, and the overshoot, reading
+    pointer bits alone, comes last."""
+    n = len(x)
+    runs_at = list(_lz_draws(x))
+    want_at = list(_lz_draws_per_draw(x))
+    assert len(runs_at) == len(want_at) == n
+    for (e, t, moves, path, over), (we, wt, want) in zip(runs_at, want_at):
+        assert (e, t) == (we, wt)
+        width = (t - 1).bit_length()
+        runs = moves[:-1] if over else moves
+        got = []
+        reach = e + 1
+        for i, (first, last, state, count, bits) in enumerate(runs):
+            assert state is None and bits > width
+            assert first == reach <= last
+            assert i == 0 or runs[i - 1][3] != count
+            got.extend((path[p - e - 1], x.indices[p - 1], p, count, bits)
+                       for p in range(first, last + 1))
+            reach = last + 1
+        assert reach == e + len(path) + 1
+        if over:
+            first, last, state, count, bits = moves[-1]
+            assert (first, last, state, bits) == (n, n, None, width)
+            got.append((over, None, n, count, bits))
+        assert got == want, (x, e)
+
+
+@pytest.mark.parametrize("alphabet", [B01, ABC], ids=["binary", "ternary"])
+def test_lz_draw_runs_expand_to_the_per_draw_rule(alphabet):
+    # ternary symbol counts (2, 1, 1) break runs where the pointer count
+    # does not
+    for n in range(1, 11):
+        for x in all_seqs(alphabet, n):
+            _check_runs_against_per_draw_rule(x)
+
+
+@pytest.mark.parametrize("spec,n", [("periodic:ab", 2048),
+                                    ("bernoulli:0.3:5", 4096),
+                                    ("thue_morse", 4096)])
+def test_lz_draw_runs_expand_to_the_per_draw_rule_at_large_n(spec, n):
+    # the corpora of test_lz_draw_paths_pinned_at_large_n
+    _check_runs_against_per_draw_rule(parse_corpus_spec(spec, n))
 
 
 def test_sampler_empirical_frequencies_n5():

@@ -328,8 +328,8 @@ def test_dyadic_matches_fraction_arithmetic(m1, e1, m2, e2):
 # --- the forward-pass kernel -------------------------------------------------
 
 def _moves(table):
-    """A step function from {(pos, state): [(next_pos, next_state, count,
-    bits), ...]}."""
+    """A step function from {(pos, state): [(first_pos, last_pos,
+    next_state, count, bits), ...]}."""
     return lambda pos, state: iter(table.get((pos, state), ()))
 
 
@@ -338,9 +338,9 @@ def _moves(table):
 def test_forward_merges_meeting_paths(first, second):
     # two paths of unequal exponent meet at (2, "z"); either may arrive
     # first, so both alignments of the kernel's merge run
-    step = _moves({(0, "a"): [(1, "b", 1, 1), (1, "c", 1, 1)],
-                   (1, "b"): [(2, "z", *first), (2, "y", 1, 1)],
-                   (1, "c"): [(2, "z", *second)]})
+    step = _moves({(0, "a"): [(1, 1, "b", 1, 1), (1, 1, "c", 1, 1)],
+                   (1, "b"): [(2, 2, "z", *first), (2, 2, "y", 1, 1)],
+                   (1, "c"): [(2, 2, "z", *second)]})
     out = forward(2, "a", step)
     expect = (Fraction(1, 2) * Fraction(first[0], 1 << first[1])
               + Fraction(1, 2) * Fraction(second[0], 1 << second[1]))
@@ -350,41 +350,66 @@ def test_forward_merges_meeting_paths(first, second):
 
 
 def test_forward_skips_positions_and_keeps_zero_length():
-    step = _moves({(0, "a"): [(3, "z", 1, 2), (1, "b", 3, 2)],
-                   (1, "b"): [(3, "z", 1, 0)]})
+    step = _moves({(0, "a"): [(3, 3, "z", 1, 2), (1, 1, "b", 3, 2)],
+                   (1, "b"): [(3, 3, "z", 1, 0)]})
     assert forward(3, "a", step) == {"z": DyadicProb.one()}
     assert forward(0, "a", step) == {"a": DyadicProb.one()}
 
 
 def test_forward_rejects_bad_moves_and_excess_mass():
     with pytest.raises(ValueError):      # count > 2**bits
-        forward(1, "a", _moves({(0, "a"): [(1, "b", 3, 1)]}))
+        forward(1, "a", _moves({(0, "a"): [(1, 1, "b", 3, 1)]}))
     with pytest.raises(ValueError):      # no pattern moves it
-        forward(1, "a", _moves({(0, "a"): [(1, "b", 0, 1)]}))
+        forward(1, "a", _moves({(0, "a"): [(1, 1, "b", 0, 1)]}))
     with pytest.raises(ValueError):      # past position n
-        forward(1, "a", _moves({(0, "a"): [(2, "b", 1, 1)]}))
+        forward(1, "a", _moves({(0, "a"): [(2, 2, "b", 1, 1)]}))
     with pytest.raises(ValueError):      # not forward
-        forward(2, "a", _moves({(0, "a"): [(1, "b", 1, 0)],
-                                (1, "b"): [(1, "c", 1, 1)]}))
-    double = [(1, "b", 1, 0), (1, "b", 1, 0)]
+        forward(2, "a", _moves({(0, "a"): [(1, 1, "b", 1, 0)],
+                                (1, "b"): [(1, 1, "c", 1, 1)]}))
+    with pytest.raises(ValueError):      # a span that ends before it starts
+        forward(3, "a", _moves({(0, "a"): [(2, 1, "b", 1, 1)]}))
+    with pytest.raises(ValueError):      # a span that starts at its source
+        forward(3, "a", _moves({(0, "a"): [(1, 1, "b", 1, 0)],
+                                (1, "b"): [(1, 2, "c", 1, 1)]}))
+    with pytest.raises(ValueError):      # a span that runs past n
+        forward(2, "a", _moves({(0, "a"): [(1, 3, "b", 1, 2)]}))
+    double = [(1, 1, "b", 1, 0), (1, 1, "b", 1, 0)]
     with pytest.raises(ValueError):      # mass 2 checked before expansion
         forward(2, "a", _moves({(0, "a"): double, (1, "b"): []}))
     with pytest.raises(ValueError):      # and in the final layer
         forward(1, "a", _moves({(0, "a"): double}))
+    with pytest.raises(ValueError):      # mass 3/2, though 3/4 reaches n
+        forward(2, "a", _moves({(0, "a"): [(1, 1, "b", 1, 1),
+                                           (1, 1, "b", 2, 1)],
+                                (1, "b"): [(2, 2, "c", 1, 1)]}))
+    doubled = [(1, 3, "b", 1, 0), (1, 3, "b", 1, 0)]
+    with pytest.raises(ValueError):      # spans that add up past 1
+        forward(4, "a", _moves({(0, "a"): doubled}))
 
 
 def test_forward_unreachable_end_is_empty_and_callers_return_zero():
     from lzguess.fsgm import build_fig1_machine, sequence_prob
-    step = _moves({(0, "a"): [(1, "b", 1, 1)]})
+    step = _moves({(0, "a"): [(1, 1, "b", 1, 1)]})
     assert forward(2, "a", step) == {}
     fig1 = build_fig1_machine()
     assert sequence_prob(fig1, SymbolSeq(fig1.alphabet, bytes([1, 1]))) \
         == DyadicProb.zero()
 
 
+def _single_moves(step):
+    """The moves of `step`, each span expanded to one move per position
+    it covers, as (next_pos, next_state, count, bits)."""
+    return lambda pos, state: ((p, nxt, count, bits)
+                               for first, last, nxt, count, bits
+                               in step(pos, state)
+                               for p in range(first, last + 1))
+
+
 def _forward_per_move(n, start, step):
-    """The forward pass one big-integer update per move, as it was before
-    spans: the reference the span kernel must equal exactly."""
+    """The forward pass one big-integer update per single move, as it was
+    before spans: the reference the span kernel must equal exactly, fed
+    the spans of `step` expanded to single moves."""
+    step = _single_moves(step)
     layers = {0: {start: (1, 0)}}
     for pos in range(n):
         for state, (m, e) in layers.pop(pos, {}).items():
@@ -409,17 +434,16 @@ def _forward_per_move(n, start, step):
 
 
 def test_forward_spans_overlap_end_at_n_and_keep_single_moves():
-    # from (0, "a"): a length-1 run, a span over 1..3 and one ending at n;
+    # from (0, "a"): a single move, a span over 1..3 and one ending at n;
     # from (1, "b"), at another exponent, a span over 2..4 that overlaps
-    # the first on (2, "z") and (3, "z"), and a repeated move
-    step = _moves({(0, "a"): [(1, "b", 1, 2), (1, "z", 1, 3), (2, "z", 1, 3),
-                              (3, "z", 1, 3), (4, "z", 1, 4), (5, "z", 1, 4),
-                              (3, "y", 1, 4)],
-                   (1, "b"): [(2, "z", 3, 5), (3, "z", 3, 5), (4, "z", 3, 5),
-                              (5, "z", 1, 3), (5, "z", 1, 3)],
-                   (2, "z"): [(3, "y", 1, 1), (4, "y", 1, 1)],
-                   (3, "z"): [(4, "z", 1, 0)],
-                   (4, "z"): [(5, "z", 1, 0)]})
+    # the first on (2, "z") and (3, "z"), and a repeated single move
+    step = _moves({(0, "a"): [(1, 1, "b", 1, 2), (1, 3, "z", 1, 3),
+                              (4, 5, "z", 1, 4), (3, 3, "y", 1, 4)],
+                   (1, "b"): [(2, 4, "z", 3, 5), (5, 5, "z", 1, 3),
+                              (5, 5, "z", 1, 3)],
+                   (2, "z"): [(3, 4, "y", 1, 1)],
+                   (3, "z"): [(4, 4, "z", 1, 0)],
+                   (4, "z"): [(5, 5, "z", 1, 0)]})
     assert forward(5, "a", step) == _forward_per_move(5, "a", step) \
         == {"z": DyadicProb(23, 6)}
 
@@ -427,8 +451,9 @@ def test_forward_spans_overlap_end_at_n_and_keep_single_moves():
 @st.composite
 def _random_steps(draw):
     """A random step table over positions 0..n and states 0..2 whose moves
-    from each (position, state) split at most its mass, in runs of one to
-    four consecutive positions, some running up to n."""
+    from each (position, state) split at most its mass: spans of one to
+    four consecutive positions, some ending at n, some overlapping others
+    from the same or another source, and some repeated."""
     n = draw(st.integers(1, 9))
     table = {}
     for pos in range(n):
@@ -443,9 +468,8 @@ def _random_steps(draw):
                     break
                 count = draw(st.integers(1, budget // length))
                 budget -= count * length
-                nxt = draw(st.integers(0, 2))
-                moves.extend((p, nxt, count, bits)
-                             for p in range(first, first + length))
+                moves.append((first, first + length - 1,
+                              draw(st.integers(0, 2)), count, bits))
             table[pos, state] = moves
     return n, table
 

@@ -638,7 +638,8 @@ def _old_block_law(ell, initial, delta, table, x, y):
         yb = y.indices[b:nxt_b]
         for out, zp in table[(z, yb)]:
             if out == xb:
-                yield nxt_b, zp if nxt_b < n else None, 1, delta[(z, yb)]
+                yield (nxt_b, nxt_b, zp if nxt_b < n else None, 1,
+                       delta[(z, yb)])
 
     start = initial if n else None
     return forward(n, start, step).get(None, DyadicProb.zero())

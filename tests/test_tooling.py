@@ -1,5 +1,5 @@
-"""Checks that the benchmark's tooling and the README still match the
-package.
+"""Checks that the benchmark's tooling, the layer harness in tools/ and the
+README still match the package.
 
 perfbench/tracer.py wraps functions by (module, name); a rename inside
 src/ would make a traced benchmark run crash on a missing attribute.  The
@@ -7,7 +7,8 @@ benchmark compares every job's results.json with perfbench/reference.json,
 so a renamed or dropped output key fails it as an incorrect output.  The
 README's command examples must stay accepted by the CLI parser.  Every
 top-level definition in src/ is reached from a user-facing entry point, or
-is a test oracle named below.
+is a test oracle named below, and the helpers that a refactor retired stay
+gone.
 """
 
 import ast
@@ -15,6 +16,8 @@ import glob
 import importlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -71,6 +74,14 @@ TEST_ONLY = {
     "survival_curve": "empirical Pr{G >= k}, the geometric-tail check",
     "chain_code_len": "one chain field's width, oracle for its law",
     "cond_code_length": "L(x|y), the conditional dominance bound",
+}
+
+
+# top-level definitions that a newer mechanism replaced; src/ must not grow
+# them back (the per-draw LZ walk lives on only as the test-local oracle
+# _lz_draws_per_draw in test_guessers.py)
+RETIRED = {
+    "_run_tail": "forward takes spans from its step instead of finding runs",
 }
 
 
@@ -133,6 +144,39 @@ def test_every_definition_is_reached_or_a_named_oracle():
     assert not set(TEST_ONLY) - unreached, (
         "reached or gone, so drop them from TEST_ONLY: %s"
         % sorted(set(TEST_ONLY) - unreached))
+
+
+def test_retired_helpers_stay_gone():
+    defined = {node.name
+               for path in glob.glob(os.path.join(ROOT, "src", "lzguess",
+                                                  "*.py"))
+               for node in _parse(path).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not defined & set(RETIRED), sorted(defined & set(RETIRED))
+
+
+def test_bench_layers_runs_on_a_shrunk_grid(tmp_path):
+    # two labels over the same tree: every grid point is timed, exponents
+    # are fitted, and the laws agree
+    out = tmp_path / "bench.json"
+    script = os.path.join(ROOT, "tools", "bench_layers.py")
+    for label in ("a", "b"):
+        subprocess.run([sys.executable, script, "--src", ROOT, "--label",
+                        label, "--out", str(out), "--shrink", "64",
+                        "--best-of", "1"], check=True, capture_output=True)
+    data = json.loads(out.read_text())
+    assert list(data["runs"]) == ["a", "b"]
+    summary = data["summary"]
+    assert summary["laws_identical_across_labels"]
+    lz = summary["per_label"]["b"]["lz_guess_prob"]
+    assert set(lz) == {"periodic:ab", "thue_morse", "bernoulli:0.5:1"}
+    for case in lz.values():
+        assert list(case["median_best_s"]) == ["32", "64", "128", "256"]
+        assert "fitted_exponent" in case and "ratio_to_a" in case
+    law = summary["laws"]["lz_guess_prob | periodic:ab | n=256"]
+    assert set(law) == {"e", "m_bits", "sha256"} and law["m_bits"] <= law["e"]
+    assert list(summary["per_label"]["a"]["tiny_lz_passes"]
+                ["8-blocks of bernoulli:0.5:9"]["median_best_s"]) == ["32"]
 
 
 def test_readme_commands_parse():

@@ -1,0 +1,212 @@
+"""Layer timings of the exact forward passes, for one source tree at a time.
+
+Times the exact laws on a fixed grid, best of k calls per point, and
+records each law as (exponent, sha256 of the numerator) beside the
+numerator's bit width, so that two trees can be compared point by point:
+
+- ``lz_guess_prob`` on ``periodic:ab``, ``thue_morse`` and
+  ``bernoulli:0.5:1`` at n = 2048 ... 16384;
+- ``cond_guess_prob`` on a Bernoulli pair (x fair, y = x with 10 % of
+  its symbols flipped) at n = 4096 ... 32768;
+- ``fsgm.sequence_prob`` on an output of the example machine at
+  n = 4096 ... 32768;
+- 2048 tiny passes: ``lz_guess_prob`` on each 8-symbol block of
+  ``bernoulli:0.5:9`` at n = 16384, timed together.
+
+Each call appends one round, under ``--label``, to the JSON file ``--out``
+and rewrites its summary: per label the median over rounds of each
+point's best time and the least-squares slope of log time against log n,
+and whether every label computed the same laws.  Run it from any
+directory; ``--src`` names the checkout (or its ``src/``) to import
+``lzguess`` from.  Alternate the trees when comparing two, for example::
+
+    for i in 1 2 3; do
+        python3 tools/bench_layers.py --src ../old --label parent --out B.json
+        python3 tools/bench_layers.py --src . --label change --out B.json
+    done
+
+``--shrink K`` divides every n and the number of tiny passes by K, for a
+quick check of the script itself.
+"""
+
+from __future__ import annotations
+
+import argparse
+import glob
+import hashlib
+import json
+import math
+import os
+import platform
+import statistics
+import sys
+import time
+
+LZ_CORPORA = ("periodic:ab", "thue_morse", "bernoulli:0.5:1")
+LZ_SIZES = (2048, 4096, 8192, 16384)
+PASS_SIZES = (4096, 8192, 16384, 32768)
+TINY_CORPUS, TINY_N, TINY_BLOCK = "bernoulli:0.5:9", 16384, 8
+
+
+def _import_lzguess(src):
+    """Put the tree's src/ first on sys.path and import lzguess from it."""
+    if os.path.isdir(os.path.join(src, "src", "lzguess")):
+        src = os.path.join(src, "src")
+    src = os.path.abspath(src)
+    if not os.path.isfile(os.path.join(src, "lzguess", "__init__.py")):
+        raise SystemExit("error: no lzguess package under %s" % src)
+    sys.path.insert(0, src)
+    import lzguess
+    if not os.path.abspath(lzguess.__file__).startswith(src + os.sep):
+        raise SystemExit("error: imported lzguess from %s, not from %s"
+                         % (lzguess.__file__, src))
+    return src
+
+
+def _law(p):
+    """A law as its exponent, numerator width and numerator digest."""
+    raw = p.m.to_bytes((p.m.bit_length() + 7) // 8, "big")
+    return {"e": p.e, "m_bits": p.m.bit_length(),
+            "sha256": hashlib.sha256(raw).hexdigest()}
+
+
+def _best_of(k, call):
+    best, out = math.inf, None
+    for _ in range(k):
+        t0 = time.perf_counter()
+        out = call()
+        best = min(best, time.perf_counter() - t0)
+    return best, out
+
+
+def _point(k, call):
+    best, law = _best_of(k, call)
+    return dict(best_s=best, **_law(law))
+
+
+def measure(k, shrink):
+    """One round over the grid: {layer: {case: {n: point}}}."""
+    from lzguess.fsgm import build_fig1_machine, run, sequence_prob
+    from lzguess.guessers import lz_guess_prob
+    from lzguess.seqcore import (BitSource, SymbolSeq, generate_corpus,
+                                 parse_corpus_spec)
+    from lzguess.sideinfo import cond_guess_prob
+
+    layers = {"lz_guess_prob": {}, "cond_guess_prob": {},
+              "fsgm.sequence_prob": {}, "tiny_lz_passes": {}}
+    for spec in LZ_CORPORA:
+        row = layers["lz_guess_prob"][spec] = {}
+        for n in LZ_SIZES:
+            x = parse_corpus_spec(spec, n // shrink)
+            row[str(n // shrink)] = _point(k, lambda: lz_guess_prob(x))
+    row = layers["cond_guess_prob"]["bernoulli pair, 10% flips"] = {}
+    for n in PASS_SIZES:
+        x = generate_corpus("bernoulli", n // shrink, p=0.5, seed=1)
+        noise = generate_corpus("bernoulli", n // shrink, p=0.1, seed=2)
+        y = SymbolSeq(x.alphabet, bytes(
+            a ^ b for a, b in zip(x.indices, noise.indices)))
+        row[str(n // shrink)] = _point(k, lambda: cond_guess_prob(x, y))
+    fig1 = build_fig1_machine()
+    row = layers["fsgm.sequence_prob"]["fig1 output, BitSource(3)"] = {}
+    for n in PASS_SIZES:
+        out = run(fig1, BitSource(3), n // shrink).output
+        row[str(n // shrink)] = _point(k, lambda: sequence_prob(fig1, out))
+    x = parse_corpus_spec(TINY_CORPUS, TINY_N // shrink)
+    blocks = [x[b:b + TINY_BLOCK] for b in range(0, len(x), TINY_BLOCK)]
+    best, laws = _best_of(k, lambda: [lz_guess_prob(u) for u in blocks])
+    digest = hashlib.sha256(repr([(p.m, p.e) for p in laws]).encode())
+    layers["tiny_lz_passes"]["%d-blocks of %s" % (TINY_BLOCK, TINY_CORPUS)] = {
+        str(len(blocks)): {"best_s": best, "sha256": digest.hexdigest()}}
+    return layers
+
+
+def _slope(points):
+    """Least-squares slope of log time against log n."""
+    xs = [math.log(n) for n, _ in points]
+    ys = [math.log(s) for _, s in points]
+    mx, my = statistics.fmean(xs), statistics.fmean(ys)
+    sxx = sum((a - mx) ** 2 for a in xs)
+    return sum((a - mx) * (b - my) for a, b in zip(xs, ys)) / sxx
+
+
+def summarize(runs):
+    """Per label, layer and case: each n's median best time and the fitted
+    exponent; each point's law, and whether every round of every label
+    computed that same law."""
+    out, laws = {}, {}
+    for label, rounds in runs.items():
+        mine = out[label] = {}
+        for layer, cases in rounds[0]["layers"].items():
+            for case, points in cases.items():
+                medians = {}
+                for n in points:
+                    got = [r["layers"][layer][case][n] for r in rounds]
+                    medians[n] = statistics.median(g["best_s"] for g in got)
+                    laws.setdefault((layer, case, n), []).extend(
+                        {key: v for key, v in g.items() if key != "best_s"}
+                        for g in got)
+                entry = {"median_best_s": medians}
+                if len(medians) > 1:
+                    entry["fitted_exponent"] = round(_slope(
+                        [(int(n), s) for n, s in medians.items()]), 3)
+                mine.setdefault(layer, {})[case] = entry
+    # each later label's medians over the first label's, point by point
+    first, *others = out
+    for label in others:
+        for layer, cases in out[label].items():
+            for case, entry in cases.items():
+                base = out[first][layer][case]["median_best_s"]
+                entry["ratio_to_%s" % first] = {
+                    n: round(s / base[n], 3)
+                    for n, s in entry["median_best_s"].items()}
+    same = all(len({json.dumps(law, sort_keys=True) for law in seen}) == 1
+               for seen in laws.values())
+    return {"per_label": out, "laws_identical_across_labels": same,
+            "laws": {"%s | %s | n=%s" % key: seen[0] if same else seen
+                     for key, seen in laws.items()}}
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--src", required=True,
+                    help="checkout (or its src/) to import lzguess from")
+    ap.add_argument("--label", required=True,
+                    help="name of this tree in the output, e.g. parent")
+    ap.add_argument("--out", required=True, help="JSON file to update")
+    ap.add_argument("--best-of", type=int, default=3, metavar="K")
+    ap.add_argument("--shrink", type=int, default=1, metavar="K",
+                    help="divide every n and the tiny-pass count by K")
+    args = ap.parse_args(argv)
+    if args.best_of < 1 or args.shrink < 1:
+        raise SystemExit("error: --best-of and --shrink must be >= 1")
+    src = _import_lzguess(args.src)
+    lines = 0
+    for path in sorted(glob.glob(os.path.join(src, "lzguess", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            lines += sum(1 for _ in fh)
+    t0 = time.perf_counter()
+    layers = measure(args.best_of, args.shrink)
+    record = {"src_lines": lines, "best_of": args.best_of,
+              "shrink": args.shrink, "loadavg": list(os.getloadavg()),
+              "round_s": time.perf_counter() - t0, "layers": layers}
+    data = {}
+    if os.path.exists(args.out):
+        with open(args.out, encoding="utf-8") as fh:
+            data = json.load(fh)
+    data.setdefault("what", "exact forward-pass layer timings, "
+                            "tools/bench_layers.py")
+    data["host"] = {"python": platform.python_version(),
+                    "platform": platform.platform(),
+                    "nproc": os.cpu_count()}
+    data.setdefault("runs", {}).setdefault(args.label, []).append(record)
+    data["summary"] = summarize(data["runs"])
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=1, sort_keys=False)
+        fh.write("\n")
+    print("%s: round %d in %.1f s, laws identical across labels: %s"
+          % (args.label, len(data["runs"][args.label]), record["round_s"],
+             data["summary"]["laws_identical_across_labels"]))
+
+
+if __name__ == "__main__":
+    main()
