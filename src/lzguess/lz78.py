@@ -17,10 +17,12 @@ It accepts exactly the streams the encoder writes: a pointer-symbol pair that
 is already a phrase is a DecodeError, like a truncated stream.  Total length
 grows like c*log(c) in the phrase count.
 
-Only the parse walks the sequence symbol by symbol: the encoder reads the
-code off the parse trie, one pointer-symbol field per phrase, and the
-decoder copies each pointer's word from where it first wrote that word in
-its own output.
+Only the parse walks the sequence symbol by symbol, one child-dict lookup
+per symbol; it adds each phrase's node where the walk falls off the trie,
+and prices the code from the phrase count in closed form.  The encoder
+reads the code off the parse trie, one pointer-symbol field per phrase,
+and the decoder copies each pointer's word from where it first wrote that
+word in its own output.
 
 c_max_oracle computes the largest number of *distinct* phrases over all
 partitions by memoized exhaustive search without pruning; it is exponential
@@ -154,37 +156,52 @@ class ParseResult:
         return [p.render() for p in self.phrases()]
 
 
+def _ptr_bits_total(c: int) -> int:
+    """Pointer bits of complete phrases 1..c: the sum of ceil(log2(j))."""
+    if c < 2:
+        return 0
+    top = (c - 1).bit_length()       # the width of phrase c's pointer
+    return top * c - (1 << top) + 1
+
+
 def incremental_parse(seq: SymbolSeq) -> ParseResult:
     """Parse `seq` into shortest-new phrases and price the concrete code.
+
+    One pass over the symbols walks the trie from the root with the
+    current node's child dict in hand; a missing child completes a
+    phrase, adds its node and records where the next phrase starts.  The
+    code length follows from the phrase count in closed form.
 
     >>> r = incremental_parse(SymbolSeq.from_text("abbabaabbaaabaa", AB))
     >>> r.phrase_texts()
     ['a', 'b', 'ba', 'baa', 'bb', 'aa', 'ab', 'aa']
     """
     trie = ParseTrie()
-    boundaries = []
+    parent, sym, children = trie.parent, trie.sym, trie.children
+    root = kids = children[0]
+    boundaries = [0]
     node = 0
-    start = 0
-    bits = 0
-    a_bits = seq.alphabet.bits_per_symbol
-    for pos, c in enumerate(seq):
-        if node == 0:
-            boundaries.append(pos)
-            start = pos
-        child = trie.children[node].get(c)
+    for pos, c in enumerate(seq.indices):
+        child = kids.get(c)
         if child is None:
-            bits += _ptr_width(len(trie)) + a_bits
-            trie.add(node, c)
-            node = 0
+            kids[c] = len(parent)
+            parent.append(node)
+            sym.append(c)
+            children.append({})
+            boundaries.append(pos + 1)
+            node, kids = 0, root
         else:
-            node = child
+            node, kids = child, children[child]
+    n = len(seq)
+    if boundaries[-1] == n:
+        boundaries.pop()             # no phrase starts at the end
+    complete = len(parent) - 1
     last_complete = node == 0
+    bits = _ptr_bits_total(complete) + complete * seq.alphabet.bits_per_symbol
     if not last_complete:
-        bits += _ptr_width(len(trie))
-    c_lz = len(boundaries)
-    if len(seq) == 0:
-        last_complete = True
-    return ParseResult(seq, boundaries, c_lz, last_complete, trie, bits)
+        bits += _ptr_width(complete + 1)
+    return ParseResult(seq, boundaries, len(boundaries), last_complete,
+                       trie, bits)
 
 
 def code_length(parse: ParseResult, alpha: int | None = None) -> int:
@@ -196,9 +213,10 @@ def code_length(parse: ParseResult, alpha: int | None = None) -> int:
     if alpha is None or alpha == parse.seq.alphabet.size:
         return parse.code_length_bits
     a_bits = max(1, (alpha - 1).bit_length())
-    bits = sum(_ptr_width(j) + a_bits for j in range(1, parse.complete_count + 1))
+    c = parse.complete_count
+    bits = _ptr_bits_total(c) + c * a_bits
     if not parse.last_complete:
-        bits += _ptr_width(parse.complete_count + 1)
+        bits += _ptr_width(c + 1)
     return bits
 
 

@@ -299,7 +299,45 @@ class BitSource:
 
 
 WIN, FAIL = -2, -1     # the automaton table entries that end an attempt
-_LOW_BITS = tuple((1 << a) - 1 for a in range(64))
+_START_BITS = 10       # the least number of bits play's start window covers
+
+
+def _start_window(widths, tables, k: int, cap: int) -> list:
+    """Per k-bit pattern, the walk of the automaton from state 0 over the
+    complete fields in those bits, restarting at state 0 after each FAIL:
+    (fails, bits used, state reached), stopping at WIN or at the first
+    field that does not fit.  If every attempt FAILs without reading a
+    bit, every pattern counts cap fails."""
+    state = 0
+    while state >= 0 and not widths[state]:
+        state = tables[state][0]
+    if state == FAIL:
+        return [(cap, 0, FAIL)] * (1 << k)
+    return _walks(widths, tables, {}, 0, k)
+
+
+def _walks(widths, tables, memo, state, r):
+    """The walks of :func:`_start_window` from `state` over every r-bit
+    pattern, built once per (state, r) in `memo`.  A module function, not
+    a closure: a closure that calls itself is a reference cycle, which
+    would keep every sub-walk alive until the next garbage collection."""
+    out = memo.get((state, r))
+    if out is None:
+        width = widths[state]
+        rest = r - width
+        if rest < 0:
+            out = [(0, 0, state)] * (1 << r)
+        else:
+            out = []
+            for nxt in tables[state]:
+                if nxt == WIN:
+                    out += [(0, width, WIN)] * (1 << rest)
+                else:
+                    add = nxt == FAIL
+                    out += [(f + add, u + width, z) for f, u, z in
+                            _walks(widths, tables, memo, max(nxt, 0), rest)]
+        memo[state, r] = out
+    return out
 
 
 def play(automaton, rounds: int, seed: int, cap: int,
@@ -316,40 +354,67 @@ def play(automaton, rounds: int, seed: int, cap: int,
     splitmix64 words, most significant bit first, so a round's count does
     not depend on how rounds are split across workers.  A round is
     censored after `cap` failed guesses and yields cap + 1.
+
+    Most attempts fail within their first few bits, so play first builds
+    a start window over K = max(_START_BITS, widths[0]) bits: per K-bit
+    pattern, the fails, the bits used and the state reached by walking
+    its complete fields from state 0 (:func:`_start_window`).  In state 0
+    the loop peeks K bits, looks them up once, consumes only the bits
+    used and adds the fails to the count, censoring once that passes the
+    cap; other states read one field at a time.  Each field is read from
+    the same bits and leads to the same state as one step per field
+    would, so the counts are the same.
     """
     if cap < 1:
         raise ValueError("need cap >= 1")
     if rounds < 0:
         raise ValueError("need rounds >= 0, got %r" % (rounds,))
     widths, tables = automaton
-    mask, low = _MASK64, _LOW_BITS
+    kb = max(_START_BITS, widths[0])
+    window = _start_window(widths, tables, kb, cap)
+    reads = [kb, *widths[1:]]       # bits each state peeks or reads
+    mask = _MASK64
+    # `avail` stays below kb + 64: reads refill only while short
+    low = [(1 << a) - 1 for a in range(kb + 64)]
     for k in range(start, start + rounds):
         # BitSource.next_bits and _mix64 inlined: `counter` steps through
         # the words' splitmix64 inputs, and `buf` holds the `avail` unread
-        # bits, fewer than 64 after each read
+        # bits
         counter = derive_substream_seed(seed, k)
         buf = avail = 0
         g = 1
         state = 0
         while True:
-            width = widths[state]
+            width = reads[state]
             while avail < width:
                 counter = (counter + _GOLDEN) & mask
                 z = ((counter ^ (counter >> 30)) * 0xBF58476D1CE4E5B9) & mask
                 z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
                 buf = (buf << 64) | z ^ (z >> 31)
                 avail += 64
-            avail -= width
-            state = tables[state][buf >> avail]
-            buf &= low[avail]
-            if state < 0:
+            if state:
+                avail -= width
+                state = tables[state][buf >> avail]
+                buf &= low[avail]
+                if state < 0:
+                    if state == WIN:
+                        break
+                    if g >= cap:
+                        g = cap + 1
+                        break
+                    g += 1
+                    state = 0
+            else:
+                fails, used, state = window[buf >> (avail - kb)]
+                avail -= used
+                buf &= low[avail]
+                if fails:
+                    g += fails
+                    if g > cap:
+                        g = cap + 1
+                        break
                 if state == WIN:
                     break
-                if g >= cap:
-                    g = cap + 1
-                    break
-                g += 1
-                state = 0
         yield g
 
 

@@ -5,11 +5,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lzguess.seqcore import (FAIL, WIN, Alphabet, BitSource, BudgetError,
-                             DyadicProb, SymbolSeq, parse_corpus_spec, play)
+from lzguess.seqcore import (_START_BITS, FAIL, WIN, Alphabet, BitSource,
+                             BudgetError, DyadicProb, SymbolSeq,
+                             _start_window, derive_substream_seed,
+                             parse_corpus_spec, play)
 from lzguess.lz78 import incremental_parse
-from lzguess.fsgm import automaton, build_fig1_machine, output_distribution
+from lzguess.fsgm import (FSGMSpec, automaton, build_fig1_machine,
+                          output_distribution)
 from lzguess.guessers import (Guesser, _lz_draws, aligned_guess_prob,
                               block_guess_prob, block_sample,
                               compile_automaton, compile_block_guesser_to_fsgm,
@@ -677,6 +681,161 @@ def test_play_reads_the_bits_of_the_runner_oracle(case):
         seen.update(c > cap for c in want)
     assert seen == {False, True}
     assert play_counts(g, x, rounds, seed, cap, jobs=2) == want
+
+
+def _play_per_field(automaton, rounds, seed, cap, start=0):
+    """play as one step per field, with no start window: the oracle for
+    the window.  Bits are read from the substreams' splitmix64 words as
+    BitSource.next_bits reads them."""
+    widths, tables = automaton
+    mask = (1 << 64) - 1
+    out = []
+    for k in range(start, start + rounds):
+        counter = derive_substream_seed(seed, k)
+        buf = avail = 0
+        g, state = 1, 0
+        while True:
+            width = widths[state]
+            while avail < width:
+                counter = (counter + 0x9E3779B97F4A7C15) & mask
+                z = ((counter ^ (counter >> 30)) * 0xBF58476D1CE4E5B9) & mask
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+                buf = (buf << 64) | z ^ (z >> 31)
+                avail += 64
+            avail -= width
+            state = tables[state][buf >> avail]
+            buf &= (1 << avail) - 1
+            if state < 0:
+                if state == WIN:
+                    break
+                if g >= cap:
+                    g = cap + 1
+                    break
+                g += 1
+                state = 0
+        out.append(g)
+    return out
+
+
+def test_per_field_oracle_reads_the_runner_bits():
+    # the oracle itself against make_runner attempts over BitSource
+    g, x = _RUNNER_CASES["block:3"]()
+    attempt = make_runner(g, x)
+    want = []
+    for k in range(200):
+        bits, guesses = BitSource(3, k), 1
+        while not attempt(bits) and guesses <= 5:
+            guesses += 1
+        want.append(guesses)
+    assert _play_per_field(compile_automaton(g, x), 200, 3, 5) == want
+
+
+@st.composite
+def _random_automata(draw):
+    """A random automaton whose states only lead to later states, FAIL or
+    WIN, with fields of 0-12 bits; some start with zero-width states that
+    FAIL."""
+    widths = draw(st.lists(st.integers(0, 12), min_size=1, max_size=6))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    tables = []
+    for state, width in enumerate(widths):
+        later = list(range(state + 1, len(widths)))
+        weights = [rng.random(), rng.random() / 2] + [rng.random()] * len(later)
+        tables.append(rng.choices([FAIL, WIN] + later, weights,
+                                  k=1 << width))
+    return widths, tables
+
+
+@settings(max_examples=300, deadline=None)
+@given(_random_automata(), st.integers(1, 6), st.integers(0, 2 ** 64),
+       st.integers(0, 2 ** 40), st.integers(0, 40))
+def test_play_window_matches_per_field_play(game, cap, seed, start, rounds):
+    assert list(play(game, rounds, seed, cap, start)) == _play_per_field(
+        game, rounds, seed, cap, start)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("case", list(_RUNNER_CASES))
+def test_play_counts_equal_per_field_play(case, jobs):
+    g, x = _RUNNER_CASES[case]()
+    game = compile_automaton(g, x)
+    for cap in (1, 3, 1000):
+        want = _play_per_field(game, 200, 11, cap)
+        assert play_counts(g, x, 200, 11, cap, jobs=jobs) == want
+        assert list(play(game, 150, 11, cap, start=50)) == want[50:]
+
+
+def _wide_start():
+    """State 0 reads a field wider than the window's least width; a
+    sixteenth of its fields lead to a one-bit state, one in 512 wins."""
+    wide = _START_BITS + 2
+    rng = random.Random(4)
+    first = [1 if rng.random() < 1 / 16 else
+             WIN if rng.random() < 1 / 512 else FAIL
+             for _ in range(1 << wide)]
+    return [wide, 1], [first, [FAIL, WIN]]
+
+
+def test_play_window_wider_than_start_bits():
+    game = _wide_start()
+    wide = game[0][0]
+    # each pattern is one whole field of state 0: a FAIL restarts there
+    entry = {FAIL: (1, wide, 0), 1: (0, wide, 1), WIN: (0, wide, WIN)}
+    assert _start_window(*game, wide, 1000) == [entry[nxt]
+                                                 for nxt in game[1][0]]
+    want = _play_per_field(game, 300, 2, 1000)
+    assert list(play(game, 300, 2, 1000)) == want
+    assert max(want) > 10
+
+
+def test_play_window_fails_then_wins_within_one_window():
+    # one bit per attempt, 1 wins: the pattern 0001... is three FAILs
+    # and a WIN in its first four bits
+    game = ([1], [[FAIL, WIN]])
+    k = _START_BITS
+    window = _start_window(*game, k, 100)
+    assert window[0b0001 << (k - 4)] == (3, 4, WIN)
+    assert window[0] == (k, k, 0)
+    assert window[(1 << k) - 1] == (0, 1, WIN)
+    want = _play_per_field(game, 2000, 5, 100)
+    assert list(play(game, 2000, 5, 100)) == want
+    assert max(want) > k            # rounds that look up several windows
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_play_window_censors_part_way_through_its_fails(cap):
+    # a window holds up to _START_BITS fails; the cap falls inside them
+    game = ([1, 1], [[FAIL, 1], [FAIL, WIN]])
+    want = _play_per_field(game, 3000, 9, cap)
+    assert list(play(game, 3000, 9, cap)) == want
+    assert set(want) == set(range(1, cap + 2))
+
+
+def _silent_fail_machine():
+    """A machine whose start state reads no bits and emits b, then reads
+    one bit per symbol: every attempt at a target starting with a fails
+    without reading a bit."""
+    ab = Alphabet("ab")
+    return FSGMSpec(ab, ["s", "t"], "s", {"s": 0, "t": 1},
+                    {"s": [(1, "t")], "t": [(0, "t"), (1, "t")]})
+
+
+def test_play_ends_when_every_attempt_fails_without_a_bit():
+    spec = _silent_fail_machine()
+    x = SymbolSeq.from_text("abab", spec.alphabet)
+    game = automaton(spec, x)
+    assert game[0][0] == 0 and game[1][0] == [FAIL]
+    assert _play_per_field(game, 5, 1, 7) == [8] * 5
+    assert list(play(game, 5, 1, 7)) == [8] * 5
+    # the cap is never walked: a huge one ends as fast
+    huge = 1 << 62
+    assert list(play(game, 1000, 1, huge)) == [huge + 1] * 1000
+    g = Guesser("fsgm", spec.alphabet, 4, spec=spec)
+    assert play_counts(g, x, 3, 0, huge) == [huge + 1] * 3
+    # a target the machine can emit still plays as before
+    y = SymbolSeq.from_text("baab", spec.alphabet)
+    want = _play_per_field(automaton(spec, y), 500, 1, 50)
+    assert play_counts(g, y, 500, 1, 50) == want
 
 
 def _automaton_law(widths, tables):

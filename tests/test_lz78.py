@@ -324,6 +324,75 @@ def test_decode_equals_trie_walk_reference_on_any_stream(bits, n, size):
             == _decode_outcome(_decode_by_trie_walk, bits, n, alphabet))
 
 
+# --- the one-pass parse against the former per-symbol one -------------------
+
+def _parse_per_symbol(x):
+    """incremental_parse as it was before its tight loop: the trie grows
+    through ParseTrie.add and the code is priced phrase by phrase; kept as
+    the reference."""
+    trie = ParseTrie()
+    boundaries, node, bits = [], 0, 0
+    a_bits = x.alphabet.bits_per_symbol
+    for pos, c in enumerate(x):
+        if node == 0:
+            boundaries.append(pos)
+        child = trie.children[node].get(c)
+        if child is None:
+            bits += (len(trie) - 1).bit_length() + a_bits
+            trie.add(node, c)
+            node = 0
+        else:
+            node = child
+    if node:
+        bits += (len(trie) - 1).bit_length()
+    return (boundaries, len(boundaries), node == 0, bits, trie.parent,
+            trie.sym, trie.children)
+
+
+def _parse_fields(x):
+    r = incremental_parse(x)
+    return (r.boundaries, r.c_lz, r.last_complete, r.code_length_bits,
+            r.trie.parent, r.trie.sym, r.trie.children)
+
+
+def _code_length_per_phrase(r, alpha):
+    a_bits = max(1, (alpha - 1).bit_length())
+    c = r.complete_count
+    bits = sum((j - 1).bit_length() + a_bits for j in range(1, c + 1))
+    return bits + (0 if r.last_complete else c.bit_length())
+
+
+@pytest.mark.parametrize("alphabet", [B01, Alphabet(("a", "b", "c"))],
+                         ids=["binary", "ternary"])
+def test_parse_equals_per_symbol_reference_exhaustive(alphabet):
+    for n in range(10):
+        for x in all_seqs(alphabet, n):
+            assert _parse_fields(x) == _parse_per_symbol(x)
+            r = incremental_parse(x)
+            for alpha in (2, 3, 5, 256):
+                assert code_length(r, alpha) == _code_length_per_phrase(
+                    r, alpha)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 26).flatmap(
+    lambda size: st.text(_TOKENS[:size], max_size=400)
+    .map(lambda text: seq(text, Alphabet(tuple(_TOKENS[:size]))))))
+def test_parse_equals_per_symbol_reference_on_strings(x):
+    assert _parse_fields(x) == _parse_per_symbol(x)
+
+
+def test_parse_equals_per_symbol_reference_on_long_corpora():
+    # thousands of phrases: pointer widths past every small power of two
+    for kind, kw in (("bernoulli", {"p": 0.5}), ("thue_morse", {}),
+                     ("periodic", {"pattern": "ab"})):
+        x = generate_corpus(kind, 1 << 14, seed=5, **kw)
+        assert _parse_fields(x) == _parse_per_symbol(x)
+        r = incremental_parse(x)
+        for alpha in (3, 256):
+            assert code_length(r, alpha) == _code_length_per_phrase(r, alpha)
+
+
 def test_phrase_texts_of_a_bytes_parse_are_hex():
     x = ingest(b"\x00\x00\xff\x00\xff\x10", mode="bytes")
     assert incremental_parse(x).phrase_texts() == ["00", "00ff", "00ff10"]

@@ -157,7 +157,7 @@ def test_retired_helpers_stay_gone():
 
 def test_bench_layers_runs_on_a_shrunk_grid(tmp_path):
     # two labels over the same tree: every grid point is timed, exponents
-    # are fitted, and the laws agree
+    # are fitted, and the laws and play counts agree
     out = tmp_path / "bench.json"
     script = os.path.join(ROOT, "tools", "bench_layers.py")
     for label in ("a", "b"):
@@ -177,6 +177,16 @@ def test_bench_layers_runs_on_a_shrunk_grid(tmp_path):
     assert set(law) == {"e", "m_bits", "sha256"} and law["m_bits"] <= law["e"]
     assert list(summary["per_label"]["a"]["tiny_lz_passes"]
                 ["8-blocks of bernoulli:0.5:9"]["median_best_s"]) == ["32"]
+    # the play grid keeps its n and shrinks its rounds; counts agree
+    play = summary["per_label"]["b"]["play"]
+    assert set(play) == {"lz", "block:4", "uniform", "fsgm",
+                         "cond periodic:ab"}
+    for case in play.values():
+        assert list(case["median_attempts_per_s"]) == ["8", "12", "16", "24"]
+        assert "fitted_exponent" in case and "ratio_to_a" in case
+    point = summary["laws"]["play | lz | n=24"]
+    assert set(point) == {"attempts", "sha256"}
+    assert 4 <= point["attempts"] <= 4 * 1000
 
 
 def test_readme_commands_parse():

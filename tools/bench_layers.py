@@ -1,4 +1,5 @@
-"""Layer timings of the exact forward passes, for one source tree at a time.
+"""Layer timings of the exact forward passes and of the Monte Carlo engine,
+for one source tree at a time.
 
 Times the exact laws on a fixed grid, best of k calls per point, and
 records each law as (exponent, sha256 of the numerator) beside the
@@ -11,12 +12,21 @@ numerator's bit width, so that two trees can be compared point by point:
 - ``fsgm.sequence_prob`` on an output of the example machine at
   n = 4096 ... 32768;
 - 2048 tiny passes: ``lz_guess_prob`` on each 8-symbol block of
-  ``bernoulli:0.5:9`` at n = 16384, timed together.
+  ``bernoulli:0.5:9`` at n = 16384, timed together;
+- ``seqcore.play`` per guesser kind (``lz``, ``block:4``, ``uniform``,
+  ``fsgm`` on the example machine, and the conditional LZ guesser with
+  x = y = ``periodic:ab``) at n = 8, 12, 16, 24: 300 rounds of seed 7,
+  cap 1000, against a target the guesser drew itself
+  (``Guesser.sample(BitSource(1000 + n))``) or x for the conditional
+  kind.  The automaton is compiled outside the timed part.  A point
+  records its attempts (the sum of min(G, cap)) and the sha256 of its
+  count list in place of a law.
 
 Each call appends one round, under ``--label``, to the JSON file ``--out``
 and rewrites its summary: per label the median over rounds of each
-point's best time and the least-squares slope of log time against log n,
-and whether every label computed the same laws.  Run it from any
+point's best time and the least-squares slope of log time (per attempt,
+for ``play``) against log n, the attempts/s of each ``play`` point, and
+whether every label computed the same laws and counts.  Run it from any
 directory; ``--src`` names the checkout (or its ``src/``) to import
 ``lzguess`` from.  Alternate the trees when comparing two, for example::
 
@@ -25,8 +35,9 @@ directory; ``--src`` names the checkout (or its ``src/``) to import
         python3 tools/bench_layers.py --src . --label change --out B.json
     done
 
-``--shrink K`` divides every n and the number of tiny passes by K, for a
-quick check of the script itself.
+``--shrink K`` divides every n of the exact passes, the number of tiny
+passes and the ``play`` rounds by K, for a quick check of the script
+itself.
 """
 
 from __future__ import annotations
@@ -46,6 +57,8 @@ LZ_CORPORA = ("periodic:ab", "thue_morse", "bernoulli:0.5:1")
 LZ_SIZES = (2048, 4096, 8192, 16384)
 PASS_SIZES = (4096, 8192, 16384, 32768)
 TINY_CORPUS, TINY_N, TINY_BLOCK = "bernoulli:0.5:9", 16384, 8
+PLAY_SIZES = (8, 12, 16, 24)
+PLAY_ROUNDS, PLAY_SEED, PLAY_CAP = 300, 7, 1000
 
 
 def _import_lzguess(src):
@@ -117,7 +130,41 @@ def measure(k, shrink):
     digest = hashlib.sha256(repr([(p.m, p.e) for p in laws]).encode())
     layers["tiny_lz_passes"]["%d-blocks of %s" % (TINY_BLOCK, TINY_CORPUS)] = {
         str(len(blocks)): {"best_s": best, "sha256": digest.hexdigest()}}
+    layers["play"] = measure_play(k, shrink)
     return layers
+
+
+def measure_play(k, shrink):
+    """{kind: {n: point}} for seqcore.play, compiled outside the timing."""
+    from lzguess.fsgm import build_fig1_machine
+    from lzguess.guessers import Guesser, compile_automaton
+    from lzguess.seqcore import Alphabet, BitSource, parse_corpus_spec, play
+
+    binary, fig1 = Alphabet("01"), build_fig1_machine()
+    kinds = {
+        "lz": lambda n: Guesser("lz_full", binary, n),
+        "block:4": lambda n: Guesser("lz_block", binary, n, ell=4),
+        "uniform": lambda n: Guesser("uniform", binary, n),
+        "fsgm": lambda n: Guesser("fsgm", fig1.alphabet, n, spec=fig1),
+        "cond periodic:ab": lambda n: Guesser(
+            "lz_full", Alphabet("ab"), n,
+            side=parse_corpus_spec("periodic:ab", n)),
+    }
+    rounds = max(1, PLAY_ROUNDS // shrink)
+    out = {}
+    for kind, make in kinds.items():
+        row = out[kind] = {}
+        for n in PLAY_SIZES:
+            g = make(n)
+            x = g.side if g.side is not None else g.sample(BitSource(1000 + n))
+            game = compile_automaton(g, x)
+            best, counts = _best_of(k, lambda: list(
+                play(game, rounds, PLAY_SEED, PLAY_CAP)))
+            row[str(n)] = {
+                "best_s": best,
+                "attempts": sum(min(c, PLAY_CAP) for c in counts),
+                "sha256": hashlib.sha256(repr(counts).encode()).hexdigest()}
+    return out
 
 
 def _slope(points):
@@ -131,24 +178,30 @@ def _slope(points):
 
 def summarize(runs):
     """Per label, layer and case: each n's median best time and the fitted
-    exponent; each point's law, and whether every round of every label
-    computed that same law."""
+    exponent (of the time per attempt where a point counts attempts, with
+    the attempts/s); each point's law or counts, and whether every round
+    of every label computed that same law or those counts."""
     out, laws = {}, {}
     for label, rounds in runs.items():
         mine = out[label] = {}
         for layer, cases in rounds[0]["layers"].items():
             for case, points in cases.items():
-                medians = {}
+                medians, per = {}, {}
                 for n in points:
                     got = [r["layers"][layer][case][n] for r in rounds]
                     medians[n] = statistics.median(g["best_s"] for g in got)
+                    per[n] = got[0].get("attempts", 1)
                     laws.setdefault((layer, case, n), []).extend(
                         {key: v for key, v in g.items() if key != "best_s"}
                         for g in got)
                 entry = {"median_best_s": medians}
+                if "attempts" in got[0]:
+                    entry["median_attempts_per_s"] = {
+                        n: round(per[n] / s) for n, s in medians.items()}
                 if len(medians) > 1:
                     entry["fitted_exponent"] = round(_slope(
-                        [(int(n), s) for n, s in medians.items()]), 3)
+                        [(int(n), s / per[n]) for n, s in medians.items()]),
+                        3)
                 mine.setdefault(layer, {})[case] = entry
     # each later label's medians over the first label's, point by point
     first, *others = out
@@ -175,7 +228,8 @@ def main(argv=None):
     ap.add_argument("--out", required=True, help="JSON file to update")
     ap.add_argument("--best-of", type=int, default=3, metavar="K")
     ap.add_argument("--shrink", type=int, default=1, metavar="K",
-                    help="divide every n and the tiny-pass count by K")
+                    help="divide every exact-pass n, the tiny-pass count "
+                         "and the play rounds by K")
     args = ap.parse_args(argv)
     if args.best_of < 1 or args.shrink < 1:
         raise SystemExit("error: --best-of and --shrink must be >= 1")
@@ -193,8 +247,8 @@ def main(argv=None):
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
             data = json.load(fh)
-    data.setdefault("what", "exact forward-pass layer timings, "
-                            "tools/bench_layers.py")
+    data.setdefault("what", "exact forward-pass and Monte Carlo layer "
+                            "timings, tools/bench_layers.py")
     data["host"] = {"python": platform.python_version(),
                     "platform": platform.platform(),
                     "nproc": os.cpu_count()}
