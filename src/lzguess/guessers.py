@@ -21,6 +21,11 @@ The block guesser restarts the dictionary every ell symbols (a final short
 block just uses a shorter target), multiplying per-block probabilities, and
 compiles to an explicit finite-state machine whose states are (determined
 block prefix, symbols still pending emission).
+
+Each family's module owns its draw rule, exact law and automaton: this
+one the LZ sampler's, ``sideinfo`` the conditional sampler's and ``fsgm``
+a machine's.  :class:`Guesser` dispatches to them, and a block-restarted
+guesser computes the law or automaton of each distinct block once.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import bisect
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import accumulate, groupby, repeat
 from operator import add, mul
 from typing import Callable, NamedTuple
@@ -37,16 +43,12 @@ from .seqcore import (FAIL, WIN, Alphabet, BitSource, BudgetError, DyadicProb,
                       SymbolSeq, forward, play)
 from . import fsgm, lz78
 from .fsgm import FSGMSpec
+from .sideinfo import _cond_automaton, cond_guess_prob, cond_sample
 
 LOG2E = math.log2(math.e)
 _COMPILE_STATE_BUDGET = 4096    # ell * alpha**ell states at most
 _SERIES_REL_TOL = 1e-12         # moment_exact's series stop
 _SERIES_CHUNK = 4096            # moment_exact's largest chunk of terms
-
-
-def _ptr_count(node: int, t: int, width: int) -> int:
-    """How many raw pointer-field patterns map to node id under mod t."""
-    return ((1 << width) - 1 - node) // t + 1
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +190,18 @@ def _blocks(n: int, ell: int):
         yield b, min(b + ell, n)
 
 
+def _per_block(f, ell: int, *seqs: SymbolSeq) -> list:
+    """f of each ell-block of the equal-length `seqs` (a target, or a
+    target and its side), in block order; equal blocks are computed once."""
+    done, out = {}, []
+    for b, e in _blocks(len(seqs[0]), ell):
+        key = tuple(s.indices[b:e] for s in seqs)
+        if key not in done:
+            done[key] = f(*(s[b:e] for s in seqs))
+        out.append(done[key])
+    return out
+
+
 def block_sample(alphabet: Alphabet, n: int, ell: int,
                  bits: BitSource) -> SymbolSeq:
     """Independent dictionary restarts every ell symbols."""
@@ -204,15 +218,7 @@ def block_guess_prob(x: SymbolSeq, ell: int) -> DyadicProb:
     each distinct block's law computed once."""
     if ell < 1:
         raise ValueError("need ell >= 1")
-    laws = {}
-    prob = DyadicProb.one()
-    for b, e in _blocks(len(x), ell):
-        block = x[b:e]
-        law = laws.get(block.indices)
-        if law is None:
-            law = laws[block.indices] = lz_guess_prob(block)
-        prob = prob * law
-    return prob
+    return reduce(mul, _per_block(lz_guess_prob, ell, x), DyadicProb.one())
 
 
 def compile_block_guesser_to_fsgm(ell: int, alphabet: Alphabet) -> FSGMSpec:
@@ -362,7 +368,6 @@ class Guesser:
             return fsgm.run(self.spec, bits, self.n, self.side).output
         if self.side is None:
             return block_sample(self.alphabet, self.n, self.block, bits)
-        from .sideinfo import cond_sample
         return SymbolSeq(self.alphabet, b"".join(
             cond_sample(self.side[b:e], e - b, bits, self.alphabet).indices
             for b, e in _blocks(self.n, self.block)))
@@ -376,11 +381,8 @@ class Guesser:
                                       self.side)
         if self.side is None:
             return block_guess_prob(x, self.block)
-        from .sideinfo import cond_guess_prob
-        prob = DyadicProb.one()
-        for b, e in _blocks(self.n, self.block):
-            prob = prob * cond_guess_prob(x[b:e], self.side[b:e])
-        return prob
+        return reduce(mul, _per_block(cond_guess_prob, self.block, x,
+                                      self.side), DyadicProb.one())
 
 
 # ---------------------------------------------------------------------------
@@ -592,83 +594,6 @@ def _lz_run_tables(x: SymbolSeq):
     return widths, tables
 
 
-def _cond_run_tables(x: SymbolSeq, y: SymbolSeq):
-    """Per-position tables of the conditional automaton, from the
-    :func:`~lzguess.sideinfo._cond_draws` of (x, y).
-
-    tables[b] is (size, moves): the chain field's size after x[:b] and a
-    dict from each chain value that keeps matching x to (width, c, pos,
-    next b); an index field v of `width` bits keeps matching when
-    v % c == pos, and next b == n wins."""
-    from .sideinfo import _cond_draws
-    tables = []
-    for size, draws in _cond_draws(x, y):
-        moves = {}
-        for fused, width, c, pos, nxt in draws:
-            for f in fused:
-                moves[f] = (width, c, pos, nxt)
-        tables.append((size, moves))
-    return tables
-
-
-def _cond_automaton(x: SymbolSeq, y: SymbolSeq):
-    """The :func:`_cond_run_tables` of (x, y) as automaton states.
-
-    At each matched length b the chain field is read the way
-    ``sideinfo.chain_read`` takes it: Z = floor(log2 size) one-bit unary
-    states, where a 1 at the z-th picks level z and a 0 goes on, then the
-    z-bit payload of level z or, after the last unary state, the top
-    level's payload, folded as ``sideinfo.chain_draw`` folds it.  A chain
-    value leads to the index field of its draw (none when that field is 0
-    bits wide) and on to the first unary state of its next b, numbered
-    when first reached; a b that no draw reaches gets no states."""
-    n = len(x)
-    widths, tables = [], []
-    starts = {}
-
-    def state(width, table=None):
-        widths.append(width)
-        tables.append(table)
-        return len(tables) - 1
-
-    def start(b):
-        if b == n:
-            return WIN
-        if b not in starts:
-            starts[b] = state(1)
-        return starts[b]
-
-    start(0)
-    for b, (size, moves) in enumerate(_cond_run_tables(x, y)):
-        if b not in starts:
-            continue        # no draw reaches b
-        links = {}
-
-        def link(gap):
-            move = moves.get(gap)
-            if move is None:
-                return FAIL
-            if move not in links:
-                width, c, pos, nxt = move
-                links[move] = state(width, [
-                    start(nxt) if v % c == pos else FAIL
-                    for v in range(1 << width)]) if width else start(nxt)
-            return links[move]
-
-        z_top = size.bit_length() - 1
-        top = (1 << z_top) - 1
-        width = (size - top - 1).bit_length()
-        go = state(width, [link(top + v % (size - top))
-                           for v in range(1 << width)]) if width else link(top)
-        for z in reversed(range(z_top)):
-            stop = state(z, [link((1 << z) - 1 + v) for v in range(1 << z)]
-                         ) if z else link(0)
-            unary = state(1) if z else start(b)
-            tables[unary] = [go, stop]
-            go = unary
-    return widths, tables
-
-
 def _chain(parts):
     """Blocks' automata played in turn as one: each block's states follow
     the last block's, and its WIN is the next block's start."""
@@ -689,7 +614,7 @@ def compile_automaton(guesser: Guesser, x: SymbolSeq):
     :func:`~lzguess.seqcore.play` runs.
 
     A whole LZ guess is its :func:`_lz_run_tables` as they are, a
-    conditional one its :func:`_cond_automaton`, a machine its
+    conditional one its ``sideinfo._cond_automaton``, a machine its
     ``fsgm.automaton``; a block-restarted guesser chains its blocks'
     automata, each distinct block compiled once.  An attempt stops at the
     first draw that leaves x: the unread bits are independent, so the
@@ -698,17 +623,9 @@ def compile_automaton(guesser: Guesser, x: SymbolSeq):
     if guesser.block is None:
         return fsgm.automaton(guesser.spec, _onto(x, guesser.spec.alphabet),
                               guesser.side)
-    side = guesser.side
-    compiled = {}
-    parts = []
-    for b, e in _blocks(len(x), guesser.block):
-        key = x.indices[b:e] if side is None else (x.indices[b:e],
-                                                   side.indices[b:e])
-        if key not in compiled:
-            compiled[key] = (_lz_run_tables(x[b:e]) if side is None
-                             else _cond_automaton(x[b:e], side[b:e]))
-        parts.append(compiled[key])
-    return _chain(parts)
+    if guesser.side is None:
+        return _chain(_per_block(_lz_run_tables, guesser.block, x))
+    return _chain(_per_block(_cond_automaton, guesser.block, x, guesser.side))
 
 
 def make_runner(guesser: Guesser, x: SymbolSeq) -> Callable[[BitSource], bool]:

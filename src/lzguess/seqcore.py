@@ -646,46 +646,38 @@ def thue_morse_bits(n: int) -> bytes:
 
 def generate_corpus(kind: str, n: int, *, pattern: str | None = None,
                     p: float = 0.5, seed: int = 0,
-                    path: str | None = None,
-                    alphabet: Alphabet | None = None) -> SymbolSeq:
+                    path: str | None = None) -> SymbolSeq:
     """Deterministic test corpora.
 
     kind "periodic": repeat `pattern` up to length n.
     kind "bernoulli": i.i.d. symbols over {a, b} with P(b) = p, driven by
     BitSource(seed), reproducible.
     kind "thue_morse": the Thue-Morse sequence over {a, b}.
-    kind "file": ingest the text file at `path` (alphabet inferred unless
-    given).
+    kind "file": ingest the text file at `path` (alphabet inferred).
     """
     if n < 1:
         raise ValueError("corpus length must be >= 1")
     if kind == "periodic":
         if not pattern:
             raise ValueError("periodic corpus needs a nonempty pattern")
-        if alphabet is not None:
-            alpha = alphabet
-        elif len(set(pattern)) >= 2:
-            alpha = Alphabet(tuple(dict.fromkeys(pattern)))
-        else:
-            alpha = AB
+        alpha = (Alphabet(tuple(dict.fromkeys(pattern)))
+                 if len(set(pattern)) >= 2 else AB)
         reps = pattern * (n // len(pattern) + 1)
         return SymbolSeq.from_text(reps[:n], alpha)
     if kind == "bernoulli":
         if not 0.0 <= p <= 1.0:
             raise ValueError("bernoulli p must be in [0, 1]")
-        alpha = alphabet or AB
         bits = BitSource(seed)
         out = bytes(1 if bits.next_float() < p else 0 for _ in range(n))
-        return SymbolSeq(alpha, out)
+        return SymbolSeq(AB, out)
     if kind == "thue_morse":
-        alpha = alphabet or AB
-        return SymbolSeq(alpha, thue_morse_bits(n))
+        return SymbolSeq(AB, thue_morse_bits(n))
     if kind == "file":
         if path is None:
             raise ValueError("file corpus needs a path")
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read().strip()
-        seq = ingest(text, alphabet)
+        seq = ingest(text)
         return seq[:n] if len(seq) > n else seq
     raise ValueError("unknown corpus kind %r" % kind)
 

@@ -28,14 +28,15 @@ gamma for the fused choice, modulo for the x-index.  Its dictionary is kept
 equal to the joint incremental parse of what it has emitted against y, so
 the draws that keep matching a target x depend on the matched length
 alone.  One generator, :func:`_cond_draws`, yields them, the conditional
-twin of ``guessers._lz_draws``.  The exact conditional guess probability
-re-yields them as a forward pass over positions; it, like the exact law
-of a machine that reads side information (``fsgm.FSGMSpec`` with a side
-alphabet), runs through :func:`lzguess.seqcore.forward`, the package's
-one exact forward pass.  ``guessers.compile_automaton`` compiles them,
-the chain field bit by bit and then the index field, to the automaton
-form that ``seqcore.play``, the one Monte Carlo engine, runs for every
-guesser; an attempt stops at the first field that leaves x.  The game is
+twin of ``guessers._lz_draws``, and this module reads them twice.  The
+exact conditional guess probability re-yields them as a forward pass over
+positions; it, like the exact law of a machine that reads side
+information (``fsgm.FSGMSpec`` with a side alphabet), runs through
+:func:`lzguess.seqcore.forward`, the package's one exact forward pass.
+:func:`_cond_automaton` compiles them, the chain field bit by bit and
+then the index field, to the automaton form that ``seqcore.play``, the
+one Monte Carlo engine, runs for every guesser; an attempt stops at the
+first field that leaves x.  The game is
 played by ``guessers.Guesser(..., side=y)``, whole or in blocks, on the
 same path as every other guesser, and ``bounds.sandwich_sweep`` on that
 guesser gives its conditional bounds.
@@ -59,10 +60,10 @@ import bisect
 import math
 from dataclasses import dataclass
 
-from .seqcore import Alphabet, BitSource, DyadicProb, SymbolSeq, forward
+from .seqcore import (FAIL, WIN, Alphabet, BitSource, DyadicProb, SymbolSeq,
+                      forward)
 from .lz78 import (BitReader, DecodeError, ParseResult, ParseTrie,
                    incremental_parse)
-from .guessers import _ptr_count
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +142,11 @@ def chain_encode(gap: int, size: int) -> str:
     w = (mz - 1).bit_length()
     suffix = format(v - (1 << Z), "0%db" % w) if w else ""
     return "0" * Z + suffix
+
+
+def _ptr_count(node: int, t: int, width: int) -> int:
+    """How many raw `width`-bit field patterns map to `node` under mod t."""
+    return ((1 << width) - 1 - node) // t + 1
 
 
 def chain_gap_probs(size: int) -> list[DyadicProb]:
@@ -454,19 +460,18 @@ def cond_sample(y: SymbolSeq, n: int, bits: BitSource,
 
 def _cond_draws(x: SymbolSeq, y: SymbolSeq):
     """The draws of :func:`cond_sample` that keep matching x given y, the
-    one conditional draw rule behind the exact law and the run tables.
+    one conditional draw rule behind the exact law and the automaton.
 
     Returns an iterator over the matched lengths b = 0..n-1 in turn; the
     pair stream is checked and parsed before it starts.  It yields (size,
-    draws), `size` being the chain field's size chain * alpha after x[:b].
+    moves), `size` being the chain field's size chain * alpha after x[:b].
     After b matching symbols the sampler's dictionary is the joint parse
-    of (x, y) as it stood at node count t_at[b].  A draw (fused, width, c,
-    pos, b') is the depth-d candidate on that dictionary's walk of the
-    pairs from b: a chain value in `fused` picks depth d and the
-    innovation symbol x[b+d], and a `width`-bit index v with v % c == pos
-    picks the x-word x[b:b+d] among the c x-phrases of y[b:b+d], reaching
-    b' = b+d+1.  At an overshoot (b+d == n) the surplus symbol is
-    discarded, so every rank wins and b' = n.
+    of (x, y) as it stood at node count t_at[b].  `moves` maps each chain
+    value that keeps matching x to (width, c, pos, b'): the value picks
+    depth d and the innovation symbol x[b+d], and a `width`-bit index v
+    with v % c == pos picks the x-word x[b:b+d] among the c x-phrases of
+    y[b:b+d], reaching b' = b+d+1.  At an overshoot (b+d == n) the surplus
+    symbol is discarded, so the chain values of every rank win and b' = n.
     """
     n = len(x)
     parse = incremental_parse(pack_pairs(x, y))
@@ -481,19 +486,19 @@ def _cond_draws(x: SymbolSeq, y: SymbolSeq):
         for b in range(n):
             t = t_at[b]
             chain = len(dic.ypath(yi, b, n, t))
-            draws = []
+            moves = {}
             # d < chain: a joint node's y-word is no younger than the node
             for d, node in dic.trie.walk(pairs[b:], limit=t):
                 c = bisect.bisect_left(members[ynode[node]], t)
                 base = (chain - 1 - d) * alpha
-                if b + d == n:
-                    fused, nxt = range(base, base + alpha), n
+                if b + d < n:
+                    moves[base + _rank_sym(xi[b + d], yi[b + d], alpha)] = (
+                        (c - 1).bit_length(), c, pos[node], b + d + 1)
                 else:
-                    fused = (base + _rank_sym(xi[b + d], yi[b + d], alpha),)
-                    nxt = b + d + 1
-                draws.append((fused, (c - 1).bit_length(), c, pos[node],
-                              nxt))
-            yield chain * alpha, draws
+                    moves.update(dict.fromkeys(
+                        range(base, base + alpha),
+                        ((c - 1).bit_length(), c, pos[node], n)))
+            yield chain * alpha, moves
 
     return draws_at()
 
@@ -508,13 +513,71 @@ def cond_guess_prob(x: SymbolSeq, y: SymbolSeq) -> DyadicProb:
     def step(_b, _state):
         # the depth-0 draw always reaches b + 1, so every b is asked for in
         # turn
-        size, draws = next(draws_at)
+        size, moves = next(draws_at)
         probs = gap_probs.get(size)
         if probs is None:
             probs = gap_probs[size] = chain_gap_probs(size)
-        for fused, width, c, pos, nxt in draws:
-            cnt = _ptr_count(pos, c, width)
-            for f in fused:
-                yield nxt, nxt, None, probs[f].m * cnt, probs[f].e + width
+        for f, (width, c, pos, nxt) in moves.items():
+            yield (nxt, nxt, None, probs[f].m * _ptr_count(pos, c, width),
+                   probs[f].e + width)
 
     return forward(len(x), None, step).get(None, DyadicProb.zero())
+
+
+def _cond_automaton(x: SymbolSeq, y: SymbolSeq):
+    """The :func:`_cond_draws` of (x, y) as states of the automaton that
+    :func:`~lzguess.seqcore.play` runs.
+
+    At each matched length b the chain field is read the way
+    :func:`chain_read` takes it: Z = floor(log2 size) one-bit unary
+    states, where a 1 at the z-th picks level z and a 0 goes on, then the
+    z-bit payload of level z or, after the last unary state, the top
+    level's payload, folded as :func:`chain_draw` folds it.  A chain
+    value leads to the index field of its move (none when that field is 0
+    bits wide) and on to the first unary state of its next b, numbered
+    when first reached; a b that no move reaches gets no states."""
+    n = len(x)
+    widths, tables = [], []
+    starts = {}
+
+    def state(width, table=None):
+        widths.append(width)
+        tables.append(table)
+        return len(tables) - 1
+
+    def start(b):
+        if b == n:
+            return WIN
+        if b not in starts:
+            starts[b] = state(1)
+        return starts[b]
+
+    start(0)
+    for b, (size, moves) in enumerate(_cond_draws(x, y)):
+        if b not in starts:
+            continue        # no move reaches b
+        links = {}
+
+        def link(gap):
+            move = moves.get(gap)
+            if move is None:
+                return FAIL
+            if move not in links:
+                width, c, pos, nxt = move
+                links[move] = state(width, [
+                    start(nxt) if v % c == pos else FAIL
+                    for v in range(1 << width)]) if width else start(nxt)
+            return links[move]
+
+        z_top = size.bit_length() - 1
+        top = (1 << z_top) - 1
+        width = (size - top - 1).bit_length()
+        go = state(width, [link(top + v % (size - top))
+                           for v in range(1 << width)]) if width else link(top)
+        for z in reversed(range(z_top)):
+            stop = state(z, [link((1 << z) - 1 + v) for v in range(1 << z)]
+                         ) if z else link(0)
+            unary = state(1) if z else start(b)
+            tables[unary] = [go, stop]
+            go = unary
+    return widths, tables

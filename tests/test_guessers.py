@@ -870,8 +870,11 @@ def _with_every_side(guesser, side_alphabet):
 
 
 _LAW_CASES = {
-    "lz": (7, lambda n: ((Guesser("lz_full", B01, n), x)
+    "lz": (8, lambda n: ((Guesser("lz_full", B01, n), x)
                          for x in all_seqs(B01, n))),
+    # three symbols in a 2-bit symbol field, overshoots over three symbols
+    "lz-tern": (5, lambda n: ((Guesser("lz_full", ABC, n), x)
+                              for x in all_seqs(ABC, n))),
     "block:3": (7, lambda n: ((Guesser("lz_block", B01, n, ell=3), x)
                               for x in all_seqs(B01, n))),
     # three symbols in a 2-bit field: the modulo counts differ

@@ -1,5 +1,3 @@
-import collections
-import functools
 import hashlib
 import itertools
 import math
@@ -11,7 +9,7 @@ from hypothesis import given, strategies as st
 from lzguess.seqcore import (AB, Alphabet, BitSource, DyadicProb, SymbolSeq,
                              derive_substream_seed, forward, generate_corpus,
                              ingest, parse_corpus_spec, thue_morse_bits)
-from conftest import FixedBits, all_seqs
+from conftest import all_seqs
 
 
 def test_ingest_basic():
@@ -625,51 +623,6 @@ def test_run_tables_law_is_the_exact_law(size, max_n):
         for word in itertools.product(range(size), repeat=n):
             x = SymbolSeq(alphabet, bytes(word))
             assert _table_law(x) == lz_guess_prob(x).as_fraction()
-
-
-@functools.lru_cache(maxsize=None)
-def _chain_draw_law(size):
-    """Pr(chain_draw(size) == gap), from every pattern of a field's longest
-    width: a draw reads a prefix of the pattern."""
-    from lzguess.sideinfo import chain_draw
-    longest = 2 * size.bit_length()
-    law = collections.Counter()
-    for v in range(1 << longest):
-        bits = FixedBits(format(v, "0%db" % longest))
-        law[chain_draw(bits, size)] += Fraction(1, 1 << longest)
-    return law
-
-
-def _cond_table_law(x, y):
-    """Pr(the conditional run tables reach a win from matched length 0), by
-    a dynamic program over chain values and index-field patterns."""
-    from lzguess.guessers import _cond_run_tables
-    n = len(x)
-    mass = [Fraction(0)] * (n + 1)
-    mass[0] = Fraction(1)
-    for b, (size, moves) in enumerate(_cond_run_tables(x, y)):
-        law = _chain_draw_law(size)
-        for fused, (width, c, pos, nxt) in moves.items():
-            assert 0 <= fused < size and b < nxt <= n
-            hits = sum(v % c == pos for v in range(1 << width))
-            mass[nxt] += mass[b] * law[fused] * Fraction(hits, 1 << width)
-    return mass[n]
-
-
-@pytest.mark.parametrize("beta,max_n", [(2, 8), (3, 6)])
-def test_cond_run_tables_law_is_the_exact_law(beta, max_n):
-    # every binary x against every side up to max_n; a ternary side has a
-    # symbol with no copy candidate
-    from lzguess.sideinfo import cond_guess_prob
-    xa, ya = Alphabet(("a", "b")), Alphabet(tuple("012"[:beta]))
-    for n in range(1, max_n + 1):
-        sides = [SymbolSeq(ya, bytes(w))
-                 for w in itertools.product(range(beta), repeat=n)]
-        for word in itertools.product(range(2), repeat=n):
-            x = SymbolSeq(xa, bytes(word))
-            for y in sides:
-                assert (_cond_table_law(x, y)
-                        == cond_guess_prob(x, y).as_fraction())
 
 
 def _noisy_pair(n, seed, flip):

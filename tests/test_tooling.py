@@ -82,6 +82,7 @@ TEST_ONLY = {
 # _lz_draws_per_draw in test_guessers.py)
 RETIRED = {
     "_run_tail": "forward takes spans from its step instead of finding runs",
+    "_cond_run_tables": "the conditional automaton reads _cond_draws' moves",
 }
 
 
@@ -153,6 +154,30 @@ def test_retired_helpers_stay_gone():
                for node in _parse(path).body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert not defined & set(RETIRED), sorted(defined & set(RETIRED))
+
+
+def test_no_function_imports_a_sibling_module():
+    # an import of lzguess inside a function hides an import cycle; the
+    # standard library may still be imported where it is needed
+    lazy = []
+    for path in glob.glob(os.path.join(ROOT, "src", "lzguess", "*.py")):
+        for func in ast.walk(_parse(path)):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                    sibling = node.level > 0
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                    sibling = False
+                else:
+                    continue
+                if sibling or any(name.split(".")[0] == "lzguess"
+                                  for name in names):
+                    lazy.append("%s:%d %s" % (os.path.basename(path),
+                                              node.lineno, func.name))
+    assert not lazy, lazy
 
 
 def test_bench_layers_runs_on_a_shrunk_grid(tmp_path):
