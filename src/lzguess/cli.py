@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -510,9 +511,17 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The :func:`build_parser` parser, built on the first dispatch and
+    reused by later ones in the process: ``parse_args`` fills a fresh
+    namespace each call and leaves the parser as it was."""
+    return build_parser()
+
+
 def cli_dispatch(argv) -> dict:
     """Parse argv, execute, and return the run record (paths + results)."""
-    ns = build_parser().parse_args(argv)
+    ns = _parser().parse_args(argv)
     params = {k: v for k, v in vars(ns).items()
               if k not in ("subcommand",) and v is not None}
     subcommand = ns.subcommand

@@ -80,18 +80,19 @@ def lz_sample(alphabet: Alphabet, n: int, bits: BitSource) -> SymbolSeq:
     return SymbolSeq(alphabet, bytes(out))
 
 
-def _lz_draws(x: SymbolSeq):
+def _lz_draws_at(x: SymbolSeq):
     """The draws of :func:`lz_sample` that keep matching x, in runs: the one
     draw rule behind the exact law, the aligned witness and the run tables.
 
-    Yields (e, t, moves, path, over) for each matched length e = 0..n-1, t
-    being the dictionary size after x[:e].  The depth-d draw points to
-    path[d], the depth-d node on the trie path of x[e:], reads width(t) +
-    bits per symbol bits, and needs x[e+d], reaching e+d+1; its count is
-    path[d]'s pointer count times x[e+d]'s symbol count.  Ids grow along
-    the path, so the pointer count (2 below id 2**width - t, else 1)
-    changes at most once.  Each longest stretch of depths with one count
-    is one :func:`~lzguess.seqcore.forward` move (first, last, None, count,
+    Returns (t_at, at): t_at[e] is the dictionary size after x[:e], and
+    at(e) gives (t, moves, path, over) for a matched length e in 0..n-1,
+    t being t_at[e], so a reader asks only for the lengths it reaches.  The depth-d draw points to path[d], the depth-d node on the
+    trie path of x[e:], reads width(t) + bits per symbol bits, and needs
+    x[e+d], reaching e+d+1; its count is path[d]'s pointer count times
+    x[e+d]'s symbol count.  Ids grow along the path, so the pointer count
+    (2 below id 2**width - t, else 1) changes at most once.  Each longest
+    stretch of depths with one count is one
+    :func:`~lzguess.seqcore.forward` move (first, last, None, count,
     bits).  When the path covers the whole residual, the last move is the
     overshoot (n, n, None, count, width(t)): a pointer to any node of
     `over` (else empty), the full-residual node and its descendants below
@@ -112,7 +113,8 @@ def _lz_draws(x: SymbolSeq):
             k = len(list(stretch))
             ends += [len(ends) + k] * k
     view = memoryview(idx)
-    for e in range(n):
+
+    def at(e):
         t = t_at[e]
         width = (t - 1).bit_length()
         bits = width + a_bits
@@ -148,7 +150,9 @@ def _lz_draws(x: SymbolSeq):
                 over.extend(filter(t.__gt__, children[v].values()))
             moves.append((n, n, None, len(over) + sum(map(low.__gt__, over)),
                           width))
-        yield e, t, moves, path, over
+        return t, moves, path, over
+
+    return t_at, at
 
 
 def lz_guess_prob(x: SymbolSeq) -> DyadicProb:
@@ -157,27 +161,26 @@ def lz_guess_prob(x: SymbolSeq) -> DyadicProb:
     A :func:`~lzguess.seqcore.forward` pass over emitted-prefix lengths e:
     the dictionary after a matching prefix of length e is the parse trie of
     x[0:e], so the length is the whole state, and the moves from e are the
-    :func:`_lz_draws` at e, one move per run.
+    :func:`_lz_draws_at` draws at e, one move per run.
     """
-    draws_at = _lz_draws(x)
-    # the root draw always reaches e + 1, so every e is asked for in turn
-    return forward(len(x), None, lambda _e, _state: next(draws_at)[2]).get(
+    _t_at, at = _lz_draws_at(x)
+    return forward(len(x), None, lambda e, _state: at(e)[1]).get(
         None, DyadicProb.zero())
 
 
 def aligned_guess_prob(x: SymbolSeq) -> DyadicProb:
     """Probability of the single draw path aligned with x's own parse.
 
-    One factor per phrase, the last of the :func:`_lz_draws` at its start:
-    pointer patterns hitting the parent node times symbol patterns hitting
-    the innovation, or the overshoot for an incomplete tail.  A lower bound
-    on lz_guess_prob and at least 2**-code_length(x)."""
-    prob = DyadicProb.one()
-    start = 0
-    for e, _t, moves, _path, _over in _lz_draws(x):
-        if e == start:
-            _first, start, _state, count, bits = moves[-1]
-            prob = prob * DyadicProb(count, bits)
+    One factor per phrase, the last of the :func:`_lz_draws_at` draws at
+    its start: pointer patterns hitting the parent node times symbol
+    patterns hitting the innovation, or the overshoot for an incomplete
+    tail.  A lower bound on lz_guess_prob and at least
+    2**-code_length(x)."""
+    _t_at, at = _lz_draws_at(x)
+    prob, start = DyadicProb.one(), 0
+    while start < len(x):
+        _first, start, _state, count, bits = at(start)[1][-1]
+        prob = prob * DyadicProb(count, bits)
     return prob
 
 
@@ -565,19 +568,54 @@ def moment_lower_bound_log2(q_log2: float, zeta: float) -> float:
 # the guessing game, Monte Carlo side
 # ---------------------------------------------------------------------------
 
+class _Row:
+    """An automaton row built on first read.  It stands in tables[i] until
+    its first index, iteration or len, which builds the row with build(i)
+    and puts it in its place, so every later read, play's among them,
+    indexes a plain list."""
+
+    __slots__ = ("tables", "i", "build", "row")
+
+    def __init__(self, tables, i, build):
+        self.tables, self.i, self.build = tables, i, build
+        self.row = None
+
+    def _built(self):
+        if self.row is None:
+            self.row = self.tables[self.i] = self.build(self.i)
+            # the row no longer needs its list, which would keep a cycle
+            self.tables = self.build = None
+        return self.row
+
+    def __getitem__(self, field):
+        return self._built()[field]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __len__(self):
+        return len(self._built())
+
+
 def _lz_run_tables(x: SymbolSeq):
     """The whole LZ guess against x in the automaton form of
     :func:`~lzguess.seqcore.play`, with the matched length e as the state.
 
     tables[e] is indexed by the raw pointer+symbol field; entries are the
     next matched length, WIN or FAIL.  Only the raw patterns of the
-    :func:`_lz_draws` at e are filled in."""
+    :func:`_lz_draws_at` draws at e are filled in.  The widths come from
+    the parse at once; each row is a :class:`_Row`, built when an attempt
+    first reaches its length, so a game that only ever meets short
+    prefixes of x builds only their rows."""
     n, alpha, idx = len(x), x.alphabet.size, x.indices
     a_bits = x.alphabet.bits_per_symbol
     span = 1 << a_bits
-    widths, tables = [], []
-    for e, t, _moves, path, over in _lz_draws(x):
-        bits = (t - 1).bit_length() + a_bits
+    t_at, at = _lz_draws_at(x)
+    widths = [(t - 1).bit_length() + a_bits for t in t_at[:n]]
+
+    def row(e):
+        t, _moves, path, over = at(e)
+        bits = widths[e]
         table = [FAIL] * (1 << bits)
         # (pointers, first raw symbol, stride, next e) of each draw: a draw
         # takes the raw symbols that map to its symbol, the overshoot every
@@ -589,8 +627,10 @@ def _lz_run_tables(x: SymbolSeq):
             for v in nodes:
                 for base in range(v << a_bits, 1 << bits, t << a_bits):
                     table[base + sym:base + span:stride] = fill
-        widths.append(bits)
-        tables.append(table)
+        return table
+
+    tables = []
+    tables.extend(_Row(tables, e, row) for e in range(n))
     return widths, tables
 
 

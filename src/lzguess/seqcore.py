@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 
@@ -318,9 +319,11 @@ def _start_window(widths, tables, k: int, cap: int) -> list:
 
 def _walks(widths, tables, memo, state, r):
     """The walks of :func:`_start_window` from `state` over every r-bit
-    pattern, built once per (state, r) in `memo`.  A module function, not
-    a closure: a closure that calls itself is a reference cycle, which
-    would keep every sub-walk alive until the next garbage collection."""
+    pattern, built once per (state, r) in `memo`.  Equal entries of a row
+    share one list of walks, so a field as wide as r costs a lookup per
+    entry, not a walk.  A module function, not a closure: a closure that
+    calls itself is a reference cycle, which would keep every sub-walk
+    alive until the next garbage collection."""
     out = memo.get((state, r))
     if out is None:
         width = widths[state]
@@ -328,14 +331,19 @@ def _walks(widths, tables, memo, state, r):
         if rest < 0:
             out = [(0, 0, state)] * (1 << r)
         else:
-            out = []
-            for nxt in tables[state]:
+            row, after = tables[state], {}
+            for nxt in set(row):
                 if nxt == WIN:
-                    out += [(0, width, WIN)] * (1 << rest)
+                    after[nxt] = [(0, width, WIN)] * (1 << rest)
                 else:
                     add = nxt == FAIL
-                    out += [(f + add, u + width, z) for f, u, z in
-                            _walks(widths, tables, memo, max(nxt, 0), rest)]
+                    after[nxt] = [(f + add, u + width, z) for f, u, z in
+                                  _walks(widths, tables, memo, max(nxt, 0),
+                                         rest)]
+            walks = map(after.__getitem__, row)
+            # with no bits left after the field, one walk per entry
+            out = (list(chain.from_iterable(walks)) if rest
+                   else [walk for walk, in walks])
         memo[state, r] = out
     return out
 

@@ -28,7 +28,7 @@ gamma for the fused choice, modulo for the x-index.  Its dictionary is kept
 equal to the joint incremental parse of what it has emitted against y, so
 the draws that keep matching a target x depend on the matched length
 alone.  One generator, :func:`_cond_draws`, yields them, the conditional
-twin of ``guessers._lz_draws``, and this module reads them twice.  The
+twin of ``guessers._lz_draws_at``, and this module reads them twice.  The
 exact conditional guess probability re-yields them as a forward pass over
 positions; it, like the exact law of a machine that reads side
 information (``fsgm.FSGMSpec`` with a side alphabet), runs through

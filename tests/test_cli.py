@@ -484,6 +484,42 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+def test_dispatches_in_one_process_share_no_parser_state(tmp_path):
+    # cli_dispatch reuses one parser: an appended option of one call must
+    # not reach the next, and a bad argv still fails as with a fresh parser
+    def same_parse(*argv):
+        assert cli._parser().parse_args(argv) == build_parser().parse_args(
+            argv)
+
+    def params(record):
+        with open(os.path.join(record["outdir"], "manifest.json")) as fh:
+            return json.load(fh)["params"]
+
+    assert cli._parser() is cli._parser()
+    target = ["guess", "--target", "0110", "--alphabet", "01"]
+    rec = dispatch(tmp_path, *target, "--zeta", "1", "--zeta", "2")
+    assert [r["zeta"] for r in read_json(rec)["rows"]] == [1.0, 2.0]
+    rec = dispatch(tmp_path, *target)
+    assert [r["zeta"] for r in read_json(rec)["rows"]] == [1.0]
+    same_parse(*target)
+    rec = dispatch(tmp_path, "moments", "--q", "0.5", "--q", "0.25")
+    assert {r["q"] for r in read_json(rec)["rows"]} == {0.5, 0.25}
+    rec = dispatch(tmp_path, "moments", "--q", "0.125")
+    assert {r["q"] for r in read_json(rec)["rows"]} == {0.125}
+    corpus = ["bounds", "--corpus", "thue_morse", "--n", "64", "--zeta", "1"]
+    rec = dispatch(tmp_path, *corpus, "--ell", "4", "--ell", "8")
+    assert params(rec)["ell"] == [4, 8]
+    rec = dispatch(tmp_path, *corpus)
+    assert "ell" not in params(rec)
+    same_parse(*corpus)
+    for bad in (["guess", "--zeta", "x"], ["moments"], ["nonsense"]):
+        with pytest.raises(SystemExit) as exc:
+            cli_dispatch(bad)
+        assert exc.value.code == 2
+    rec = dispatch(tmp_path, *target, "--zeta", "3")
+    assert [r["zeta"] for r in read_json(rec)["rows"]] == [3.0]
+
+
 def test_main_error_path(tmp_path, capsys):
     code = main(["parse", "--input", str(tmp_path / "missing.txt"),
                  "--out-dir", str(tmp_path)])

@@ -11,11 +11,13 @@ from lzguess.seqcore import (_START_BITS, FAIL, WIN, Alphabet, BitSource,
                              BudgetError, DyadicProb, SymbolSeq,
                              _start_window, derive_substream_seed,
                              parse_corpus_spec, play)
+from lzguess import guessers, seqcore
 from lzguess.lz78 import incremental_parse
 from lzguess.fsgm import (FSGMSpec, automaton, build_fig1_machine,
                           output_distribution)
-from lzguess.guessers import (Guesser, _lz_draws, aligned_guess_prob,
-                              block_guess_prob, block_sample,
+from lzguess.guessers import (Guesser, _lz_draws_at, _lz_run_tables,
+                              aligned_guess_prob, block_guess_prob,
+                              block_sample,
                               compile_automaton, compile_block_guesser_to_fsgm,
                               lz_guess_prob, lz_sample, make_runner,
                               moment_exact, moment_log2, moment_lower_bound,
@@ -179,12 +181,13 @@ def _lz_draws_per_draw(x):
 
 
 def _check_runs_against_per_draw_rule(x):
-    """The runs of _lz_draws, expanded draw by draw over the path they
+    """The runs of _lz_draws_at, expanded draw by draw over the path they
     carry, are the per-draw rule's draws; each run starts where the last
     ended, two runs in a row differ in count, and the overshoot, reading
     pointer bits alone, comes last."""
     n = len(x)
-    runs_at = list(_lz_draws(x))
+    _t_at, at = _lz_draws_at(x)
+    runs_at = [(e, *at(e)) for e in range(n)]
     want_at = list(_lz_draws_per_draw(x))
     assert len(runs_at) == len(want_at) == n
     for (e, t, moves, path, over), (we, wt, want) in zip(runs_at, want_at):
@@ -809,6 +812,79 @@ def test_play_window_censors_part_way_through_its_fails(cap):
     want = _play_per_field(game, 3000, 9, cap)
     assert list(play(game, 3000, 9, cap)) == want
     assert set(want) == set(range(1, cap + 2))
+
+
+def test_play_one_round_with_a_16_bit_start_field(monkeypatch):
+    # a start field as wide as the window is one field per pattern: the
+    # window looks each entry of tables[0] up among one walk per distinct
+    # entry instead of walking 2**16 patterns
+    rng = random.Random(6)
+    first = [WIN if rng.random() < 1 / 4096 else rng.choice((1, FAIL, FAIL))
+             for _ in range(1 << 16)]
+    game = ([16, 1], [first, [FAIL, WIN]])
+    walks, calls = seqcore._walks, []
+
+    def counted(*args):
+        calls.append(args[3:])
+        return walks(*args)
+
+    monkeypatch.setattr(seqcore, "_walks", counted)
+    list(play(game, 1, 3, 1000))
+    assert calls and len(calls) <= len(set(first))
+    monkeypatch.undo()
+    monkeypatch.setattr(guessers, "compile_automaton", lambda _g, _x: game)
+    attempt = make_runner(None, None)
+    cap, want = 4, []
+    for k in range(60):
+        bits, guesses = BitSource(3, k), 1
+        while not attempt(bits) and guesses <= cap:
+            guesses += 1
+        want.append(guesses)
+    assert list(play(game, 60, 3, cap)) == want
+    assert {1, cap + 1} <= set(want)
+
+
+def _built(tables):
+    return sum(type(table) is list for table in tables)
+
+
+def _forced(automaton):
+    widths, tables = automaton
+    return widths, [list(table) for table in tables]
+
+
+def test_lazy_rows_read_like_the_lists_they_become():
+    x = parse_corpus_spec("thue_morse", 64)
+    widths, tables = _lz_run_tables(x)
+    assert _built(tables) == 0
+    stand_in = tables[9]
+    assert len(stand_in) == 1 << widths[9]
+    row = tables[9]
+    assert type(row) is list and _built(tables) == 1
+    assert list(stand_in) == row and stand_in[5] == row[5]
+    assert _forced(_lz_run_tables(x)) == (widths, [list(t) for t in tables])
+
+
+def test_block_chain_over_lazy_rows_equals_the_forced_chain():
+    # the chain reads its blocks' rows, building each, and plays as the
+    # chain of fully built rows does
+    n, ell = 64, 4
+    x = parse_corpus_spec("bernoulli:0.5:3", n)
+    game = compile_automaton(Guesser("lz_block", B01, n, ell=ell), x)
+    want = guessers._chain([_forced(_lz_run_tables(x[b:b + ell]))
+                            for b in range(0, n, ell)])
+    assert game == want
+    assert list(play(game, 200, 5, 1000)) == list(play(want, 200, 5, 1000))
+
+
+def test_censored_lz_game_builds_few_rows():
+    # a game capped long before it wins reads only short prefixes of x
+    x = parse_corpus_spec("bernoulli:0.5:155227456", 2048)
+    g = Guesser("lz_full", B01, len(x))
+    game = compile_automaton(g, x)
+    counts = list(play(game, 20, 7, 1000))
+    assert _built(game[1]) < 64
+    assert list(play(_forced(compile_automaton(g, x)), 20, 7, 1000)) == counts
 
 
 def _silent_fail_machine():

@@ -83,6 +83,7 @@ TEST_ONLY = {
 RETIRED = {
     "_run_tail": "forward takes spans from its step instead of finding runs",
     "_cond_run_tables": "the conditional automaton reads _cond_draws' moves",
+    "_lz_draws": "_lz_draws_at gives the draws of the lengths a reader asks for",
 }
 
 
@@ -212,6 +213,12 @@ def test_bench_layers_runs_on_a_shrunk_grid(tmp_path):
     point = summary["laws"]["play | lz | n=24"]
     assert set(point) == {"attempts", "sha256"}
     assert 4 <= point["attempts"] <= 4 * 1000
+    # the compile grid reports the rows each tree built beside its counts
+    case = "lz, bernoulli:0.5:1, 20 rounds, cap 1000"
+    grid = summary["per_label"]["b"]["compile"][case]
+    assert list(grid["rows_built"]) == ["8", "16", "32", "64", "128"]
+    assert all(1 <= rows <= int(n) for n, rows in grid["rows_built"].items())
+    assert set(summary["laws"]["compile | %s | n=128" % case]) == {"sha256"}
 
 
 def test_readme_commands_parse():

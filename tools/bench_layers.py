@@ -20,7 +20,15 @@ numerator's bit width, so that two trees can be compared point by point:
   (``Guesser.sample(BitSource(1000 + n))``) or x for the conditional
   kind.  The automaton is compiled outside the timed part.  A point
   records its attempts (the sum of min(G, cap)) and the sha256 of its
-  count list in place of a law.
+  count list in place of a law;
+- ``compile``: ``compile_automaton`` for the whole LZ guesser followed by
+  20 rounds of seed 7 with cap 1000, timed together, against
+  ``bernoulli:0.5:1`` at n = 512 ... 8192.  Such a target is far too
+  unlikely to be guessed, so every round is censored and the game reads
+  only short prefixes of x.  A point records the automaton rows that
+  were built by the end (each a plain list, where a tree that builds rows
+  on first read leaves the others as stand-ins) and the sha256 of the
+  count list.
 
 Each call appends one round, under ``--label``, to the JSON file ``--out``
 and rewrites its summary: per label the median over rounds of each
@@ -59,6 +67,9 @@ PASS_SIZES = (4096, 8192, 16384, 32768)
 TINY_CORPUS, TINY_N, TINY_BLOCK = "bernoulli:0.5:9", 16384, 8
 PLAY_SIZES = (8, 12, 16, 24)
 PLAY_ROUNDS, PLAY_SEED, PLAY_CAP = 300, 7, 1000
+COMPILE_CORPUS, COMPILE_SIZES = "bernoulli:0.5:1", (512, 1024, 2048, 4096,
+                                                    8192)
+COMPILE_ROUNDS, COMPILE_CAP = 20, 1000
 
 
 def _import_lzguess(src):
@@ -131,6 +142,7 @@ def measure(k, shrink):
     layers["tiny_lz_passes"]["%d-blocks of %s" % (TINY_BLOCK, TINY_CORPUS)] = {
         str(len(blocks)): {"best_s": best, "sha256": digest.hexdigest()}}
     layers["play"] = measure_play(k, shrink)
+    layers["compile"] = measure_compile(k, shrink)
     return layers
 
 
@@ -167,6 +179,29 @@ def measure_play(k, shrink):
     return out
 
 
+def measure_compile(k, shrink):
+    """{case: {n: point}} for compile_automaton and a censored game."""
+    from lzguess.guessers import Guesser, compile_automaton
+    from lzguess.seqcore import parse_corpus_spec, play
+
+    row = {}
+    for n in COMPILE_SIZES:
+        x = parse_corpus_spec(COMPILE_CORPUS, n // shrink)
+        g = Guesser("lz_full", x.alphabet, len(x))
+
+        def game():
+            automaton = compile_automaton(g, x)
+            return automaton, list(play(automaton, COMPILE_ROUNDS, PLAY_SEED,
+                                        COMPILE_CAP))
+        best, (automaton, counts) = _best_of(k, game)
+        row[str(len(x))] = {
+            "best_s": best,
+            "rows_built": sum(type(t) is list for t in automaton[1]),
+            "sha256": hashlib.sha256(repr(counts).encode()).hexdigest()}
+    return {"lz, %s, %d rounds, cap %d" % (COMPILE_CORPUS, COMPILE_ROUNDS,
+                                           COMPILE_CAP): row}
+
+
 def _slope(points):
     """Least-squares slope of log time against log n."""
     xs = [math.log(n) for n, _ in points]
@@ -179,8 +214,9 @@ def _slope(points):
 def summarize(runs):
     """Per label, layer and case: each n's median best time and the fitted
     exponent (of the time per attempt where a point counts attempts, with
-    the attempts/s); each point's law or counts, and whether every round
-    of every label computed that same law or those counts."""
+    the attempts/s, or with the rows built where a point counts them);
+    each point's law or counts, and whether every round of every label
+    computed that same law or those counts."""
     out, laws = {}, {}
     for label, rounds in runs.items():
         mine = out[label] = {}
@@ -192,9 +228,14 @@ def summarize(runs):
                     medians[n] = statistics.median(g["best_s"] for g in got)
                     per[n] = got[0].get("attempts", 1)
                     laws.setdefault((layer, case, n), []).extend(
-                        {key: v for key, v in g.items() if key != "best_s"}
+                        {key: v for key, v in g.items()
+                         if key not in ("best_s", "rows_built")}
                         for g in got)
                 entry = {"median_best_s": medians}
+                if "rows_built" in got[0]:
+                    # the work a tree did, not what it computed
+                    entry["rows_built"] = {
+                        n: points[n]["rows_built"] for n in points}
                 if "attempts" in got[0]:
                     entry["median_attempts_per_s"] = {
                         n: round(per[n] / s) for n, s in medians.items()}
