@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 
 from .seqcore import (Alphabet, BitSource, DyadicProb, SymbolSeq,
                       generate_corpus, ingest)
-from .lz78 import (ParseResult, ParseTrie, c_max_oracle, code_length, decode,
-                   encode, incremental_parse)
+from .lz78 import (ParseResult, ParseTrie, c_max_oracle, decode, encode,
+                   incremental_parse)
 from .fsgm import (FSGMSpec, RunTrace, TreeFSGMSpec, build_fig1_machine,
                    expand_tree_machine, output_distribution, run,
                    sequence_prob)

@@ -100,9 +100,7 @@ def _make_guesser(params: dict, alphabet: Alphabet, n: int) -> guessers.Guesser:
         return guessers.Guesser("lz_block", alphabet, n,
                                 ell=int(spec_str.split(":")[1]))
     if spec_str.startswith("fsgm:"):
-        path = spec_str.split(":", 1)[1]
-        with open(path, "r", encoding="utf-8") as fh:
-            machine = fsgm.parse_machine(fh.read(), name=os.path.basename(path))
+        machine = _read_machine(spec_str.split(":", 1)[1])
         return guessers.Guesser("fsgm", machine.alphabet, n, spec=machine)
     raise ValueError("unknown guesser %r (use lz, uniform, block:ELL, "
                      "fsgm:PATH)" % spec_str)
@@ -158,12 +156,16 @@ def _run_codelen(params, outdir):
             "roundtrip_ok": ok}, None
 
 
+def _read_machine(path: str) -> fsgm.FSGMSpec:
+    """The machine in a file, named by the file's basename."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return fsgm.parse_machine(fh.read(), name=os.path.basename(path))
+
+
 def _machine_from(params) -> fsgm.FSGMSpec:
     if params.get("machine") == "fig1":
         return fsgm.build_fig1_machine()
-    with open(params["machine"], "r", encoding="utf-8") as fh:
-        return fsgm.parse_machine(fh.read(),
-                                  name=os.path.basename(params["machine"]))
+    return _read_machine(params["machine"])
 
 
 def _run_fsgm_run(params, outdir):

@@ -82,21 +82,22 @@ def lz_sample(alphabet: Alphabet, n: int, bits: BitSource) -> SymbolSeq:
 
 def _lz_draws_at(x: SymbolSeq):
     """The draws of :func:`lz_sample` that keep matching x, in runs: the one
-    draw rule behind the exact law, the aligned witness and the run tables.
+    draw rule behind its two readers, the exact law and the run tables.
 
     Returns (t_at, at): t_at[e] is the dictionary size after x[:e], and
     at(e) gives (t, moves, path, over) for a matched length e in 0..n-1,
-    t being t_at[e], so a reader asks only for the lengths it reaches.  The depth-d draw points to path[d], the depth-d node on the
-    trie path of x[e:], reads width(t) + bits per symbol bits, and needs
-    x[e+d], reaching e+d+1; its count is path[d]'s pointer count times
-    x[e+d]'s symbol count.  Ids grow along the path, so the pointer count
-    (2 below id 2**width - t, else 1) changes at most once.  Each longest
-    stretch of depths with one count is one
-    :func:`~lzguess.seqcore.forward` move (first, last, None, count,
-    bits).  When the path covers the whole residual, the last move is the
-    overshoot (n, n, None, count, width(t)): a pointer to any node of
-    `over` (else empty), the full-residual node and its descendants below
-    t, wins with any symbol.  The last move at e is x's own parse's draw.
+    t being t_at[e].  Lengths may be asked for in any order, so a reader
+    asks only for the lengths it reaches.  The depth-d draw points to
+    path[d], the depth-d node on the trie path of x[e:], reads width(t) +
+    bits per symbol bits, and needs x[e+d], reaching e+d+1; its count is
+    path[d]'s pointer count times x[e+d]'s symbol count.  Ids grow along
+    the path, so the pointer count (2 below id 2**width - t, else 1)
+    changes at most once.  Each longest stretch of depths with one count
+    is one :func:`~lzguess.seqcore.forward` move (first, last, None,
+    count, bits).  When the path covers the whole residual, the last move
+    is the overshoot (n, n, None, count, width(t)): a pointer to any node
+    of `over` (else empty), the full-residual node and its descendants
+    below t, wins with any symbol.
     """
     n, alpha = len(x), x.alphabet.size
     a_bits = x.alphabet.bits_per_symbol
@@ -166,22 +167,6 @@ def lz_guess_prob(x: SymbolSeq) -> DyadicProb:
     _t_at, at = _lz_draws_at(x)
     return forward(len(x), None, lambda e, _state: at(e)[1]).get(
         None, DyadicProb.zero())
-
-
-def aligned_guess_prob(x: SymbolSeq) -> DyadicProb:
-    """Probability of the single draw path aligned with x's own parse.
-
-    One factor per phrase, the last of the :func:`_lz_draws_at` draws at
-    its start: pointer patterns hitting the parent node times symbol
-    patterns hitting the innovation, or the overshoot for an incomplete
-    tail.  A lower bound on lz_guess_prob and at least
-    2**-code_length(x)."""
-    _t_at, at = _lz_draws_at(x)
-    prob, start = DyadicProb.one(), 0
-    while start < len(x):
-        _first, start, _state, count, bits = at(start)[1][-1]
-        prob = prob * DyadicProb(count, bits)
-    return prob
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +392,9 @@ def moment_exact(q, zeta: float, force_series: bool = False) -> MomentResult:
     the float result is that loop's.  force_series skips the closed
     forms (used to cross-check the series against them).  The series needs
     about zeta/q terms, so below q = 2**-20 the value comes from
-    :func:`moment_log2` with its documented 1e-12 relative error.
+    :func:`moment_log2` with its documented 1e-12 relative error, and so
+    does it when a k**zeta of the series overflows a double.  A ValueError
+    says that E[G^zeta] itself does.
     """
     qf = float(q)
     if not 0.0 < qf <= 1.0:
@@ -422,38 +409,33 @@ def moment_exact(q, zeta: float, force_series: bool = False) -> MomentResult:
     if qf == 1.0:
         return MomentResult(1.0, 0.0)
     one_minus = 1.0 - qf
+    # the terms k^zeta * q(1-q)^(k-1) and their running sums, in the order
+    # of a term-by-term loop, over chunks of k that double
+    total, geom, k, size = 0.0, qf, 1, 8
+    while qf >= 2.0 ** -20:
+        try:
+            geoms = list(accumulate(repeat(one_minus, size - 1), mul,
+                                    initial=geom))
+            totals = list(accumulate(
+                map(mul, map(pow, range(k, k + size), repeat(zeta)), geoms),
+                add, initial=total))
+            stop = _series_tail(k + size - 1, geoms[-1], totals[-1], zeta,
+                                one_minus)
+        except OverflowError:
+            break       # a k**zeta overflows before its term does
+        if stop is not None:
+            # past the peak, tail/total falls, so the first k of this chunk
+            # that stops is the first k of all
+            for j in range(size):
+                tail = _series_tail(k + j, geoms[j], totals[j + 1], zeta,
+                                    one_minus)
+                if tail is not None:
+                    total = totals[j + 1]
+                    return MomentResult(total + 0.5 * tail, tail / total)
+        total, geom, k = totals[-1], geoms[-1] * one_minus, k + size
+        size = min(2 * size, _SERIES_CHUNK)
     try:
-        if qf < 2.0 ** -20:
-            return MomentResult(2.0 ** moment_log2(math.log2(qf), zeta),
-                                1e-12)
-        # the terms k^zeta * q(1-q)^(k-1) and their running sums, in the
-        # order of a term-by-term loop, over chunks of k that double
-        total, geom, k, size = 0.0, qf, 1, 8
-        while True:
-            try:
-                geoms = list(accumulate(repeat(one_minus, size - 1), mul,
-                                        initial=geom))
-                totals = list(accumulate(
-                    map(mul, map(pow, range(k, k + size), repeat(zeta)),
-                        geoms), add, initial=total))
-                stop = _series_tail(k + size - 1, geoms[-1], totals[-1],
-                                    zeta, one_minus)
-            except OverflowError:
-                if size == 1:
-                    raise
-                size = 1    # find the term that overflows one at a time
-                continue
-            if stop is not None:
-                # past the peak, tail/total falls, so the first k of this
-                # chunk that stops is the first k of all
-                for j in range(size):
-                    tail = _series_tail(k + j, geoms[j], totals[j + 1], zeta,
-                                        one_minus)
-                    if tail is not None:
-                        total = totals[j + 1]
-                        return MomentResult(total + 0.5 * tail, tail / total)
-            total, geom, k = totals[-1], geoms[-1] * one_minus, k + size
-            size = min(2 * size, _SERIES_CHUNK)
+        return MomentResult(2.0 ** moment_log2(math.log2(qf), zeta), 1e-12)
     except OverflowError:
         raise ValueError("E[G^%r] at q = %r overflows a double"
                          % (zeta, qf)) from None
@@ -494,13 +476,16 @@ def moment_log2(q_log2: float, zeta: float) -> float:
 
     zeta = 1 and 2 use the closed forms.  Otherwise, with mu = -ln(1-q),
     E[G^zeta] = (e^mu - 1) Li_{-zeta}(e^-mu).  When mu > pi (q > 0.957) the
-    series of :func:`moment_exact` needs a few dozen terms and is used.
-    Otherwise take the expansion Li_s(e^-mu) = Gamma(1-s) mu^(s-1) +
-    sum_k zeta_R(s-k) (-mu)^k / k! (DLMF 25.12.12, s = -zeta), write each
-    zeta_R(-zeta-k) through the functional equation as a multiple of
-    zeta_R(1+zeta+k) = sum_n n^-(1+zeta+k), and sum the binomial series over
-    k in closed form.  With a = 1 + zeta and r = mu / (2 pi) <= 1/2 that
-    leaves
+    series sum_k k^zeta (1-q)^(k-1) q is summed from the logs of its terms
+    and stopped once a geometric bound on its rest, also formed in logs, is
+    below 1e-12 of the sum; past about zeta = 2 mu^2 + 80 the Gamma form
+    below holds with R = 0 for this mu too, so the series never needs more
+    than about 90 terms.  Otherwise take the expansion Li_s(e^-mu) =
+    Gamma(1-s) mu^(s-1) + sum_k zeta_R(s-k) (-mu)^k / k! (DLMF 25.12.12,
+    s = -zeta), write each zeta_R(-zeta-k) through the functional equation
+    as a multiple of zeta_R(1+zeta+k) = sum_n n^-(1+zeta+k), and sum the
+    binomial series over k in closed form.  With a = 1 + zeta and
+    r = mu / (2 pi) <= 1/2 that leaves
 
         Li_{-zeta}(e^-mu) = Gamma(a) mu^-a (1 + R),
         R = -2 r^a Im(e^(i pi zeta / 2) sum_{n>=1} (n + i r)^-a).
@@ -512,10 +497,11 @@ def moment_log2(q_log2: float, zeta: float) -> float:
     2 r^a a/zeta, a bound on |R|, is below that, R is 0.  Everything is
     formed from q_log2, so q below 2**-1074 costs nothing extra.
 
-    Error: at most 1e-12 relative in E[G^zeta].  The series certifies
-    that; the expansion side is within 1e-13 of mpmath.polylog at 40 digits
-    from q = 2**-4000 up to the switch.  The returned float adds its own
-    rounding, which is more than 1e-12 relative once log2 E passes 8192.
+    Error: at most 1e-12 relative in E[G^zeta].  The series' tail bounds
+    certify that; the expansion side is within 1e-13 of mpmath.polylog at
+    40 digits from q = 2**-4000 up to the switch.  The returned float adds
+    its own rounding, which is more than 1e-12 relative once log2 E passes
+    8192.
     """
     if not q_log2 <= 0:
         raise ValueError("q_log2 must be <= 0")
@@ -529,27 +515,50 @@ def moment_log2(q_log2: float, zeta: float) -> float:
     if not 0 < zeta < math.inf:
         raise ValueError("need 0 < zeta < inf, got %r" % (zeta,))
     q = 2.0 ** q_log2
-    mu = -math.log1p(-q) if q < 1.0 else math.inf
-    if mu > math.pi:
-        return math.log2(moment_exact(q, zeta).value)
+    if q == 1.0:
+        return 0.0
+    mu = -math.log1p(-q)
     a = zeta + 1.0
-    r = mu / (2.0 * math.pi)
-    scale = 2.0 * r ** a
     R = 0.0
-    if scale * a / zeta > _EM_TOL:
-        m = len(_EM_COEFFS)
-        rising = [1.0]                   # rising[p] = a (a+1) ... (a+p-1)
-        for p in range(2 * m):
-            rising.append(rising[-1] * (a + p))
-        order = a + 2 * m - 1
-        rem = abs(_EM_COEFFS[-1]) * rising[2 * m] / order
-        N = max(1, math.ceil((scale * rem / _EM_TOL) ** (1.0 / order)))
-        w = complex(N, r)
-        s = sum(complex(k, r) ** -a for k in range(1, N))
-        s += w ** (1.0 - a) / zeta + 0.5 * w ** -a
-        for j, b in enumerate(_EM_COEFFS, start=1):
-            s += b * rising[2 * j - 1] * w ** (1.0 - a - 2 * j)
-        R = -scale * (cmath.exp(0.5j * math.pi * zeta) * s).imag
+    if mu > math.pi:
+        # 1 - q from q_log2, not from q, which has lost its low bits
+        l1 = math.log2(-math.expm1(q_log2 / LOG2E))     # log2(1 - q)
+        mu = -l1 / LOG2E
+        # |R| <= 4 (1 + c2)^(-a/2), c2 = (2 pi / mu)^2, since ln(1 + c2 n^2)
+        # is convex in ln n; past 2**-56, R is 0 and the series is skipped
+        if a * math.log2(1.0 + (2.0 * math.pi / mu) ** 2) <= 116:
+            # so zeta < 2.1 mu^2 + 81, and mu < 38 as q < 1: at most about
+            # 90 terms.  g is log2 of term k over term kp, near the peak, so
+            # no term overflows; past the peak the ratio of neighbours only
+            # falls, so a geometric series bounds the rest
+            kp, k, total = max(1, math.floor(zeta / mu)), 0, 0.0
+            while True:
+                k += 1
+                g = zeta * math.log1p((k - kp) / kp) * LOG2E + (k - kp) * l1
+                total += 2.0 ** g
+                lr = zeta * math.log1p(1.0 / k) * LOG2E + l1
+                if lr < 0:
+                    tail = 2.0 ** (g + lr) / -math.expm1(lr / LOG2E)
+                    if tail <= _SERIES_REL_TOL * total:
+                        return (zeta * math.log2(kp) + (kp - 1) * l1 + q_log2
+                                + math.log2(total + 0.5 * tail))
+    else:
+        r = mu / (2.0 * math.pi)
+        scale = 2.0 * r ** a
+        if scale * a / zeta > _EM_TOL:
+            m = len(_EM_COEFFS)
+            rising = [1.0]               # rising[p] = a (a+1) ... (a+p-1)
+            for p in range(2 * m):
+                rising.append(rising[-1] * (a + p))
+            order = a + 2 * m - 1
+            rem = abs(_EM_COEFFS[-1]) * rising[2 * m] / order
+            N = max(1, math.ceil((scale * rem / _EM_TOL) ** (1.0 / order)))
+            w = complex(N, r)
+            s = sum(complex(k, r) ** -a for k in range(1, N))
+            s += w ** (1.0 - a) / zeta + 0.5 * w ** -a
+            for j, b in enumerate(_EM_COEFFS, start=1):
+                s += b * rising[2 * j - 1] * w ** (1.0 - a - 2 * j)
+            R = -scale * (cmath.exp(0.5j * math.pi * zeta) * s).imag
     # log2(e^mu - 1) - a log2(mu) = -zeta log2(q) + mu log2(e) - a log2(mu/q),
     # so the large part is one product of the inputs; mu/q -> 1 as q -> 0
     ratio = mu / q if q else 1.0
@@ -782,14 +791,3 @@ def run_game(guesser: Guesser, x: SymbolSeq, zeta: float = 1.0,
     est = estimate_moment(guesser.guess_prob(x), zeta, len(x))
     return est.fold(play_counts(guesser, x, rounds, seed, cap, jobs), cap)
 
-
-def survival_curve(guesser: Guesser, x: SymbolSeq, ks, rounds: int,
-                   seed: int, cap: int | None = None) -> dict[int, float]:
-    """Empirical Pr{G >= k} at the requested k values.
-
-    Each round runs the real game (censored at max(ks)); Pr{G >= k} is the
-    fraction of rounds whose first k-1 attempts all failed.
-    """
-    ks = sorted(ks)
-    counts = play_counts(guesser, x, rounds, seed, cap or ks[-1])
-    return {k: sum(g >= k for g in counts) / rounds for k in ks}

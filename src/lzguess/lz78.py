@@ -204,22 +204,6 @@ def incremental_parse(seq: SymbolSeq) -> ParseResult:
                        trie, bits)
 
 
-def code_length(parse: ParseResult, alpha: int | None = None) -> int:
-    """Exact bit length of the concrete code for a parsed sequence.
-
-    Complete phrase j costs ceil(log2(j)) + ceil(log2(alpha)) bits; an
-    incomplete final phrase costs ceil(log2(t)) bits, t = final node count.
-    """
-    if alpha is None or alpha == parse.seq.alphabet.size:
-        return parse.code_length_bits
-    a_bits = max(1, (alpha - 1).bit_length())
-    c = parse.complete_count
-    bits = _ptr_bits_total(c) + c * a_bits
-    if not parse.last_complete:
-        bits += _ptr_width(c + 1)
-    return bits
-
-
 def encode(seq: SymbolSeq) -> str:
     """Encode a sequence; returns the code as a '0'/'1' string.
 

@@ -19,6 +19,7 @@ package is a step function over it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -430,6 +431,7 @@ def play(automaton, rounds: int, seed: int, cap: int,
 # exact dyadic probabilities
 # ---------------------------------------------------------------------------
 
+@functools.total_ordering
 class DyadicProb:
     """An exact probability m / 2**e with arbitrary-precision integers.
 
@@ -472,14 +474,6 @@ class DyadicProb:
     def __mul__(self, other: "DyadicProb") -> "DyadicProb":
         return DyadicProb(self.m * other.m, self.e + other.e)
 
-    def complement(self) -> "DyadicProb":
-        """1 - p."""
-        return DyadicProb((1 << self.e) - self.m, self.e)
-
-    def _cmp_key(self, other: "DyadicProb"):
-        e = max(self.e, other.e)
-        return self.m << (e - self.e), other.m << (e - other.e)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, DyadicProb):
             return NotImplemented
@@ -489,40 +483,16 @@ class DyadicProb:
         return hash((self.m, self.e))
 
     def __lt__(self, other):
-        a, b = self._cmp_key(other)
-        return a < b
-
-    def __le__(self, other):
-        a, b = self._cmp_key(other)
-        return a <= b
-
-    def __gt__(self, other):
-        a, b = self._cmp_key(other)
-        return a > b
-
-    def __ge__(self, other):
-        a, b = self._cmp_key(other)
-        return a >= b
+        e = max(self.e, other.e)
+        return self.m << (e - self.e) < other.m << (e - other.e)
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.m, 1 << self.e)
 
     def __float__(self) -> float:
-        if self.m == 0:
-            return 0.0
-        return math.ldexp(self._to_float_mantissa(), self._float_exp())
-
-    def _to_float_mantissa(self) -> float:
-        bl = self.m.bit_length()
-        if bl <= 53:
-            return float(self.m)
-        return float(self.m >> (bl - 53))
-
-    def _float_exp(self) -> int:
-        bl = self.m.bit_length()
-        if bl <= 53:
-            return -self.e
-        return bl - 53 - self.e
+        # the top 53 bits of m, truncated, so that no numerator overflows
+        shift = max(self.m.bit_length() - 53, 0)
+        return math.ldexp(float(self.m >> shift), shift - self.e)
 
     def log2(self) -> float:
         """Base-2 log, accurate even when the value underflows a float."""

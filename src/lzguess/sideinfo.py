@@ -27,16 +27,17 @@ The conditional sampler feeds the same fields from fair bits: truncated
 gamma for the fused choice, modulo for the x-index.  Its dictionary is kept
 equal to the joint incremental parse of what it has emitted against y, so
 the draws that keep matching a target x depend on the matched length
-alone.  One generator, :func:`_cond_draws`, yields them, the conditional
-twin of ``guessers._lz_draws_at``, and this module reads them twice.  The
-exact conditional guess probability re-yields them as a forward pass over
-positions; it, like the exact law of a machine that reads side
+alone.  One draw rule, :func:`_cond_draws`, gives them for any matched
+length asked for, the conditional twin of ``guessers._lz_draws_at``, and
+this module has two readers of it.  The exact conditional guess
+probability asks for each length its forward pass over positions
+reaches; it, like the exact law of a machine that reads side
 information (``fsgm.FSGMSpec`` with a side alphabet), runs through
 :func:`lzguess.seqcore.forward`, the package's one exact forward pass.
-:func:`_cond_automaton` compiles them, the chain field bit by bit and
-then the index field, to the automaton form that ``seqcore.play``, the
-one Monte Carlo engine, runs for every guesser; an attempt stops at the
-first field that leaves x.  The game is
+:func:`_cond_automaton` compiles the lengths its states reach, the
+chain field bit by bit and then the index field, to the automaton form
+that ``seqcore.play``, the one Monte Carlo engine, runs for every
+guesser; an attempt stops at the first field that leaves x.  The game is
 played by ``guessers.Guesser(..., side=y)``, whole or in blocks, on the
 same path as every other guesser, and ``bounds.sandwich_sweep`` on that
 guesser gives its conditional bounds.
@@ -123,13 +124,6 @@ def joint_parse(x: SymbolSeq, y: SymbolSeq) -> JointParseResult:
 # ---------------------------------------------------------------------------
 # the truncated-gamma index code over a finite chain
 # ---------------------------------------------------------------------------
-
-def chain_code_len(gap: int, size: int) -> int:
-    """Bits used to index `gap` in a chain of `size` candidates."""
-    if not 0 <= gap < size:
-        raise ValueError("gap %d outside chain of size %d" % (gap, size))
-    return len(chain_encode(gap, size))
-
 
 def chain_encode(gap: int, size: int) -> str:
     v = gap + 1
@@ -402,11 +396,6 @@ def cond_decode(bits: str, y: SymbolSeq, n: int,
     return SymbolSeq(alphabet, bytes(out))
 
 
-def cond_code_length(x: SymbolSeq, y: SymbolSeq) -> int:
-    """L(x|y) in bits."""
-    return len(cond_code(x, y))
-
-
 def epsilon1(n: int) -> float:
     """The order log(log n)/log n redundancy allowance in
     L(x|y) <= u(x, y) + n * epsilon1(n).
@@ -460,18 +449,21 @@ def cond_sample(y: SymbolSeq, n: int, bits: BitSource,
 
 def _cond_draws(x: SymbolSeq, y: SymbolSeq):
     """The draws of :func:`cond_sample` that keep matching x given y, the
-    one conditional draw rule behind the exact law and the automaton.
+    one conditional draw rule behind its two readers, the exact law and
+    the automaton.
 
-    Returns an iterator over the matched lengths b = 0..n-1 in turn; the
-    pair stream is checked and parsed before it starts.  It yields (size,
-    moves), `size` being the chain field's size chain * alpha after x[:b].
-    After b matching symbols the sampler's dictionary is the joint parse
-    of (x, y) as it stood at node count t_at[b].  `moves` maps each chain
-    value that keeps matching x to (width, c, pos, b'): the value picks
-    depth d and the innovation symbol x[b+d], and a `width`-bit index v
-    with v % c == pos picks the x-word x[b:b+d] among the c x-phrases of
-    y[b:b+d], reaching b' = b+d+1.  At an overshoot (b+d == n) the surplus
-    symbol is discarded, so the chain values of every rank win and b' = n.
+    Returns at(b), which gives (size, moves) for a matched length b in
+    0..n-1, `size` being the chain field's size chain * alpha after x[:b];
+    the pair stream is checked and parsed before at returns.  Lengths may
+    be asked for in any order, so a reader asks only for the lengths it
+    reaches.  After b matching symbols the sampler's dictionary is the
+    joint parse of (x, y) as it stood at node count t_at[b].  `moves` maps
+    each chain value that keeps matching x to (width, c, pos, b'): the
+    value picks depth d and the innovation symbol x[b+d], and a
+    `width`-bit index v with v % c == pos picks the x-word x[b:b+d] among
+    the c x-phrases of y[b:b+d], reaching b' = b+d+1.  At an overshoot
+    (b+d == n) the surplus symbol is discarded, so the chain values of
+    every rank win and b' = n.
     """
     n = len(x)
     parse = incremental_parse(pack_pairs(x, y))
@@ -482,38 +474,35 @@ def _cond_draws(x: SymbolSeq, y: SymbolSeq):
     alpha = x.alphabet.size
     xi, yi = x.indices, y.indices
 
-    def draws_at():
-        for b in range(n):
-            t = t_at[b]
-            chain = len(dic.ypath(yi, b, n, t))
-            moves = {}
-            # d < chain: a joint node's y-word is no younger than the node
-            for d, node in dic.trie.walk(pairs[b:], limit=t):
-                c = bisect.bisect_left(members[ynode[node]], t)
-                base = (chain - 1 - d) * alpha
-                if b + d < n:
-                    moves[base + _rank_sym(xi[b + d], yi[b + d], alpha)] = (
-                        (c - 1).bit_length(), c, pos[node], b + d + 1)
-                else:
-                    moves.update(dict.fromkeys(
-                        range(base, base + alpha),
-                        ((c - 1).bit_length(), c, pos[node], n)))
-            yield chain * alpha, moves
+    def at(b):
+        t = t_at[b]
+        chain = len(dic.ypath(yi, b, n, t))
+        moves = {}
+        # d < chain: a joint node's y-word is no younger than the node
+        for d, node in dic.trie.walk(pairs[b:], limit=t):
+            c = bisect.bisect_left(members[ynode[node]], t)
+            base = (chain - 1 - d) * alpha
+            if b + d < n:
+                moves[base + _rank_sym(xi[b + d], yi[b + d], alpha)] = (
+                    (c - 1).bit_length(), c, pos[node], b + d + 1)
+            else:
+                moves.update(dict.fromkeys(
+                    range(base, base + alpha),
+                    ((c - 1).bit_length(), c, pos[node], n)))
+        return chain * alpha, moves
 
-    return draws_at()
+    return at
 
 
 def cond_guess_prob(x: SymbolSeq, y: SymbolSeq) -> DyadicProb:
     """Exact probability that :func:`cond_sample` emits x given y: a
     :func:`~lzguess.seqcore.forward` pass over emitted-prefix lengths b
     whose moves from b are the :func:`_cond_draws` at b."""
-    draws_at = _cond_draws(x, y)
+    at = _cond_draws(x, y)
     gap_probs = {}
 
-    def step(_b, _state):
-        # the depth-0 draw always reaches b + 1, so every b is asked for in
-        # turn
-        size, moves = next(draws_at)
+    def step(b, _state):
+        size, moves = at(b)
         probs = gap_probs.get(size)
         if probs is None:
             probs = gap_probs[size] = chain_gap_probs(size)
@@ -535,7 +524,8 @@ def _cond_automaton(x: SymbolSeq, y: SymbolSeq):
     level's payload, folded as :func:`chain_draw` folds it.  A chain
     value leads to the index field of its move (none when that field is 0
     bits wide) and on to the first unary state of its next b, numbered
-    when first reached; a b that no move reaches gets no states."""
+    when first reached; a b that no move reaches gets no states, and its
+    draws are never asked for."""
     n = len(x)
     widths, tables = [], []
     starts = {}
@@ -552,10 +542,12 @@ def _cond_automaton(x: SymbolSeq, y: SymbolSeq):
             starts[b] = state(1)
         return starts[b]
 
+    at = _cond_draws(x, y)
     start(0)
-    for b, (size, moves) in enumerate(_cond_draws(x, y)):
+    for b in range(n):
         if b not in starts:
             continue        # no move reaches b
+        size, moves = at(b)
         links = {}
 
         def link(gap):

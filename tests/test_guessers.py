@@ -16,13 +16,11 @@ from lzguess.lz78 import incremental_parse
 from lzguess.fsgm import (FSGMSpec, automaton, build_fig1_machine,
                           output_distribution)
 from lzguess.guessers import (Guesser, _lz_draws_at, _lz_run_tables,
-                              aligned_guess_prob, block_guess_prob,
-                              block_sample,
+                              block_guess_prob, block_sample,
                               compile_automaton, compile_block_guesser_to_fsgm,
                               lz_guess_prob, lz_sample, make_runner,
                               moment_exact, moment_log2, moment_lower_bound,
-                              moment_lower_bound_log2, play_counts,
-                              run_game, survival_curve)
+                              moment_lower_bound_log2, play_counts, run_game)
 from conftest import FixedBits, all_seqs, seq, xor_machine
 
 B01 = Alphabet(("0", "1"))
@@ -131,18 +129,6 @@ def test_dominance_over_code_length():
             q = lz_guess_prob(x)
             L = incremental_parse(x).code_length_bits
             assert q.as_fraction() >= Fraction(1, 2 ** L)
-
-
-def test_aligned_path_is_a_lower_bound():
-    rng = random.Random(21)
-    for _ in range(40):
-        n = rng.randrange(1, 40)
-        x = SymbolSeq(B01, bytes(rng.randrange(2) for _ in range(n)))
-        q = lz_guess_prob(x)
-        a = aligned_guess_prob(x)
-        L = incremental_parse(x).code_length_bits
-        assert q >= a
-        assert a.as_fraction() >= Fraction(1, 2 ** L)
 
 
 def _lz_draws_per_draw(x):
@@ -358,9 +344,14 @@ def test_moment_divergence_and_domain():
 def test_moment_overflow_is_value_error():
     with pytest.raises(ValueError, match="overflow"):
         moment_exact(0.5, 1000)
-    # q > 0.957 takes the series branch of moment_log2
-    with pytest.raises(ValueError, match="overflow"):
-        moment_log2(-0.01, 2000.0)
+    # a k**zeta of the series overflows but E[G^150] does not: the value
+    # comes from moment_log2; the reference is a 50-digit mpmath sum
+    got = moment_exact(0.5, 150)
+    assert got.rel_err == 1e-12
+    assert math.log2(got.value) == pytest.approx(952.7032286617588, abs=1e-12)
+    # q > 0.957 takes the log-domain series of moment_log2, which reaches
+    # any value; the reference is a 50-digit mpmath sum
+    assert moment_log2(-0.01, 2000.0) == pytest.approx(14428.362, abs=1e-3)
 
 
 def test_moment_when_one_minus_q_rounds_to_one():
@@ -432,8 +423,14 @@ def test_moment_series_equals_term_by_term_loop(q):
         try:
             want = _series_term_by_term(q, zeta)
         except OverflowError:
-            with pytest.raises(ValueError, match="overflows a double"):
-                moment_exact(q, zeta, force_series=True)
+            # a k**zeta overflows: the value is moment_log2's, if it fits
+            m_log2 = moment_log2(math.log2(q), zeta)
+            if m_log2 >= 1024:
+                with pytest.raises(ValueError, match="overflows a double"):
+                    moment_exact(q, zeta, force_series=True)
+            else:
+                assert tuple(moment_exact(q, zeta, force_series=True)) == (
+                    2.0 ** m_log2, 1e-12), zeta
             continue
         assert tuple(moment_exact(q, zeta, force_series=True)) == want, zeta
 
@@ -509,6 +506,20 @@ def test_moment_log2_monotone_and_continuous_at_switch():
     for zeta in _POLYLOG_ZETAS:
         a, b = moment_log2(below, zeta), moment_log2(above, zeta)
         assert abs(a - b) * math.log(2) <= 2e-12, zeta
+
+
+def test_moment_log2_near_q_one_at_large_zeta():
+    # once a log2(1 + (2 pi / mu)^2) passes 116, the Gamma form with R = 0
+    # replaces the log-domain series; the two agree across that switch,
+    # and no zeta, however large, makes the series long
+    for q_log2 in (-0.05, -1e-3, -1e-9):
+        mu = -math.log(-math.expm1(q_log2 * math.log(2)))
+        switch = 116 / math.log2(1 + (2 * math.pi / mu) ** 2) - 1
+        below = moment_log2(q_log2, math.nextafter(switch, 0.0))
+        above = moment_log2(q_log2, math.nextafter(switch, math.inf))
+        assert abs(above - below) * math.log(2) <= 2e-12, q_log2
+        vals = [moment_log2(q_log2, z) for z in (1e4, 1e8, 1e16, 1e300)]
+        assert vals == sorted(vals) and math.isfinite(vals[-1])
 
 
 def test_moment_log2_domain():
@@ -603,9 +614,6 @@ def test_play_counts_agree_with_every_game_view():
     est = run_game(g, x, zeta=1.0, rounds=rounds, seed=seed, cap=cap)
     assert est.censored == censored
     assert est.mc_mean == sum(min(c, cap) for c in counts) / rounds
-    ks = (1, 2, 3, cap + 1)
-    curve = survival_curve(g, x, ks=ks, rounds=rounds, seed=seed, cap=cap)
-    assert curve == {k: sum(c >= k for c in counts) / rounds for k in ks}
     assert play_counts(g, x, rounds, seed, cap) == counts
     with pytest.raises(ValueError, match="cap"):
         next(play(automaton(spec, x), rounds, seed, 0))
@@ -1006,8 +1014,9 @@ def test_survival_curve_matches_geometric_tail():
     g = Guesser("lz_full", B01, 8)
     qf = float(lz_guess_prob(x))
     rounds = 30000
-    curve = survival_curve(g, x, ks=(2, 5, 20), rounds=rounds, seed=19)
-    for k, emp in curve.items():
+    counts = play_counts(g, x, rounds, seed=19, cap=20)
+    for k in (2, 5, 20):
+        emp = sum(c >= k for c in counts) / rounds
         expect = (1 - qf) ** (k - 1)
         sigma = math.sqrt(expect * (1 - expect) / rounds)
         assert abs(emp - expect) <= 3.5 * sigma

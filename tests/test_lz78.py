@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from lzguess.seqcore import (Alphabet, BudgetError, SymbolSeq, generate_corpus,
                              ingest)
 from lzguess.lz78 import (BitReader, DecodeError, ParseTrie, c_max_oracle,
-                          code_length, decode, encode, incremental_parse,
-                          pack_bits, unpack_bits)
+                          decode, encode, incremental_parse, pack_bits,
+                          unpack_bits)
 from conftest import all_seqs, seq
 
 AB = Alphabet(("a", "b"))
@@ -77,7 +77,6 @@ def test_code_length_example_string():
     # pointer bits 0,1,2,2,3,3,3 + 7 symbol bits + 3 final-pointer bits
     r = incremental_parse(seq(EXAMPLE15, AB))
     assert r.code_length_bits == 24
-    assert code_length(r) == 24
 
 
 def test_code_length_single_bit():
@@ -102,13 +101,6 @@ def test_code_length_clogc_bound():
     r = incremental_parse(seq(EXAMPLE15, AB))
     c = 8
     assert r.code_length_bits <= (c + 1) * math.log2(2 * 2 * (c + 1))
-
-
-def test_code_length_alphabet_override():
-    r = incremental_parse(seq(EXAMPLE15, AB))
-    # pricing the same parse over a 4-letter alphabet doubles symbol bits
-    assert code_length(r, alpha=4) == 24 + 7
-    assert code_length(r, alpha=2) == 24
 
 
 # --- encode / decode ---------------------------------------------------------
@@ -355,23 +347,12 @@ def _parse_fields(x):
             r.trie.parent, r.trie.sym, r.trie.children)
 
 
-def _code_length_per_phrase(r, alpha):
-    a_bits = max(1, (alpha - 1).bit_length())
-    c = r.complete_count
-    bits = sum((j - 1).bit_length() + a_bits for j in range(1, c + 1))
-    return bits + (0 if r.last_complete else c.bit_length())
-
-
 @pytest.mark.parametrize("alphabet", [B01, Alphabet(("a", "b", "c"))],
                          ids=["binary", "ternary"])
 def test_parse_equals_per_symbol_reference_exhaustive(alphabet):
     for n in range(10):
         for x in all_seqs(alphabet, n):
             assert _parse_fields(x) == _parse_per_symbol(x)
-            r = incremental_parse(x)
-            for alpha in (2, 3, 5, 256):
-                assert code_length(r, alpha) == _code_length_per_phrase(
-                    r, alpha)
 
 
 @settings(max_examples=300, deadline=None)
@@ -388,9 +369,6 @@ def test_parse_equals_per_symbol_reference_on_long_corpora():
                      ("periodic", {"pattern": "ab"})):
         x = generate_corpus(kind, 1 << 14, seed=5, **kw)
         assert _parse_fields(x) == _parse_per_symbol(x)
-        r = incremental_parse(x)
-        for alpha in (3, 256):
-            assert code_length(r, alpha) == _code_length_per_phrase(r, alpha)
 
 
 def test_phrase_texts_of_a_bytes_parse_are_hex():

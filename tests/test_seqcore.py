@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -285,7 +286,6 @@ def test_dyadic_basics():
     assert float(half) == 0.5
     assert half + half == DyadicProb.one()
     assert half * half == DyadicProb(1, 2)
-    assert half.complement() == half
     assert DyadicProb(3, 8).log2() == pytest.approx(math.log2(3 / 256))
 
 
@@ -319,8 +319,10 @@ def test_dyadic_matches_fraction_arithmetic(m1, e1, m2, e2):
     assert (a * b).as_fraction() == fa * fb
     if fa + fb <= 1:
         assert (a + b).as_fraction() == fa + fb
-    assert (a <= b) == (fa <= fb)
-    assert (a == b) == (fa == fb)
+    assert float(a) == float(fa)        # m < 2**21: both are exact
+    for op in (operator.lt, operator.le, operator.eq, operator.ne,
+               operator.gt, operator.ge):
+        assert op(a, b) == op(fa, fb)
 
 
 # --- the forward-pass kernel -------------------------------------------------
@@ -571,26 +573,19 @@ def _tables_sha(tables):
 
 
 def test_lz_draw_paths_pinned_at_large_n():
-    """The aligned witness and the Monte Carlo run tables at n >= 2048,
-    pinned from the separate trie walks that the one draw rule replaced."""
-    from lzguess.guessers import _lz_run_tables, aligned_guess_prob
+    """The Monte Carlo run tables at n >= 2048, pinned from the separate
+    trie walks that the one draw rule replaced."""
+    from lzguess.guessers import _lz_run_tables
     pins = {
-        ("periodic:ab", 2048): (
-            (586, "e7cf46a078fed4fafd0b5e3aff144802"
-                  "b853f8ae459a4f0c14add3314b7cc3a6"),
-            "29451217be9947eb3976c0c4899ecb03584ed7005a851cefeb3c480748657c70"),
-        ("bernoulli:0.3:5", 4096): (
-            (4399, "ca358758f6d27e6cf45272937977a748"
-                   "fd88391db679ceda7dc7bf1f005ee879"),
-            "25128e750aee7489ae3dffa20baf2dc64f101a79377193ca54e1af386a5e1f4f"),
-        ("thue_morse", 4096): (
-            (3025, "2b4c342f5433ebe591a1da77e013d1b7"
-                   "2475562d48578dca8b84bac6651c3cb9"),
-            "df55f99fb16ed92051fe72dac52fe8cc24215e332350b9f73af22aa735854a08"),
+        ("periodic:ab", 2048):
+            "29451217be9947eb3976c0c4899ecb03584ed7005a851cefeb3c480748657c70",
+        ("bernoulli:0.3:5", 4096):
+            "25128e750aee7489ae3dffa20baf2dc64f101a79377193ca54e1af386a5e1f4f",
+        ("thue_morse", 4096):
+            "df55f99fb16ed92051fe72dac52fe8cc24215e332350b9f73af22aa735854a08",
     }
-    for (spec, n), (aligned, tables) in pins.items():
+    for (spec, n), tables in pins.items():
         x = parse_corpus_spec(spec, n)
-        assert _pin(aligned_guess_prob(x)) == aligned
         assert _tables_sha(_lz_run_tables(x)) == tables
 
 

@@ -14,11 +14,10 @@ from lzguess.fsgm import (FSGMSpec, automaton, build_fig1_machine,
 from lzguess.guessers import Guesser, make_runner
 from lzguess.bounds import (block_entropy, delta_n_at, direct_clogc,
                             sandwich_sweep)
-from lzguess.sideinfo import (chain_code_len, chain_decode,
-                              chain_encode, chain_gap_probs, chain_draw,
-                              cond_code, cond_code_length, cond_decode,
-                              cond_guess_prob, cond_sample, epsilon1,
-                              joint_parse, pack_pairs)
+from lzguess.sideinfo import (_cond_draws, chain_decode, chain_encode,
+                              chain_gap_probs, chain_draw, cond_code,
+                              cond_decode, cond_guess_prob, cond_sample,
+                              epsilon1, joint_parse, pack_pairs)
 from conftest import FixedBits, all_seqs, seq, xor_machine
 
 AB = Alphabet(("a", "b"))
@@ -121,13 +120,12 @@ def test_chain_code_complete_and_decodable():
         kraft = Fraction(0)
         for g in range(L):
             code = chain_encode(g, L)
-            assert len(code) == chain_code_len(g, L)
             r = BitReader(code)
             assert chain_decode(r, L) == g and r.pos == len(code)
             assert probs[g].as_fraction() >= Fraction(1, 2 ** len(code))
             kraft += Fraction(1, 2 ** len(code))
         assert kraft <= 1
-        assert chain_code_len(0, L) == (1 if L > 1 else 0)
+        assert len(chain_encode(0, L)) == (1 if L > 1 else 0)
 
 
 def test_chain_decode_and_draw_read_one_layout():
@@ -261,7 +259,7 @@ def test_side_alphabet_larger_sampler_matches_law():
 
 def test_cond_code_self_is_cheap():
     x = generate_corpus("bernoulli", 4096, p=0.5, seed=7)
-    assert cond_code_length(x, x) / 4096 <= 0.25
+    assert len(cond_code(x, x)) / 4096 <= 0.25
 
 
 def test_cond_length_envelope_on_corpora():
@@ -274,8 +272,7 @@ def test_cond_length_envelope_on_corpora():
     for x, y in ((xb, xb), (xb, yb), (xt, xt), (xp, xp), (xp, xb),
                  (xt, xb), (xb, xt), (xt, xp)):
         jp = joint_parse(x, y)
-        L = cond_code_length(x, y)
-        assert L <= jp.u + budget
+        assert len(cond_code(x, y)) <= jp.u + budget
 
 
 # --- conditional sampler and guess probability ------------------------------------
@@ -321,7 +318,24 @@ def test_cond_dominance_on_corpora():
     yb = generate_corpus("bernoulli", n, p=0.5, seed=8)
     xt = generate_corpus("thue_morse", n)
     for x, y in ((xb, xb), (xb, yb), (xt, xb)):
-        assert -cond_guess_prob(x, y).log2() <= cond_code_length(x, y)
+        assert -cond_guess_prob(x, y).log2() <= len(cond_code(x, y))
+
+
+@pytest.mark.parametrize("beta", [2, 3], ids=["binary-side", "ternary-side"])
+def test_cond_draws_answer_lengths_in_any_order(beta):
+    # the draw rule is random access: asked for in reversed or in shuffled
+    # order, each matched length gets the in-order answer
+    rng = random.Random(20 + beta)
+    side = Alphabet(tuple("012"[:beta]))
+    for _ in range(40):
+        n = rng.randrange(1, 48)
+        x = SymbolSeq(B01, bytes(rng.randrange(2) for _ in range(n)))
+        y = SymbolSeq(side, bytes(rng.randrange(beta) for _ in range(n)))
+        at = _cond_draws(x, y)
+        want = [at(b) for b in range(n)]
+        for order in (range(n - 1, -1, -1), rng.sample(range(n), n)):
+            at = _cond_draws(x, y)
+            assert {b: at(b) for b in order} == dict(enumerate(want))
 
 
 def test_cond_sample_empirical():

@@ -69,11 +69,7 @@ def test_bench_imports_resolve_in_src():
 TEST_ONLY = {
     "tree_run": "the bit-by-bit tree semantics, oracle for the expansion",
     "fig1_word_expansion": "the example machine's word map, its oracle",
-    "aligned_guess_prob": "the aligned witness between q and 2**-L(x)",
     "moment_lower_bound_log2": "moment_lower_bound in the log domain",
-    "survival_curve": "empirical Pr{G >= k}, the geometric-tail check",
-    "chain_code_len": "one chain field's width, oracle for its law",
-    "cond_code_length": "L(x|y), the conditional dominance bound",
 }
 
 
@@ -84,6 +80,13 @@ RETIRED = {
     "_run_tail": "forward takes spans from its step instead of finding runs",
     "_cond_run_tables": "the conditional automaton reads _cond_draws' moves",
     "_lz_draws": "_lz_draws_at gives the draws of the lengths a reader asks for",
+    "aligned_guess_prob": "a witness between q and 2**-L(x) that only tests "
+                          "read; dominance is tested on q itself",
+    "survival_curve": "tests fold play_counts into Pr{G >= k} themselves",
+    "chain_code_len": "len(chain_encode(gap, size))",
+    "cond_code_length": "len(cond_code(x, y))",
+    "code_length": "ParseResult.code_length_bits; no caller re-priced a "
+                   "parse under another alphabet",
 }
 
 
