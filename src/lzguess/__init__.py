@@ -16,9 +16,8 @@ from .fsgm import (FSGMSpec, RunTrace, TreeFSGMSpec, build_fig1_machine,
                    expand_tree_machine, output_distribution, run,
                    sequence_prob)
 from .guessers import (Guesser, MomentEstimate, block_guess_prob,
-                       block_sample, compile_block_guesser_to_fsgm,
-                       lz_guess_prob, lz_sample, moment_exact,
-                       moment_lower_bound, run_game)
+                       compile_block_guesser_to_fsgm, lz_guess_prob,
+                       lz_sample, moment_exact, moment_lower_bound, run_game)
 from .bounds import (BoundReport, K_of_ell, block_entropy, converse_clogc,
                      converse_entropy, direct_clogc, epsilon_lz, epsilon_n,
                      rho_upper, sandwich, sandwich_sweep)

@@ -29,6 +29,7 @@ from .seqcore import Alphabet, BitSource, SymbolSeq, ingest, parse_corpus_spec
 from . import lz78, fsgm, guessers, bounds, sideinfo
 
 DEFAULT_CAP = 1 << 20
+MAX_N = 1 << 24     # the largest --n, checked before anything is allocated
 
 
 def _sha256(path: str) -> str:
@@ -65,20 +66,26 @@ def _alphabet_from(params) -> Alphabet | str | None:
     return params.get("alphabet")
 
 
-def _load_sequence(params: dict, key_input="input", key_corpus="corpus",
-                   default_alphabet=None) -> SymbolSeq:
+def _load_sequence(params: dict, key_input="input",
+                   key_corpus="corpus") -> SymbolSeq:
+    """A --target, --input or --corpus sequence: text takes the tokens of
+    --alphabet or --alphabet-file, bytes the byte subset of --alphabet."""
+    if params.get("target"):
+        return ingest(params["target"], _alphabet_from(params))
     if params.get(key_input):
         mode = params.get("mode", "text")
         if mode == "bytes":
+            if params.get("alphabet_file"):
+                raise ValueError("--mode bytes takes --alphabet, not "
+                                 "--alphabet-file")
+            subset = params.get("alphabet", "").encode("latin-1") or None
             with open(params[key_input], "rb") as fh:
-                data = fh.read()
-            return ingest(data, _alphabet_from(params), mode="bytes")
+                return ingest(fh.read(), subset, mode="bytes")
         with open(params[key_input], "r", encoding="utf-8") as fh:
             text = fh.read()
         if mode == "text":
             text = text.strip()
-        return ingest(text, _alphabet_from(params) or default_alphabet,
-                      mode=mode)
+        return ingest(text, _alphabet_from(params), mode=mode)
     if params.get(key_corpus):
         n = params.get("n")
         if n is None:
@@ -188,8 +195,7 @@ def _run_fsgm_dist(params, outdir):
     return {"machine": spec.name, "n": params["n"], "distribution": rows}, None
 
 
-_MOMENT_FIELDS = ["n", "zeta", "q_log2", "exact_moment_log2", "exponent",
-                  "mc_mean", "mc_ci", "censored", "rounds"]
+_MOMENT_FIELDS = [f.name for f in dataclasses.fields(guessers.MomentEstimate)]
 
 
 def _expected_guesses(rounds: int, q_log2: float, cap: int) -> float:
@@ -225,31 +231,15 @@ def _moment_rows(params, g: guessers.Guesser, x: SymbolSeq) -> list[dict]:
               file=sys.stderr)
     counts = guessers.play_counts(g, x, rounds, params.get("seed") or 0, cap,
                                   jobs)
-    for est in ests:
-        est.fold(counts, cap)
-    return [{"n": len(x), "zeta": est.zeta, "q_log2": est.q_log2,
-             "exact_moment_log2": est.exact_moment_log2,
-             "exponent": est.exponent, "mc_mean": est.mc_mean,
-             "mc_ci": est.mc_ci, "censored": est.censored,
-             "rounds": est.rounds} for est in ests]
+    return [dataclasses.asdict(est.fold(counts, cap)) for est in ests]
 
 
 def _run_guess(params, outdir):
-    seq = _target_sequence(params)
+    seq = _load_sequence(params)
     g = _make_guesser(params, seq.alphabet, len(seq))
     rows = [{"guesser": g.describe(), **row}
             for row in _moment_rows(params, g, seq)]
     return {"rows": rows}, ("results.csv", ["guesser"] + _MOMENT_FIELDS, rows)
-
-
-def _target_sequence(params) -> SymbolSeq:
-    if params.get("target"):
-        alph = params.get("alphabet")
-        if alph:
-            return SymbolSeq.from_text(params["target"],
-                                       Alphabet.from_spec(alph))
-        return ingest(params["target"])
-    return _load_sequence(params)
 
 
 def _run_moments(params, outdir):
@@ -366,6 +356,8 @@ def _execute(subcommand: str, params: dict, out_root: str,
              run_dir: str | None = None) -> dict:
     if subcommand not in _EXECUTORS:
         raise ValueError("unknown subcommand %r" % subcommand)
+    if params.get("n", 0) > MAX_N:
+        raise ValueError("need --n <= %d, got %d" % (MAX_N, params["n"]))
     digests = {p: _sha256(p) for p in _input_paths(params)}
     run_id = run_id_for(subcommand, params, digests)
     outdir = run_dir or os.path.join(out_root, run_id)
@@ -541,8 +533,9 @@ def main(argv=None) -> int:
             "warning: %s" % message, file=sys.stderr)
         try:
             record = cli_dispatch(sys.argv[1:] if argv is None else argv)
-        except (ValueError, OSError) as exc:
-            print("error: %s" % exc, file=sys.stderr)
+        except (ValueError, OSError, MemoryError) as exc:
+            msg = "out of memory" if isinstance(exc, MemoryError) else exc
+            print("error: %s" % msg, file=sys.stderr)
             return 1
     print(json.dumps({"run_id": record["run_id"], "outdir": record["outdir"]},
                      sort_keys=True))

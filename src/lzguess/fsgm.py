@@ -372,11 +372,20 @@ def fig1_word_expansion(bit_text: str, n_words: int | None = None) -> str:
 # ---------------------------------------------------------------------------
 
 def format_machine(spec: FSGMSpec) -> str:
-    """Serialize to the plain-text table format (see parse_machine); the
-    format describes plain machines only."""
+    """Serialize to the plain-text table format (see parse_machine).  It
+    holds plain machines whose tokens are characters and whose state names
+    are words other than the header keywords, none holding whitespace or
+    '#', so that parse_machine reads back the same machine."""
     if spec.side_alphabet is not None:
         raise ValueError("machine files describe plain machines only")
-    lines = ["alphabet %s" % "".join(str(t) for t in spec.alphabet.tokens),
+    tokens, names = spec.alphabet.tokens, spec.names
+    if not (all(isinstance(w, str) and w.split() == [w] and "#" not in w
+                for w in tokens + names) and {len(t) for t in tokens} == {1}
+            and not {"alphabet", "initial"} & set(names)):
+        raise ValueError("machine files need one-character tokens and state "
+                         "names, not 'alphabet' or 'initial', without "
+                         "whitespace or '#'")
+    lines = ["alphabet %s" % "".join(tokens),
              "initial %s" % spec.initial]
     for zi, z in enumerate(spec.names):
         d = spec.delta[zi]

@@ -33,7 +33,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, groupby, repeat
 from operator import add, mul
@@ -190,17 +190,6 @@ def _per_block(f, ell: int, *seqs: SymbolSeq) -> list:
     return out
 
 
-def block_sample(alphabet: Alphabet, n: int, ell: int,
-                 bits: BitSource) -> SymbolSeq:
-    """Independent dictionary restarts every ell symbols."""
-    if ell < 1:
-        raise ValueError("need ell >= 1")
-    out = bytearray()
-    for b, e in _blocks(n, ell):
-        out.extend(lz_sample(alphabet, e - b, bits).indices)
-    return SymbolSeq(alphabet, bytes(out))
-
-
 def block_guess_prob(x: SymbolSeq, ell: int) -> DyadicProb:
     """Product of per-block emission probabilities (trie reset per block),
     each distinct block's law computed once."""
@@ -215,9 +204,9 @@ def compile_block_guesser_to_fsgm(ell: int, alphabet: Alphabet) -> FSGMSpec:
     State (u, k): the block's first |u| symbols are determined to be u and
     the last k of them are still pending emission.  Draw states (k = 0) read
     a whole pointer+symbol field at once and spread the word over idle
-    states; the block resets to the empty state every ell symbols.  The
-    construction is compared against the ell * alpha**ell budget and flags
-    any excess.
+    states; the block resets to the empty state every ell symbols.  A
+    state is named by u's symbol indices, so distinct prefixes never share
+    a name, whatever the tokens spell.
     """
     alpha = alphabet.size
     if ell < 1:
@@ -228,8 +217,7 @@ def compile_block_guesser_to_fsgm(ell: int, alphabet: Alphabet) -> FSGMSpec:
     a_bits = alphabet.bits_per_symbol
 
     def name(u: bytes, k: int) -> str:
-        text = "".join(str(alphabet.tokens[c]) for c in u) or "."
-        return "%s|%d" % (text, k)
+        return "%s|%d" % (u.hex() or ".", k)
 
     start = (b"", 0)
     delta: dict = {}
@@ -270,15 +258,8 @@ def compile_block_guesser_to_fsgm(ell: int, alphabet: Alphabet) -> FSGMSpec:
                 pending.append(nxt)
         table[z] = rows
 
-    names = [name(*s) for s in seen]
-    spec = FSGMSpec(alphabet, sorted(set(names)), name(*start), delta, table,
-                    name="block-guesser-ell%d" % ell)
-    if spec.state_count > ell * alpha ** ell:
-        import warnings
-        warnings.warn("compiled machine uses %d states, above the "
-                      "ell*alpha**ell = %d budget"
-                      % (spec.state_count, ell * alpha ** ell))
-    return spec
+    return FSGMSpec(alphabet, sorted(name(*s) for s in seen), name(*start),
+                    delta, table, name="block-guesser-ell%d" % ell)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +280,8 @@ class Guesser:
     (dictionary restarts every ell symbols), "uniform" (one fresh symbol
     per position; exactly uniform when alpha is a power of two), "fsgm"
     (an explicit machine).  lz_full is the block guesser with ell = n and
-    uniform the one with ell = 1; `block` holds that restart period and is
-    None for a machine.
+    uniform the one with ell = 1; :attr:`block` is that restart period
+    and None for a machine.
 
     Given a length-n side sequence, an LZ guesser is the conditional
     sampler instead: each block draws ``sideinfo.cond_sample`` against its
@@ -320,7 +301,6 @@ class Guesser:
     ell: int | None = None
     spec: FSGMSpec | None = None
     side: SymbolSeq | None = None
-    block: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("lz_full", "lz_block", "uniform", "fsgm"):
@@ -340,8 +320,11 @@ class Guesser:
         if self.kind == "fsgm" and self.side is not None:
             object.__setattr__(self, "side",
                                _onto(self.side, self.spec.side_alphabet))
-        block = {"lz_full": self.n, "uniform": 1}.get(self.kind, self.ell)
-        object.__setattr__(self, "block", block)
+
+    @property
+    def block(self) -> int | None:
+        """The restart period: n, ell or 1; None for a machine."""
+        return {"lz_full": self.n, "uniform": 1}.get(self.kind, self.ell)
 
     def describe(self) -> str:
         if self.kind == "fsgm":
@@ -354,10 +337,9 @@ class Guesser:
     def sample(self, bits: BitSource) -> SymbolSeq:
         if self.block is None:
             return fsgm.run(self.spec, bits, self.n, self.side).output
-        if self.side is None:
-            return block_sample(self.alphabet, self.n, self.block, bits)
         return SymbolSeq(self.alphabet, b"".join(
-            cond_sample(self.side[b:e], e - b, bits, self.alphabet).indices
+            (lz_sample(self.alphabet, e - b, bits) if self.side is None else
+             cond_sample(self.side[b:e], e - b, bits, self.alphabet)).indices
             for b, e in _blocks(self.n, self.block)))
 
     def guess_prob(self, x: SymbolSeq) -> DyadicProb:
@@ -382,30 +364,34 @@ class MomentResult(NamedTuple):
     rel_err: float
 
 
-def moment_exact(q, zeta: float, force_series: bool = False) -> MomentResult:
+def moment_exact(q, zeta: float) -> MomentResult:
     """E[G^zeta] for G geometric with success probability q.
 
-    Closed forms for zeta in {1, 2}; otherwise the series
-    sum_k k^zeta (1-q)^(k-1) q, stopped once a geometric tail bound
-    certifies relative error below 1e-12; its terms are formed and added by
-    C iterators over chunks of k, in the order of a term-by-term loop, so
-    the float result is that loop's.  force_series skips the closed
-    forms (used to cross-check the series against them).  The series needs
-    about zeta/q terms, so below q = 2**-20 the value comes from
-    :func:`moment_log2` with its documented 1e-12 relative error, and so
-    does it when a k**zeta of the series overflows a double.  A ValueError
-    says that E[G^zeta] itself does.
+    Closed forms for zeta in {1, 2}; otherwise :func:`_moment_series`.  A
+    ValueError says that E[G^zeta] overflows a double.
     """
     qf = float(q)
     if not 0.0 < qf <= 1.0:
         raise ValueError("divergent moment: need 0 < q <= 1, got %r" % (qf,))
     if not 0 < zeta < math.inf:
         raise ValueError("need 0 < zeta < inf, got %r" % (zeta,))
-    if not force_series:
-        if zeta == 1:
-            return MomentResult(1.0 / qf, 0.0)
-        if zeta == 2:
-            return MomentResult((2.0 - qf) / (qf * qf), 0.0)
+    if zeta == 1:
+        return MomentResult(1.0 / qf, 0.0)
+    if zeta == 2:
+        return MomentResult((2.0 - qf) / (qf * qf), 0.0)
+    return _moment_series(qf, zeta)
+
+
+def _moment_series(qf: float, zeta: float) -> MomentResult:
+    """E[G^zeta] for 0 < qf <= 1 and 0 < zeta < inf, from the series
+    sum_k k^zeta (1-q)^(k-1) q, stopped once a geometric tail bound
+    certifies relative error below 1e-12; its terms are formed and added by
+    C iterators over chunks of k, in the order of a term-by-term loop, so
+    the float result is that loop's.  The series needs about zeta/q terms,
+    so below q = 2**-20 the value comes from :func:`moment_log2` with its
+    documented 1e-12 relative error, and so does it when a k**zeta of the
+    series overflows a double.  Tests check it against the closed forms.
+    """
     if qf == 1.0:
         return MomentResult(1.0, 0.0)
     one_minus = 1.0 - qf
@@ -694,12 +680,12 @@ def make_runner(guesser: Guesser, x: SymbolSeq) -> Callable[[BitSource], bool]:
 
 @dataclass
 class MomentEstimate:
-    """Exact and Monte-Carlo views of E[G^zeta] for one guesser and target."""
+    """Exact and Monte-Carlo views of E[G^zeta] for one guesser and target:
+    the fields are the columns of the CLI's moment rows, in order."""
 
-    q: DyadicProb | None
-    q_log2: float
+    n: int
     zeta: float
-    exact_moment: float          # inf when it overflows a double
+    q_log2: float
     exact_moment_log2: float
     exponent: float              # exact_moment_log2 / n
     mc_mean: float | None = None
@@ -738,8 +724,7 @@ def estimate_moment(q: DyadicProb, zeta: float, n: int) -> MomentEstimate:
         raise ValueError("zero-probability target")
     q_log2 = q.log2()
     m_log2 = moment_log2(q_log2, zeta)
-    value = 2.0 ** m_log2 if m_log2 < 1020 else math.inf
-    return MomentEstimate(q, q_log2, zeta, value, m_log2, m_log2 / n)
+    return MomentEstimate(n, zeta, q_log2, m_log2, m_log2 / n)
 
 
 def _mc_chunk(args):

@@ -99,7 +99,6 @@ class Alphabet:
         return cls(tuple(allowed))
 
 
-BINARY = Alphabet(("0", "1"))
 AB = Alphabet(("a", "b"))
 
 
@@ -262,12 +261,9 @@ class BitSource:
     parallelism.
     """
 
-    __slots__ = ("master_seed", "substream", "consumed", "_seed", "_word_index",
-                 "_buffer", "_buffered")
+    __slots__ = ("consumed", "_seed", "_word_index", "_buffer", "_buffered")
 
     def __init__(self, master_seed: int, substream: int = 0):
-        self.master_seed = master_seed & _MASK64
-        self.substream = substream
         self.consumed = 0
         self._seed = derive_substream_seed(master_seed, substream)
         self._word_index = 0

@@ -329,7 +329,7 @@ def test_guess_plays_one_pass_for_every_zeta(guesser, target, jobs, tmp_path,
     params = {"target": target, "guesser": guesser}
     if not guesser.startswith("fsgm:"):
         params["alphabet"] = "01"
-    x = cli._target_sequence(params)
+    x = cli._load_sequence(params)
     g = cli._make_guesser(params, x.alphabet, len(x))
     assert [row["zeta"] for row in rows] == zetas
     for row in rows:
@@ -612,3 +612,54 @@ def test_bytes_mode_input(tmp_path):
     src.write_bytes(b"\x00\x01\x01\x00\x02")
     rec = dispatch(tmp_path, "parse", "--input", str(src), "--mode", "bytes")
     assert read_json(rec)["alpha"] == 256
+
+
+def test_bytes_mode_inline_alphabet_is_a_byte_subset(tmp_path, capsys):
+    src = tmp_path / "abba.txt"
+    src.write_bytes(b"abba")
+    got = read_json(dispatch(tmp_path, "parse", "--input", str(src),
+                             "--mode", "bytes", "--alphabet", "ab"))
+    want = read_json(dispatch(tmp_path, "parse", "--input", str(src),
+                              "--alphabet", "ab"))
+    assert got["alpha"] == 2
+    assert (got["c_lz"], got["code_length_bits"]) == (
+        want["c_lz"], want["code_length_bits"])
+    alpha = tmp_path / "alpha.txt"
+    alpha.write_text("a\nb\n")
+    root = tmp_path / "D"
+    assert main(["parse", "--input", str(src), "--mode", "bytes",
+                 "--alphabet-file", str(alpha), "--out-dir", str(root)]) == 1
+    assert capsys.readouterr().err.startswith("error: --mode bytes")
+    assert not root.exists()
+
+
+def test_target_takes_the_alphabet_file(tmp_path):
+    alpha = tmp_path / "abc.txt"
+    alpha.write_text("a\nb\nc\n")
+    rows = [read_json(dispatch(tmp_path, "guess", "--target", "abab", *flag))
+            ["rows"][0] for flag in (["--alphabet-file", str(alpha)],
+                                     ["--alphabet", "abc"])]
+    assert rows[0]["q_log2"] == rows[1]["q_log2"] == pytest.approx(
+        -6.678, abs=1e-3)
+
+
+def test_huge_n_is_refused_before_anything_is_allocated(tmp_path, capsys):
+    root = tmp_path / "D"
+    for argv in (["codelen", "--corpus", "periodic:ab"],
+                 ["fsgm-run", "--machine", "fig1"]):
+        assert main(argv + ["--n", str(1 << 40), "--out-dir", str(root)]) == 1
+        assert capsys.readouterr().err == (
+            "error: need --n <= 16777216, got 1099511627776\n")
+        assert not root.exists()
+
+
+def test_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch):
+    def encode(seq):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.lz78, "encode", encode)
+    root = tmp_path / "D"
+    assert main(["codelen", "--corpus", "periodic:ab", "--n", "8",
+                 "--out-dir", str(root)]) == 1
+    assert capsys.readouterr().err == "error: out of memory\n"
+    assert not root.exists()

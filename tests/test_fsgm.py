@@ -11,7 +11,8 @@ from lzguess.fsgm import (FSGMSpec, TreeFSGMSpec, automaton,
                           fig1_word_expansion, format_machine,
                           output_distribution, parse_machine, run,
                           sequence_prob, tree_run)
-from lzguess.guessers import Guesser, play_counts, run_game
+from lzguess.guessers import (Guesser, compile_block_guesser_to_fsgm,
+                              play_counts, run_game)
 from lzguess.bounds import block_entropy
 from conftest import FixedBits, all_seqs, seq
 
@@ -235,12 +236,25 @@ def test_fig1_first_two_symbols_forced():
 # --- machine description files ---------------------------------------------------
 
 def test_machine_file_roundtrip():
-    spec = build_fig1_machine()
-    text = format_machine(spec)
-    back = parse_machine(text)
-    assert back.names == spec.names
-    assert back.delta == spec.delta
-    assert back.table == spec.table
+    for spec, n in ((build_fig1_machine(), 6),
+                    (compile_block_guesser_to_fsgm(3, B01), 7)):
+        back = parse_machine(format_machine(spec))
+        assert back.alphabet == spec.alphabet
+        assert back.names == spec.names
+        assert back.delta == spec.delta
+        assert back.table == spec.table
+        assert output_distribution(back, n) == output_distribution(spec, n)
+
+
+@pytest.mark.parametrize("tokens,state", [
+    (("a", "b", "ab"), "z"), (("x y", "z"), "z"), ((0, 1, 2), "z"),
+    (("a", " "), "z"), (("a", "#"), "z"), (("a", "b"), "z 1"),
+    (("a", "b"), "z#"), (("a", "b"), "initial")])
+def test_machine_file_refuses_what_it_cannot_read_back(tokens, state):
+    spec = FSGMSpec(Alphabet(tokens), [state], state, {state: 1},
+                    {state: [(0, state), (1, state)]})
+    with pytest.raises(ValueError, match="machine files need"):
+        format_machine(spec)
 
 
 def test_machine_file_rejects_partial_tables():

@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from lzguess.lz78 import incremental_parse
 from lzguess.fsgm import (FSGMSpec, automaton, build_fig1_machine,
                           output_distribution)
 from lzguess.guessers import (Guesser, _lz_draws_at, _lz_run_tables,
-                              block_guess_prob, block_sample,
+                              _moment_series, block_guess_prob,
                               compile_automaton, compile_block_guesser_to_fsgm,
                               lz_guess_prob, lz_sample, make_runner,
                               moment_exact, moment_log2, moment_lower_bound,
@@ -266,7 +267,7 @@ def test_block_guess_prob_sums_to_one():
 
 def test_block_sampler_blackbox_distribution():
     dist = blackbox_distribution(
-        lambda b: block_sample(B01, 4, 2, b), B01, 4, 8)
+        Guesser("lz_block", B01, 4, ell=2).sample, B01, 4, 8)
     for x in all_seqs(B01, 4):
         assert dist.get(x, Fraction(0)) == block_guess_prob(x, 2).as_fraction()
 
@@ -301,6 +302,27 @@ def test_compile_budget_guard():
         compile_block_guesser_to_fsgm(12, B01)
 
 
+def test_compile_law_when_tokens_spell_each_other():
+    # the prefixes (a, b) and (ab) spell alike, yet are distinct states
+    alph = Alphabet(("a", "b", "ab"))
+    spec = compile_block_guesser_to_fsgm(3, alph)
+    for n in range(1, 7):
+        dist = output_distribution(spec, n)
+        for x in all_seqs(alph, n):
+            assert dist.get(x, DyadicProb.zero()) == block_guess_prob(x, 3)
+
+
+def test_compile_every_admissible_size_within_half_the_budget():
+    pairs = [(alpha, ell) for ell in range(1, 13) for alpha in range(2, 257)
+             if ell * alpha ** ell <= 4096]
+    assert len(pairs) == 318
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha, ell in pairs:
+            spec = compile_block_guesser_to_fsgm(ell, Alphabet(range(alpha)))
+            assert spec.state_count <= ell * alpha ** ell // 2, (alpha, ell)
+
+
 # --- moments --------------------------------------------------------------------
 
 def test_moment_closed_forms():
@@ -313,7 +335,7 @@ def test_moment_closed_forms():
 def test_moment_series_matches_closed_forms():
     for q in (0.9, 0.5, 0.2, 0.05, 0.01):
         for zeta, closed in ((1, 1 / q), (2, (2 - q) / q ** 2)):
-            got = moment_exact(q, zeta, force_series=True)
+            got = _moment_series(q, zeta)
             assert got.value == pytest.approx(closed, rel=1e-11)
             assert got.rel_err < 1e-12
 
@@ -365,7 +387,7 @@ def test_moment_when_one_minus_q_rounds_to_one():
         # E[G^zeta] -> Gamma(zeta + 1) / q^zeta as q -> 0
         want = math.exp(math.lgamma(zeta + 1) - zeta * math.log(q))
         assert got.value == pytest.approx(want, rel=1e-12)
-    assert moment_exact(1e-17, 1.5, force_series=True).rel_err == 1e-12
+    assert _moment_series(1e-17, 1.5).rel_err == 1e-12
     with pytest.raises(ValueError, match="overflow"):
         moment_exact(1e-300, 4.0)
 
@@ -427,12 +449,12 @@ def test_moment_series_equals_term_by_term_loop(q):
             m_log2 = moment_log2(math.log2(q), zeta)
             if m_log2 >= 1024:
                 with pytest.raises(ValueError, match="overflows a double"):
-                    moment_exact(q, zeta, force_series=True)
+                    _moment_series(q, zeta)
             else:
-                assert tuple(moment_exact(q, zeta, force_series=True)) == (
+                assert tuple(_moment_series(q, zeta)) == (
                     2.0 ** m_log2, 1e-12), zeta
             continue
-        assert tuple(moment_exact(q, zeta, force_series=True)) == want, zeta
+        assert tuple(_moment_series(q, zeta)) == want, zeta
 
 
 def test_moment_log2_consistency():
@@ -538,8 +560,8 @@ def test_moment_log2_domain():
 def test_run_game_uniform_mean():
     g = Guesser("uniform", B01, 2)
     est = run_game(g, seq("01", B01), zeta=1.0, rounds=100000, seed=11)
-    assert est.q == DyadicProb(1, 2)
-    assert est.exact_moment == 4.0
+    assert est.q_log2 == -2.0
+    assert est.exact_moment_log2 == 2.0
     sigma = math.sqrt((1 - 0.25) / 0.25 ** 2 / est.rounds)
     assert abs(est.mc_mean - 4.0) <= 3 * sigma
     assert est.censored == 0

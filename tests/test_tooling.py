@@ -87,6 +87,8 @@ RETIRED = {
     "cond_code_length": "len(cond_code(x, y))",
     "code_length": "ParseResult.code_length_bits; no caller re-priced a "
                    "parse under another alphabet",
+    "block_sample": "Guesser.sample joins lz_sample per block",
+    "_target_sequence": "_load_sequence reads --target first",
 }
 
 
