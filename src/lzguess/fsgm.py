@@ -404,7 +404,8 @@ def parse_machine(text: str, name: str = "") -> FSGMSpec:
     One header line `alphabet <tokens>`, one `initial <state>`, then one line
     per (state, word) pair: `state word output next`, where word is a binary
     string or '-' for the empty word.  Delta is derived from word lengths and
-    must be consistent per state; partial tables are rejected.
+    must be consistent per state; partial tables, a second row for one
+    (state, word) and a header line with more than one value are rejected.
     """
     alphabet = None
     initial = None
@@ -417,6 +418,9 @@ def parse_machine(text: str, name: str = "") -> FSGMSpec:
         parts = line.split()
         if parts[0] in ("alphabet", "initial") and len(parts) < 2:
             raise ValueError("line %d: '%s' needs a value" % (ln, parts[0]))
+        if parts[0] in ("alphabet", "initial") and len(parts) > 2:
+            raise ValueError("line %d: '%s' takes one value, got %d"
+                             % (ln, parts[0], len(parts) - 1))
         if parts[0] == "alphabet":
             alphabet = Alphabet.from_spec(parts[1])
             continue
@@ -435,7 +439,11 @@ def parse_machine(text: str, name: str = "") -> FSGMSpec:
                              % (ln, z, delta[z], d))
         delta[z] = d
         w = 0 if word == "-" else int(word, 2)
-        rows.setdefault(z, {})[w] = (token, nxt)
+        entries = rows.setdefault(z, {})
+        if w in entries:
+            raise ValueError("line %d: state %s has a second row for word %s"
+                             % (ln, z, word))
+        entries[w] = (token, nxt)
     if alphabet is None or initial is None:
         raise ValueError("machine file needs 'alphabet' and 'initial' headers")
     table = {}

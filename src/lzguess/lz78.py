@@ -21,8 +21,9 @@ Only the parse walks the sequence symbol by symbol, one child-dict lookup
 per symbol; it adds each phrase's node where the walk falls off the trie,
 and prices the code from the phrase count in closed form.  The encoder
 reads the code off the parse trie, one pointer-symbol field per phrase,
-and the decoder copies each pointer's word from where it first wrote that
-word in its own output.
+and the decoder reads each such field as one slice of the bit string and
+copies the pointer's word from where it first wrote that word in its own
+output.
 
 c_max_oracle computes the largest number of *distinct* phrases over all
 partitions by memoized exhaustive search without pruning; it is exponential
@@ -153,7 +154,20 @@ class ParseResult:
         return [self.seq[b:e] for b, e in zip(self.boundaries, ends)]
 
     def phrase_texts(self) -> list[str]:
-        return [p.render() for p in self.phrases()]
+        """Each phrase rendered as :meth:`SymbolSeq.render` renders it.
+
+        A ``chars`` alphabet renders one character per symbol and a
+        ``bytes`` alphabet two hex digits, so those phrases are slices of
+        one rendering of the whole sequence; ``lines`` phrases are joined
+        one by one."""
+        seq = self.seq
+        kind = seq.alphabet._render_kind
+        if kind == "lines":
+            return [p.render() for p in self.phrases()]
+        text = seq.render()
+        k = 2 if kind == "bytes" else 1
+        ends = self.boundaries[1:] + [len(seq)]
+        return [text[k * b:k * e] for b, e in zip(self.boundaries, ends)]
 
 
 def _ptr_bits_total(c: int) -> int:
@@ -215,10 +229,16 @@ def encode(seq: SymbolSeq) -> str:
     trie = parse.trie
     parent, sym = trie.parent, trie.sym
     a_bits = seq.alphabet.bits_per_symbol
-    # pointer and symbol of phrase j fill one field of ptr_width(j) + a_bits
-    out = [format(parent[j] << a_bits | sym[j],
-                  "0%db" % (_ptr_width(j) + a_bits))
-           for j in range(1, len(trie))]
+    # pointer and symbol of phrase j fill one field of ptr_width(j) + a_bits;
+    # phrases lo..hi share pointer width `width`, so one format spec each
+    out = []
+    lo, width = 1, 0
+    while lo < len(trie):
+        hi = min(1 << width, len(trie) - 1)
+        spec = "0%db" % (width + a_bits)
+        out += [format(parent[j] << a_bits | sym[j], spec)
+                for j in range(lo, hi + 1)]
+        lo, width = hi + 1, width + 1
     if not parse.last_complete:
         tail = seq.indices[parse.boundaries[-1]:]
         for _, node in trie.walk(tail):
@@ -232,21 +252,38 @@ def encode(seq: SymbolSeq) -> str:
 def decode(bits: str, n: int, alphabet: Alphabet) -> SymbolSeq:
     """Invert :func:`encode` given the true sequence length n.
 
-    Each pointer's word is copied from where it was first written in the
-    output.  Raises DecodeError with the failing bit position on a
-    truncated or corrupt stream.
+    Each phrase's pointer and symbol are read as one slice of the bit
+    string, the pointer width stepping up as the node count passes a power
+    of two, and each pointer's word is copied from where it was first
+    written in the output.  Raises DecodeError with the failing bit
+    position on a truncated or corrupt stream.
     """
+    BitReader(bits)                 # rejects any character but '0' and '1'
     a_bits = alphabet.bits_per_symbol
+    size = alphabet.size
+    mask = (1 << a_bits) - 1
+    end = len(bits)
     starts, lengths = [0], [0]      # per node: where its word is in `out`
-    seen = set()                    # (pointer, symbol) of every phrase
+    seen = set()                    # the field of every phrase
     out = bytearray()
-    reader = BitReader(bits)
+    pos = 0
+    t, width, step = 1, 0, 1        # node count, its pointer width, 2**width
     while len(out) < n:
-        t = len(starts)
-        ptr = reader.take(_ptr_width(t))
+        if t > step:
+            width += 1
+            step <<= 1
+        if pos + width > end:
+            raise DecodeError("stream truncated", end)
+        # a phrase's pointer and symbol are one slice, ptr << a_bits | sym;
+        # a final pointer may have no symbol after it
+        stop = pos + width + a_bits
+        field = int(bits[pos:stop] if stop <= end
+                    else bits[pos:pos + width] + "0" * a_bits, 2)
+        ptr = field >> a_bits
+        pos += width
         if ptr >= t:
             raise DecodeError("pointer %d out of range for %d nodes" % (ptr, t),
-                              reader.pos)
+                              pos)
         start, length = starts[ptr], lengths[ptr]
         remaining = n - len(out)
         if length == remaining:
@@ -254,19 +291,23 @@ def decode(bits: str, n: int, alphabet: Alphabet) -> SymbolSeq:
             out += out[start:start + length]
             break
         if length > remaining:
-            raise DecodeError("phrase overruns the target length", reader.pos)
-        sym = reader.take(a_bits)
-        if sym >= alphabet.size:
-            raise DecodeError("symbol %d outside alphabet" % sym, reader.pos)
-        if (ptr, sym) in seen:
-            raise DecodeError("phrase already in dictionary", reader.pos)
-        seen.add((ptr, sym))
+            raise DecodeError("phrase overruns the target length", pos)
+        pos += a_bits
+        if pos > end:
+            raise DecodeError("stream truncated", end)
+        sym = field & mask
+        if sym >= size:
+            raise DecodeError("symbol %d outside alphabet" % sym, pos)
+        if field in seen:
+            raise DecodeError("phrase already in dictionary", pos)
+        seen.add(field)
         starts.append(len(out))
         lengths.append(length + 1)
         out += out[start:start + length]
         out.append(sym)
-    if reader.pos != len(bits):
-        raise DecodeError("trailing bits after decoding", reader.pos)
+        t += 1
+    if pos != end:
+        raise DecodeError("trailing bits after decoding", pos)
     return SymbolSeq(alphabet, bytes(out))
 
 

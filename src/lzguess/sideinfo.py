@@ -46,10 +46,12 @@ Coder, decoder, sampler, draw rule and :func:`joint_parse` read one
 dictionary, :class:`_JointDict`: the joint parse as a
 :class:`~lzguess.lz78.ParseTrie` over pair symbols a * beta + b, with the
 y-word of each node, the nodes of each y-word in id order and the node
-that created each y-word beside it.  The coder and decoder grow it phrase
-by phrase and the sampler pair by pair; the draw rule indexes the parse
-of the whole pair stream and reads it, through node ids, as it stood
-after each emitted prefix.
+that created each y-word beside it.  The coder and the draw rule index
+the parse of the whole pair stream and read it, through node ids, as it
+stood when each phrase began: the coder one phrase at a time, the draw
+rule at each matched length.  The decoder and the sampler, which do not
+know x, grow it through :meth:`_JointDict.feed`, the decoder phrase by
+phrase and the sampler pair by pair.
 Every field's probability is at least 2**-(field width), and the padded
 header covers the fused selector of the final overshooting draw, giving
 cond_guess_prob(x|y) >= 2**-L(x|y) everywhere.
@@ -179,10 +181,20 @@ def chain_read(take, size: int) -> int:
 
 
 def chain_decode(reader: BitReader, size: int) -> int:
-    gap = chain_read(reader.take, size)
+    """One chain field read off `reader`, as :func:`chain_read` reads it,
+    the unary prefix found with one search; a value past the chain is a
+    DecodeError."""
+    Z = size.bit_length() - 1
+    start = reader.pos
+    one = reader.bits.find("1", start, start + Z)
+    if one >= 0:
+        z = one - start
+        reader.pos = one + 1
+        return (1 << z) + reader.take(z) - 1
+    reader.take(Z)
+    gap = (1 << Z) + reader.take((size - (1 << Z)).bit_length()) - 1
     if gap >= size:
-        raise DecodeError("chain index %d out of range"
-                          % (gap + 1 - (1 << (size.bit_length() - 1))),
+        raise DecodeError("chain index %d out of range" % (gap + 1 - (1 << Z)),
                           reader.pos)
     return gap
 
@@ -242,46 +254,65 @@ class _JointDict:
     node that created y-word w.  Ids are creation order, so the dictionary
     as it stood at node count t is the part with ids below t.  xwords[v],
     the x-word of node v, is kept for the nodes :meth:`feed` adds: the
-    coder, decoder and sampler grow their dictionary that way, and the
-    readers of an indexed parse need no x-words.
+    decoder and sampler grow their dictionary that way, and the readers
+    of an indexed parse (coder, draw rule, joint_parse) need no x-words.
     """
 
     def __init__(self, beta: int, trie: ParseTrie | None = None):
         self.beta = beta
-        self.trie = ParseTrie() if trie is None else trie
+        self.trie = trie = ParseTrie() if trie is None else trie
         self.xwords = [b""]
-        self.ynode = [0]
-        self.pos = [0]
-        self.ychildren: list[dict] = [{}]
-        self.ymade = [0]
-        self.members = [[0]]
-        for v in range(1, len(self.trie)):
-            self._index(v)
+        self.ynode = ynode = [0]
+        self.pos = pos = [0]
+        self.ychildren = ychildren = [{}]
+        self.ymade = ymade = [0]
+        self.members = members = [[0]]
+        parent, sym = trie.parent, trie.sym
+        for v in range(1, len(parent)):
+            up = ychildren[ynode[parent[v]]]
+            ys = sym[v] % beta
+            w = up.get(ys)
+            if w is None:
+                # a one-element list holds one slot, not the four that
+                # an append to an empty list reserves
+                w = up[ys] = len(members)
+                ychildren.append({})
+                ymade.append(v)
+                members.append([v])
+                pos.append(0)
+            else:
+                nodes = members[w]
+                pos.append(len(nodes))
+                nodes.append(v)
+            ynode.append(w)
 
-    def _index(self, v: int):
-        parent = self.trie.parent[v]
-        ys = self.trie.sym[v] % self.beta
-        up = self.ychildren[self.ynode[parent]]
+    def feed(self, cursor: int, xs: int, ys: int) -> int:
+        """Advance the parse cursor by the pair (xs, ys): the child, or 0
+        (the root) after a new node, which joins the index as in
+        :meth:`__init__`."""
+        sym = xs * self.beta + ys
+        child = self.trie.children[cursor].get(sym)
+        if child is not None:
+            return child
+        trie = self.trie
+        trie.children[cursor][sym] = node = len(trie.parent)
+        trie.parent.append(cursor)
+        trie.sym.append(sym)
+        trie.children.append({})
+        up = self.ychildren[self.ynode[cursor]]
         w = up.get(ys)
         if w is None:
             w = up[ys] = len(self.members)
             self.ychildren.append({})
-            self.ymade.append(v)
-            self.members.append([])
+            self.ymade.append(node)
+            self.members.append([node])
+            self.pos.append(0)
+        else:
+            self.pos.append(len(self.members[w]))
+            self.members[w].append(node)
         self.ynode.append(w)
-        self.pos.append(len(self.members[w]))
-        self.members[w].append(v)
-
-    def feed(self, cursor: int, xs: int, ys: int) -> int:
-        """Advance the parse cursor by the pair (xs, ys): the child, or 0
-        (the root) after a new node, which joins the index."""
-        sym = xs * self.beta + ys
-        child = self.trie.children[cursor].get(sym)
-        if child is None:
-            self._index(self.trie.add(cursor, sym))
-            self.xwords.append(self.xwords[cursor] + bytes((xs,)))
-            return 0
-        return child
+        self.xwords.append(self.xwords[cursor] + bytes((xs,)))
+        return 0
 
     def ypath(self, yidx: bytes, b: int, n: int, t: int = 0,
               w: int = 0) -> list[int]:
@@ -303,43 +334,44 @@ class _JointDict:
 # ---------------------------------------------------------------------------
 
 def cond_code(x: SymbolSeq, y: SymbolSeq) -> str:
-    """Encode x against known y; returns the code as a '0'/'1' string."""
-    if len(x) != len(y):
-        raise ValueError("x and y must have equal length")
+    """Encode x against known y; returns the code as a '0'/'1' string.
+
+    The records are read off the indexed joint parse: phrase t starts at
+    boundaries[t-1] with t nodes in the dictionary, and a complete phrase
+    is node t, whose walk ends at parent[t]; only the incomplete tail is
+    walked.  The chain field is read from the y-words below node count t.
+    """
+    parse = incremental_parse(pack_pairs(x, y))
     n = len(x)
     alpha = x.alphabet.size
     a_bits = x.alphabet.bits_per_symbol
     xi, yi = x.indices, y.indices
-    dic = _JointDict(y.alphabet.size)
-    children = dic.trie.children
+    trie = parse.trie
+    dic = _JointDict(y.alphabet.size, trie)
+    parent, members, ynode, pos = trie.parent, dic.members, dic.ynode, dic.pos
+    ends = parse.boundaries[1:] + [n]
     records = []
-    b = 0
-    while b < n:
-        node = 0
-        d = 0
-        while b + d < n:
-            child = children[node].get(xi[b + d] * dic.beta + yi[b + d])
-            if child is None:
-                break
-            node = child
-            d += 1
-        # the x-word x[b:b+d] by its place among the x-phrases of y[b:b+d]
-        width = (len(dic.members[dic.ynode[node]]) - 1).bit_length()
-        index = format(dic.pos[node], "0%db" % width) if width else ""
-        if b + d == n:
+    for t, (b, e) in enumerate(zip(parse.boundaries, ends), 1):
+        if t < len(parent):
+            node, d = parent[t], e - b - 1
+        else:
             # incomplete tail: an existing phrase, sent by its index alone
+            for d, node in trie.walk(parse.seq.indices[b:]):
+                pass
+        # the x-word x[b:b+d] by its place among the x-phrases of y[b:b+d]
+        width = (bisect.bisect_left(members[ynode[node]], t) - 1).bit_length()
+        index = format(pos[node], "0%db" % width) if width else ""
+        if b + d == n:
             records.append(index)
             break
         # the y-words of y[b:b+d] lie along the joint walk; go on from there
-        chain = d + len(dic.ypath(yi, b + d, n, w=dic.ynode[node]))
+        chain = d + len(dic.ypath(yi, b + d, n, t, ynode[node]))
         fused = ((chain - 1 - d) * alpha
                  + _rank_sym(xi[b + d], yi[b + d], alpha))
         records.append(chain_encode(fused, chain * alpha) + index)
-        dic.feed(node, xi[b + d], yi[b + d])
-        b += d + 1
     # the header value is shifted by the symbol width so its gamma length
     # also covers the fused selector of a final overshooting draw (dominance)
-    n_complete = len(dic.trie) - 1
+    n_complete = len(trie) - 1
     return _gamma_encode((n_complete + 1) << a_bits) + "".join(records)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -14,7 +15,10 @@ from lzguess.fsgm import (FSGMSpec, TreeFSGMSpec, automaton,
 from lzguess.guessers import (Guesser, compile_block_guesser_to_fsgm,
                               play_counts, run_game)
 from lzguess.bounds import block_entropy
+from lzguess.cli import main
 from conftest import FixedBits, all_seqs, seq
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 B01 = Alphabet(("0", "1"))
 
@@ -267,6 +271,42 @@ def test_machine_file_rejects_mixed_word_lengths():
     text = "alphabet 01\ninitial z\nz 0 0 z\nz 10 1 z\n"
     with pytest.raises(ValueError, match="word lengths"):
         parse_machine(text)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("alphabet ab\ninitial A\nA 0 a A\nA 1 b A\nA 0 b A\n",
+     "line 5: state A has a second row for word 0"),
+    ("alphabet ab\ninitial A\nA - a A\nA - b A\n",
+     "line 4: state A has a second row for word -"),
+    ("alphabet ab\ninitial A extra junk\nA - a A\n",
+     "line 2: 'initial' takes one value, got 3"),
+    ("alphabet ab cd\ninitial A\nA - a A\n",
+     "line 1: 'alphabet' takes one value, got 2"),
+])
+def test_machine_file_rejects_repeated_rows_and_header_junk(text, message,
+                                                            tmp_path, capsys):
+    # each was read as another machine without an error
+    with pytest.raises(ValueError) as err:
+        parse_machine(text)
+    assert str(err.value) == message
+    path = tmp_path / "m.fsm"
+    path.write_text(text)
+    assert main(["fsgm-run", "--machine", str(path), "--n", "1",
+                 "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.strip() == "error: " + message
+
+
+def test_machine_files_written_and_shipped_still_parse():
+    text = format_machine(build_fig1_machine())
+    assert parse_machine(text).table == build_fig1_machine().table
+    # a trailing comment on a header line is not a second value
+    assert parse_machine(text.replace("\n", "  # note\n", 2)).table == \
+        build_fig1_machine().table
+    for path in ("demos/three_word_machine.fsm", "perfbench/data/fig1.fsm"):
+        with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+            spec = parse_machine(fh.read())
+        assert output_distribution(spec, 6) == \
+            output_distribution(build_fig1_machine(), 6)
 
 
 # --- guessing against a machine ---------------------------------------------------

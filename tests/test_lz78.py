@@ -378,6 +378,27 @@ def test_phrase_texts_of_a_bytes_parse_are_hex():
     assert incremental_parse(subset).phrase_texts() == ["61", "62", "00"]
 
 
+_RENDER_ALPHABETS = {
+    "chars": Alphabet(("a", "b", "c")),
+    "full-bytes": Alphabet.bytes_alphabet(),
+    "subset-bytes": Alphabet.bytes_alphabet(b"\x00ab\xff"),
+    "lines": Alphabet(("ab", "c", "d e")),
+}
+
+
+@pytest.mark.parametrize("kind", list(_RENDER_ALPHABETS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_phrase_texts_equal_per_phrase_renderings(kind, data):
+    alphabet = _RENDER_ALPHABETS[kind]
+    idx = data.draw(st.lists(st.integers(0, alphabet.size - 1), max_size=80))
+    for x in (SymbolSeq(alphabet, bytes(idx)),
+              SymbolSeq(alphabet, bytes([0, 1, 0]))):
+        r = incremental_parse(x)
+        assert r.phrase_texts() == [p.render() for p in r.phrases()]
+    assert not r.last_complete      # the fixed case ends inside a phrase
+
+
 # --- the exhaustive distinct-phrase oracle -----------------------------------
 
 def test_c_max_trivial_cases():

@@ -14,10 +14,11 @@ from lzguess.fsgm import (FSGMSpec, automaton, build_fig1_machine,
 from lzguess.guessers import Guesser, make_runner
 from lzguess.bounds import (block_entropy, delta_n_at, direct_clogc,
                             sandwich_sweep)
-from lzguess.sideinfo import (_cond_draws, chain_decode, chain_encode,
-                              chain_gap_probs, chain_draw, cond_code,
-                              cond_decode, cond_guess_prob, cond_sample,
-                              epsilon1, joint_parse, pack_pairs)
+from lzguess.sideinfo import (_JointDict, _cond_draws, _gamma_encode,
+                              _rank_sym, chain_decode, chain_encode,
+                              chain_gap_probs, chain_draw, chain_read,
+                              cond_code, cond_decode, cond_guess_prob,
+                              cond_sample, epsilon1, joint_parse, pack_pairs)
 from conftest import FixedBits, all_seqs, seq, xor_machine
 
 AB = Alphabet(("a", "b"))
@@ -81,6 +82,9 @@ def test_pack_pairs_guard():
     x = SymbolSeq(big, bytes(range(20)))
     with pytest.raises(ValueError, match="product"):
         pack_pairs(x, x)
+    # the coder reads the parse of the packed pair stream
+    with pytest.raises(ValueError, match="product"):
+        cond_code(x, x)
 
 
 @settings(max_examples=200, deadline=None)
@@ -144,6 +148,36 @@ def test_chain_decode_and_draw_read_one_layout():
             assert reader.pos == fixed.pos
 
 
+def _chain_decode_per_bit(reader, size):
+    """chain_decode as it was before it searched for the unary prefix:
+    one take(1) per unary bit; kept as the reference."""
+    gap = chain_read(reader.take, size)
+    if gap >= size:
+        raise DecodeError("chain index %d out of range"
+                          % (gap + 1 - (1 << (size.bit_length() - 1))),
+                          reader.pos)
+    return gap
+
+
+def _chain_outcome(decoder, bits, skip, size):
+    """The gap and reader position after one read from bit `skip`, or the
+    message and bit position the read failed at."""
+    reader = BitReader(bits)
+    reader.pos = min(skip, len(bits))
+    try:
+        return decoder(reader, size), reader.pos
+    except DecodeError as exc:
+        return str(exc), exc.bit_position
+
+
+@settings(max_examples=500, deadline=None)
+@given(bits=st.text("01", max_size=40), skip=st.integers(0, 8),
+       size=st.integers(1, 2000))
+def test_chain_decode_equals_per_bit_read(bits, skip, size):
+    assert (_chain_outcome(chain_decode, bits, skip, size)
+            == _chain_outcome(_chain_decode_per_bit, bits, skip, size))
+
+
 def test_chain_draw_matches_probs():
     L = 6
     probs = chain_gap_probs(L)
@@ -183,6 +217,72 @@ def test_cond_roundtrip_ternary_x_binary_y():
         x = SymbolSeq(abc, bytes(rng.randrange(3) for _ in range(n)))
         y = SymbolSeq(B01, bytes(rng.randrange(2) for _ in range(n)))
         assert cond_decode(cond_code(x, y), y, n, abc) == x
+
+
+def _cond_code_by_feed(x, y):
+    """cond_code as it was before it read the indexed joint parse: the
+    dictionary grows phrase by phrase through _JointDict.feed, each phrase
+    found by a walk from the root; kept as the reference."""
+    if len(x) != len(y):
+        raise ValueError("x and y must have equal length")
+    n = len(x)
+    alpha = x.alphabet.size
+    a_bits = x.alphabet.bits_per_symbol
+    xi, yi = x.indices, y.indices
+    dic = _JointDict(y.alphabet.size)
+    children = dic.trie.children
+    records = []
+    b = 0
+    while b < n:
+        node = 0
+        d = 0
+        while b + d < n:
+            child = children[node].get(xi[b + d] * dic.beta + yi[b + d])
+            if child is None:
+                break
+            node = child
+            d += 1
+        width = (len(dic.members[dic.ynode[node]]) - 1).bit_length()
+        index = format(dic.pos[node], "0%db" % width) if width else ""
+        if b + d == n:
+            records.append(index)
+            break
+        chain = d + len(dic.ypath(yi, b + d, n, w=dic.ynode[node]))
+        fused = ((chain - 1 - d) * alpha
+                 + _rank_sym(xi[b + d], yi[b + d], alpha))
+        records.append(chain_encode(fused, chain * alpha) + index)
+        dic.feed(node, xi[b + d], yi[b + d])
+        b += d + 1
+    n_complete = len(dic.trie) - 1
+    return _gamma_encode((n_complete + 1) << a_bits) + "".join(records)
+
+
+def test_cond_code_equals_feed_coder_exhaustive():
+    for n in range(9):
+        for x, y in all_pairs(n):
+            assert cond_code(x, y) == _cond_code_by_feed(x, y)
+    for n in range(6):
+        for x in all_seqs(ABC, n):
+            for y in all_seqs(B01, n):
+                assert cond_code(x, y) == _cond_code_by_feed(x, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=st.integers(2, 16), beta=st.integers(2, 16), data=st.data())
+def test_cond_code_equals_feed_coder_on_any_pair(alpha, beta, data):
+    n = data.draw(st.integers(0, 200))
+    x_alphabet = Alphabet(tuple("abcdefghijklmnop"[:alpha]))
+    y_alphabet = Alphabet(tuple("ABCDEFGHIJKLMNOP"[:beta]))
+    # few distinct symbols make long phrases, many make short ones
+    x_top = data.draw(st.integers(0, alpha - 1))
+    y_top = data.draw(st.integers(0, beta - 1))
+    x = SymbolSeq(x_alphabet, bytes(data.draw(st.lists(
+        st.integers(0, x_top), min_size=n, max_size=n))))
+    y = SymbolSeq(y_alphabet, bytes(data.draw(st.lists(
+        st.integers(0, y_top), min_size=n, max_size=n))))
+    code = cond_code(x, y)
+    assert code == _cond_code_by_feed(x, y)
+    assert cond_decode(code, y, n, x_alphabet) == x
 
 
 def test_cond_kraft_per_y():

@@ -224,6 +224,15 @@ def test_bench_layers_runs_on_a_shrunk_grid(tmp_path):
     assert list(grid["rows_built"]) == ["8", "16", "32", "64", "128"]
     assert all(1 <= rows <= int(n) for n, rows in grid["rows_built"].items())
     assert set(summary["laws"]["compile | %s | n=128" % case]) == {"sha256"}
+    # the codec grid: each coder and decoder per n, outputs by digest
+    codec = summary["per_label"]["b"]["codec"]
+    assert len(codec) == 5
+    for case in codec.values():
+        assert list(case["median_best_s"]) == ["256", "512", "1024", "2048",
+                                               "4096"]
+        assert "fitted_exponent" in case and "ratio_to_a" in case
+    assert set(summary["laws"]["codec | lz78.decode, fair bits | n=4096"]
+               ) == {"sha256"}
 
 
 def test_readme_commands_parse():

@@ -1,5 +1,5 @@
-"""Layer timings of the exact forward passes and of the Monte Carlo engine,
-for one source tree at a time.
+"""Layer timings of the exact forward passes, the Monte Carlo engine and
+the codec, for one source tree at a time.
 
 Times the exact laws on a fixed grid, best of k calls per point, and
 records each law as (exponent, sha256 of the numerator) beside the
@@ -28,7 +28,13 @@ numerator's bit width, so that two trees can be compared point by point:
   only short prefixes of x.  A point records the automaton rows that
   were built by the end (each a plain list, where a tree that builds rows
   on first read leaves the others as stand-ins) and the sha256 of the
-  count list.
+  count list;
+- ``codec``: ``lz78.encode`` and ``lz78.decode`` on the fair bits x of
+  the Bernoulli pair above, and ``sideinfo.joint_parse``, ``cond_code``
+  and ``cond_decode`` on the pair, at n = 16384 ... 262144.
+  The decoders read the code of the same tree, made outside the timing.
+  A point records the sha256 of the output (the code, the decoded
+  symbols or the joint parse's counts) in place of a law.
 
 Each call appends one round, under ``--label``, to the JSON file ``--out``
 and rewrites its summary: per label the median over rounds of each
@@ -43,9 +49,9 @@ directory; ``--src`` names the checkout (or its ``src/``) to import
         python3 tools/bench_layers.py --src . --label change --out B.json
     done
 
-``--shrink K`` divides every n of the exact passes, the number of tiny
-passes and the ``play`` rounds by K, for a quick check of the script
-itself.
+``--shrink K`` divides every n of the exact passes and of the codec, the
+number of tiny passes and the ``play`` rounds by K, for a quick check of
+the script itself.
 """
 
 from __future__ import annotations
@@ -70,6 +76,7 @@ PLAY_ROUNDS, PLAY_SEED, PLAY_CAP = 300, 7, 1000
 COMPILE_CORPUS, COMPILE_SIZES = "bernoulli:0.5:1", (512, 1024, 2048, 4096,
                                                     8192)
 COMPILE_ROUNDS, COMPILE_CAP = 20, 1000
+CODEC_SIZES = (16384, 32768, 65536, 131072, 262144)
 
 
 def _import_lzguess(src):
@@ -112,8 +119,7 @@ def measure(k, shrink):
     """One round over the grid: {layer: {case: {n: point}}}."""
     from lzguess.fsgm import build_fig1_machine, run, sequence_prob
     from lzguess.guessers import lz_guess_prob
-    from lzguess.seqcore import (BitSource, SymbolSeq, generate_corpus,
-                                 parse_corpus_spec)
+    from lzguess.seqcore import BitSource, parse_corpus_spec
     from lzguess.sideinfo import cond_guess_prob
 
     layers = {"lz_guess_prob": {}, "cond_guess_prob": {},
@@ -125,10 +131,7 @@ def measure(k, shrink):
             row[str(n // shrink)] = _point(k, lambda: lz_guess_prob(x))
     row = layers["cond_guess_prob"]["bernoulli pair, 10% flips"] = {}
     for n in PASS_SIZES:
-        x = generate_corpus("bernoulli", n // shrink, p=0.5, seed=1)
-        noise = generate_corpus("bernoulli", n // shrink, p=0.1, seed=2)
-        y = SymbolSeq(x.alphabet, bytes(
-            a ^ b for a, b in zip(x.indices, noise.indices)))
+        x, y = _flip_pair(n // shrink)
         row[str(n // shrink)] = _point(k, lambda: cond_guess_prob(x, y))
     fig1 = build_fig1_machine()
     row = layers["fsgm.sequence_prob"]["fig1 output, BitSource(3)"] = {}
@@ -143,7 +146,18 @@ def measure(k, shrink):
         str(len(blocks)): {"best_s": best, "sha256": digest.hexdigest()}}
     layers["play"] = measure_play(k, shrink)
     layers["compile"] = measure_compile(k, shrink)
+    layers["codec"] = measure_codec(k, shrink)
     return layers
+
+
+def _flip_pair(n):
+    """x fair bits and y = x with 10 % of its symbols flipped."""
+    from lzguess.seqcore import SymbolSeq, generate_corpus
+
+    x = generate_corpus("bernoulli", n, p=0.5, seed=1)
+    noise = generate_corpus("bernoulli", n, p=0.1, seed=2)
+    return x, SymbolSeq(x.alphabet, bytes(
+        a ^ b for a, b in zip(x.indices, noise.indices)))
 
 
 def measure_play(k, shrink):
@@ -200,6 +214,41 @@ def measure_compile(k, shrink):
             "sha256": hashlib.sha256(repr(counts).encode()).hexdigest()}
     return {"lz, %s, %d rounds, cap %d" % (COMPILE_CORPUS, COMPILE_ROUNDS,
                                            COMPILE_CAP): row}
+
+
+def measure_codec(k, shrink):
+    """{layer and input: {n: point}} for the coders and decoders, each
+    point with the sha256 of what it returned."""
+    from lzguess import lz78, sideinfo
+
+    def digest(out):
+        if isinstance(out, sideinfo.JointParseResult):
+            out = repr((out.c_xy, out.c_j, out.u, out.last_complete,
+                        out.tail_len))
+        elif not isinstance(out, str):
+            out = out.indices.hex()
+        return hashlib.sha256(out.encode()).hexdigest()
+
+    rows = {}
+    for n in CODEC_SIZES:
+        x, y = _flip_pair(n // shrink)
+        code, cond = lz78.encode(x), sideinfo.cond_code(x, y)
+        calls = {
+            "lz78.encode, fair bits": lambda: lz78.encode(x),
+            "lz78.decode, fair bits": lambda: lz78.decode(
+                code, len(x), x.alphabet),
+            "sideinfo.joint_parse, bernoulli pair, 10% flips":
+                lambda: sideinfo.joint_parse(x, y),
+            "sideinfo.cond_code, bernoulli pair, 10% flips":
+                lambda: sideinfo.cond_code(x, y),
+            "sideinfo.cond_decode, bernoulli pair, 10% flips":
+                lambda: sideinfo.cond_decode(cond, y, len(x), x.alphabet),
+        }
+        for case, call in calls.items():
+            best, out = _best_of(k, call)
+            rows.setdefault(case, {})[str(len(x))] = {
+                "best_s": best, "sha256": digest(out)}
+    return rows
 
 
 def _slope(points):
@@ -269,8 +318,8 @@ def main(argv=None):
     ap.add_argument("--out", required=True, help="JSON file to update")
     ap.add_argument("--best-of", type=int, default=3, metavar="K")
     ap.add_argument("--shrink", type=int, default=1, metavar="K",
-                    help="divide every exact-pass n, the tiny-pass count "
-                         "and the play rounds by K")
+                    help="divide every exact-pass and codec n, the "
+                         "tiny-pass count and the play rounds by K")
     args = ap.parse_args(argv)
     if args.best_of < 1 or args.shrink < 1:
         raise SystemExit("error: --best-of and --shrink must be >= 1")
@@ -288,8 +337,8 @@ def main(argv=None):
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
             data = json.load(fh)
-    data.setdefault("what", "exact forward-pass and Monte Carlo layer "
-                            "timings, tools/bench_layers.py")
+    data.setdefault("what", "exact forward-pass, Monte Carlo and codec "
+                            "layer timings, tools/bench_layers.py")
     data["host"] = {"python": platform.python_version(),
                     "platform": platform.platform(),
                     "nproc": os.cpu_count()}
