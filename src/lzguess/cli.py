@@ -66,6 +66,18 @@ def _alphabet_from(params) -> Alphabet | str | None:
     return params.get("alphabet")
 
 
+def _strip_blanks(text: str, alphabet) -> str:
+    """`text` without the whitespace at its ends that is not a token:
+    all of it with no declared alphabet, else only the characters that
+    the alphabet does not list."""
+    if alphabet is None:
+        return text.strip()
+    lead = text[:len(text) - len(text.lstrip())]
+    trail = text[len(text.rstrip()):]
+    return text.strip("".join(c for c in set(lead + trail)
+                              if c not in alphabet))
+
+
 def _load_sequence(params: dict, key_input="input",
                    key_corpus="corpus") -> SymbolSeq:
     """A --target, --input or --corpus sequence: text takes the tokens of
@@ -83,9 +95,10 @@ def _load_sequence(params: dict, key_input="input",
                 return ingest(fh.read(), subset, mode="bytes")
         with open(params[key_input], "r", encoding="utf-8") as fh:
             text = fh.read()
+        alphabet = _alphabet_from(params)
         if mode == "text":
-            text = text.strip()
-        return ingest(text, _alphabet_from(params), mode=mode)
+            text = _strip_blanks(text, alphabet)
+        return ingest(text, alphabet, mode=mode)
     if params.get(key_corpus):
         n = params.get("n")
         if n is None:

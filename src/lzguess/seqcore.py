@@ -55,6 +55,8 @@ class Alphabet:
         self.size = len(toks)
         self._index = {t: i for i, t in enumerate(toks)}
         if all(isinstance(t, int) for t in toks):
+            if not all(0 <= t < 256 for t in toks):
+                raise ValueError("byte tokens must be in range(0, 256)")
             self._render_kind = "bytes"
         elif all(isinstance(t, str) and len(t) == 1 for t in toks):
             self._render_kind = "chars"
@@ -98,6 +100,71 @@ class Alphabet:
             return cls(tuple(range(256)))
         return cls(tuple(allowed))
 
+    @functools.cached_property
+    def _codes(self):
+        """The table that converts tokens to indices in one translate.
+
+        ``chars``: a ``str.translate`` table from each token's code point
+        to its index, and from every other character to 0x100, which
+        Latin-1 cannot encode.  ``bytes``: a ``bytes.translate`` table
+        from each token to its index, and from every other byte to 0xFF,
+        which is no index of an alphabet of fewer than 256 tokens."""
+        if self._render_kind == "chars":
+            return _Codes((ord(t), i) for i, t in enumerate(self.tokens))
+        table = bytearray(b"\xff" * 256)
+        for i, t in enumerate(self.tokens):
+            table[t] = i
+        return bytes(table)
+
+    @functools.cached_property
+    def _glyphs(self):
+        """The inverse of :attr:`_codes` for render: a ``str.translate``
+        table from each index to its token, or a 256-byte
+        ``bytes.translate`` table from each index to its byte."""
+        if self._render_kind == "chars":
+            return dict(enumerate(self.tokens))
+        return bytes(self.tokens).ljust(256, b"\x00")
+
+
+class _Codes(dict):
+    """A ``str.translate`` table that sends every character it does not
+    list to 0x100, so that the first one fails a Latin-1 encode."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        return 0x100
+
+
+_BYTES = bytes(range(256))
+
+
+def _to_indices(tokens, alphabet: Alphabet) -> bytes:
+    """The index of each token of `tokens`.
+
+    The characters of a str over single-character tokens, and the bytes
+    of data over byte tokens, convert in one C-level translate; other
+    tokens map one by one.  An unknown token raises KeyError with its
+    0-based position."""
+    kind = alphabet._render_kind
+    if kind == "chars" and isinstance(tokens, str):
+        try:
+            return tokens.translate(alphabet._codes).encode("latin-1")
+        except UnicodeEncodeError as exc:
+            raise KeyError(exc.start) from None
+    if kind == "bytes" and isinstance(tokens, (bytes, bytearray)):
+        indices = bytes(tokens.translate(alphabet._codes))
+        if alphabet.size < 256:
+            pos = indices.find(0xFF)
+            if pos >= 0:
+                raise KeyError(pos)
+        return indices
+    try:
+        return bytes(map(alphabet._index.__getitem__, tokens))
+    except KeyError:
+        raise KeyError(next(pos for pos, tok in enumerate(tokens)
+                            if tok not in alphabet)) from None
+
 
 AB = Alphabet(("a", "b"))
 
@@ -105,30 +172,50 @@ AB = Alphabet(("a", "b"))
 class SymbolSeq:
     """An individual sequence over an alphabet, stored as an index array.
 
-    Immutable; slicing returns a new SymbolSeq over the same alphabet.
+    Immutable; slicing returns a new SymbolSeq over the same alphabet,
+    whose indices are not range-checked a second time.
     """
 
     __slots__ = ("alphabet", "indices")
 
     def __init__(self, alphabet: Alphabet, indices: bytes):
-        if indices and max(indices) >= alphabet.size:
+        """`indices` is bytes, a bytearray or any iterable of ints, each
+        below the alphabet's size.  Bytes are range-checked in one
+        translate that deletes every valid index."""
+        if isinstance(indices, (bytes, bytearray)):
+            bad = (alphabet.size < 256
+                   and indices.translate(None, _BYTES[:alphabet.size]))
+        else:
+            indices = list(indices)     # an iterator is read once
+            bad = indices and max(indices) >= alphabet.size
+        if bad:
             raise ValueError("symbol index out of range for alphabet of size %d"
                              % alphabet.size)
         self.alphabet = alphabet
         self.indices = bytes(indices)
 
     @classmethod
+    def _of(cls, alphabet: Alphabet, indices: bytes) -> "SymbolSeq":
+        """A sequence from bytes already known to be in range, unchecked."""
+        seq = object.__new__(cls)
+        seq.alphabet = alphabet
+        seq.indices = indices
+        return seq
+
+    @classmethod
     def from_tokens(cls, tokens: Sequence, alphabet: Alphabet) -> "SymbolSeq":
         try:
-            indices = bytes(map(alphabet._index.__getitem__, tokens))
-        except KeyError:
-            for t in tokens:
-                alphabet.index(t)       # raises on the first unknown token
+            indices = _to_indices(tokens, alphabet)
+        except KeyError as exc:
+            alphabet.index(tokens[exc.args[0]])     # raises for that token
             raise
-        return cls(alphabet, indices)
+        return cls._of(alphabet, indices)
 
     @classmethod
     def from_text(cls, text: str, alphabet: Alphabet) -> "SymbolSeq":
+        """One symbol per character of `text`, converted as :func:`ingest`
+        converts text; an unknown character raises ValueError ("token ...
+        is not in the alphabet")."""
         return cls.from_tokens(text, alphabet)
 
     def __len__(self) -> int:
@@ -139,7 +226,7 @@ class SymbolSeq:
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return SymbolSeq(self.alphabet, self.indices[i])
+            return SymbolSeq._of(self.alphabet, self.indices[i])
         return self.indices[i]
 
     def __eq__(self, other) -> bool:
@@ -156,16 +243,18 @@ class SymbolSeq:
     def render(self) -> str:
         """Inverse of ingest: the token stream as text.
 
-        Single-character tokens are concatenated, multi-character tokens are
-        joined by newlines, and byte tokens render as a hex string.
+        Single-character tokens are concatenated and byte tokens render as
+        a hex string, each in one C-level translate of the indices (for
+        single characters, of their Latin-1 decoding); multi-character
+        tokens are joined by newlines.
         """
-        toks = map(self.alphabet.tokens.__getitem__, self.indices)
-        kind = self.alphabet._render_kind
-        if kind == "bytes":
-            return bytes(toks).hex()
+        alphabet = self.alphabet
+        kind = alphabet._render_kind
         if kind == "chars":
-            return "".join(toks)
-        return "\n".join(toks)
+            return self.indices.decode("latin-1").translate(alphabet._glyphs)
+        if kind == "bytes":
+            return self.indices.translate(alphabet._glyphs).hex()
+        return "\n".join(map(alphabet.tokens.__getitem__, self.indices))
 
     def __repr__(self) -> str:
         if len(self) <= 32:
@@ -184,6 +273,11 @@ def ingest(data, alphabet_spec=None, mode: str = "text") -> SymbolSeq:
     alphabet_spec may be an Alphabet, an inline token string ("ab"), or None
     to infer the alphabet from the distinct tokens in order of first
     appearance.  Unknown tokens are rejected with their 1-based position.
+
+    Text over single-character tokens and bytes over byte tokens convert
+    in one C-level translate each, with no Python code per symbol (see
+    :attr:`Alphabet._codes`); lines, and text over multi-character
+    tokens, map token by token.
     """
     if mode == "bytes":
         if not isinstance(data, (bytes, bytearray)):
@@ -213,14 +307,12 @@ def ingest(data, alphabet_spec=None, mode: str = "text") -> SymbolSeq:
         alphabet = Alphabet.from_spec(str(alphabet_spec))
 
     try:
-        indices = bytes(map(alphabet._index.__getitem__, tokens))
-    except KeyError:
-        for pos, tok in enumerate(tokens, start=1):
-            if tok not in alphabet:
-                raise ValueError("unknown token %r at position %d"
-                                 % (tok, pos)) from None
-        raise
-    return SymbolSeq(alphabet, indices)
+        indices = _to_indices(tokens, alphabet)
+    except KeyError as exc:
+        pos = exc.args[0]
+        raise ValueError("unknown token %r at position %d"
+                         % (tokens[pos], pos + 1)) from None
+    return SymbolSeq._of(alphabet, indices)
 
 
 # ---------------------------------------------------------------------------

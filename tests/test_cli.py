@@ -42,6 +42,29 @@ def test_parse_subcommand_example_string(tmp_path):
     assert os.path.exists(os.path.join(rec["outdir"], "manifest.json"))
 
 
+def test_input_text_keeps_whitespace_tokens_of_the_declared_alphabet(tmp_path):
+    # whitespace at the ends is stripped only where the alphabet does not
+    # list it; with an inferred alphabet all of it is
+    src = tmp_path / "sp.txt"
+    src.write_text(" ab ba \n")
+    res = read_json(dispatch(tmp_path, "parse", "--input", str(src),
+                             "--alphabet", "ab "))
+    assert res["n"] == 7
+    assert res["phrases"] == [" ", "a", "b", " b", "a "]
+    res = read_json(dispatch(tmp_path, "parse", "--input", str(src)))
+    assert res["n"] == 5 and res["phrases"] == ["a", "b", " ", "ba"]
+    src.write_text("abba\n")
+    for argv in (["--alphabet", "ab"], ["--alphabet", "ab "], []):
+        res = read_json(dispatch(tmp_path, "parse", "--input", str(src),
+                                 *argv))
+        assert res["n"] == 4 and res["phrases"] == ["a", "b", "ba"]
+    # a newline token keeps the trailing newlines
+    src.write_text("ab\n\n")
+    res = read_json(dispatch(tmp_path, "parse", "--input", str(src),
+                             "--alphabet", "ab\n"))
+    assert res["n"] == 4 and res["phrases"] == ["a", "b", "\n", "\n"]
+
+
 def test_corpus_and_codelen(tmp_path):
     rec = dispatch(tmp_path, "corpus", "--corpus", "thue_morse", "--n", "8")
     with open(os.path.join(rec["outdir"], "sequence.txt")) as fh:

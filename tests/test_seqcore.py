@@ -5,7 +5,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lzguess.seqcore import (AB, Alphabet, BitSource, DyadicProb, SymbolSeq,
                              derive_substream_seed, forward, generate_corpus,
@@ -59,6 +59,11 @@ def test_alphabet_validation():
         Alphabet(("a",))
     with pytest.raises(ValueError):
         Alphabet(("a", "a"))
+    # byte tokens are byte values, so the translate tables can hold them
+    for tokens in ((0, 256), (-1, 0)):
+        with pytest.raises(ValueError, match=r"^byte tokens must be in "
+                                             r"range\(0, 256\)$"):
+            Alphabet(tokens)
 
 
 def test_symbolseq_slicing_and_equality():
@@ -180,6 +185,149 @@ def test_unknown_token_message_and_position_in_every_mode():
         SymbolSeq.from_text("abca", AB)
     with pytest.raises(ValueError, match=r"^token 'q' is not in the alphabet$"):
         SymbolSeq.from_tokens(["north", "q"], Alphabet(("north", "south")))
+
+
+def _render_per_symbol(seq):
+    """render as it was before the translate tables: one token lookup per
+    symbol, in Python; kept as the reference."""
+    toks = [seq.alphabet.tokens[i] for i in seq.indices]
+    kind = seq.alphabet._render_kind
+    if kind == "bytes":
+        return bytes(toks).hex()
+    if kind == "chars":
+        return "".join(toks)
+    return "\n".join(toks)
+
+
+# single-character alphabets past ASCII and Latin-1, with the two Latin-1
+# extremes as tokens, and one of all 256 Latin-1 characters
+_WIDE_ALPHABETS = ["αβγ", "\x00\xffa", "abĀ\U0001f600",
+                   "".join(map(chr, range(256)))]
+
+
+@pytest.mark.parametrize("spec", _WIDE_ALPHABETS,
+                         ids=["greek", "latin1-ends", "astral", "latin1-all"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_ingest_equals_per_token_loop_on_wide_alphabets(spec, data):
+    # text over the alphabet, with unknown characters at and above U+0100
+    # and below it mixed in now and then
+    chars = st.sampled_from(spec)
+    if data.draw(st.booleans()):
+        chars = chars | st.sampled_from("c\x7f\x80Āā￿\U00010000")
+    text = "".join(data.draw(st.lists(chars, max_size=60)))
+    alphabet = Alphabet.from_spec(spec)
+    got = _outcome(ingest, text, spec)
+    assert got == _outcome(_ingest_per_token, text, spec)
+    assert (_outcome(SymbolSeq.from_text, text, alphabet)
+            == _outcome(SymbolSeq.from_tokens, list(text), alphabet))
+    if isinstance(got, SymbolSeq):
+        assert got.render() == _render_per_symbol(got) == text
+        assert SymbolSeq.from_text(text, alphabet) == got
+
+
+def test_ingest_reports_the_first_of_several_unknown_tokens():
+    cases = [("abĀaā", "ab", "unknown token 'Ā' at position 3"),
+             ("abcdĀ", "ab", "unknown token 'c' at position 3"),
+             ("\U0001f600ab", "ab", "unknown token '😀' at position 1"),
+             ("ab\x00", "ab", "unknown token '\\x00' at position 3"),
+             ("αβc", "αβ", "unknown token 'c' at position 3"),
+             ("a\xffb", "ab", "unknown token 'ÿ' at position 2")]
+    for text, spec, message in cases:
+        for fn in (ingest, _ingest_per_token):
+            with pytest.raises(ValueError) as info:
+                fn(text, spec)
+            assert str(info.value) == message
+    with pytest.raises(ValueError, match=r"^token 'Ā' is not in the alphabet$"):
+        SymbolSeq.from_text("abĀc", AB)
+    # bytes: the first unknown of several, and \xff outside a subset of 255
+    cases = [(b"\x01\x07\x00\x08", b"\x00\x01", 7, 2),
+             (b"\x00\xff\x01", bytes(range(255)), 255, 2),
+             (b"ab\x00c", b"abc", 0, 3)]
+    for data, allowed, token, pos in cases:
+        for fn in (ingest, _ingest_per_token):
+            with pytest.raises(ValueError) as info:
+                fn(data, allowed, mode="bytes")
+            assert str(info.value) == ("unknown token %d at position %d"
+                                       % (token, pos))
+
+
+def test_ingest_of_text_over_multi_character_tokens():
+    # text mode reads one character per token, so only the single-character
+    # tokens of a mixed alphabet can match
+    mixed = Alphabet(("ab", "a", "b"))
+    for text in ("abba", "", "ab c"):
+        assert (_outcome(ingest, text, mixed)
+                == _outcome(_ingest_per_token, text, mixed))
+    assert ingest("abba", mixed).indices == b"\x01\x02\x02\x01"
+    with pytest.raises(ValueError, match="^unknown token 'n' at position 1$"):
+        ingest("north", Alphabet(("north", "south")))
+
+
+@given(st.binary(max_size=60),
+       st.sampled_from([b"\x00", b"\x00\x01", b"\xff\x00", b"\x00ab\xff",
+                        bytes(range(255)), bytes(range(255, -1, -1))]))
+def test_ingest_equals_per_token_loop_on_byte_subsets(data, allowed):
+    # subsets with \x00, subsets with \xff and one without it, and all 256
+    # values in reverse order, where index and byte differ
+    spec = allowed if len(allowed) > 1 else allowed + b"\x07"
+    got = _outcome(ingest, data, spec, mode="bytes")
+    assert got == _outcome(_ingest_per_token, data, spec, mode="bytes")
+    assert got == _outcome(ingest, bytearray(data), spec, mode="bytes")
+    if isinstance(got, SymbolSeq):
+        assert got.render() == _render_per_symbol(got) == data.hex()
+
+
+def test_render_equals_per_symbol_render_for_every_alphabet_kind():
+    alphabets = [AB, Alphabet.from_spec("αβγ"), Alphabet(("ab", "c", "d e")),
+                 Alphabet.bytes_alphabet(), Alphabet.bytes_alphabet(b"\x00a\xff"),
+                 Alphabet(tuple(range(255, -1, -1))),
+                 Alphabet.from_spec("".join(map(chr, range(256))))]
+    for alphabet in alphabets:
+        for indices in (b"", bytes([alphabet.size - 1]),
+                        bytes(range(alphabet.size)) * 2):
+            x = SymbolSeq(alphabet, indices)
+            text = x.render()
+            assert text == _render_per_symbol(x)
+            mode = {"bytes": "bytes", "chars": "text",
+                    "lines": "lines"}[alphabet._render_kind]
+            data = bytes.fromhex(text) if mode == "bytes" else text
+            assert ingest(data, alphabet, mode=mode) == x
+
+
+def test_symbolseq_range_check_on_bytes_bytearray_and_list():
+    message = "^symbol index out of range for alphabet of size %d$"
+    ternary = Alphabet.from_spec("abc")
+    for alphabet in (AB, ternary, Alphabet.bytes_alphabet(b"\x00\xff")):
+        size = alphabet.size
+        for bad in (size, 255):
+            for indices in (bytes([0, bad, 1]), bytearray([bad]),
+                            [0, 1, bad], [bad, 256], [300]):
+                with pytest.raises(ValueError, match=message % size):
+                    SymbolSeq(alphabet, indices)
+        ok = list(range(size)) * 3
+        for indices in (bytes(ok), bytearray(ok), ok):
+            x = SymbolSeq(alphabet, indices)
+            assert type(x.indices) is bytes and x.indices == bytes(ok)
+    full = Alphabet.bytes_alphabet()
+    assert SymbolSeq(full, bytes(range(256))).indices == bytes(range(256))
+    with pytest.raises(ValueError, match=message % 256):
+        SymbolSeq(full, [0, 256])
+    # an iterator is read once, not emptied by the range check
+    assert SymbolSeq(AB, iter([0, 1, 1])).indices == b"\x00\x01\x01"
+    assert SymbolSeq(AB, (i % 2 for i in range(4))).indices == b"\x00\x01" * 2
+    with pytest.raises(ValueError, match=message % 2):
+        SymbolSeq(AB, iter([0, 2]))
+
+
+@given(st.lists(st.integers(0, 2), max_size=30), st.integers(-35, 35),
+       st.integers(-35, 35), st.sampled_from([None, 1, 2, -1]))
+def test_symbolseq_slice_equals_sequence_of_sliced_indices(idx, i, j, step):
+    alphabet = Alphabet.from_spec("abc")
+    x = SymbolSeq(alphabet, bytes(idx))
+    part = x[i:j:step]
+    assert part == SymbolSeq(alphabet, x.indices[i:j:step])
+    assert type(part.indices) is bytes and part.alphabet is alphabet
 
 
 # --- corpora ---------------------------------------------------------------

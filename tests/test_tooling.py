@@ -224,15 +224,18 @@ def test_bench_layers_runs_on_a_shrunk_grid(tmp_path):
     assert list(grid["rows_built"]) == ["8", "16", "32", "64", "128"]
     assert all(1 <= rows <= int(n) for n, rows in grid["rows_built"].items())
     assert set(summary["laws"]["compile | %s | n=128" % case]) == {"sha256"}
-    # the codec grid: each coder and decoder per n, outputs by digest
+    # the codec grid: each coder and decoder, ingest, SymbolSeq and render
+    # per n, outputs by digest
     codec = summary["per_label"]["b"]["codec"]
-    assert len(codec) == 5
+    assert len(codec) == 12
+    assert sum(case.startswith(("seqcore.ingest", "seqcore.SymbolSeq",
+                                "seqcore.render")) for case in codec) == 7
     for case in codec.values():
         assert list(case["median_best_s"]) == ["256", "512", "1024", "2048",
                                                "4096"]
         assert "fitted_exponent" in case and "ratio_to_a" in case
-    assert set(summary["laws"]["codec | lz78.decode, fair bits | n=4096"]
-               ) == {"sha256"}
+    for case in ("lz78.decode, fair bits", "seqcore.render, chars, fair bits"):
+        assert set(summary["laws"]["codec | %s | n=4096" % case]) == {"sha256"}
 
 
 def test_readme_commands_parse():

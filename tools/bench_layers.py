@@ -33,8 +33,14 @@ numerator's bit width, so that two trees can be compared point by point:
   the Bernoulli pair above, and ``sideinfo.joint_parse``, ``cond_code``
   and ``cond_decode`` on the pair, at n = 16384 ... 262144.
   The decoders read the code of the same tree, made outside the timing.
-  A point records the sha256 of the output (the code, the decoded
-  symbols or the joint parse's counts) in place of a law.
+  The grid also times sequences going in and out at the same n:
+  ``seqcore.ingest`` of x's text with the alphabet ``ab`` and with the
+  alphabet inferred, of random bytes over all 256 values and over the
+  subset ``acgt``; ``SymbolSeq`` construction from x's indices; and
+  ``SymbolSeq.render`` of x (``chars``) and of the 256-value bytes.
+  A point records the sha256 of the output (the code, the decoded or
+  ingested symbols, the rendered text or the joint parse's counts) in
+  place of a law.
 
 Each call appends one round, under ``--label``, to the JSON file ``--out``
 and rewrites its summary: per label the median over rounds of each
@@ -63,6 +69,7 @@ import json
 import math
 import os
 import platform
+import random
 import statistics
 import sys
 import time
@@ -217,9 +224,11 @@ def measure_compile(k, shrink):
 
 
 def measure_codec(k, shrink):
-    """{layer and input: {n: point}} for the coders and decoders, each
-    point with the sha256 of what it returned."""
+    """{layer and input: {n: point}} for ingest, SymbolSeq, render and
+    the coders and decoders, each point with the sha256 of what it
+    returned."""
     from lzguess import lz78, sideinfo
+    from lzguess.seqcore import SymbolSeq, ingest
 
     def digest(out):
         if isinstance(out, sideinfo.JointParseResult):
@@ -233,7 +242,21 @@ def measure_codec(k, shrink):
     for n in CODEC_SIZES:
         x, y = _flip_pair(n // shrink)
         code, cond = lz78.encode(x), sideinfo.cond_code(x, y)
+        text = x.render()
+        data = random.Random(n).randbytes(len(x))
+        acgt = data.translate(b"acgt" * 64)
+        octets = ingest(data, mode="bytes")
         calls = {
+            "seqcore.ingest, text, alphabet ab": lambda: ingest(text, "ab"),
+            "seqcore.ingest, text, inferred alphabet": lambda: ingest(text),
+            "seqcore.ingest, bytes, all 256 values":
+                lambda: ingest(data, mode="bytes"),
+            "seqcore.ingest, bytes, subset acgt":
+                lambda: ingest(acgt, b"acgt", mode="bytes"),
+            "seqcore.SymbolSeq, fair bits":
+                lambda: SymbolSeq(x.alphabet, x.indices),
+            "seqcore.render, chars, fair bits": x.render,
+            "seqcore.render, bytes, all 256 values": octets.render,
             "lz78.encode, fair bits": lambda: lz78.encode(x),
             "lz78.decode, fair bits": lambda: lz78.decode(
                 code, len(x), x.alphabet),
