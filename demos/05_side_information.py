@@ -16,7 +16,7 @@ x = SymbolSeq.from_text("abab", ab)
 y = SymbolSeq.from_text("aaaa", ab)
 jp = joint_parse(x, y)
 print("x = %s against y = %s" % (x.render(), y.render()))
-print("joint phrases  :", jp.c_xy, " distinct y-phrases:", len(jp.y_phrases),
+print("joint phrases  :", jp.c_xy, " distinct y-phrases:", len(jp.c_j),
       " counts:", jp.c_j, " u =", jp.u, "bits")
 
 n = 4096

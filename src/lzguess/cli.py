@@ -269,15 +269,21 @@ def _run_moments(params, outdir):
     return {"rows": rows}, ("results.csv", fields, rows)
 
 
+def _check_ells(ells, n: int):
+    """Refuse an --ell that is not a divisor of n, the block lengths at
+    which the converse is stated."""
+    for ell in ells:
+        if ell < 1:
+            raise ValueError("need --ell >= 1, got %d" % ell)
+        if n % ell:
+            raise ValueError("--ell %d does not divide n=%d" % (ell, n))
+
+
 def _run_bounds(params, outdir, require_ordering=False):
     seq = _load_sequence(params)
     g = _make_guesser(params, seq.alphabet, len(seq))
     ells = params.get("ell")
-    for ell in ells or []:
-        if ell < 1:
-            raise ValueError("need --ell >= 1, got %d" % ell)
-        if len(seq) % ell:
-            raise ValueError("--ell %d does not divide n=%d" % (ell, len(seq)))
+    _check_ells(ells or [], len(seq))
     reports = bounds.sandwich_sweep(seq, params.get("zeta") or [1.0],
                                     params["s"], g,
                                     sequence_id=params.get("corpus")
@@ -304,7 +310,7 @@ def _run_sideinfo(params, outdir):
     if sub == "joint-parse":
         jp = sideinfo.joint_parse(x, y)
         return {"n": len(x), "c_xy": jp.c_xy,
-                "y_phrase_count": len(jp.y_phrases), "c_j": jp.c_j,
+                "y_phrase_count": len(jp.c_j), "c_j": jp.c_j,
                 "u": jp.u, "last_complete": jp.last_complete,
                 "tail_len": jp.tail_len}, None
     if sub == "cond-complexity":
@@ -319,10 +325,11 @@ def _run_sideinfo(params, outdir):
         rows = _moment_rows(params, g, x)
         return {"rows": rows}, ("results.csv", _MOMENT_FIELDS, rows)
     if sub == "cond-bounds":
+        ells = params.get("ell") or [1]
+        _check_ells(ells, len(x))
         g = guessers.Guesser("lz_full", x.alphabet, len(x), side=y)
         reports = bounds.sandwich_sweep(x, params.get("zeta") or [1.0],
-                                        params["s"], g,
-                                        ells=params.get("ell") or [1])
+                                        params["s"], g, ells=ells)
         rows = [{"zeta": rep.zeta, "ell": row.ell, "s": rep.s,
                  "u": rep.complexity, "H_ell_cond": row.H_ell,
                  "q_log2": rep.q_log2, "measured": row.measured,
@@ -413,6 +420,11 @@ def replay(manifest_path: str, out_dir: str | None = None) -> dict:
     """Re-run a recorded invocation; inputs are digest-checked first."""
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
+    if not (isinstance(manifest, dict) and all(
+            isinstance(manifest.get(key), kind) for key, kind in (
+                ("run_id", str), ("subcommand", str), ("params", dict),
+                ("input_digests", dict)))):
+        raise ValueError("not a run manifest: %s" % manifest_path)
     for path, digest in manifest["input_digests"].items():
         if not os.path.exists(path):
             raise ValueError("replay input missing: %s" % path)

@@ -487,7 +487,7 @@ def moment_log2(q_log2: float, zeta: float) -> float:
     certify that; the expansion side is within 1e-13 of mpmath.polylog at
     40 digits from q = 2**-4000 up to the switch.  The returned float adds
     its own rounding, which is more than 1e-12 relative once log2 E passes
-    8192.
+    8192.  A ValueError says that log2 E[G^zeta] overflows a double.
     """
     if not q_log2 <= 0:
         raise ValueError("q_log2 must be <= 0")
@@ -548,8 +548,15 @@ def moment_log2(q_log2: float, zeta: float) -> float:
     # log2(e^mu - 1) - a log2(mu) = -zeta log2(q) + mu log2(e) - a log2(mu/q),
     # so the large part is one product of the inputs; mu/q -> 1 as q -> 0
     ratio = mu / q if q else 1.0
-    return (-zeta * q_log2 + mu * LOG2E - a * math.log2(ratio)
-            + (math.lgamma(a) + math.log1p(R)) * LOG2E)
+    try:
+        value = (-zeta * q_log2 + mu * LOG2E - a * math.log2(ratio)
+                 + (math.lgamma(a) + math.log1p(R)) * LOG2E)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError("log2 E[G^%r] at log2 q = %r overflows a double"
+                         % (zeta, q_log2))
+    return value
 
 
 def moment_lower_bound_log2(q_log2: float, zeta: float) -> float:
@@ -696,17 +703,25 @@ class MomentEstimate:
     def fold(self, counts, cap: int) -> "MomentEstimate":
         """Fill the Monte Carlo fields from per-round guess counts in round
         order, as :func:`play` yields them; a censored round (cap + 1)
-        enters the mean at the cap.  No counts leave the fields None."""
+        enters the mean at the cap.  No counts leave the fields None.  A
+        ValueError says that a G^zeta, or the sum of their squares,
+        overflows a double."""
         total = total_sq = 0.0
         censored = rounds = 0
-        for g in counts:
-            if g > cap:
-                censored += 1
-                g = cap
-            gz = float(g) ** self.zeta
-            total += gz
-            total_sq += gz * gz
-            rounds += 1
+        try:
+            for g in counts:
+                if g > cap:
+                    censored += 1
+                    g = cap
+                gz = float(g) ** self.zeta
+                total += gz
+                total_sq += gz * gz
+                rounds += 1
+        except OverflowError:
+            total_sq = math.inf
+        if total_sq == math.inf:
+            raise ValueError("G^%r of a round overflows a double"
+                             % (self.zeta,))
         if not rounds:
             return self
         mean = total / rounds

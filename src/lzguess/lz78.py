@@ -19,11 +19,11 @@ grows like c*log(c) in the phrase count.
 
 Only the parse walks the sequence symbol by symbol, one child-dict lookup
 per symbol; it adds each phrase's node where the walk falls off the trie,
-and prices the code from the phrase count in closed form.  The encoder
-reads the code off the parse trie, one pointer-symbol field per phrase,
-and the decoder reads each such field as one slice of the bit string and
-copies the pointer's word from where it first wrote that word in its own
-output.
+keeps the node where it ends, and prices the code in closed form.  The
+encoder reads the code off the parse, one pointer-symbol field per phrase
+and that tail node for an incomplete one, and the decoder reads each field
+as one slice of the bit string and copies the pointer's word from where
+it first wrote that word in its own output.
 
 c_max_oracle computes the largest number of *distinct* phrases over all
 partitions by memoized exhaustive search without pruning; it is exponential
@@ -107,23 +107,6 @@ class ParseTrie:
         out.reverse()
         return bytes(out)
 
-    def walk(self, indices, limit: int = 0):
-        """Node ids along the path spelled by `indices` from the root.
-
-        Yields (depth, node) pairs starting with (0, root) and stops at the
-        first missing edge; a positive `limit` restricts to nodes with
-        id < limit (used to replay historical trie states)."""
-        node = 0
-        d = 0
-        yield d, node
-        for c in indices:
-            nxt = self.children[node].get(c)
-            if nxt is None or (limit and nxt >= limit):
-                return
-            node = nxt
-            d += 1
-            yield d, node
-
 
 @dataclass
 class ParseResult:
@@ -131,14 +114,21 @@ class ParseResult:
 
     seq: SymbolSeq
     boundaries: list[int]          # start offset of each phrase
-    c_lz: int                      # phrase count, incomplete final included
-    last_complete: bool
+    tail: int                      # node of an incomplete final phrase, or 0
     trie: ParseTrie
     code_length_bits: int
 
     @property
+    def c_lz(self) -> int:           # phrases, an incomplete final included
+        return len(self.boundaries)
+
+    @property
+    def last_complete(self) -> bool:
+        return self.tail == 0
+
+    @property
     def complete_count(self) -> int:
-        return self.c_lz - (0 if self.last_complete else 1)
+        return len(self.trie) - 1
 
     def node_counts(self) -> list[int]:
         """t[e] = dictionary node count after the first e symbols."""
@@ -183,8 +173,9 @@ def incremental_parse(seq: SymbolSeq) -> ParseResult:
 
     One pass over the symbols walks the trie from the root with the
     current node's child dict in hand; a missing child completes a
-    phrase, adds its node and records where the next phrase starts.  The
-    code length follows from the phrase count in closed form.
+    phrase, adds its node and records where the next phrase starts; the
+    pass ends at the `tail` node.  The code length follows from the phrase
+    count in closed form.
 
     >>> r = incremental_parse(SymbolSeq.from_text("abbabaabbaaabaa", AB))
     >>> r.phrase_texts()
@@ -210,12 +201,10 @@ def incremental_parse(seq: SymbolSeq) -> ParseResult:
     if boundaries[-1] == n:
         boundaries.pop()             # no phrase starts at the end
     complete = len(parent) - 1
-    last_complete = node == 0
     bits = _ptr_bits_total(complete) + complete * seq.alphabet.bits_per_symbol
-    if not last_complete:
+    if node:
         bits += _ptr_width(complete + 1)
-    return ParseResult(seq, boundaries, len(boundaries), last_complete,
-                       trie, bits)
+    return ParseResult(seq, boundaries, node, trie, bits)
 
 
 def encode(seq: SymbolSeq) -> str:
@@ -223,7 +212,7 @@ def encode(seq: SymbolSeq) -> str:
 
     The code is read off the parse trie one phrase at a time: complete
     phrase j is node j, sent as (parent[j], sym[j]), and an incomplete
-    tail is the node where the trie walk of the last phrase ends.
+    final phrase is the parse's `tail` node.
     """
     parse = incremental_parse(seq)
     trie = parse.trie
@@ -239,11 +228,8 @@ def encode(seq: SymbolSeq) -> str:
         out += [format(parent[j] << a_bits | sym[j], spec)
                 for j in range(lo, hi + 1)]
         lo, width = hi + 1, width + 1
-    if not parse.last_complete:
-        tail = seq.indices[parse.boundaries[-1]:]
-        for _, node in trie.walk(tail):
-            pass
-        out.append(format(node, "0%db" % _ptr_width(len(trie))))
+    if parse.tail:
+        out.append(format(parse.tail, "0%db" % _ptr_width(len(trie))))
     code = "".join(out)
     assert len(code) == parse.code_length_bits
     return code

@@ -752,19 +752,26 @@ def parse_corpus_spec(spec: str, n: int) -> SymbolSeq:
     """Corpus spec strings used by the command line.
 
     "periodic:ab", "bernoulli:0.5:7" (p, seed), "thue_morse", "file:PATH".
+    A field that the kind does not take is refused; everything after the
+    first colon of a file spec is its path.
     """
-    parts = spec.split(":")
-    kind = parts[0]
+    kind, *fields = spec.split(":")
     if kind == "periodic":
-        if len(parts) != 2:
+        if len(fields) != 1:
             raise ValueError("periodic spec is periodic:PATTERN")
-        return generate_corpus("periodic", n, pattern=parts[1])
+        return generate_corpus("periodic", n, pattern=fields[0])
     if kind == "bernoulli":
-        p = float(parts[1]) if len(parts) > 1 else 0.5
-        seed = int(parts[2]) if len(parts) > 2 else 0
+        if len(fields) > 2:
+            raise ValueError("bernoulli spec is bernoulli[:P[:SEED]]")
+        p = float(fields[0]) if fields else 0.5
+        seed = int(fields[1]) if len(fields) > 1 else 0
         return generate_corpus("bernoulli", n, p=p, seed=seed)
     if kind == "thue_morse":
+        if fields:
+            raise ValueError("thue_morse spec takes no fields")
         return generate_corpus("thue_morse", n)
     if kind == "file":
+        if not fields:
+            raise ValueError("file spec is file:PATH")
         return generate_corpus("file", n, path=spec.split(":", 1)[1])
     raise ValueError("unknown corpus spec %r" % spec)

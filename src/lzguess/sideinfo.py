@@ -45,10 +45,11 @@ guesser gives its conditional bounds.
 Coder, decoder, sampler, draw rule and :func:`joint_parse` read one
 dictionary, :class:`_JointDict`: the joint parse as a
 :class:`~lzguess.lz78.ParseTrie` over pair symbols a * beta + b, with the
-y-word of each node, the nodes of each y-word in id order and the node
-that created each y-word beside it.  The coder and the draw rule index
-the parse of the whole pair stream and read it, through node ids, as it
-stood when each phrase began: the coder one phrase at a time, the draw
+y-word of each node and the nodes of each y-word in id order, the first
+of them the node that created it.  The coder, the draw rule and
+:func:`joint_parse` get the parse of the whole pair stream and its index
+from one function, :func:`_joint_index`, and read it, through node ids, as
+it stood when each phrase began: the coder one phrase at a time, the draw
 rule at each matched length.  The decoder and the sampler, which do not
 know x, grow it through :meth:`_JointDict.feed`, the decoder phrase by
 phrase and the sampler pair by pair.
@@ -100,26 +101,19 @@ class JointParseResult:
 
     joint: ParseResult           # the parse of the packed pair stream
     c_xy: int
-    y_phrases: list[bytes]       # distinct y-phrases in first-creation order
-    c_j: list[int]               # x-phrase count per distinct y-phrase
+    c_j: list[int]               # x-phrase count per distinct y-phrase,
+                                 # the y-phrases in first-creation order
     u: float
     last_complete: bool
     tail_len: int
 
 
 def joint_parse(x: SymbolSeq, y: SymbolSeq) -> JointParseResult:
-    parse = incremental_parse(pack_pairs(x, y))
-    beta = y.alphabet.size
-    trie = parse.trie
-    dic = _JointDict(beta, trie)
-    ywords = [b""]
-    for v in dic.ymade[1:]:
-        ywords.append(ywords[dic.ynode[trie.parent[v]]]
-                      + bytes((trie.sym[v] % beta,)))
+    parse, dic = _joint_index(x, y)
     c_j = [len(nodes) for nodes in dic.members[1:]]
     u = sum(c * math.log2(c) for c in c_j if c > 1)
     tail = 0 if parse.last_complete else len(x) - parse.boundaries[-1]
-    return JointParseResult(parse, parse.complete_count, ywords[1:], c_j, u,
+    return JointParseResult(parse, parse.complete_count, c_j, u,
                             parse.last_complete, tail)
 
 
@@ -249,9 +243,9 @@ class _JointDict:
     symbols a * beta + b, with a y-word index beside it.
 
     ynode[v] is the y-word of joint node v (a node of the y-word trie
-    ychildren), members[w] the joint nodes with y-word w in id order,
-    pos[v] the place of v in members[ynode[v]], and ymade[w] the joint
-    node that created y-word w.  Ids are creation order, so the dictionary
+    ychildren), members[w] the joint nodes with y-word w in id order, so
+    members[w][0] is the node that created y-word w, and pos[v] the place
+    of v in members[ynode[v]].  Ids are creation order, so the dictionary
     as it stood at node count t is the part with ids below t.  xwords[v],
     the x-word of node v, is kept for the nodes :meth:`feed` adds: the
     decoder and sampler grow their dictionary that way, and the readers
@@ -265,7 +259,6 @@ class _JointDict:
         self.ynode = ynode = [0]
         self.pos = pos = [0]
         self.ychildren = ychildren = [{}]
-        self.ymade = ymade = [0]
         self.members = members = [[0]]
         parent, sym = trie.parent, trie.sym
         for v in range(1, len(parent)):
@@ -277,7 +270,6 @@ class _JointDict:
                 # an append to an empty list reserves
                 w = up[ys] = len(members)
                 ychildren.append({})
-                ymade.append(v)
                 members.append([v])
                 pos.append(0)
             else:
@@ -304,7 +296,6 @@ class _JointDict:
         if w is None:
             w = up[ys] = len(self.members)
             self.ychildren.append({})
-            self.ymade.append(node)
             self.members.append([node])
             self.pos.append(0)
         else:
@@ -319,14 +310,21 @@ class _JointDict:
         """The y-words that extend y-word w along y[b:n], w first: from the
         empty word, the y-words prefixing y[b:n].  A positive t keeps
         those created below node count t."""
-        ychildren, ymade = self.ychildren, self.ymade
+        ychildren, members = self.ychildren, self.members
         path = [w]
         for i in range(b, n):
             w = ychildren[w].get(yidx[i])
-            if w is None or (t and ymade[w] >= t):
+            if w is None or (t and members[w][0] >= t):
                 break
             path.append(w)
         return path
+
+
+def _joint_index(x: SymbolSeq, y: SymbolSeq):
+    """The pair stream of (x, y) packed and parsed, and the
+    :class:`_JointDict` index of its parse."""
+    parse = incremental_parse(pack_pairs(x, y))
+    return parse, _JointDict(y.alphabet.size, parse.trie)
 
 
 # ---------------------------------------------------------------------------
@@ -337,17 +335,16 @@ def cond_code(x: SymbolSeq, y: SymbolSeq) -> str:
     """Encode x against known y; returns the code as a '0'/'1' string.
 
     The records are read off the indexed joint parse: phrase t starts at
-    boundaries[t-1] with t nodes in the dictionary, and a complete phrase
-    is node t, whose walk ends at parent[t]; only the incomplete tail is
-    walked.  The chain field is read from the y-words below node count t.
+    boundaries[t-1] with t nodes in the dictionary; the walk of complete
+    phrase t ends at parent[t], that of an incomplete one at the parse's
+    tail.  The chain field is read from the y-words below node count t.
     """
-    parse = incremental_parse(pack_pairs(x, y))
+    parse, dic = _joint_index(x, y)
     n = len(x)
     alpha = x.alphabet.size
     a_bits = x.alphabet.bits_per_symbol
     xi, yi = x.indices, y.indices
     trie = parse.trie
-    dic = _JointDict(y.alphabet.size, trie)
     parent, members, ynode, pos = trie.parent, dic.members, dic.ynode, dic.pos
     ends = parse.boundaries[1:] + [n]
     records = []
@@ -356,8 +353,7 @@ def cond_code(x: SymbolSeq, y: SymbolSeq) -> str:
             node, d = parent[t], e - b - 1
         else:
             # incomplete tail: an existing phrase, sent by its index alone
-            for d, node in trie.walk(parse.seq.indices[b:]):
-                pass
+            node, d = parse.tail, e - b
         # the x-word x[b:b+d] by its place among the x-phrases of y[b:b+d]
         width = (bisect.bisect_left(members[ynode[node]], t) - 1).bit_length()
         index = format(pos[node], "0%db" % width) if width else ""
@@ -489,19 +485,20 @@ def _cond_draws(x: SymbolSeq, y: SymbolSeq):
     the pair stream is checked and parsed before at returns.  Lengths may
     be asked for in any order, so a reader asks only for the lengths it
     reaches.  After b matching symbols the sampler's dictionary is the
-    joint parse of (x, y) as it stood at node count t_at[b].  `moves` maps
-    each chain value that keeps matching x to (width, c, pos, b'): the
-    value picks depth d and the innovation symbol x[b+d], and a
-    `width`-bit index v with v % c == pos picks the x-word x[b:b+d] among
-    the c x-phrases of y[b:b+d], reaching b' = b+d+1.  At an overshoot
-    (b+d == n) the surplus symbol is discarded, so the chain values of
-    every rank win and b' = n.
+    joint parse of (x, y) as it stood at node count t_at[b]; at(b) walks
+    the pairs from b through its nodes, as ``_lz_draws_at`` walks x[e:].
+    `moves` maps each chain value that keeps matching x to (width, c,
+    pos, b'): the value picks depth d and the innovation symbol x[b+d],
+    and a `width`-bit index v with v % c == pos picks the x-word x[b:b+d]
+    among the c x-phrases of y[b:b+d], reaching b' = b+d+1.  At an
+    overshoot (b+d == n) the surplus symbol is discarded, so the chain
+    values of every rank win and b' = n.
     """
     n = len(x)
-    parse = incremental_parse(pack_pairs(x, y))
-    pairs = memoryview(parse.seq.indices)
+    parse, dic = _joint_index(x, y)
+    pairs = parse.seq.indices
     t_at = parse.node_counts()
-    dic = _JointDict(y.alphabet.size, parse.trie)
+    children = parse.trie.children
     members, ynode, pos = dic.members, dic.ynode, dic.pos
     alpha = x.alphabet.size
     xi, yi = x.indices, y.indices
@@ -509,18 +506,21 @@ def _cond_draws(x: SymbolSeq, y: SymbolSeq):
     def at(b):
         t = t_at[b]
         chain = len(dic.ypath(yi, b, n, t))
-        moves = {}
+        moves, node = {}, 0
         # d < chain: a joint node's y-word is no younger than the node
-        for d, node in dic.trie.walk(pairs[b:], limit=t):
+        for d in range(n - b + 1):
             c = bisect.bisect_left(members[ynode[node]], t)
             base = (chain - 1 - d) * alpha
-            if b + d < n:
-                moves[base + _rank_sym(xi[b + d], yi[b + d], alpha)] = (
-                    (c - 1).bit_length(), c, pos[node], b + d + 1)
-            else:
+            if b + d == n:
                 moves.update(dict.fromkeys(
                     range(base, base + alpha),
                     ((c - 1).bit_length(), c, pos[node], n)))
+                break
+            moves[base + _rank_sym(xi[b + d], yi[b + d], alpha)] = (
+                (c - 1).bit_length(), c, pos[node], b + d + 1)
+            node = children[node].get(pairs[b + d], t)
+            if node >= t:
+                break
         return chain * alpha, moves
 
     return at
@@ -556,8 +556,8 @@ def _cond_automaton(x: SymbolSeq, y: SymbolSeq):
     level's payload, folded as :func:`chain_draw` folds it.  A chain
     value leads to the index field of its move (none when that field is 0
     bits wide) and on to the first unary state of its next b, numbered
-    when first reached; a b that no move reaches gets no states, and its
-    draws are never asked for."""
+    when first reached; the depth-0 move from b - 1 reaches every b before
+    the loop gets to it."""
     n = len(x)
     widths, tables = [], []
     starts = {}
@@ -577,8 +577,6 @@ def _cond_automaton(x: SymbolSeq, y: SymbolSeq):
     at = _cond_draws(x, y)
     start(0)
     for b in range(n):
-        if b not in starts:
-            continue        # no move reaches b
         size, moves = at(b)
         links = {}
 

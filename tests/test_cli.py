@@ -1,13 +1,18 @@
+import argparse
 import concurrent.futures
+import contextlib
+import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import (HealthCheck, event, example, given, settings,
+                        strategies as st)
 
 from lzguess import cli, guessers, seqcore, sideinfo
 from lzguess.cli import build_parser, cli_dispatch, main, replay
@@ -686,3 +691,176 @@ def test_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch):
                  "--out-dir", str(root)]) == 1
     assert capsys.readouterr().err == "error: out of memory\n"
     assert not root.exists()
+
+
+# --- the CLI contract over drawn argv ----------------------------------------
+
+# "{dir}" stands for the folder of the contract's input files
+_CONTRACT_FILES = (["{dir}/ab.txt", "{dir}/ab24.txt"],
+                   ["{dir}/empty.txt", "{dir}/bad-utf8.txt", "{dir}/wide.txt",
+                    "{dir}/missing"])
+_CONTRACT_MACHINE = os.path.join(ROOT, "demos", "three_word_machine.fsm")
+_CONTRACT_CORPORA = (
+    ["periodic:ab", "periodic:abc", "bernoulli", "bernoulli:0.5:1",
+     "thue_morse", "file:{dir}/ab.txt"],
+    ["periodic:", "periodic:ab:cd", "bernoulli:2", "bernoulli:nan",
+     "bernoulli:x", "bernoulli:0.5:1:junk", "thue_morse:junk", "file",
+     "file:{dir}/empty.txt", "file:{dir}/missing", "nope"])
+# each option's (valid, hostile) values, small, by its dest; an option
+# with choices draws from them.  --n = MAX_N + 1 tests only the guard,
+# --jobs stays at two workers or fewer
+_CONTRACT_VALUES = {
+    "n": (["1", "2", "3", "8", "24"], ["-1", "0", str(cli.MAX_N + 1)]),
+    "rounds": (["0", "1", "5", "20"], ["-1"]),
+    "cap": (["1", "2", "1000"], ["-1", "0"]),
+    "jobs": (["1", "2"], ["-1", "0"]),
+    "seed": (["0", "3"], ["-1"]),
+    "zeta": (["0.5", "1", "1.5", "3"],
+             ["0", "-1", "nan", "inf", "100", "3e305"]),
+    "q": (["0.5", "1"], ["0", "-1", "nan", "inf", "1.5", "3", "100", "3e305"]),
+    "s": (["1", "3"], ["-1", "0"]),
+    "ell": (["1", "2", "3", "8"], ["-1", "0"]),
+    "input": _CONTRACT_FILES,
+    "input_x": _CONTRACT_FILES,
+    "input_y": _CONTRACT_FILES,
+    "corpus": _CONTRACT_CORPORA,
+    "corpus_x": _CONTRACT_CORPORA,
+    "corpus_y": _CONTRACT_CORPORA,
+    "alphabet_file": (["{dir}/alphabet.txt"],
+                      ["{dir}/empty.txt", "{dir}/bad-utf8.txt",
+                       "{dir}/missing"]),
+    "alphabet": (["ab", "ba", "abc", "01"], ["", "a"]),
+    "target": (["ab", "abab", "aaaaaaaa"], ["", "abcab"]),
+    "machine": (["fig1", _CONTRACT_MACHINE],
+                ["{dir}/junk.fsm", "{dir}/missing"]),
+    "guesser": (["lz", "uniform", "block:2", "fsgm:" + _CONTRACT_MACHINE],
+                ["block:0", "block:x", "nope", "fsgm:{dir}/junk.fsm",
+                 "fsgm:{dir}/missing"]),
+    "manifest": (["{dir}/manifest.json"],
+                 ["{dir}/empty.txt", "{dir}/list.json", "{dir}/object.json",
+                  "{dir}/missing"]),
+}
+
+
+@st.composite
+def _cli_argv(draw):
+    """A subcommand of :func:`build_parser` with some of its options
+    (every required one), each as --option=value, but not --out-dir; a
+    value is hostile with a drawn chance of 0, 1 or 5 in 10."""
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    name = draw(st.sampled_from(sorted(subparsers)))
+    hostility = draw(st.sampled_from([0, 1, 5]))
+
+    def value(action):
+        if action.choices:
+            return draw(st.sampled_from(action.choices))
+        valid, hostile = _CONTRACT_VALUES[action.dest]
+        return draw(st.sampled_from(
+            hostile if draw(st.integers(0, 9)) < hostility else valid))
+
+    argv = [name]
+    for action in subparsers[name]._actions:
+        if action.dest in ("help", "out_dir"):
+            continue
+        if not action.option_strings:
+            argv.append(value(action))
+        elif action.required or draw(st.booleans()):
+            repeat = 2 if isinstance(action, argparse._AppendAction) else 1
+            for _ in range(draw(st.integers(1, repeat))):
+                argv.append("%s=%s" % (action.option_strings[0],
+                                       value(action)))
+    return argv
+
+
+@pytest.fixture
+def contract_dir(tmp_path):
+    """The contract's input files, and one manifest of a real run."""
+    for name, text in {"ab.txt": "abbabaab\n", "ab24.txt": "ab" * 12,
+                       "empty.txt": "", "wide.txt": "abcdefghijklmnopq",
+                       "junk.fsm": "alphabet a b\nnonsense\n",
+                       "list.json": "[]", "object.json": "{}",
+                       "alphabet.txt": "a\nb\n"}.items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "bad-utf8.txt").write_bytes(b"ab\xff\xfe")
+    rec = dispatch(tmp_path / "made", "parse", "--corpus", "periodic:ab",
+                   "--n", "8")
+    shutil.copy(os.path.join(rec["outdir"], "manifest.json"),
+                tmp_path / "manifest.json")
+    return tmp_path
+
+
+def _no_special_floats(text):
+    json.loads(text, parse_constant=lambda c: pytest.fail(
+        "results.json holds %s" % c))
+
+
+_REFUSED_REPROS = [
+    # a moment, or a round's G^zeta, too large for a double
+    ["guess", "--corpus", "periodic:ab", "--n", "4", "--zeta", "3e305"],
+    ["guess", "--corpus", "periodic:ab", "--n", "4", "--zeta", "2.5e305"],
+    ["guess", "--corpus", "periodic:ab", "--n", "6", "--zeta", "100",
+     "--rounds", "5", "--seed", "3"],
+    ["guess", "--corpus", "periodic:ab", "--n", "6", "--zeta", "150",
+     "--rounds", "5", "--seed", "3"],
+    ["bounds", "--corpus", "periodic:ab", "--n", "4", "--zeta", "3e305"],
+    ["sandwich", "--corpus", "periodic:ab", "--n", "4", "--zeta", "3e305"],
+    ["sideinfo", "cond-guess", "--corpus-x", "periodic:ab", "--corpus-y",
+     "periodic:ab", "--n", "4", "--zeta", "3e305"],
+    ["sideinfo", "cond-bounds", "--corpus-x", "periodic:ab", "--corpus-y",
+     "periodic:ab", "--n", "4", "--zeta", "3e305"],
+    # the converse is stated only at block lengths that divide n
+    ["sideinfo", "cond-bounds", "--corpus-x", "periodic:ab", "--corpus-y",
+     "periodic:ab", "--n", "8", "--ell", "3"],
+    ["bounds", "--corpus", "periodic:ab", "--n", "8", "--ell", "3"],
+    # a field the corpus kind does not take
+    ["codelen", "--corpus", "thue_morse:junk", "--n", "8"],
+    ["codelen", "--corpus", "bernoulli:0.5:1:junk", "--n", "8"],
+]
+
+
+def _pin(test):
+    for argv in reversed(_REFUSED_REPROS):
+        test = example(argv=argv, refused=True)(test)
+    return test
+
+
+# the input files are made once and only read, so the fixture may outlive
+# an example; each example writes under its own folder
+@settings(max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_cli_argv(), refused=st.just(False))
+@_pin
+def test_cli_contract(argv, refused, contract_dir):
+    # either exit 0 with results that hold no NaN or Infinity and replay
+    # byte for byte, or exit 1 with one error line and no run folder
+    argv = [arg.replace("{dir}", str(contract_dir)) for arg in argv]
+    work = tempfile.mkdtemp(dir=contract_dir)
+    root = os.path.join(work, "runs")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--out-dir", root])
+    lines = err.getvalue().splitlines()
+    event("%s exits %d" % (argv[0], code))
+    if code == 0 and not refused:
+        outdir = json.loads(out.getvalue())["outdir"]
+        assert os.listdir(root) == [os.path.basename(outdir)]
+        again = replay(os.path.join(outdir, "manifest.json"),
+                       os.path.join(work, "replayed"))
+        names = sorted(set(os.listdir(outdir)) - {"manifest.json"})
+        assert names == sorted(set(os.listdir(again["outdir"]))
+                               - {"manifest.json"})
+        for name in names:
+            with open(os.path.join(outdir, name), "rb") as fh:
+                first = fh.read()
+            with open(os.path.join(again["outdir"], name), "rb") as fh:
+                assert fh.read() == first, name
+        with open(os.path.join(outdir, "results.json")) as fh:
+            _no_special_floats(fh.read())
+    else:
+        assert code == 1, (argv, lines)
+        assert lines and lines[-1].startswith("error: "), (argv, lines)
+        assert all(line.startswith(("warning: ", "note: "))
+                   for line in lines[:-1]), (argv, lines)
+        assert not os.path.exists(root)
+    shutil.rmtree(work)

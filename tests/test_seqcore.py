@@ -381,12 +381,36 @@ def test_corpus_spec_strings():
         generate_corpus("bernoulli", 8, p=0.5, seed=7)
 
 
+@pytest.mark.parametrize("spec,message", [
+    ("periodic", "periodic spec is periodic:PATTERN"),
+    ("periodic:ab:cd", "periodic spec is periodic:PATTERN"),
+    ("bernoulli:0.5:1:junk", r"bernoulli spec is bernoulli\[:P\[:SEED\]\]"),
+    ("thue_morse:junk", "thue_morse spec takes no fields"),
+    ("thue_morse:", "thue_morse spec takes no fields"),
+    ("file", "file spec is file:PATH"),
+])
+def test_corpus_spec_refuses_fields_its_kind_does_not_take(spec, message):
+    with pytest.raises(ValueError, match=message):
+        parse_corpus_spec(spec, 8)
+
+
+def test_corpus_spec_takes_each_kind_with_its_fields():
+    assert parse_corpus_spec("bernoulli", 8) == parse_corpus_spec(
+        "bernoulli:0.5:0", 8)
+    assert parse_corpus_spec("bernoulli:0.25", 8) == generate_corpus(
+        "bernoulli", 8, p=0.25, seed=0)
+
+
 def test_file_corpus(tmp_path):
     path = tmp_path / "seq.txt"
     path.write_text("abbab\n")
     got = parse_corpus_spec("file:%s" % path, 5)
     assert got.render() == "abbab"
     assert generate_corpus("file", 3, path=str(path)).render() == "abb"
+    # everything after the first colon is the path, colons included
+    odd = tmp_path / "a:b:c.txt"
+    odd.write_text("ba\n")
+    assert parse_corpus_spec("file:%s" % odd, 2).render() == "ba"
 
 
 # --- bit source ------------------------------------------------------------

@@ -37,7 +37,7 @@ def all_pairs(n, alphabet=B01):
 def test_joint_parse_example():
     jp = joint_parse(seq("abab", AB), seq("aaaa", AB))
     assert jp.c_xy == 3
-    assert len(jp.y_phrases) == 2
+    assert len(jp.c_j) == 2
     assert jp.c_j == [2, 1]
     assert jp.u == 2.0
 

@@ -199,6 +199,14 @@ def test_bench_layers_runs_on_a_shrunk_grid(tmp_path):
     assert list(data["runs"]) == ["a", "b"]
     summary = data["summary"]
     assert summary["laws_identical_across_labels"]
+    # each round records the wc -l of the tree's lzguess/*.py, and the
+    # summary puts it beside each label's timings
+    lines = 0
+    for path in glob.glob(os.path.join(ROOT, "src", "lzguess", "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            lines += len(fh.readlines())
+    assert [r["src_lines"] for r in data["runs"]["b"]] == [lines]
+    assert summary["src_lines"] == {"a": [lines], "b": [lines]}
     lz = summary["per_label"]["b"]["lz_guess_prob"]
     assert set(lz) == {"periodic:ab", "thue_morse", "bernoulli:0.5:1"}
     for case in lz.values():

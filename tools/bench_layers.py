@@ -45,8 +45,9 @@ numerator's bit width, so that two trees can be compared point by point:
 Each call appends one round, under ``--label``, to the JSON file ``--out``
 and rewrites its summary: per label the median over rounds of each
 point's best time and the least-squares slope of log time (per attempt,
-for ``play``) against log n, the attempts/s of each ``play`` point, and
-whether every label computed the same laws and counts.  Run it from any
+for ``play``) against log n, the attempts/s of each ``play`` point, the
+line counts (``wc -l``) of ``lzguess/*.py`` under ``--src`` that its
+rounds ran, and whether every label computed the same laws and counts.  Run it from any
 directory; ``--src`` names the checkout (or its ``src/``) to import
 ``lzguess`` from.  Alternate the trees when comparing two, for example::
 
@@ -287,7 +288,8 @@ def summarize(runs):
     """Per label, layer and case: each n's median best time and the fitted
     exponent (of the time per attempt where a point counts attempts, with
     the attempts/s, or with the rows built where a point counts them);
-    each point's law or counts, and whether every round of every label
+    per label, the line count of its lzguess/*.py beside them; each
+    point's law or counts, and whether every round of every label
     computed that same law or those counts."""
     out, laws = {}, {}
     for label, rounds in runs.items():
@@ -327,7 +329,10 @@ def summarize(runs):
                     for n, s in entry["median_best_s"].items()}
     same = all(len({json.dumps(law, sort_keys=True) for law in seen}) == 1
                for seen in laws.values())
-    return {"per_label": out, "laws_identical_across_labels": same,
+    return {"per_label": out,
+            "src_lines": {label: sorted({r["src_lines"] for r in rounds})
+                          for label, rounds in runs.items()},
+            "laws_identical_across_labels": same,
             "laws": {"%s | %s | n=%s" % key: seen[0] if same else seen
                      for key, seen in laws.items()}}
 
