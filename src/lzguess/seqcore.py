@@ -396,8 +396,12 @@ def _start_window(widths, tables, k: int, cap: int) -> list:
     """Per k-bit pattern, the walk of the automaton from state 0 over the
     complete fields in those bits, restarting at state 0 after each FAIL:
     (fails, bits used, state reached), stopping at WIN or at the first
-    field that does not fit.  If every attempt FAILs without reading a
-    bit, every pattern counts cap fails."""
+    field that does not fit.  A walk with a FAIL that stops inside a later,
+    unfinished attempt ends at its last FAIL instead, in state 0 with the
+    bits up to that FAIL used, so the next lookup starts that attempt
+    afresh; only a first attempt longer than k bits ends in a mid state.
+    If every attempt FAILs without reading a bit, every pattern counts cap
+    fails."""
     state = 0
     while state >= 0 and not widths[state]:
         state = tables[state][0]
@@ -408,7 +412,9 @@ def _start_window(widths, tables, k: int, cap: int) -> list:
 
 def _walks(widths, tables, memo, state, r):
     """The walks of :func:`_start_window` from `state` over every r-bit
-    pattern, built once per (state, r) in `memo`.  Equal entries of a row
+    pattern, built once per (state, r) in `memo`.  A walk that FAILs and
+    then stops inside the next attempt, with no FAIL or WIN of its own,
+    ends at that FAIL: (1, bits up to it, 0).  Equal entries of a row
     share one list of walks, so a field as wide as r costs a lookup per
     entry, not a walk.  A module function, not a closure: a closure that
     calls itself is a reference cycle, which would keep every sub-walk
@@ -424,11 +430,15 @@ def _walks(widths, tables, memo, state, r):
             for nxt in set(row):
                 if nxt == WIN:
                     after[nxt] = [(0, width, WIN)] * (1 << rest)
+                elif nxt == FAIL:
+                    # the walk after a FAIL ends at that FAIL when the
+                    # next attempt neither fails nor wins in the bits left
+                    after[nxt] = [(f + 1, u + width, z) if f or z == WIN
+                                  else (1, width, 0) for f, u, z in
+                                  _walks(widths, tables, memo, 0, rest)]
                 else:
-                    add = nxt == FAIL
-                    after[nxt] = [(f + add, u + width, z) for f, u, z in
-                                  _walks(widths, tables, memo, max(nxt, 0),
-                                         rest)]
+                    after[nxt] = [(f, u + width, z) for f, u, z in
+                                  _walks(widths, tables, memo, nxt, rest)]
             walks = map(after.__getitem__, row)
             # with no bits left after the field, one walk per entry
             out = (list(chain.from_iterable(walks)) if rest
@@ -455,11 +465,14 @@ def play(automaton, rounds: int, seed: int, cap: int,
     Most attempts fail within their first few bits, so play first builds
     a start window over K = max(_START_BITS, widths[0]) bits: per K-bit
     pattern, the fails, the bits used and the state reached by walking
-    its complete fields from state 0 (:func:`_start_window`).  In state 0
+    its complete fields from state 0 (:func:`_start_window`).  An entry
+    with a FAIL ends at its last FAIL, in state 0, so the attempt that
+    its bits leave unfinished starts with the next lookup.  In state 0
     the loop peeks K bits, looks them up once, consumes only the bits
     used and adds the fails to the count, censoring once that passes the
-    cap; other states read one field at a time.  Each field is read from
-    the same bits and leads to the same state as one step per field
+    cap; an entry with no FAIL that stops in a mid state, a first attempt
+    longer than K bits, goes on one field at a time.  Each field is read
+    from the same bits and leads to the same state as one step per field
     would, so the counts are the same.
     """
     if cap < 1:
@@ -622,17 +635,21 @@ def forward(n: int, start, step) -> dict:
     before it is expanded.
 
     A single move adds its term mass * count / 2**bits to its target, and
-    a move over two positions adds it to both.  A move over three or more,
-    a span, adds that one term to a running sum for its next state at
-    first_pos and takes it out, by exact subtraction, after last_pos.  Each
-    position adds each open running sum once, so big-integer work is per
-    span, not per position it covers, and nothing is done for spans while
-    none is open.  Returns {state: DyadicProb} for the states reached at
-    position n, empty when none is.
+    a move over two positions adds it to both.  Each move is checked
+    before its term is formed; then the factors of two of its count are
+    folded into its exponent, and a count of 1 costs no multiply.  A move
+    over three or more positions, a span, adds that one term to a running
+    sum for its next state at first_pos and, tagged as an exit, subtracts
+    it from that sum after last_pos.  Each position adds each open running
+    sum once, so big-integer work is per span, not per position it covers,
+    and nothing is done for spans while none is open.  Returns
+    {state: DyadicProb} for the states reached at position n, empty when
+    none is.
     """
     layers = {0: {start: (1, 0)}}
     sums = {}       # next state -> the open spans' terms, summed
-    edges = {}      # position -> [(next state, +-term numerator, exponent)]
+    edges = {}      # position -> [(next state, term numerator, exponent,
+                    #               whether the span leaves)]
     for pos in range(n):
         layer = layers.pop(pos, None)
         if edges or sums:
@@ -653,11 +670,17 @@ def forward(n: int, start, step) -> dict:
                 if not (pos < first <= last <= n and 0 < count <= 1 << bits):
                     raise ValueError("bad forward move from position %d: %r"
                                      % (pos, move))
-                mm, ee = m * count, e + bits
+                if not count & 1:
+                    # 2**bits bounds count, so bits stays >= 0
+                    shift = (count & -count).bit_length() - 1
+                    count >>= shift
+                    bits -= shift
+                mm, ee = (m * count if count > 1 else m), e + bits
                 if last - first > 1:
-                    edges.setdefault(first, []).append((nxt, mm, ee))
+                    edges.setdefault(first, []).append((nxt, mm, ee, False))
                     if last < n:
-                        edges.setdefault(last + 1, []).append((nxt, -mm, ee))
+                        edges.setdefault(last + 1, []).append(
+                            (nxt, mm, ee, True))
                     continue
                 if first < last:
                     # two single moves cost no more adds than a span
@@ -678,11 +701,21 @@ def forward(n: int, start, step) -> dict:
 
 def _arrive(pos, layer, sums, edges):
     """The layer at `pos` with the spans that reach it added in: first the
-    spans' terms enter or, negated, leave the running sums, then each open
-    running sum joins its state once."""
-    for nxt, mm, ee in edges.pop(pos, ()):
-        _add(sums, nxt, mm, ee)
-        if not sums[nxt][0]:
+    spans' terms enter the running sums, or leave them by subtraction,
+    then each open running sum joins its state once."""
+    for nxt, mm, ee, leaves in edges.pop(pos, ()):
+        if not leaves:
+            _add(sums, nxt, mm, ee)
+            continue
+        # a span leaves only a sum it entered, so the sum is there
+        om, oe = sums[nxt]
+        if oe > ee:
+            mm, ee = om - (mm << (oe - ee)), oe
+        else:
+            mm = (om << (ee - oe)) - mm
+        if mm:
+            sums[nxt] = (mm, ee)
+        else:
             del sums[nxt]
     if sums:
         if layer is None:

@@ -97,24 +97,35 @@ class JointParseResult:
     c_xy counts complete phrases; the possibly incomplete tail is excluded
     from the c_j counts (it duplicates an existing phrase prefix and would
     spoil u(x, x) = 0) and reported via last_complete/tail_len instead.
+    All three are read off `joint`.
     """
 
     joint: ParseResult           # the parse of the packed pair stream
-    c_xy: int
     c_j: list[int]               # x-phrase count per distinct y-phrase,
                                  # the y-phrases in first-creation order
     u: float
-    last_complete: bool
-    tail_len: int
+
+    @property
+    def c_xy(self) -> int:
+        return self.joint.complete_count
+
+    @property
+    def last_complete(self) -> bool:
+        return self.joint.last_complete
+
+    @property
+    def tail_len(self) -> int:
+        joint = self.joint
+        if joint.last_complete:
+            return 0
+        return len(joint.seq) - joint.boundaries[-1]
 
 
 def joint_parse(x: SymbolSeq, y: SymbolSeq) -> JointParseResult:
     parse, dic = _joint_index(x, y)
     c_j = [len(nodes) for nodes in dic.members[1:]]
     u = sum(c * math.log2(c) for c in c_j if c > 1)
-    tail = 0 if parse.last_complete else len(x) - parse.boundaries[-1]
-    return JointParseResult(parse, parse.complete_count, c_j, u,
-                            parse.last_complete, tail)
+    return JointParseResult(parse, c_j, u)
 
 
 # ---------------------------------------------------------------------------

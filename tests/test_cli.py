@@ -6,9 +6,11 @@ import json
 import math
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import (HealthCheck, event, example, given, settings,
@@ -790,6 +792,49 @@ def contract_dir(tmp_path):
     return tmp_path
 
 
+class _CallTimedOut(BaseException):
+    """Raised by :func:`_time_limit`'s timer: a BaseException, which
+    cli.main re-raises after its cleanup and never turns into an exit
+    code."""
+
+
+_CALL_SECONDS = 30      # far above what any contract call needs
+
+
+@contextlib.contextmanager
+def _time_limit(seconds, argv):
+    """Fail the test with `argv` if the block outlives `seconds`; the
+    timer is disarmed on the way out, however the block ends."""
+    def expire(signum, frame):
+        raise _CallTimedOut
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    except _CallTimedOut:
+        pytest.fail("%r ran longer than %g s" % (argv, seconds))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_time_limit_fails_a_call_that_outlives_it(tmp_path, monkeypatch):
+    # a hanging subcommand fails the test with its argv, leaves no run
+    # folder, and leaves no timer armed
+    monkeypatch.setitem(cli._EXECUTORS, "codelen",
+                        lambda params, outdir: time.sleep(10))
+    argv = ["codelen", "--corpus", "periodic:ab", "--n", "8",
+            "--out-dir", str(tmp_path / "runs")]
+    start = time.monotonic()
+    with pytest.raises(pytest.fail.Exception, match="codelen"):
+        with _time_limit(0.2, argv):
+            main(argv)
+    assert time.monotonic() - start < 5
+    assert not (tmp_path / "runs").exists()
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+
 def _no_special_floats(text):
     json.loads(text, parse_constant=lambda c: pytest.fail(
         "results.json holds %s" % c))
@@ -838,7 +883,8 @@ def test_cli_contract(argv, refused, contract_dir):
     work = tempfile.mkdtemp(dir=contract_dir)
     root = os.path.join(work, "runs")
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with _time_limit(_CALL_SECONDS, argv), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
         code = main(argv + ["--out-dir", root])
     lines = err.getvalue().splitlines()
     event("%s exits %d" % (argv[0], code))

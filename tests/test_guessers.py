@@ -787,6 +787,46 @@ def test_play_window_matches_per_field_play(game, cap, seed, start, rounds):
         game, rounds, seed, cap, start)
 
 
+def _window_entry(widths, tables, k, pattern):
+    """One start-window entry walked field by field: from state 0, restart
+    after each FAIL, stop at WIN or at the first field that does not fit
+    in the k bits of `pattern`.  A walk that stops inside an unfinished
+    attempt after a FAIL ends at its last FAIL."""
+    fails = used = state = at_fail = 0
+    while used + widths[state] <= k:
+        width = widths[state]
+        used += width
+        state = tables[state][(pattern >> (k - used)) & ((1 << width) - 1)]
+        if state == WIN:
+            return fails, used, WIN
+        if state == FAIL:
+            fails, at_fail, state = fails + 1, used, 0
+    return (fails, at_fail, 0) if fails else (0, used, state)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_random_automata(), st.integers(0, 12))
+def test_start_window_entries_end_at_their_last_fail(game, k):
+    widths, tables = game
+    k = max(k, widths[0])
+    window = _start_window(widths, tables, k, 7)
+    state = 0
+    while state >= 0 and not widths[state]:
+        state = tables[state][0]
+    if state == FAIL:       # every attempt fails without reading a bit
+        assert window == [(7, 0, FAIL)] * (1 << k)
+        return
+    assert window == [_window_entry(widths, tables, k, pattern)
+                      for pattern in range(1 << k)]
+
+
+def test_start_window_entry_stops_before_an_unfinished_attempt():
+    # four attempts 10 and one attempt 0 fail in the first nine bits; the
+    # tenth bit starts an attempt that the window leaves to the next lookup
+    game = ([1, 1], [[FAIL, 1], [FAIL, WIN]])
+    assert _start_window(*game, 10, 100)[0b1010101001] == (5, 9, 0)
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("case", list(_RUNNER_CASES))
 def test_play_counts_equal_per_field_play(case, jobs):
