@@ -315,7 +315,7 @@ def _run_sideinfo(params, outdir):
                 "tail_len": jp.tail_len}, None
     if sub == "cond-complexity":
         jp = sideinfo.joint_parse(x, y)
-        code = sideinfo.cond_code(x, y)
+        code = sideinfo.cond_code(x, y, jp)
         ok = sideinfo.cond_decode(code, y, len(x), x.alphabet) == x
         return {"n": len(x), "u": jp.u, "L_bits": len(code),
                 "u_plus_envelope": jp.u + len(x) * sideinfo.epsilon1(len(x)),

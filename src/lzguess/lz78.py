@@ -19,11 +19,13 @@ grows like c*log(c) in the phrase count.
 
 Only the parse walks the sequence symbol by symbol, one child-dict lookup
 per symbol; it adds each phrase's node where the walk falls off the trie,
-keeps the node where it ends, and prices the code in closed form.  The
+with its depth, keeps the node where it ends, and after the walk sums the
+depths into the phrase starts and prices the code in closed form.  The
 encoder reads the code off the parse, one pointer-symbol field per phrase
-and that tail node for an incomplete one, and the decoder reads each field
-as one slice of the bit string and copies the pointer's word from where
-it first wrote that word in its own output.
+and that tail node for an incomplete one.  The decoder reads all the
+whole fields of one pointer width in one pass, then checks them phrase
+by phrase and copies each pointer's word from where it first wrote that
+word in its own output.
 
 c_max_oracle computes the largest number of *distinct* phrases over all
 partitions by memoized exhaustive search without pruning; it is exponential
@@ -33,6 +35,7 @@ and guarded to n <= 24.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .seqcore import Alphabet, BudgetError, SymbolSeq
 
@@ -171,11 +174,13 @@ def _ptr_bits_total(c: int) -> int:
 def incremental_parse(seq: SymbolSeq) -> ParseResult:
     """Parse `seq` into shortest-new phrases and price the concrete code.
 
-    One pass over the symbols walks the trie from the root with the
+    One pass over the bare symbols walks the trie from the root with the
     current node's child dict in hand; a missing child completes a
-    phrase, adds its node and records where the next phrase starts; the
-    pass ends at the `tail` node.  The code length follows from the phrase
-    count in closed form.
+    phrase and adds its node, one deeper than its parent; the pass ends
+    at the `tail` node.  Complete phrase j is node j's word, so the
+    phrase starts are the running sums of the node depths, summed once
+    after the pass.  The code length follows from the phrase count in
+    closed form.
 
     >>> r = incremental_parse(SymbolSeq.from_text("abbabaabbaaabaa", AB))
     >>> r.phrase_texts()
@@ -183,23 +188,23 @@ def incremental_parse(seq: SymbolSeq) -> ParseResult:
     """
     trie = ParseTrie()
     parent, sym, children = trie.parent, trie.sym, trie.children
+    depth = [0]                      # per node: the length of its word
     root = kids = children[0]
-    boundaries = [0]
     node = 0
-    for pos, c in enumerate(seq.indices):
+    for c in seq.indices:
         child = kids.get(c)
         if child is None:
             kids[c] = len(parent)
             parent.append(node)
             sym.append(c)
             children.append({})
-            boundaries.append(pos + 1)
+            depth.append(depth[node] + 1)
             node, kids = 0, root
         else:
             node, kids = child, children[child]
-    n = len(seq)
-    if boundaries[-1] == n:
-        boundaries.pop()             # no phrase starts at the end
+    boundaries = list(accumulate(depth[1:], initial=0))
+    if not node:
+        boundaries.pop()             # the last sum is n: no phrase starts there
     complete = len(parent) - 1
     bits = _ptr_bits_total(complete) + complete * seq.alphabet.bits_per_symbol
     if node:
@@ -238,9 +243,11 @@ def encode(seq: SymbolSeq) -> str:
 def decode(bits: str, n: int, alphabet: Alphabet) -> SymbolSeq:
     """Invert :func:`encode` given the true sequence length n.
 
-    Each phrase's pointer and symbol are read as one slice of the bit
-    string, the pointer width stepping up as the node count passes a power
-    of two, and each pointer's word is copied from where it was first
+    Phrases t..2**width share the pointer width `width`, so every whole
+    field of that width left in the stream, pointer and symbol together,
+    is read in one pass over its slices before the per-phrase checks run;
+    only a final pointer without a symbol, or a truncated stream, is read
+    field by field.  Each pointer's word is copied from where it was first
     written in the output.  Raises DecodeError with the failing bit
     position on a truncated or corrupt stream.
     """
@@ -258,40 +265,47 @@ def decode(bits: str, n: int, alphabet: Alphabet) -> SymbolSeq:
         if t > step:
             width += 1
             step <<= 1
-        if pos + width > end:
+        # a phrase's pointer and symbol are one field, ptr << a_bits | sym
+        span = width + a_bits
+        whole = min(step + 1 - t, (end - pos) // span)
+        if whole:
+            fields = [int(bits[p:p + span], 2)
+                      for p in range(pos, pos + whole * span, span)]
+        elif pos + width > end:
             raise DecodeError("stream truncated", end)
-        # a phrase's pointer and symbol are one slice, ptr << a_bits | sym;
-        # a final pointer may have no symbol after it
-        stop = pos + width + a_bits
-        field = int(bits[pos:stop] if stop <= end
-                    else bits[pos:pos + width] + "0" * a_bits, 2)
-        ptr = field >> a_bits
-        pos += width
-        if ptr >= t:
-            raise DecodeError("pointer %d out of range for %d nodes" % (ptr, t),
-                              pos)
-        start, length = starts[ptr], lengths[ptr]
-        remaining = n - len(out)
-        if length == remaining:
-            # incomplete final phrase: an existing node's word, no symbol
+        else:
+            # a final pointer may have no symbol after it
+            fields = [int(bits[pos:pos + width] + "0" * a_bits, 2)]
+        for field in fields:
+            remaining = n - len(out)
+            if not remaining:
+                break
+            ptr = field >> a_bits
+            pos += width
+            if ptr >= t:
+                raise DecodeError("pointer %d out of range for %d nodes"
+                                  % (ptr, t), pos)
+            start, length = starts[ptr], lengths[ptr]
+            if length == remaining:
+                # incomplete final phrase: an existing node's word, no symbol
+                out += out[start:start + length]
+                break
+            if length > remaining:
+                raise DecodeError("phrase overruns the target length", pos)
+            pos += a_bits
+            if pos > end:
+                raise DecodeError("stream truncated", end)
+            sym = field & mask
+            if sym >= size:
+                raise DecodeError("symbol %d outside alphabet" % sym, pos)
+            if field in seen:
+                raise DecodeError("phrase already in dictionary", pos)
+            seen.add(field)
+            starts.append(len(out))
+            lengths.append(length + 1)
             out += out[start:start + length]
-            break
-        if length > remaining:
-            raise DecodeError("phrase overruns the target length", pos)
-        pos += a_bits
-        if pos > end:
-            raise DecodeError("stream truncated", end)
-        sym = field & mask
-        if sym >= size:
-            raise DecodeError("symbol %d outside alphabet" % sym, pos)
-        if field in seen:
-            raise DecodeError("phrase already in dictionary", pos)
-        seen.add(field)
-        starts.append(len(out))
-        lengths.append(length + 1)
-        out += out[start:start + length]
-        out.append(sym)
-        t += 1
+            out.append(sym)
+            t += 1
     if pos != end:
         raise DecodeError("trailing bits after decoding", pos)
     return SymbolSeq(alphabet, bytes(out))

@@ -294,11 +294,19 @@ def ingest(data, alphabet_spec=None, mode: str = "text") -> SymbolSeq:
         if mode == "bytes":
             alphabet = Alphabet.bytes_alphabet()
         else:
-            seen = dict.fromkeys(tokens)
-            if len(seen) < 2:
+            distinct = set(tokens)
+            if len(distinct) < 2:
                 raise ValueError("cannot infer an alphabet from %d distinct "
-                                 "tokens" % len(seen))
-            alphabet = Alphabet(tuple(seen))
+                                 "tokens" % len(distinct))
+            if len(distinct) > 256:
+                alphabet = Alphabet(distinct)      # raises: too many tokens
+            elif mode == "text":
+                # str.index finds each first appearance at C speed; a
+                # list's index would rescan token by token, so lines keep
+                # the one-pass dict
+                alphabet = Alphabet(sorted(distinct, key=tokens.index))
+            else:
+                alphabet = Alphabet(tuple(dict.fromkeys(tokens)))
     elif isinstance(alphabet_spec, Alphabet):
         alphabet = alphabet_spec
     elif isinstance(alphabet_spec, (bytes, bytearray)):

@@ -50,9 +50,12 @@ of them the node that created it.  The coder, the draw rule and
 :func:`joint_parse` get the parse of the whole pair stream and its index
 from one function, :func:`_joint_index`, and read it, through node ids, as
 it stood when each phrase began: the coder one phrase at a time, the draw
-rule at each matched length.  The decoder and the sampler, which do not
-know x, grow it through :meth:`_JointDict.feed`, the decoder phrase by
-phrase and the sampler pair by pair.
+rule at each matched length.  :func:`joint_parse` returns the index with
+its counts, and the coder, given that result, reads it in place of
+building its own, so a run that needs u(x, y) and the code builds one.
+The decoder and the sampler, which do not know x, grow it through
+:meth:`_JointDict.feed`, the decoder phrase by phrase and the sampler
+pair by pair.
 Every field's probability is at least 2**-(field width), and the padded
 header covers the fused selector of the final overshooting draw, giving
 cond_guess_prob(x|y) >= 2**-L(x|y) everywhere.
@@ -62,7 +65,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .seqcore import (FAIL, WIN, Alphabet, BitSource, DyadicProb, SymbolSeq,
                       forward)
@@ -97,13 +100,15 @@ class JointParseResult:
     c_xy counts complete phrases; the possibly incomplete tail is excluded
     from the c_j counts (it duplicates an existing phrase prefix and would
     spoil u(x, x) = 0) and reported via last_complete/tail_len instead.
-    All three are read off `joint`.
+    All three are read off `joint`.  `index` is the :class:`_JointDict`
+    the counts were read from, which :func:`cond_code` can read again.
     """
 
     joint: ParseResult           # the parse of the packed pair stream
     c_j: list[int]               # x-phrase count per distinct y-phrase,
                                  # the y-phrases in first-creation order
     u: float
+    index: _JointDict = field(repr=False, compare=False)  # of `joint`
 
     @property
     def c_xy(self) -> int:
@@ -122,10 +127,12 @@ class JointParseResult:
 
 
 def joint_parse(x: SymbolSeq, y: SymbolSeq) -> JointParseResult:
+    """The joint parse of (x, y), its counts c_j and u(x, y), and the
+    index they were read from (:func:`_joint_index`)."""
     parse, dic = _joint_index(x, y)
     c_j = [len(nodes) for nodes in dic.members[1:]]
     u = sum(c * math.log2(c) for c in c_j if c > 1)
-    return JointParseResult(parse, c_j, u)
+    return JointParseResult(parse, c_j, u, dic)
 
 
 # ---------------------------------------------------------------------------
@@ -342,15 +349,22 @@ def _joint_index(x: SymbolSeq, y: SymbolSeq):
 # the conditional code
 # ---------------------------------------------------------------------------
 
-def cond_code(x: SymbolSeq, y: SymbolSeq) -> str:
+def cond_code(x: SymbolSeq, y: SymbolSeq,
+              parsed: JointParseResult | None = None) -> str:
     """Encode x against known y; returns the code as a '0'/'1' string.
 
     The records are read off the indexed joint parse: phrase t starts at
     boundaries[t-1] with t nodes in the dictionary; the walk of complete
     phrase t ends at parent[t], that of an incomplete one at the parse's
     tail.  The chain field is read from the y-words below node count t.
+    A caller that already holds ``joint_parse(x, y)`` passes it as
+    `parsed`, and its parse and index are read in place of building them
+    again.
     """
-    parse, dic = _joint_index(x, y)
+    if parsed is None:
+        parse, dic = _joint_index(x, y)
+    else:
+        parse, dic = parsed.joint, parsed.index
     n = len(x)
     alpha = x.alphabet.size
     a_bits = x.alphabet.bits_per_symbol

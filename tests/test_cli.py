@@ -575,6 +575,29 @@ def test_side_alphabet_larger_than_target_alphabet(tmp_path):
     assert rows[0]["exact_moment_log2"] < rows[1]["exact_moment_log2"]
 
 
+def test_cond_complexity_builds_one_joint_index(tmp_path, monkeypatch):
+    # cond_code reads the index joint_parse returned; the results are
+    # those of joint_parse and cond_code each building their own
+    calls = []
+    build = sideinfo._joint_index
+
+    def counted(x, y):
+        calls.append(len(x))
+        return build(x, y)
+
+    monkeypatch.setattr(sideinfo, "_joint_index", counted)
+    pair = ["--corpus-x", "bernoulli:0.5:3", "--corpus-y",
+            "bernoulli:0.5:4", "--n", "2000"]
+    res = read_json(dispatch(tmp_path, "sideinfo", "cond-complexity", *pair))
+    assert calls == [2000]
+    x = seqcore.parse_corpus_spec("bernoulli:0.5:3", 2000)
+    y = seqcore.parse_corpus_spec("bernoulli:0.5:4", 2000)
+    u = sideinfo.joint_parse(x, y).u
+    assert res == {"n": 2000, "u": u, "L_bits": len(sideinfo.cond_code(x, y)),
+                   "u_plus_envelope": u + 2000 * sideinfo.epsilon1(2000),
+                   "roundtrip_ok": True}
+
+
 _MACHINE_WORDS = st.sampled_from(["alphabet", "initial", "ab", "a", "b",
                                   "z", "y", "-", "0", "1", "01", "-1", "#"])
 

@@ -316,6 +316,44 @@ def test_decode_equals_trie_walk_reference_on_any_stream(bits, n, size):
             == _decode_outcome(_decode_by_trie_walk, bits, n, alphabet))
 
 
+def _long_code_cases(alphabet, n, rng):
+    """(bits, n) streams around the code of one random length-n sequence:
+    the code itself, every cut within 64 bits of its end, 150 cuts through
+    the whole of it, 150 single-bit flips, the target length one off each
+    way, and trailing bits."""
+    x = SymbolSeq(alphabet, bytes(rng.randrange(alphabet.size)
+                                  for _ in range(n)))
+    bits = encode(x)
+    L = len(bits)
+    cases = [(bits, n), (bits, n - 1), (bits, n + 1)]
+    cases += [(bits + tail, n) for tail in ("0", "1", "01", "1" * 9)]
+    cases += [(bits[:cut], n) for cut in range(max(0, L - 64), L)]
+    cases += [(bits[:rng.randrange(L + 1)], n) for _ in range(150)]
+    for at in [rng.randrange(L) for _ in range(150)] if L else []:
+        flip = "1" if bits[at] == "0" else "0"
+        cases.append((bits[:at] + flip + bits[at + 1:], n))
+    return cases
+
+
+@pytest.mark.parametrize("size", [2, 3, 26], ids=["binary", "ternary",
+                                                  "26 letters"])
+def test_decode_equals_trie_walk_reference_on_long_codes(size):
+    # thousands of phrases: every whole field of a pointer width is read
+    # before the checks run, so an error past the first phrase of a width,
+    # a cut inside a field and the surplus of a final pointer must come
+    # out as the field-by-field walk raises them, at the same bit
+    alphabet = Alphabet(tuple(_TOKENS[:size]))
+    rng = random.Random(size)
+    accepted = 0
+    for n in (1, 2, 3, 5, 8, 33, 100, 257, 1000, 2000, 5000):
+        for bits, m in _long_code_cases(alphabet, n, rng):
+            got = _decode_outcome(decode, bits, m, alphabet)
+            assert got == _decode_outcome(_decode_by_trie_walk, bits, m,
+                                          alphabet), (n, m, len(bits))
+            accepted += isinstance(got, SymbolSeq)
+    assert accepted >= 11
+
+
 # --- the one-pass parse against the former per-symbol one -------------------
 
 def _parse_per_symbol(x):

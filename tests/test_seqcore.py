@@ -5,7 +5,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lzguess.seqcore import (AB, Alphabet, BitSource, DyadicProb, SymbolSeq,
                              derive_substream_seed, forward, generate_corpus,
@@ -168,6 +168,31 @@ def test_ingest_equals_per_token_loop_on_strings(text, spec, mode):
 def test_ingest_equals_per_token_loop_on_bytes(data, allowed):
     assert (_outcome(ingest, data, allowed, mode="bytes")
             == _outcome(_ingest_per_token, data, allowed, mode="bytes"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.characters(max_codepoint=0x17f), min_size=1, max_size=300),
+       st.lists(st.characters(min_codepoint=0x180, max_codepoint=0x2ff),
+                max_size=300), st.integers(0, 3))
+@example(["a"], [], 3)
+@example(["a", "b"] * 99, [chr(0x180 + i) for i in range(200)], 0)
+@example(list("ab"), [chr(0x180 + i) for i in range(255)], 1)
+def test_inferred_text_alphabet_is_first_appearance_order(body, late, repeat):
+    # tokens first seen at the very end included; one distinct token and
+    # more than 256 of them fail as Alphabet and the dict order fail
+    text = "".join(body) * (repeat + 1) + "".join(late)
+    order = tuple(dict.fromkeys(text))
+    if len(order) < 2:
+        with pytest.raises(ValueError, match="from 1 distinct tokens"):
+            ingest(text)
+    elif len(order) > 256:
+        with pytest.raises(ValueError, match="larger than 256 tokens"):
+            ingest(text)
+    else:
+        s = ingest(text)
+        assert s.alphabet.tokens == order
+        assert s.render() == text
+    assert _outcome(ingest, text) == _outcome(_ingest_per_token, text)
 
 
 def test_unknown_token_message_and_position_in_every_mode():

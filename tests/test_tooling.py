@@ -16,6 +16,7 @@ import glob
 import importlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -232,18 +233,55 @@ def test_bench_layers_runs_on_a_shrunk_grid(tmp_path):
     assert list(grid["rows_built"]) == ["8", "16", "32", "64", "128"]
     assert all(1 <= rows <= int(n) for n, rows in grid["rows_built"].items())
     assert set(summary["laws"]["compile | %s | n=128" % case]) == {"sha256"}
-    # the codec grid: each coder and decoder, ingest, SymbolSeq and render
-    # per n, outputs by digest
+    # the codec grid: the parse, each coder and decoder, ingest, SymbolSeq
+    # and render per n, outputs by digest
     codec = summary["per_label"]["b"]["codec"]
-    assert len(codec) == 12
+    assert len(codec) == 15
+    assert {"lz78.incremental_parse, fair bits",
+            "lz78.incremental_parse, thue_morse",
+            "lz78.decode, thue_morse"} <= set(codec)
     assert sum(case.startswith(("seqcore.ingest", "seqcore.SymbolSeq",
                                 "seqcore.render")) for case in codec) == 7
     for case in codec.values():
         assert list(case["median_best_s"]) == ["256", "512", "1024", "2048",
                                                "4096"]
         assert "fitted_exponent" in case and "ratio_to_a" in case
-    for case in ("lz78.decode, fair bits", "seqcore.render, chars, fair bits"):
+    for case in ("lz78.decode, fair bits", "seqcore.render, chars, fair bits",
+                 "lz78.incremental_parse, fair bits",
+                 "lz78.incremental_parse, thue_morse",
+                 "lz78.decode, thue_morse"):
         assert set(summary["laws"]["codec | %s | n=4096" % case]) == {"sha256"}
+
+
+def test_bench_ab_reads_a_tree_against_itself_as_even(tmp_path):
+    # a git checkout whose HEAD holds this tree's src/lzguess, compared
+    # with this tree in one process: same outputs, ratios near 1
+    repo = tmp_path / "repo"
+    shutil.copytree(os.path.join(ROOT, "src", "lzguess"),
+                    repo / "src" / "lzguess",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c",
+           "user.email=t@t", "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-qm", "tree"]):
+        subprocess.run(git + args, check=True, capture_output=True)
+    out = tmp_path / "ab.json"
+    points = ["lz78.incremental_parse, thue_morse | n=65536",
+              "lz78.decode, fair bits | n=65536"]
+    argv = [sys.executable, os.path.join(ROOT, "tools", "bench_ab.py"),
+            "--parent", "HEAD", "--repo", str(repo), "--src", ROOT,
+            "--shrink", "4", "--rounds", "7", "--best-of", "3",
+            "--out", str(out)]
+    for point in points:
+        argv += ["--point", point]
+    run = subprocess.run(argv, check=True, capture_output=True, text=True)
+    results = json.loads(out.read_text())["points"]
+    assert sorted(results) == sorted("codec | " + p for p in points)
+    for key, res in results.items():
+        assert res["identical"], key
+        assert 0.8 <= res["median_ratio"] <= 1.25, (key, res)
+        assert res["rounds"] == 7 and 0 <= res["rounds_won"] <= 7
+        assert len(res["parent_s"]) == len(res["tree_s"]) == 7
+        assert key in run.stdout
 
 
 def test_readme_commands_parse():

@@ -29,9 +29,11 @@ numerator's bit width, so that two trees can be compared point by point:
   were built by the end (each a plain list, where a tree that builds rows
   on first read leaves the others as stand-ins) and the sha256 of the
   count list;
-- ``codec``: ``lz78.encode`` and ``lz78.decode`` on the fair bits x of
-  the Bernoulli pair above, and ``sideinfo.joint_parse``, ``cond_code``
-  and ``cond_decode`` on the pair, at n = 16384 ... 262144.
+- ``codec``: ``lz78.incremental_parse`` on the fair bits x of the
+  Bernoulli pair above and on ``thue_morse``, ``lz78.encode`` on x,
+  ``lz78.decode`` on x and on ``thue_morse``, and
+  ``sideinfo.joint_parse``, ``cond_code`` and ``cond_decode`` on the
+  pair, at n = 16384 ... 262144.
   The decoders read the code of the same tree, made outside the timing.
   The grid also times sequences going in and out at the same n:
   ``seqcore.ingest`` of x's text with the alphabet ``ab`` and with the
@@ -39,8 +41,12 @@ numerator's bit width, so that two trees can be compared point by point:
   subset ``acgt``; ``SymbolSeq`` construction from x's indices; and
   ``SymbolSeq.render`` of x (``chars``) and of the 256-value bytes.
   A point records the sha256 of the output (the code, the decoded or
-  ingested symbols, the rendered text or the joint parse's counts) in
-  place of a law.
+  ingested symbols, the rendered text, the parse's phrase starts and
+  trie, or the joint parse's counts) in place of a law.
+
+:func:`grid` lists the points, each building its inputs from the
+``lzguess`` package it is given, so ``tools/bench_ab.py`` runs the same
+points on two trees in one process.
 
 Each call appends one round, under ``--label``, to the JSON file ``--out``
 and rewrites its summary: per label the median over rounds of each
@@ -118,161 +124,225 @@ def _best_of(k, call):
     return best, out
 
 
-def _point(k, call):
-    best, law = _best_of(k, call)
-    return dict(best_s=best, **_law(law))
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
-def measure(k, shrink):
-    """One round over the grid: {layer: {case: {n: point}}}."""
-    from lzguess.fsgm import build_fig1_machine, run, sequence_prob
-    from lzguess.guessers import lz_guess_prob
-    from lzguess.seqcore import BitSource, parse_corpus_spec
-    from lzguess.sideinfo import cond_guess_prob
-
-    layers = {"lz_guess_prob": {}, "cond_guess_prob": {},
-              "fsgm.sequence_prob": {}, "tiny_lz_passes": {}}
+def grid(shrink):
+    """Every point of the grid as (layer, case, n, prepare), in the order
+    of the output.  prepare(lz), given an imported ``lzguess`` package,
+    builds the point's inputs from that package and returns (call,
+    record): call() is the timed part and record(out) the point's fields
+    besides its time (a law, counts or a digest of what call returned)."""
     for spec in LZ_CORPORA:
-        row = layers["lz_guess_prob"][spec] = {}
         for n in LZ_SIZES:
-            x = parse_corpus_spec(spec, n // shrink)
-            row[str(n // shrink)] = _point(k, lambda: lz_guess_prob(x))
-    row = layers["cond_guess_prob"]["bernoulli pair, 10% flips"] = {}
+            yield ("lz_guess_prob", spec, str(n // shrink),
+                   _lz_pass(spec, n // shrink))
     for n in PASS_SIZES:
-        x, y = _flip_pair(n // shrink)
-        row[str(n // shrink)] = _point(k, lambda: cond_guess_prob(x, y))
-    fig1 = build_fig1_machine()
-    row = layers["fsgm.sequence_prob"]["fig1 output, BitSource(3)"] = {}
+        yield ("cond_guess_prob", "bernoulli pair, 10% flips",
+               str(n // shrink), _cond_pass(n // shrink))
     for n in PASS_SIZES:
-        out = run(fig1, BitSource(3), n // shrink).output
-        row[str(n // shrink)] = _point(k, lambda: sequence_prob(fig1, out))
-    x = parse_corpus_spec(TINY_CORPUS, TINY_N // shrink)
-    blocks = [x[b:b + TINY_BLOCK] for b in range(0, len(x), TINY_BLOCK)]
-    best, laws = _best_of(k, lambda: [lz_guess_prob(u) for u in blocks])
-    digest = hashlib.sha256(repr([(p.m, p.e) for p in laws]).encode())
-    layers["tiny_lz_passes"]["%d-blocks of %s" % (TINY_BLOCK, TINY_CORPUS)] = {
-        str(len(blocks)): {"best_s": best, "sha256": digest.hexdigest()}}
-    layers["play"] = measure_play(k, shrink)
-    layers["compile"] = measure_compile(k, shrink)
-    layers["codec"] = measure_codec(k, shrink)
+        yield ("fsgm.sequence_prob", "fig1 output, BitSource(3)",
+               str(n // shrink), _fsgm_pass(n // shrink))
+    blocks = len(range(0, TINY_N // shrink, TINY_BLOCK))
+    yield ("tiny_lz_passes", "%d-blocks of %s" % (TINY_BLOCK, TINY_CORPUS),
+           str(blocks), _tiny_passes(TINY_N // shrink))
+    rounds = max(1, PLAY_ROUNDS // shrink)
+    for kind in PLAY_KINDS:
+        for n in PLAY_SIZES:
+            yield "play", kind, str(n), _play_point(kind, n, rounds)
+    case = "lz, %s, %d rounds, cap %d" % (COMPILE_CORPUS, COMPILE_ROUNDS,
+                                          COMPILE_CAP)
+    for n in COMPILE_SIZES:
+        yield "compile", case, str(n // shrink), _compile_point(n // shrink)
+    inputs = {}                 # the codec inputs, per package and n
+    for n in CODEC_SIZES:
+        for case in CODEC_CASES:
+            yield ("codec", case, str(n // shrink),
+                   _codec_point(case, n, shrink, inputs))
+
+
+def measure(k, shrink, lz):
+    """One round over the grid: {layer: {case: {n: point}}}."""
+    layers = {}
+    for layer, case, n, prepare in grid(shrink):
+        call, record = prepare(lz)
+        best, out = _best_of(k, call)
+        layers.setdefault(layer, {}).setdefault(case, {})[n] = dict(
+            best_s=best, **record(out))
     return layers
 
 
-def _flip_pair(n):
-    """x fair bits and y = x with 10 % of its symbols flipped."""
-    from lzguess.seqcore import SymbolSeq, generate_corpus
+def _lz_pass(spec, n):
+    def prepare(lz):
+        x = lz.seqcore.parse_corpus_spec(spec, n)
+        return (lambda: lz.guessers.lz_guess_prob(x)), _law
+    return prepare
 
-    x = generate_corpus("bernoulli", n, p=0.5, seed=1)
-    noise = generate_corpus("bernoulli", n, p=0.1, seed=2)
-    return x, SymbolSeq(x.alphabet, bytes(
+
+def _cond_pass(n):
+    def prepare(lz):
+        x, y = _flip_pair(lz, n)
+        return (lambda: lz.sideinfo.cond_guess_prob(x, y)), _law
+    return prepare
+
+
+def _fsgm_pass(n):
+    def prepare(lz):
+        fig1 = lz.fsgm.build_fig1_machine()
+        out = lz.fsgm.run(fig1, lz.seqcore.BitSource(3), n).output
+        return (lambda: lz.fsgm.sequence_prob(fig1, out)), _law
+    return prepare
+
+
+def _tiny_passes(n):
+    def prepare(lz):
+        x = lz.seqcore.parse_corpus_spec(TINY_CORPUS, n)
+        blocks = [x[b:b + TINY_BLOCK] for b in range(0, len(x), TINY_BLOCK)]
+
+        def record(laws):
+            return {"sha256": _sha(repr([(p.m, p.e) for p in laws]))}
+        return (lambda: [lz.guessers.lz_guess_prob(u) for u in blocks]), record
+    return prepare
+
+
+def _flip_pair(lz, n):
+    """x fair bits and y = x with 10 % of its symbols flipped."""
+    x = lz.seqcore.generate_corpus("bernoulli", n, p=0.5, seed=1)
+    noise = lz.seqcore.generate_corpus("bernoulli", n, p=0.1, seed=2)
+    return x, lz.seqcore.SymbolSeq(x.alphabet, bytes(
         a ^ b for a, b in zip(x.indices, noise.indices)))
 
 
-def measure_play(k, shrink):
-    """{kind: {n: point}} for seqcore.play, compiled outside the timing."""
-    from lzguess.fsgm import build_fig1_machine
-    from lzguess.guessers import Guesser, compile_automaton
-    from lzguess.seqcore import Alphabet, BitSource, parse_corpus_spec, play
-
-    binary, fig1 = Alphabet("01"), build_fig1_machine()
-    kinds = {
-        "lz": lambda n: Guesser("lz_full", binary, n),
-        "block:4": lambda n: Guesser("lz_block", binary, n, ell=4),
-        "uniform": lambda n: Guesser("uniform", binary, n),
-        "fsgm": lambda n: Guesser("fsgm", fig1.alphabet, n, spec=fig1),
-        "cond periodic:ab": lambda n: Guesser(
-            "lz_full", Alphabet("ab"), n,
-            side=parse_corpus_spec("periodic:ab", n)),
-    }
-    rounds = max(1, PLAY_ROUNDS // shrink)
-    out = {}
-    for kind, make in kinds.items():
-        row = out[kind] = {}
-        for n in PLAY_SIZES:
-            g = make(n)
-            x = g.side if g.side is not None else g.sample(BitSource(1000 + n))
-            game = compile_automaton(g, x)
-            best, counts = _best_of(k, lambda: list(
-                play(game, rounds, PLAY_SEED, PLAY_CAP)))
-            row[str(n)] = {
-                "best_s": best,
-                "attempts": sum(min(c, PLAY_CAP) for c in counts),
-                "sha256": hashlib.sha256(repr(counts).encode()).hexdigest()}
-    return out
+# each play kind's guesser at n, from the package lz
+PLAY_KINDS = {
+    "lz": lambda lz, n: lz.guessers.Guesser(
+        "lz_full", lz.seqcore.Alphabet("01"), n),
+    "block:4": lambda lz, n: lz.guessers.Guesser(
+        "lz_block", lz.seqcore.Alphabet("01"), n, ell=4),
+    "uniform": lambda lz, n: lz.guessers.Guesser(
+        "uniform", lz.seqcore.Alphabet("01"), n),
+    "fsgm": lambda lz, n: _fig1_guesser(lz, n),
+    "cond periodic:ab": lambda lz, n: lz.guessers.Guesser(
+        "lz_full", lz.seqcore.Alphabet("ab"), n,
+        side=lz.seqcore.parse_corpus_spec("periodic:ab", n)),
+}
 
 
-def measure_compile(k, shrink):
-    """{case: {n: point}} for compile_automaton and a censored game."""
-    from lzguess.guessers import Guesser, compile_automaton
-    from lzguess.seqcore import parse_corpus_spec, play
+def _fig1_guesser(lz, n):
+    fig1 = lz.fsgm.build_fig1_machine()
+    return lz.guessers.Guesser("fsgm", fig1.alphabet, n, spec=fig1)
 
-    row = {}
-    for n in COMPILE_SIZES:
-        x = parse_corpus_spec(COMPILE_CORPUS, n // shrink)
-        g = Guesser("lz_full", x.alphabet, len(x))
+
+def _play_point(kind, n, rounds):
+    """seqcore.play of one guesser kind, compiled outside the timing."""
+    def prepare(lz):
+        g = PLAY_KINDS[kind](lz, n)
+        x = g.side if g.side is not None else g.sample(
+            lz.seqcore.BitSource(1000 + n))
+        game = lz.guessers.compile_automaton(g, x)
+
+        def record(counts):
+            return {"attempts": sum(min(c, PLAY_CAP) for c in counts),
+                    "sha256": _sha(repr(counts))}
+        return (lambda: list(lz.seqcore.play(game, rounds, PLAY_SEED,
+                                             PLAY_CAP))), record
+    return prepare
+
+
+def _compile_point(n):
+    """compile_automaton and a censored game, timed together."""
+    def prepare(lz):
+        x = lz.seqcore.parse_corpus_spec(COMPILE_CORPUS, n)
+        g = lz.guessers.Guesser("lz_full", x.alphabet, len(x))
 
         def game():
-            automaton = compile_automaton(g, x)
-            return automaton, list(play(automaton, COMPILE_ROUNDS, PLAY_SEED,
-                                        COMPILE_CAP))
-        best, (automaton, counts) = _best_of(k, game)
-        row[str(len(x))] = {
-            "best_s": best,
-            "rows_built": sum(type(t) is list for t in automaton[1]),
-            "sha256": hashlib.sha256(repr(counts).encode()).hexdigest()}
-    return {"lz, %s, %d rounds, cap %d" % (COMPILE_CORPUS, COMPILE_ROUNDS,
-                                           COMPILE_CAP): row}
+            automaton = lz.guessers.compile_automaton(g, x)
+            return automaton, list(lz.seqcore.play(
+                automaton, COMPILE_ROUNDS, PLAY_SEED, COMPILE_CAP))
+
+        def record(out):
+            automaton, counts = out
+            return {"rows_built": sum(type(t) is list for t in automaton[1]),
+                    "sha256": _sha(repr(counts))}
+        return game, record
+    return prepare
 
 
-def measure_codec(k, shrink):
-    """{layer and input: {n: point}} for ingest, SymbolSeq, render and
-    the coders and decoders, each point with the sha256 of what it
-    returned."""
-    from lzguess import lz78, sideinfo
-    from lzguess.seqcore import SymbolSeq, ingest
+def _codec_inputs(lz, size, shrink, memo):
+    """The codec grid's inputs at n = size // shrink, built once per
+    package and n into `memo`; the random bytes are seeded by size."""
+    key = (lz.__name__, size)
+    if key not in memo:
+        x, y = _flip_pair(lz, size // shrink)
+        thue = lz.seqcore.parse_corpus_spec("thue_morse", size // shrink)
+        data = random.Random(size).randbytes(size // shrink)
+        memo[key] = {
+            "x": x, "y": y, "thue": thue, "text": x.render(), "data": data,
+            "acgt": data.translate(b"acgt" * 64),
+            "octets": lz.seqcore.ingest(data, mode="bytes"),
+            "code": lz.lz78.encode(x), "thue_code": lz.lz78.encode(thue),
+            "cond": lz.sideinfo.cond_code(x, y)}
+    return memo[key]
 
-    def digest(out):
-        if isinstance(out, sideinfo.JointParseResult):
-            out = repr((out.c_xy, out.c_j, out.u, out.last_complete,
-                        out.tail_len))
-        elif not isinstance(out, str):
-            out = out.indices.hex()
-        return hashlib.sha256(out.encode()).hexdigest()
 
-    rows = {}
-    for n in CODEC_SIZES:
-        x, y = _flip_pair(n // shrink)
-        code, cond = lz78.encode(x), sideinfo.cond_code(x, y)
-        text = x.render()
-        data = random.Random(n).randbytes(len(x))
-        acgt = data.translate(b"acgt" * 64)
-        octets = ingest(data, mode="bytes")
-        calls = {
-            "seqcore.ingest, text, alphabet ab": lambda: ingest(text, "ab"),
-            "seqcore.ingest, text, inferred alphabet": lambda: ingest(text),
-            "seqcore.ingest, bytes, all 256 values":
-                lambda: ingest(data, mode="bytes"),
-            "seqcore.ingest, bytes, subset acgt":
-                lambda: ingest(acgt, b"acgt", mode="bytes"),
-            "seqcore.SymbolSeq, fair bits":
-                lambda: SymbolSeq(x.alphabet, x.indices),
-            "seqcore.render, chars, fair bits": x.render,
-            "seqcore.render, bytes, all 256 values": octets.render,
-            "lz78.encode, fair bits": lambda: lz78.encode(x),
-            "lz78.decode, fair bits": lambda: lz78.decode(
-                code, len(x), x.alphabet),
-            "sideinfo.joint_parse, bernoulli pair, 10% flips":
-                lambda: sideinfo.joint_parse(x, y),
-            "sideinfo.cond_code, bernoulli pair, 10% flips":
-                lambda: sideinfo.cond_code(x, y),
-            "sideinfo.cond_decode, bernoulli pair, 10% flips":
-                lambda: sideinfo.cond_decode(cond, y, len(x), x.alphabet),
-        }
-        for case, call in calls.items():
-            best, out = _best_of(k, call)
-            rows.setdefault(case, {})[str(len(x))] = {
-                "best_s": best, "sha256": digest(out)}
-    return rows
+# each codec case's timed call, from the package lz and the inputs v
+CODEC_CASES = {
+    "seqcore.ingest, text, alphabet ab":
+        lambda lz, v: lambda: lz.seqcore.ingest(v["text"], "ab"),
+    "seqcore.ingest, text, inferred alphabet":
+        lambda lz, v: lambda: lz.seqcore.ingest(v["text"]),
+    "seqcore.ingest, bytes, all 256 values":
+        lambda lz, v: lambda: lz.seqcore.ingest(v["data"], mode="bytes"),
+    "seqcore.ingest, bytes, subset acgt":
+        lambda lz, v: lambda: lz.seqcore.ingest(v["acgt"], b"acgt",
+                                                mode="bytes"),
+    "seqcore.SymbolSeq, fair bits":
+        lambda lz, v: lambda: lz.seqcore.SymbolSeq(v["x"].alphabet,
+                                                   v["x"].indices),
+    "seqcore.render, chars, fair bits": lambda lz, v: v["x"].render,
+    "seqcore.render, bytes, all 256 values": lambda lz, v: v["octets"].render,
+    "lz78.incremental_parse, fair bits":
+        lambda lz, v: lambda: lz.lz78.incremental_parse(v["x"]),
+    "lz78.incremental_parse, thue_morse":
+        lambda lz, v: lambda: lz.lz78.incremental_parse(v["thue"]),
+    "lz78.encode, fair bits": lambda lz, v: lambda: lz.lz78.encode(v["x"]),
+    "lz78.decode, fair bits":
+        lambda lz, v: lambda: lz.lz78.decode(v["code"], len(v["x"]),
+                                             v["x"].alphabet),
+    "lz78.decode, thue_morse":
+        lambda lz, v: lambda: lz.lz78.decode(v["thue_code"], len(v["thue"]),
+                                             v["thue"].alphabet),
+    "sideinfo.joint_parse, bernoulli pair, 10% flips":
+        lambda lz, v: lambda: lz.sideinfo.joint_parse(v["x"], v["y"]),
+    "sideinfo.cond_code, bernoulli pair, 10% flips":
+        lambda lz, v: lambda: lz.sideinfo.cond_code(v["x"], v["y"]),
+    "sideinfo.cond_decode, bernoulli pair, 10% flips":
+        lambda lz, v: lambda: lz.sideinfo.cond_decode(
+            v["cond"], v["y"], len(v["x"]), v["x"].alphabet),
+}
+
+
+def _codec_digest(out):
+    """sha256 of a codec output: the code, the symbols, the rendered
+    text, a parse's phrase starts, tail, code length and trie, or the
+    joint parse's counts."""
+    if hasattr(out, "c_j"):
+        out = repr((out.c_xy, out.c_j, out.u, out.last_complete,
+                    out.tail_len))
+    elif hasattr(out, "boundaries"):
+        out = repr((out.boundaries, out.tail, out.code_length_bits,
+                    out.trie.parent, out.trie.sym))
+    elif not isinstance(out, str):
+        out = out.indices.hex()
+    return {"sha256": _sha(out)}
+
+
+def _codec_point(case, size, shrink, memo):
+    def prepare(lz):
+        return (CODEC_CASES[case](lz, _codec_inputs(lz, size, shrink, memo)),
+                _codec_digest)
+    return prepare
 
 
 def _slope(points):
@@ -319,14 +389,18 @@ def summarize(runs):
                         3)
                 mine.setdefault(layer, {})[case] = entry
     # each later label's medians over the first label's, point by point
+    # (points the first label's grid lacks get none)
     first, *others = out
     for label in others:
         for layer, cases in out[label].items():
             for case, entry in cases.items():
-                base = out[first][layer][case]["median_best_s"]
+                base = out[first].get(layer, {}).get(case)
+                if base is None:
+                    continue
                 entry["ratio_to_%s" % first] = {
-                    n: round(s / base[n], 3)
-                    for n, s in entry["median_best_s"].items()}
+                    n: round(s / base["median_best_s"][n], 3)
+                    for n, s in entry["median_best_s"].items()
+                    if n in base["median_best_s"]}
     same = all(len({json.dumps(law, sort_keys=True) for law in seen}) == 1
                for seen in laws.values())
     return {"per_label": out,
@@ -352,12 +426,13 @@ def main(argv=None):
     if args.best_of < 1 or args.shrink < 1:
         raise SystemExit("error: --best-of and --shrink must be >= 1")
     src = _import_lzguess(args.src)
+    import lzguess
     lines = 0
     for path in sorted(glob.glob(os.path.join(src, "lzguess", "*.py"))):
         with open(path, encoding="utf-8") as fh:
             lines += sum(1 for _ in fh)
     t0 = time.perf_counter()
-    layers = measure(args.best_of, args.shrink)
+    layers = measure(args.best_of, args.shrink, lzguess)
     record = {"src_lines": lines, "best_of": args.best_of,
               "shrink": args.shrink, "loadavg": list(os.getloadavg()),
               "round_s": time.perf_counter() - t0, "layers": layers}
