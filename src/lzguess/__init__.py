@@ -17,7 +17,8 @@ from .fsgm import (FSGMSpec, RunTrace, TreeFSGMSpec, build_fig1_machine,
                    sequence_prob)
 from .guessers import (Guesser, MomentEstimate, block_guess_prob,
                        compile_block_guesser_to_fsgm, lz_guess_prob,
-                       lz_sample, moment_exact, moment_lower_bound, run_game)
+                       lz_sample, moment_exact, moment_grid,
+                       moment_lower_bound, run_game)
 from .bounds import (BoundReport, K_of_ell, block_entropy, converse_clogc,
                      converse_entropy, direct_clogc, epsilon_lz, epsilon_n,
                      rho_upper, sandwich, sandwich_sweep)

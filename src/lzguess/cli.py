@@ -16,6 +16,7 @@ import csv
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -256,15 +257,13 @@ def _run_guess(params, outdir):
 
 
 def _run_moments(params, outdir):
-    rows = []
-    for q in params.get("q") or [0.5]:
-        for zeta in params.get("zeta") or [1.0]:
-            res = guessers.moment_exact(q, zeta)
-            row = {"q": q, "zeta": zeta, "exact": res.value,
-                   "rel_err": res.rel_err,
-                   "lower_bound": guessers.moment_lower_bound(q, zeta)
-                   if q <= 0.5 else None}
-            rows.append(row)
+    qs, zetas = params.get("q") or [0.5], params.get("zeta") or [1.0]
+    # one moment_grid call: its rows share the series' per-chunk lists
+    rows = [{"q": q, "zeta": zeta, "exact": res.value, "rel_err": res.rel_err,
+             "lower_bound": guessers.moment_lower_bound(q, zeta)
+             if q <= 0.5 else None}
+            for (q, zeta), res in zip(itertools.product(qs, zetas),
+                                      guessers.moment_grid(qs, zetas))]
     fields = ["q", "zeta", "exact", "rel_err", "lower_bound"]
     return {"rows": rows}, ("results.csv", fields, rows)
 

@@ -25,7 +25,9 @@ block prefix, symbols still pending emission).
 Each family's module owns its draw rule, exact law and automaton: this
 one the LZ sampler's, ``sideinfo`` the conditional sampler's and ``fsgm``
 a machine's.  :class:`Guesser` dispatches to them, and a block-restarted
-guesser computes the law or automaton of each distinct block once.
+guesser computes the law or automaton of each distinct block once.  The
+moments of the number of guesses are evaluated here too, with the float
+series of :func:`moment_grid` in :mod:`lzguess.series`.
 """
 
 from __future__ import annotations
@@ -35,20 +37,19 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, groupby, repeat
-from operator import add, mul
-from typing import Callable, NamedTuple
+from itertools import groupby
+from operator import mul
+from typing import Callable
 
 from .seqcore import (FAIL, WIN, Alphabet, BitSource, BudgetError, DyadicProb,
                       SymbolSeq, forward, play)
 from . import fsgm, lz78
 from .fsgm import FSGMSpec
+from .series import REL_TOL, MomentResult, series_grid
 from .sideinfo import _cond_automaton, cond_guess_prob, cond_sample
 
 LOG2E = math.log2(math.e)
 _COMPILE_STATE_BUDGET = 4096    # ell * alpha**ell states at most
-_SERIES_REL_TOL = 1e-12         # moment_exact's series stop
-_SERIES_CHUNK = 4096            # moment_exact's largest chunk of terms
 
 
 # ---------------------------------------------------------------------------
@@ -359,86 +360,69 @@ class Guesser:
 # geometric moments
 # ---------------------------------------------------------------------------
 
-class MomentResult(NamedTuple):
-    value: float
-    rel_err: float
-
-
 def moment_exact(q, zeta: float) -> MomentResult:
-    """E[G^zeta] for G geometric with success probability q.
-
-    Closed forms for zeta in {1, 2}; otherwise :func:`_moment_series`.  A
-    ValueError says that E[G^zeta] overflows a double.
+    """E[G^zeta] for G geometric with success probability q: the 1 x 1
+    case of :func:`moment_grid`.  A ValueError says that q or zeta is out
+    of range or that E[G^zeta] overflows a double.
     """
-    qf = float(q)
-    if not 0.0 < qf <= 1.0:
-        raise ValueError("divergent moment: need 0 < q <= 1, got %r" % (qf,))
-    if not 0 < zeta < math.inf:
-        raise ValueError("need 0 < zeta < inf, got %r" % (zeta,))
-    if zeta == 1:
-        return MomentResult(1.0 / qf, 0.0)
-    if zeta == 2:
-        return MomentResult((2.0 - qf) / (qf * qf), 0.0)
-    return _moment_series(qf, zeta)
+    return moment_grid([q], [zeta])[0]
+
+
+def moment_grid(qs, zetas) -> list[MomentResult]:
+    """E[G^zeta] for every (q, zeta) in q-major order.
+
+    Closed forms for zeta in {1, 2}, (1, 0) at q = 1; every other row
+    comes from one :func:`~lzguess.series.series_grid` call over the
+    whole grid, whose rows share the lists of each chunk of the series,
+    or from :func:`moment_log2` where the series cannot run.  A row's value and
+    rel_err do not depend on the other rows.  A ValueError says that a q
+    or zeta is out of range or that an E[G^zeta] overflows a double; when
+    several rows fail, the error is that of the first in q-major order.
+    """
+    zetas = list(zetas)
+    rows, error = [], None
+    try:
+        for q in qs:
+            for zeta in zetas:
+                qf = float(q)
+                if not 0.0 < qf <= 1.0:
+                    raise ValueError("divergent moment: need 0 < q <= 1, "
+                                     "got %r" % (qf,))
+                if not 0 < zeta < math.inf:
+                    raise ValueError("need 0 < zeta < inf, got %r"
+                                     % (zeta,))
+                rows.append((qf, zeta))
+    except (TypeError, ValueError) as exc:
+        error = exc         # raised after the rows before it, which may fail
+    series = iter(series_grid([(qf, zeta) for qf, zeta in rows
+                                if zeta not in (1, 2)]))
+    out = []
+    for qf, zeta in rows:
+        if zeta == 1:
+            out.append(MomentResult(1.0 / qf, 0.0))
+        elif zeta == 2:
+            out.append(MomentResult((2.0 - qf) / (qf * qf), 0.0))
+        else:
+            out.append(next(series) or _moment_from_log2(qf, zeta))
+    if error is not None:
+        raise error
+    return out
 
 
 def _moment_series(qf: float, zeta: float) -> MomentResult:
-    """E[G^zeta] for 0 < qf <= 1 and 0 < zeta < inf, from the series
-    sum_k k^zeta (1-q)^(k-1) q, stopped once a geometric tail bound
-    certifies relative error below 1e-12; its terms are formed and added by
-    C iterators over chunks of k, in the order of a term-by-term loop, so
-    the float result is that loop's.  The series needs about zeta/q terms,
-    so below q = 2**-20 the value comes from :func:`moment_log2` with its
-    documented 1e-12 relative error, and so does it when a k**zeta of the
-    series overflows a double.  Tests check it against the closed forms.
-    """
-    if qf == 1.0:
-        return MomentResult(1.0, 0.0)
-    one_minus = 1.0 - qf
-    # the terms k^zeta * q(1-q)^(k-1) and their running sums, in the order
-    # of a term-by-term loop, over chunks of k that double
-    total, geom, k, size = 0.0, qf, 1, 8
-    while qf >= 2.0 ** -20:
-        try:
-            geoms = list(accumulate(repeat(one_minus, size - 1), mul,
-                                    initial=geom))
-            totals = list(accumulate(
-                map(mul, map(pow, range(k, k + size), repeat(zeta)), geoms),
-                add, initial=total))
-            stop = _series_tail(k + size - 1, geoms[-1], totals[-1], zeta,
-                                one_minus)
-        except OverflowError:
-            break       # a k**zeta overflows before its term does
-        if stop is not None:
-            # past the peak, tail/total falls, so the first k of this chunk
-            # that stops is the first k of all
-            for j in range(size):
-                tail = _series_tail(k + j, geoms[j], totals[j + 1], zeta,
-                                    one_minus)
-                if tail is not None:
-                    total = totals[j + 1]
-                    return MomentResult(total + 0.5 * tail, tail / total)
-        total, geom, k = totals[-1], geoms[-1] * one_minus, k + size
-        size = min(2 * size, _SERIES_CHUNK)
+    """The series row (qf, zeta) alone, at zeta in {1, 2} too: the 1 x 1
+    case of :func:`~lzguess.series.series_grid`, with the same fallback
+    as :func:`moment_grid`; tests check it against the closed forms."""
+    return series_grid([(qf, zeta)])[0] or _moment_from_log2(qf, zeta)
+
+
+def _moment_from_log2(qf: float, zeta: float) -> MomentResult:
+    """A series row that the series cannot give, from moment_log2."""
     try:
         return MomentResult(2.0 ** moment_log2(math.log2(qf), zeta), 1e-12)
     except OverflowError:
         raise ValueError("E[G^%r] at q = %r overflows a double"
                          % (zeta, qf)) from None
-
-
-def _series_tail(k: int, geom: float, total: float, zeta: float,
-                 one_minus: float):
-    """The certified tail bound of moment_exact's series after term k,
-    whose geometric factor is `geom` and running sum `total`, or None if
-    it does not yet stop the series."""
-    # past the peak, terms shrink at least geometrically with ratio r
-    r = ((1.0 + 1.0 / k) ** zeta) * one_minus
-    if r < 1.0:
-        tail = (((k + 1) ** zeta) * geom * one_minus) / (1.0 - r)
-        if tail <= _SERIES_REL_TOL * total:
-            return tail
-    return None
 
 
 def moment_lower_bound(q, zeta: float) -> float:
@@ -525,7 +509,7 @@ def moment_log2(q_log2: float, zeta: float) -> float:
                 lr = zeta * math.log1p(1.0 / k) * LOG2E + l1
                 if lr < 0:
                     tail = 2.0 ** (g + lr) / -math.expm1(lr / LOG2E)
-                    if tail <= _SERIES_REL_TOL * total:
+                    if tail <= REL_TOL * total:
                         return (zeta * math.log2(kp) + (kp - 1) * l1 + q_log2
                                 + math.log2(total + 0.5 * tail))
     else:

@@ -150,6 +150,30 @@ def test_moments_overflow_exits_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_moments_rows_equal_per_pair_calls(tmp_path):
+    # one grid call for the table; each row as moment_exact gives it alone
+    rec = dispatch(tmp_path, "moments", "--q", "0.01", "--q", "0.3",
+                   "--q", "0.01", "--zeta", "1.5", "--zeta", "2",
+                   "--zeta", "3")
+    rows = read_json(rec)["rows"]
+    assert [(r["q"], r["zeta"]) for r in rows] == [
+        (q, zeta) for q in (0.01, 0.3, 0.01) for zeta in (1.5, 2.0, 3.0)]
+    for r in rows:
+        assert (r["exact"], r["rel_err"]) == tuple(
+            guessers.moment_exact(r["q"], r["zeta"]))
+
+
+def test_moments_grid_error_is_the_first_failing_row(tmp_path, capsys):
+    # q-major: the overflow of (0.5, 1000) comes before q = 0 diverges;
+    # one error line and no run folder
+    out = tmp_path / "out"
+    assert main(["moments", "--q", "0.5", "--q", "0", "--zeta", "1000",
+                 "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: E[G^1000.0] at q = 0.5 overflows a double"]
+    assert not out.exists()
+
+
 def test_moments_at_q_where_one_minus_q_rounds_to_one(tmp_path):
     # 1 - 1e-17 == 1.0, so the series' tail bound never stops it; a child
     # process with a timeout turns a hang into a failure

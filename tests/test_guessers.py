@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from lzguess.seqcore import (_START_BITS, FAIL, WIN, Alphabet, BitSource,
                              BudgetError, DyadicProb, SymbolSeq,
                              _start_window, derive_substream_seed,
                              parse_corpus_spec, play)
-from lzguess import guessers, seqcore
+from lzguess import guessers, seqcore, series
 from lzguess.lz78 import incremental_parse
 from lzguess.fsgm import (FSGMSpec, automaton, build_fig1_machine,
                           output_distribution)
@@ -20,8 +21,9 @@ from lzguess.guessers import (Guesser, _lz_draws_at, _lz_run_tables,
                               _moment_series, block_guess_prob,
                               compile_automaton, compile_block_guesser_to_fsgm,
                               lz_guess_prob, lz_sample, make_runner,
-                              moment_exact, moment_log2, moment_lower_bound,
-                              moment_lower_bound_log2, play_counts, run_game)
+                              moment_exact, moment_grid, moment_log2,
+                              moment_lower_bound, moment_lower_bound_log2,
+                              play_counts, run_game)
 from conftest import FixedBits, all_seqs, seq, xor_machine
 
 B01 = Alphabet(("0", "1"))
@@ -455,6 +457,107 @@ def test_moment_series_equals_term_by_term_loop(q):
                     2.0 ** m_log2, 1e-12), zeta
             continue
         assert tuple(_moment_series(q, zeta)) == want, zeta
+
+
+# the grid of the oracle tests below: the qs above, q = 1, and a q below
+# the series' threshold
+_GRID_QS = (1 - 1e-9, 0.999, 0.75, 0.5, 0.1, 0.01, 2.0 ** -7.3,
+            1e-3) + _WINDOW_QS + (1.0, 0.99 * 2.0 ** -20)
+_GRID_ZETAS = (0.01, 0.5, 1, 1.5, 2, 3, 7.7, 170, 1100)
+
+
+def _costly(q, zeta):
+    """A series row skipped as above: 10^4 terms and more."""
+    return 2.0 ** -20 <= q < 1e-3 and zeta not in (1.5, 3)
+
+
+def _outcome(call, *args):
+    """A moment call's (value, rel_err), or its ValueError's message."""
+    try:
+        return tuple(call(*args))
+    except ValueError as exc:
+        return str(exc)
+
+
+def _row_reference(q, zeta, closed):
+    """Row (q, zeta) by its own case: the closed forms at zeta in {1, 2}
+    when `closed`, and at q = 1; the term-by-term loop; moment_log2 below
+    2**-20 and where a k**zeta overflows, or its overflow message."""
+    if closed and zeta == 1:
+        return 1.0 / q, 0.0
+    if closed and zeta == 2:
+        return (2.0 - q) / (q * q), 0.0
+    if q == 1.0:
+        return 1.0, 0.0
+    if q >= 2.0 ** -20:
+        try:
+            return _series_term_by_term(q, zeta)
+        except OverflowError:
+            pass
+    m_log2 = moment_log2(math.log2(q), zeta)
+    if m_log2 >= 1024:
+        return "E[G^%r] at q = %r overflows a double" % (zeta, q)
+    return 2.0 ** m_log2, 1e-12
+
+
+def test_series_grid_rows_equal_their_own_calls_and_the_oracle():
+    # one lockstep series over every row at once; a row left to
+    # moment_log2 (None) takes the fallback that moment_grid gives it
+    rows = [(q, zeta) for q in _GRID_QS for zeta in _GRID_ZETAS
+            if not _costly(q, zeta)]
+    found = series.series_grid(rows)
+    assert len(found) == len(rows)
+    for (q, zeta), got in zip(rows, found):
+        got = (tuple(got) if got is not None else
+               _outcome(guessers._moment_from_log2, q, zeta))
+        want = _row_reference(q, zeta, closed=False)
+        assert got == _outcome(_moment_series, q, zeta) == want, (q, zeta)
+
+
+@pytest.mark.parametrize("qs, zetas", [
+    (_GRID_QS[:8] + (1.0, 0.99 * 2.0 ** -20),
+     (0.01, 0.5, 1, 1.5, 2, 3, 7.7)),
+    (_WINDOW_QS + (1.0, 0.5), (1.5, 1, 3, 2)),
+    ((0.999, 1 - 1e-9, 0.75, 1.0), (170, 3, 170)),
+    # repeated values, and an int zeta beside the equal float: at q = 0.003
+    # 5 and 5.0 give two values, as k**5 and pow(k, 5.0) round apart
+    ((0.5, 0.003, 0.5, 0.003), (3, 1.5, 3, 3.0, 1, 5, 5.0)),
+], ids=["series-qs", "window-qs", "zeta-170", "repeats"])
+def test_moment_grid_rows_equal_their_own_calls(qs, zetas):
+    got = moment_grid(qs, zetas)
+    assert len(got) == len(qs) * len(zetas)
+    for (q, zeta), row in zip(itertools.product(qs, zetas), got):
+        assert (tuple(row) == tuple(moment_exact(q, zeta))
+                == _row_reference(q, zeta, closed=True)), (q, zeta)
+
+
+def test_moment_grid_memory_is_one_chunk_list_per_zeta_and_per_q():
+    # at the largest chunk a call holds one list of 4096 floats (about
+    # 130 KB) per live zeta and one for the current q: three here
+    tracemalloc.start()
+    try:
+        moment_grid(_WINDOW_QS, [1.5, 3])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 4096 * 32
+
+
+def test_moment_grid_raises_the_first_failing_row_error():
+    # q-major: the overflow of (0.5, 1000) is met before q = 0 diverges
+    with pytest.raises(ValueError) as info:
+        moment_grid([0.5, 0.0], [1000])
+    assert str(info.value) == "E[G^1000] at q = 0.5 overflows a double"
+    for qs, zetas in (([0.0, 0.5], [1000]), ([0.5], [1.5, 0, 1000]),
+                      ([0.5], [1000, 0]), ([0.25, 1e-300], [1, 4.0]),
+                      ([0.5, 2.0, 0.25], [1.5, 3]), ([0.1], [math.nan])):
+        want = next(msg for msg in (_outcome(moment_exact, q, zeta)
+                                    for q in qs for zeta in zetas)
+                    if isinstance(msg, str))
+        with pytest.raises(ValueError) as info:
+            moment_grid(qs, zetas)
+        assert str(info.value) == want, (qs, zetas)
+    assert moment_grid([], [1.5]) == moment_grid([0.5], []) == []
 
 
 def test_moment_log2_consistency():

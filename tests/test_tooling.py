@@ -71,6 +71,8 @@ TEST_ONLY = {
     "tree_run": "the bit-by-bit tree semantics, oracle for the expansion",
     "fig1_word_expansion": "the example machine's word map, its oracle",
     "moment_lower_bound_log2": "moment_lower_bound in the log domain",
+    "_moment_series": "one series row alone, at zeta in {1, 2} too: the 1 x 1 "
+                      "series_grid that tests hold to the closed forms",
 }
 
 
@@ -251,6 +253,12 @@ def test_bench_layers_runs_on_a_shrunk_grid(tmp_path):
                  "lz78.incremental_parse, thue_morse",
                  "lz78.decode, thue_morse"):
         assert set(summary["laws"]["codec | %s | n=4096" % case]) == {"sha256"}
+    # the moments point: the CLI handler on the benchmark's moments-window
+    # rows, unshrunk, its rows by digest
+    case = "cli._run_moments, moments-window of seed 1"
+    assert list(summary["per_label"]["b"]["moments"][case]
+                ["median_best_s"]) == ["4"]
+    assert set(summary["laws"]["moments | %s | n=4" % case]) == {"sha256"}
 
 
 def test_bench_ab_reads_a_tree_against_itself_as_even(tmp_path):

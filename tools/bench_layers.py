@@ -42,7 +42,11 @@ numerator's bit width, so that two trees can be compared point by point:
   ``SymbolSeq.render`` of x (``chars``) and of the 256-value bytes.
   A point records the sha256 of the output (the code, the decoded or
   ingested symbols, the rendered text, the parse's phrase starts and
-  trie, or the joint parse's counts) in place of a law.
+  trie, or the joint parse's counts) in place of a law;
+- ``moments``: ``cli._run_moments``, the handler of ``lzguess moments``,
+  on the benchmark's seed-1 ``moments-window`` parameters (two q near
+  2^-12.5, zeta 1.5 and 3; four rows of the float series).  The point
+  records the sha256 of its rows.
 
 :func:`grid` lists the points, each building its inputs from the
 ``lzguess`` package it is given, so ``tools/bench_ab.py`` runs the same
@@ -64,7 +68,7 @@ directory; ``--src`` names the checkout (or its ``src/``) to import
 
 ``--shrink K`` divides every n of the exact passes and of the codec, the
 number of tiny passes and the ``play`` rounds by K, for a quick check of
-the script itself.
+the script itself; the ``moments`` point keeps its parameters.
 """
 
 from __future__ import annotations
@@ -72,6 +76,7 @@ from __future__ import annotations
 import argparse
 import glob
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -91,6 +96,9 @@ COMPILE_CORPUS, COMPILE_SIZES = "bernoulli:0.5:1", (512, 1024, 2048, 4096,
                                                     8192)
 COMPILE_ROUNDS, COMPILE_CAP = 20, 1000
 CODEC_SIZES = (16384, 32768, 65536, 131072, 262144)
+# perfbench's moments-window job at seed 1
+MOMENTS_PARAMS = {"q": [0.00021094531388311813, 0.00014127985039861263],
+                  "zeta": [1.5, 3.0]}
 
 
 def _import_lzguess(src):
@@ -160,6 +168,9 @@ def grid(shrink):
         for case in CODEC_CASES:
             yield ("codec", case, str(n // shrink),
                    _codec_point(case, n, shrink, inputs))
+    yield ("moments", "cli._run_moments, moments-window of seed 1",
+           str(len(MOMENTS_PARAMS["q"]) * len(MOMENTS_PARAMS["zeta"])),
+           _moments_point)
 
 
 def measure(k, shrink, lz):
@@ -343,6 +354,15 @@ def _codec_point(case, size, shrink, memo):
         return (CODEC_CASES[case](lz, _codec_inputs(lz, size, shrink, memo)),
                 _codec_digest)
     return prepare
+
+
+def _moments_point(lz):
+    """The moments table of the CLI, from the package's own handler."""
+    cli = importlib.import_module(lz.__name__ + ".cli")
+
+    def record(out):
+        return {"sha256": _sha(repr(out[0]["rows"]))}
+    return (lambda: cli._run_moments(MOMENTS_PARAMS, None)), record
 
 
 def _slope(points):
