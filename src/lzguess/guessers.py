@@ -398,10 +398,14 @@ def moment_grid(qs, zetas) -> list[MomentResult]:
                                 if zeta not in (1, 2)]))
     out = []
     for qf, zeta in rows:
-        if zeta == 1:
-            out.append(MomentResult(1.0 / qf, 0.0))
-        elif zeta == 2:
-            out.append(MomentResult((2.0 - qf) / (qf * qf), 0.0))
+        if zeta in (1, 2):
+            try:
+                value = 1.0 / qf if zeta == 1 else (2.0 - qf) / (qf * qf)
+            except ZeroDivisionError:       # q * q underflows to 0
+                value = math.inf
+            if value == math.inf:
+                raise _overflow(qf, zeta)
+            out.append(MomentResult(value, 0.0))
         else:
             out.append(next(series) or _moment_from_log2(qf, zeta))
     if error is not None:
@@ -421,18 +425,31 @@ def _moment_from_log2(qf: float, zeta: float) -> MomentResult:
     try:
         return MomentResult(2.0 ** moment_log2(math.log2(qf), zeta), 1e-12)
     except OverflowError:
-        raise ValueError("E[G^%r] at q = %r overflows a double"
-                         % (zeta, qf)) from None
+        raise _overflow(qf, zeta) from None
+
+
+def _overflow(qf: float, zeta: float) -> ValueError:
+    return ValueError("E[G^%r] at q = %r overflows a double" % (zeta, qf))
 
 
 def moment_lower_bound(q, zeta: float) -> float:
-    """(2**-zeta / e**2) * q**-zeta, valid for q <= 1/2."""
+    """(2**-zeta / e**2) * q**-zeta, valid for q <= 1/2; from its log2
+    where q**-zeta alone overflows.  A ValueError says that q or zeta is
+    out of range or that the bound overflows a double."""
     qf = float(q)
     if not 0.0 < qf <= 0.5:
         raise ValueError("the lower bound needs 0 < q <= 1/2, got %r" % (qf,))
     if zeta <= 0:
         raise ValueError("need zeta > 0")
-    return (2.0 ** -zeta) / math.e ** 2 * qf ** -zeta
+    try:
+        return (2.0 ** -zeta) / math.e ** 2 * qf ** -zeta
+    except OverflowError:
+        pass
+    try:
+        return 2.0 ** moment_lower_bound_log2(math.log2(qf), zeta)
+    except OverflowError:
+        raise ValueError("the lower bound at q = %r, zeta = %r overflows a "
+                         "double" % (qf, zeta)) from None
 
 
 # B_2j / (2j)! for j = 1..6: the Euler-Maclaurin corrections of moment_log2

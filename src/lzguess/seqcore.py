@@ -751,14 +751,79 @@ def thue_morse_bits(n: int) -> bytes:
     return out[:n]
 
 
+_BLOCK = 1024                       # symbols a Bernoulli block decides
+_BLOCK_WORDS = _BLOCK * 53 // 64    # the 848 whole words they read
+_TO_SYMBOLS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+@functools.cache
+def _lanes() -> tuple:
+    """One 128-bit lane per word of a block, word 0 in the top lane: 1 in
+    each lane, i * GOLDEN mod 2**64 in lane i, and 2**64 - 1 in each."""
+    ones = int.from_bytes((bytes(15) + b"\x01") * _BLOCK_WORDS, "big")
+    steps = b"".join(((i * _GOLDEN) & _MASK64).to_bytes(16, "big")
+                     for i in range(_BLOCK_WORDS))
+    return ones, int.from_bytes(steps, "big"), ones * _MASK64
+
+
+def _bernoulli_bits(n: int, p: float, seed: int) -> bytes:
+    """n symbols, symbol j 1 exactly when ``BitSource(seed).next_float()``,
+    drawn for the j-th time, is below p: when its 53 bits v_j, stream bits
+    53j .. 53j+52, are below ceil(p * 2**53).
+
+    A block of 1024 symbols reads 848 whole words.  The block's splitmix64
+    inputs sit in 128-bit lanes of one int, so each step of the finalizer
+    is one shift, xor, multiply and mask of that int; the words, joined
+    most significant first, are the block's stream bits.  Column i of the
+    block, bit i of every v_j, is one int read off the stream's binary
+    text, and the columns are compared with the threshold's bits, most
+    significant first, until no v_j is undecided.
+    """
+    limit = math.ceil(p * 9007199254740992.0)
+    if not 0 < limit < 1 << 53:
+        return bytes([limit > 0]) * n
+    ones, steps, mask = _lanes()
+    cuts = format(limit, "053b")
+    counter = derive_substream_seed(seed, 0) + _GOLDEN   # word 1's input
+    out = []
+    for start in range(0, n, _BLOCK):
+        m = min(_BLOCK, n - start)
+        w = -(-53 * m // 64)            # the words a last, short block reads
+        cut = 128 * (_BLOCK_WORDS - w)
+        lane = mask >> cut
+        z = ((counter & _MASK64) * (ones >> cut) + (steps >> cut)) & lane
+        z = ((z ^ (z >> 30)) & lane) * 0xBF58476D1CE4E5B9 & lane
+        z = ((z ^ (z >> 27)) & lane) * 0x94D049BB133111EB & lane
+        raw = (z ^ (z >> 31)).to_bytes(16 * w, "big")
+        words = bytearray(8 * w)
+        for k in range(8):              # each lane's low 8 bytes
+            words[k::8] = raw[8 + k::16]
+        text = format(int.from_bytes(words, "big"), "0%db" % (64 * w))
+        less, undecided = 0, (1 << m) - 1
+        for i, bit in enumerate(cuts):
+            column = int(text[i:53 * m:53], 2)
+            if bit == "1":
+                less |= undecided & ~column
+                undecided &= column
+            else:
+                undecided &= ~column
+            if not undecided:
+                break
+        out.append(format(less, "0%db" % m).encode().translate(_TO_SYMBOLS))
+        counter += _BLOCK_WORDS * _GOLDEN
+    return b"".join(out)
+
+
 def generate_corpus(kind: str, n: int, *, pattern: str | None = None,
                     p: float = 0.5, seed: int = 0,
                     path: str | None = None) -> SymbolSeq:
     """Deterministic test corpora.
 
     kind "periodic": repeat `pattern` up to length n.
-    kind "bernoulli": i.i.d. symbols over {a, b} with P(b) = p, driven by
-    BitSource(seed), reproducible.
+    kind "bernoulli": i.i.d. symbols over {a, b} with P(b) = p: symbol k
+    is b exactly when the k-th 53-bit draw of BitSource(seed), divided by
+    2**53, is below p, that is ``BitSource(seed).next_float() < p`` drawn
+    once per symbol (:func:`_bernoulli_bits` draws them a block at a time).
     kind "thue_morse": the Thue-Morse sequence over {a, b}.
     kind "file": ingest the text file at `path` (alphabet inferred).
     """
@@ -774,9 +839,7 @@ def generate_corpus(kind: str, n: int, *, pattern: str | None = None,
     if kind == "bernoulli":
         if not 0.0 <= p <= 1.0:
             raise ValueError("bernoulli p must be in [0, 1]")
-        bits = BitSource(seed)
-        out = bytes(1 if bits.next_float() < p else 0 for _ in range(n))
-        return SymbolSeq(AB, out)
+        return SymbolSeq._of(AB, _bernoulli_bits(n, p, seed))
     if kind == "thue_morse":
         return SymbolSeq(AB, thue_morse_bits(n))
     if kind == "file":

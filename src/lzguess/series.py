@@ -12,7 +12,7 @@ k**zeta, while each row's float sum stays that of a term-by-term loop.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 from operator import add, mul
 from typing import NamedTuple
 
@@ -43,9 +43,9 @@ def series_grid(rows) -> list:
     adds its products from the left, in the order of a term-by-term loop,
     with functools.reduce (not sum(), which compensates floats since
     Python 3.12), so the float result is that loop's.  Only in the chunk
-    where a row stops are its running sums walked term by term, to find
-    the first k that stops it (:func:`_series_stop`).  Tests check it
-    against such a loop and the closed forms.
+    where a row stops is it bisected for the first k that stops it
+    (:func:`_series_stop`).  Tests check it against such a loop and the
+    closed forms.
     """
     # a row's key keeps zeta's type: an int zeta forms k**zeta as an int
     keys = [(qf, zeta, type(zeta)) for qf, zeta in rows]
@@ -108,15 +108,26 @@ def _series_chunk(k: int, size: int, live: dict, geom: dict, out: dict):
 def _series_stop(k: int, terms: list, geoms: list, total: float,
                  zeta: float, one_minus: float) -> MomentResult:
     """A row's value at the first term of the chunk from k that stops it,
-    given its sum `total` before the chunk.  Past the peak, tail/total
-    falls, so the first k of this chunk that stops is the first of all."""
-    running = accumulate(map(mul, terms, geoms), add, initial=total)
-    next(running)                   # the sum before the chunk
-    for j, partial in enumerate(running):
-        tail = _series_tail(k + j, geoms[j], partial, zeta, one_minus)
-        if tail is not None:
-            return MomentResult(partial + 0.5 * tail, tail / partial)
-    raise AssertionError("the chunk's last term stops the row")
+    given its sum `total` before the chunk, whose last term stops it.
+    Before the peak no term stops a row; past it, tail/total falls, so
+    the terms that stop it are a suffix of the chunk, and the first of
+    them, found by bisection, is the first of all.  Each probe adds the
+    terms from the last known running sum on, in a term-by-term loop's
+    order, so the bisection makes no list of running sums."""
+    lo, hi = 0, len(terms) - 1
+    before = total                  # the running sum before term k + lo
+    while lo < hi:
+        mid = (lo + hi) // 2
+        partial = reduce(add, map(mul, islice(terms, lo, mid + 1),
+                                  islice(geoms, lo, mid + 1)), before)
+        if _series_tail(k + mid, geoms[mid], partial, zeta,
+                        one_minus) is None:
+            lo, before = mid + 1, partial
+        else:
+            hi = mid
+    partial = before + terms[lo] * geoms[lo]
+    tail = _series_tail(k + lo, geoms[lo], partial, zeta, one_minus)
+    return MomentResult(partial + 0.5 * tail, tail / partial)
 
 
 def _series_tail(k: int, geom: float, total: float, zeta: float,
@@ -124,8 +135,8 @@ def _series_tail(k: int, geom: float, total: float, zeta: float,
     """The certified tail bound of the moment series after term k, whose
     geometric factor is `geom` and running sum `total`, or None if it
     does not yet stop the series.  :func:`series_grid` asks it once per
-    row at the end of each chunk, and per term only in the chunk where it
-    stops the row."""
+    row at the end of each chunk, and about log2 of the chunk's size
+    times in the chunk where it stops the row."""
     # past the peak, terms shrink at least geometrically with ratio r
     r = ((1.0 + 1.0 / k) ** zeta) * one_minus
     if r < 1.0:

@@ -174,6 +174,33 @@ def test_moments_grid_error_is_the_first_failing_row(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("q, zeta", [
+    # q * q underflows to 0 or to a subnormal whose inverse is inf, 1 / q
+    # is inf, and moment_log2's value passes 2**1024
+    ("1e-200", "2"), ("1e-160", "2"), ("5e-324", "1"), ("5e-324", "2"),
+    ("1e-300", "1.5")])
+def test_moments_overflow_at_tiny_q_is_one_error_line(tmp_path, capsys, q,
+                                                      zeta):
+    out = tmp_path / "out"
+    assert main(["moments", "--q", q, "--zeta", zeta,
+                 "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: E[G^%r] at q = %r overflows a double"
+        % (float(zeta), float(q))]
+    assert not out.exists()
+
+
+def test_moments_lower_bound_where_q_to_the_minus_zeta_overflows(tmp_path):
+    # E[G^zeta] fits a double, and so does the bound, though q**-zeta
+    # alone does not
+    rec = dispatch(tmp_path, "moments", "--q", "5e-324", "--zeta", "0.95345")
+    row, = read_json(rec)["rows"]
+    assert row["exact"] < math.inf
+    assert row["lower_bound"] == 2.0 ** guessers.moment_lower_bound_log2(
+        math.log2(5e-324), 0.95345)
+    assert row["lower_bound"] <= row["exact"]
+
+
 def test_moments_at_q_where_one_minus_q_rounds_to_one(tmp_path):
     # 1 - 1e-17 == 1.0, so the series' tail bound never stops it; a child
     # process with a timeout turns a hang into a failure

@@ -418,6 +418,25 @@ def test_moment_lower_bound_sweep():
         assert moment_lower_bound(q, zeta) <= moment_exact(q, zeta).value
 
 
+def test_moment_overflow_at_tiny_q_is_value_error():
+    # closed forms whose q * q or 1 / q overflows, a series row past
+    # 2**1024, and a lower bound whose q**-zeta overflows
+    for qs, zetas in (([1e-200], [2]), ([1e-160], [2]), ([5e-324], [1]),
+                      ([0.5, 1e-300], [1.5, 2])):
+        with pytest.raises(ValueError, match="overflows a double"):
+            moment_grid(qs, zetas)
+    with pytest.raises(ValueError) as info:
+        moment_grid([0.5, 1e-160, 0.0], [1, 2])
+    assert str(info.value) == "E[G^2] at q = 1e-160 overflows a double"
+    for q, zeta in ((5e-324, 1), (1e-300, 1.1), (0.25, 1500)):
+        with pytest.raises(ValueError, match="lower bound .* overflows"):
+            moment_lower_bound(q, zeta)
+    # q**-zeta overflows, the bound does not: it comes from its log2
+    assert moment_lower_bound(5e-324, 0.95345) == 2.0 ** (
+        guessers.moment_lower_bound_log2(math.log2(5e-324), 0.95345))
+    assert moment_lower_bound(0.5, 2000) == pytest.approx(math.e ** -2)
+
+
 def _series_term_by_term(qf, zeta, tol=1e-12):
     """moment_exact's series as one term per loop iteration: the reference
     the chunked series must equal bit for bit."""
@@ -512,6 +531,48 @@ def test_series_grid_rows_equal_their_own_calls_and_the_oracle():
                _outcome(guessers._moment_from_log2, q, zeta))
         want = _row_reference(q, zeta, closed=False)
         assert got == _outcome(_moment_series, q, zeta) == want, (q, zeta)
+
+
+def _stop_term(qf, zeta, tol=1e-12):
+    """The k at which the term-by-term loop above stops."""
+    one_minus = 1.0 - qf
+    total, term_geom, k = 0.0, qf, 1
+    while True:
+        total += (k ** zeta) * term_geom
+        r = ((1.0 + 1.0 / k) ** zeta) * one_minus
+        if r < 1.0 and ((((k + 1) ** zeta) * term_geom * one_minus)
+                        / (1.0 - r)) <= tol * total:
+            return k
+        term_geom *= one_minus
+        k += 1
+
+
+# (q, zeta, k): rows whose series stops at term k, the first, second,
+# next-to-last or last term of a chunk of series_grid: chunk sizes 16,
+# 32, 256, 512, 1024, 2048 and two of 4096
+_EDGE_ROWS = (
+    (0.80294, 3, 23), (0.749192, 1.5, 24), (0.701897, 0.5, 25),
+    (0.843185, 7.7, 26), (0.442858, 1.5, 56), (0.476567, 3, 57),
+    (0.070469, 3, 503), (0.089991, 7.7, 505), (0.045749, 7.7, 1016),
+    (0.031573, 1.5, 1017), (0.017845, 3, 2040), (0.015856, 1.5, 2041),
+    (0.008944883, 3, 4088), (0.0079450001, 1.5, 4089),
+    (0.00359308, 0.5, 8184), (0.00579591014, 7.7, 8185),
+    (0.0044773, 3, 8186), (0.002653003, 1.5, 12279))
+
+
+def test_series_rows_stopping_at_chunk_edges_equal_the_oracle():
+    # the bisection of the stopping chunk finds the loop's first k at
+    # either end of a chunk, and in chunks of every size
+    edges, k, size = set(), 1, 8
+    while k < 20000:
+        edges.update((k, k + 1, k + size - 2, k + size - 1))
+        k += size
+        size = min(2 * size, series._SERIES_CHUNK)
+    assert {k for _, _, k in _EDGE_ROWS} <= edges
+    rows = [(q, zeta) for q, zeta, _ in _EDGE_ROWS]
+    for (q, zeta, k), got in zip(_EDGE_ROWS, series.series_grid(rows)):
+        assert _stop_term(q, zeta) == k, (q, zeta)
+        assert tuple(got) == _series_term_by_term(q, zeta), (q, zeta)
 
 
 @pytest.mark.parametrize("qs, zetas", [

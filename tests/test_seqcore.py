@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from lzguess import seqcore
 from lzguess.seqcore import (AB, Alphabet, BitSource, DyadicProb, SymbolSeq,
                              derive_substream_seed, forward, generate_corpus,
                              ingest, parse_corpus_spec, thue_morse_bits)
@@ -388,6 +389,81 @@ def test_bernoulli_reproducible():
     assert a == b
     assert a != c
     assert len(a) == 16
+
+
+def _per_symbol(n, p, seed):
+    """The Bernoulli rule one symbol at a time: the reference."""
+    bits = BitSource(seed)
+    return bytes(bits.next_float() < p for _ in range(n))
+
+
+_BERNOULLI_PS = (0.0, 2.0 ** -53, 0.1, 0.3, 1 / 3, 0.5, 1 - 2.0 ** -53, 1.0)
+_BERNOULLI_SEEDS = (0, 7, 2 ** 31 - 1, 2 ** 64 - 1, -3)
+
+
+def test_bernoulli_blocks_equal_the_per_symbol_rule():
+    # every n from 1 to two blocks and three symbols, each (p, seed) at
+    # every 40th n and at the block and word edges
+    top = 2 * seqcore._BLOCK + 3
+    edges = {1, 2, 52, 53, 54, 63, 64, 65, 1023, 1024, 1025, 2047, 2048,
+             2049, top}
+    cases = list(itertools.product(_BERNOULLI_PS, _BERNOULLI_SEEDS))
+    for i, (p, seed) in enumerate(cases):
+        want = _per_symbol(top, p, seed)
+        for n in sorted(edges.union(range(1 + i, top + 1, len(cases)))):
+            got = generate_corpus("bernoulli", n, p=p, seed=seed)
+            assert got.indices == want[:n], (n, p, seed)
+            assert got.alphabet == AB
+
+
+def test_bernoulli_ties_at_a_draws_own_value_follow_the_per_symbol_rule():
+    # p = v_j / 2**53 makes symbol j 0, and the next float above it makes
+    # it 1: v_j < ceil(p * 2**53), decided only by v_j's last bit.  Below
+    # 2**52 that next float times 2**53 is not whole
+    bits = BitSource(11)
+    draws = [bits.next_bits(53) for _ in range(1500)]
+    low = [j for j, v in enumerate(draws) if v < 2 ** 52]
+    for j in (low[0], next(j for j in low if j >= 1000), low[-1]):
+        on = draws[j] / 2.0 ** 53
+        for p, want in ((on, 0), (math.nextafter(on, 1.0), 1)):
+            got = generate_corpus("bernoulli", 1500, p=p, seed=11).indices
+            assert got == _per_symbol(1500, p, 11), (j, p)
+            assert got[j] == want, (j, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3000), st.floats(0.0, 1.0),
+       st.integers(-2 ** 70, 2 ** 70))
+@example(5, 5e-324, 1)
+@example(70, 2.0 ** -60, 2)
+def test_bernoulli_blocks_equal_the_per_symbol_rule_anywhere(n, p, seed):
+    assert (generate_corpus("bernoulli", n, p=p, seed=seed).indices
+            == _per_symbol(n, p, seed))
+
+
+def test_bernoulli_corpora_pinned():
+    # recorded with the per-symbol rule
+    for spec, n, digest in (
+            ("bernoulli:0.5:7", 65536, "5bb0303517a29f3002e3d5d31c89ab40"
+             "b6d9f36b9c13b7c9b1cc1e0cde67373e"),
+            ("bernoulli:0.1:3", 4096, "8d3b6b7b9965c1b23dafaa956e7e6177"
+             "1a092ea6efaee60c9e5a2e00c0b3a648")):
+        got = parse_corpus_spec(spec, n).indices
+        assert hashlib.sha256(got).hexdigest() == digest, spec
+
+
+def test_bernoulli_lanes_put_word_zero_on_top():
+    # built from big-endian bytes, whatever the machine's byte order
+    ones, steps, mask = seqcore._lanes()
+    words = seqcore._BLOCK_WORDS
+    assert words * 64 == seqcore._BLOCK * 53
+    for i in (0, 1, 2, words - 1):
+        shift = 128 * (words - 1 - i)
+        assert (ones >> shift) & (2 ** 128 - 1) == 1
+        assert (steps >> shift) & (2 ** 128 - 1) == (i * 0x9E3779B97F4A7C15
+                                                    % 2 ** 64)
+        assert (mask >> shift) & (2 ** 128 - 1) == 2 ** 64 - 1
+    assert ones.bit_length() == 128 * (words - 1) + 1
 
 
 def test_corpus_argument_errors():

@@ -70,7 +70,6 @@ def test_bench_imports_resolve_in_src():
 TEST_ONLY = {
     "tree_run": "the bit-by-bit tree semantics, oracle for the expansion",
     "fig1_word_expansion": "the example machine's word map, its oracle",
-    "moment_lower_bound_log2": "moment_lower_bound in the log domain",
     "_moment_series": "one series row alone, at zeta in {1, 2} too: the 1 x 1 "
                       "series_grid that tests hold to the closed forms",
 }
@@ -259,6 +258,16 @@ def test_bench_layers_runs_on_a_shrunk_grid(tmp_path):
     assert list(summary["per_label"]["b"]["moments"][case]
                 ["median_best_s"]) == ["4"]
     assert set(summary["laws"]["moments | %s | n=4" % case]) == {"sha256"}
+    # the corpus point: Bernoulli corpora at two p, by digest
+    corpus = summary["per_label"]["b"]["corpus"]
+    assert set(corpus) == {"generate_corpus bernoulli, p=0.5, seed 1",
+                           "generate_corpus bernoulli, p=0.1, seed 1"}
+    for case in corpus.values():
+        assert list(case["median_best_s"]) == ["256", "1024", "4096",
+                                               "16384"]
+        assert "fitted_exponent" in case and "ratio_to_a" in case
+    assert set(summary["laws"]["corpus | generate_corpus bernoulli, p=0.1, "
+                               "seed 1 | n=16384"]) == {"sha256"}
 
 
 def test_bench_ab_reads_a_tree_against_itself_as_even(tmp_path):

@@ -47,6 +47,9 @@ numerator's bit width, so that two trees can be compared point by point:
   on the benchmark's seed-1 ``moments-window`` parameters (two q near
   2^-12.5, zeta 1.5 and 3; four rows of the float series).  The point
   records the sha256 of its rows.
+- ``corpus``: ``seqcore.generate_corpus("bernoulli", n, p=P, seed=1)`` at
+  P = 0.5 and 0.1, n = 16384 ... 1048576.  A point records the sha256 of
+  the symbol indices.
 
 :func:`grid` lists the points, each building its inputs from the
 ``lzguess`` package it is given, so ``tools/bench_ab.py`` runs the same
@@ -57,9 +60,10 @@ and rewrites its summary: per label the median over rounds of each
 point's best time and the least-squares slope of log time (per attempt,
 for ``play``) against log n, the attempts/s of each ``play`` point, the
 line counts (``wc -l``) of ``lzguess/*.py`` under ``--src`` that its
-rounds ran, and whether every label computed the same laws and counts.  Run it from any
-directory; ``--src`` names the checkout (or its ``src/``) to import
-``lzguess`` from.  Alternate the trees when comparing two, for example::
+rounds ran, and whether every label computed the same laws and counts.
+Run it from any directory; ``--src`` names the checkout (or its ``src/``)
+to import ``lzguess`` from.  Alternate the trees when comparing two, for
+example::
 
     for i in 1 2 3; do
         python3 tools/bench_layers.py --src ../old --label parent --out B.json
@@ -67,8 +71,9 @@ directory; ``--src`` names the checkout (or its ``src/``) to import
     done
 
 ``--shrink K`` divides every n of the exact passes and of the codec, the
-number of tiny passes and the ``play`` rounds by K, for a quick check of
-the script itself; the ``moments`` point keeps its parameters.
+number of tiny passes, the ``play`` rounds and the corpus n by K, for a
+quick check of the script itself; the ``moments`` point keeps its
+parameters.
 """
 
 from __future__ import annotations
@@ -96,6 +101,7 @@ COMPILE_CORPUS, COMPILE_SIZES = "bernoulli:0.5:1", (512, 1024, 2048, 4096,
                                                     8192)
 COMPILE_ROUNDS, COMPILE_CAP = 20, 1000
 CODEC_SIZES = (16384, 32768, 65536, 131072, 262144)
+CORPUS_PS, CORPUS_SIZES = (0.5, 0.1), (16384, 65536, 262144, 1048576)
 # perfbench's moments-window job at seed 1
 MOMENTS_PARAMS = {"q": [0.00021094531388311813, 0.00014127985039861263],
                   "zeta": [1.5, 3.0]}
@@ -171,6 +177,10 @@ def grid(shrink):
     yield ("moments", "cli._run_moments, moments-window of seed 1",
            str(len(MOMENTS_PARAMS["q"]) * len(MOMENTS_PARAMS["zeta"])),
            _moments_point)
+    for p in CORPUS_PS:
+        for n in CORPUS_SIZES:
+            yield ("corpus", "generate_corpus bernoulli, p=%r, seed 1" % p,
+                   str(n // shrink), _corpus_point(p, n // shrink))
 
 
 def measure(k, shrink, lz):
@@ -363,6 +373,15 @@ def _moments_point(lz):
     def record(out):
         return {"sha256": _sha(repr(out[0]["rows"]))}
     return (lambda: cli._run_moments(MOMENTS_PARAMS, None)), record
+
+
+def _corpus_point(p, n):
+    def prepare(lz):
+        def record(seq):
+            return {"sha256": hashlib.sha256(seq.indices).hexdigest()}
+        return (lambda: lz.seqcore.generate_corpus("bernoulli", n, p=p,
+                                                   seed=1)), record
+    return prepare
 
 
 def _slope(points):
