@@ -83,7 +83,9 @@ def _load_sequence(params: dict, key_input="input",
                    key_corpus="corpus") -> SymbolSeq:
     """A --target, --input or --corpus sequence: text takes the tokens of
     --alphabet or --alphabet-file, bytes the byte subset of --alphabet."""
-    if params.get("target"):
+    if params.get("target") is not None:
+        if not params["target"]:
+            raise ValueError("--target is empty")
         return ingest(params["target"], _alphabet_from(params))
     if params.get(key_input):
         mode = params.get("mode", "text")

@@ -29,6 +29,7 @@ labels; the wasted bits are immaterial since randomness is unlimited.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 from .seqcore import (FAIL, WIN, Alphabet, BitSource, BudgetError, DyadicProb,
@@ -48,6 +49,7 @@ class FSGMSpec:
     side symbol reaches are pruned with a warning.  Stored rows are flat:
     state z reading side symbol b is row z * beta + b, and next states are
     stored times beta, so a plain machine (beta = 1) has rows by state.
+    `kernels[row]` counts a row's words by (output, next state): m(x, z'|z).
     """
 
     def __init__(self, alphabet: Alphabet, state_names, initial,
@@ -100,24 +102,12 @@ class FSGMSpec:
         self.delta = tuple(delta[key] for key in flat)
         self.table = tuple(tuple((out, idx[nxt] * beta)
                                  for out, nxt in table[key]) for key in flat)
+        self.kernels = tuple(Counter(rows) for rows in self.table)
         self.name = name
-        self._kernels = None
 
     @property
     def state_count(self) -> int:
         return len(self.names)
-
-    def kernels(self):
-        """Per row: dict (output, next state) -> word count m(x, z'|z)."""
-        if self._kernels is None:
-            ker = []
-            for rows in self.table:
-                counts: dict = {}
-                for out, nxt in rows:
-                    counts[(out, nxt)] = counts.get((out, nxt), 0) + 1
-                ker.append(counts)
-            self._kernels = tuple(ker)
-        return self._kernels
 
     def __repr__(self) -> str:
         return "FSGMSpec(%s, states=%d, alpha=%d)" % (
@@ -187,22 +177,48 @@ def sequence_prob(spec: FSGMSpec, x: SymbolSeq,
     """Exact P(x), or P(x|side), under the machine's output law: the
     forward algorithm as a :func:`~lzguess.seqcore.forward` pass.
 
-    O(n * s^2) moves; returns zero for unreachable outputs.  The states
-    reached at the end are merged into one, since nothing follows them.
+    Its states are the start row and the rows that read bits.  Each word
+    count m(x_i, z'|z) is one single move that follows the Delta = 0 rows
+    from z' on the spot (:func:`_idle_follower`) to the next row that
+    reads bits, or to n, where the states merge into one; it is dropped
+    where an idle row emits a symbol other than x's, so idle rows cost no
+    state.  Unreachable outputs get zero.
     """
     n = len(x)
-    ker = spec.kernels()
+    ker = spec.kernels
     xs, ys = _target_indices(spec, x), _side_indices(spec, side, n)
+    follow, delta = _idle_follower(spec, xs, ys), spec.delta
 
-    def step(pos, z):
-        row = z + ys[pos]
-        for (out, zp), m in ker[row].items():
-            if out == xs[pos]:
-                nxt = pos + 1
-                yield nxt, nxt, zp if nxt < n else None, m, spec.delta[row]
+    def step(pos, row):
+        for (out, z), m in ker[row].items():
+            nxt = follow(pos + 1, z) if out == xs[pos] else None
+            if nxt:
+                yield nxt[0], nxt[0], nxt[1], m, delta[row]
 
-    start = spec.start if n else None
+    start = spec.start + ys[0] if n else None
     return forward(n, start, step).get(None, DyadicProb.zero())
+
+
+def _idle_follower(spec: FSGMSpec, target: bytes, ys: bytes):
+    """follow(i, z): state z at position i run on along its Delta = 0
+    rows, which read no bits: (i', row) at the first row that reads bits,
+    (n, None) past the target's end, None where an idle row's one word
+    emits a symbol other than the target's."""
+    n = len(target)
+    delta, rows = spec.delta, spec.table
+
+    def follow(i, z):
+        while i < n:
+            row = z + ys[i]
+            if delta[row]:
+                return i, row
+            out, z = rows[row][0]
+            if out != target[i]:
+                return None
+            i += 1
+        return n, None
+
+    return follow
 
 
 def output_distribution(spec: FSGMSpec, n: int) -> dict[SymbolSeq, DyadicProb]:
@@ -223,7 +239,7 @@ def output_distribution(spec: FSGMSpec, n: int) -> dict[SymbolSeq, DyadicProb]:
             "output_distribution would enumerate %d (prefix, state) pairs "
             "(budget %d); use sequence_prob for single sequences"
             % (size, DIST_BUDGET))
-    ker = spec.kernels()
+    ker = spec.kernels
 
     def step(pos, state):
         prefix, z = state
@@ -351,22 +367,6 @@ def build_fig1_machine() -> FSGMSpec:
     return FSGMSpec(abc, "ABCDEFG", "A", delta, table, name="three-word-map")
 
 
-def fig1_word_expansion(bit_text: str, n_words: int | None = None) -> str:
-    """Reference output for the example machine: parse the bit text into
-    words from {0, 10, 11} (a leading 0 also consumes one wasted bit when
-    read by the machine) and concatenate the mapped output words after the
-    initial "ab"."""
-    mapping = {"0": "ab", "10": "bac", "11": "ca"}
-    out = ["ab"]
-    i = 0
-    while i + 2 <= len(bit_text) and (n_words is None or len(out) - 1 < n_words):
-        pair = bit_text[i:i + 2]
-        i += 2
-        # each read takes two bits; a leading 0 means word '0', second bit wasted
-        out.append(mapping["0" if pair[0] == "0" else pair])
-    return "".join(out)
-
-
 # ---------------------------------------------------------------------------
 # machine description files
 # ---------------------------------------------------------------------------
@@ -468,31 +468,26 @@ def automaton(spec: FSGMSpec, x: SymbolSeq, side: SymbolSeq | None = None):
     State (i, row) reads the row's Delta bits at position i; a word whose
     output is x_i moves to position i + 1 and its next row (a win after
     the last symbol), any other word fails.  States are numbered as they
-    are found from (0, start row), which is state 0; a Delta = 0 row
-    that a word leads to reads no bits, so its one word is followed on
-    the spot.  The reads are those of driving the machine against x and
-    stopping at the first mismatched symbol."""
+    are found from (0, start row), which is state 0; Delta = 0 rows read
+    no bits, so a word follows them on the spot, through the
+    :func:`_idle_follower` of the exact law.  The reads are those of
+    driving the machine against x, stopping at the first mismatch."""
     target = _target_indices(spec, x)
     n = len(target)
     ys = _side_indices(spec, side, n)
     delta, rows = spec.delta, spec.table
+    follow = _idle_follower(spec, target, ys)
     keys = [(0, spec.start + ys[0])]
     ids = {keys[0]: 0}
 
     def dest(i, z):
-        while i < n:
-            row = z + ys[i]
-            if delta[row]:
-                s = ids.get((i, row))
-                if s is None:
-                    s = ids[(i, row)] = len(keys)
-                    keys.append((i, row))
-                return s
-            out, z = rows[row][0]
-            if out != target[i]:
-                return FAIL
-            i += 1
-        return WIN
+        key = follow(i, z)
+        if key is None or key[1] is None:
+            return WIN if key else FAIL
+        if key not in ids:
+            ids[key] = len(keys)
+            keys.append(key)
+        return ids[key]
 
     widths, tables = [], []
     for i, row in keys:         # grows as dest finds states

@@ -64,6 +64,7 @@ cond_guess_prob(x|y) >= 2**-L(x|y) everywhere.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -152,17 +153,12 @@ def chain_encode(gap: int, size: int) -> str:
     return "0" * Z + suffix
 
 
-def _ptr_count(node: int, t: int, width: int) -> int:
-    """How many raw `width`-bit field patterns map to `node` under mod t."""
-    return ((1 << width) - 1 - node) // t + 1
-
-
 def chain_gap_probs(size: int) -> list[DyadicProb]:
     """Distribution over gaps when the chain field is fed fair bits.
 
     Levels below the deepest are hit with exactly 2**-(code length); the top
     level folds surplus patterns by modulo, so every gap keeps probability
-    at least 2**-(code length).
+    at least 2**-(code length): the w-bit patterns that are v mod mz.
     """
     Z = size.bit_length() - 1
     mz = size - (1 << Z) + 1
@@ -174,9 +170,15 @@ def chain_gap_probs(size: int) -> list[DyadicProb]:
         if z < Z:
             probs.append(DyadicProb(1, 2 * z + 1))
         else:
-            cnt = _ptr_count(v - (1 << Z), mz, w)
+            cnt = ((1 << w) - 1 - (v - (1 << Z))) // mz + 1
             probs.append(DyadicProb(cnt, Z + w))
     return probs
+
+
+@functools.cache
+def _gap_pairs(size: int) -> tuple:
+    """:func:`chain_gap_probs` as (m, e) pairs, made once per size."""
+    return tuple((p.m, p.e) for p in chain_gap_probs(size))
 
 
 def chain_read(take, size: int) -> int:
@@ -512,12 +514,13 @@ def _cond_draws(x: SymbolSeq, y: SymbolSeq):
     reaches.  After b matching symbols the sampler's dictionary is the
     joint parse of (x, y) as it stood at node count t_at[b]; at(b) walks
     the pairs from b through its nodes, as ``_lz_draws_at`` walks x[e:].
-    `moves` maps each chain value that keeps matching x to (width, c,
-    pos, b'): the value picks depth d and the innovation symbol x[b+d],
-    and a `width`-bit index v with v % c == pos picks the x-word x[b:b+d]
-    among the c x-phrases of y[b:b+d], reaching b' = b+d+1.  At an
-    overshoot (b+d == n) the surplus symbol is discarded, so the chain
-    values of every rank win and b' = n.
+    `moves` lists a tuple (f, width, c, pos, b') for each chain value f
+    that keeps matching x: f picks depth d and the innovation symbol
+    x[b+d], and a `width`-bit index v with v % c == pos picks the x-word
+    x[b:b+d] among the c x-phrases of y[b:b+d], reaching b' = b+d+1.  At
+    an overshoot (b+d == n) the surplus symbol is discarded, so the chain
+    values of every rank win and b' = n.  The walks read tables made once:
+    each y-word's creating node, and each pair symbol's rank.
     """
     n = len(x)
     parse, dic = _joint_index(x, y)
@@ -525,25 +528,32 @@ def _cond_draws(x: SymbolSeq, y: SymbolSeq):
     t_at = parse.node_counts()
     children = parse.trie.children
     members, ynode, pos = dic.members, dic.ynode, dic.pos
-    alpha = x.alphabet.size
-    xi, yi = x.indices, y.indices
+    ychildren, born = dic.ychildren, [nodes[0] for nodes in members]
+    alpha, beta = x.alphabet.size, y.alphabet.size
+    rank = [_rank_sym(p // beta, p % beta, alpha) for p in range(alpha * beta)]
+    yi = y.indices
 
     def at(b):
         t = t_at[b]
-        chain = len(dic.ypath(yi, b, n, t))
-        moves, node = {}, 0
+        chain, w = 1, 0
+        for i in range(b, n):   # the y-words below t prefixing y[b:]
+            w = ychildren[w].get(yi[i])
+            if w is None or born[w] >= t:
+                break
+            chain += 1
+        moves, node = [], 0
         # d < chain: a joint node's y-word is no younger than the node
         for d in range(n - b + 1):
             c = bisect.bisect_left(members[ynode[node]], t)
             base = (chain - 1 - d) * alpha
             if b + d == n:
-                moves.update(dict.fromkeys(
-                    range(base, base + alpha),
-                    ((c - 1).bit_length(), c, pos[node], n)))
+                moves += [(f, (c - 1).bit_length(), c, pos[node], n)
+                          for f in range(base, base + alpha)]
                 break
-            moves[base + _rank_sym(xi[b + d], yi[b + d], alpha)] = (
-                (c - 1).bit_length(), c, pos[node], b + d + 1)
-            node = children[node].get(pairs[b + d], t)
+            sym = pairs[b + d]
+            moves.append((base + rank[sym], (c - 1).bit_length(), c,
+                          pos[node], b + d + 1))
+            node = children[node].get(sym, t)
             if node >= t:
                 break
         return chain * alpha, moves
@@ -554,18 +564,18 @@ def _cond_draws(x: SymbolSeq, y: SymbolSeq):
 def cond_guess_prob(x: SymbolSeq, y: SymbolSeq) -> DyadicProb:
     """Exact probability that :func:`cond_sample` emits x given y: a
     :func:`~lzguess.seqcore.forward` pass over emitted-prefix lengths b
-    whose moves from b are the :func:`_cond_draws` at b."""
+    whose moves from b are the :func:`_cond_draws` at b, each the chain
+    value's (m, e) times the index patterns that pick its x-phrase."""
     at = _cond_draws(x, y)
-    gap_probs = {}
 
     def step(b, _state):
         size, moves = at(b)
-        probs = gap_probs.get(size)
-        if probs is None:
-            probs = gap_probs[size] = chain_gap_probs(size)
-        for f, (width, c, pos, nxt) in moves.items():
-            yield (nxt, nxt, None, probs[f].m * _ptr_count(pos, c, width),
-                   probs[f].e + width)
+        probs, out = _gap_pairs(size), []
+        for f, width, c, pos, nxt in moves:
+            m, e = probs[f]
+            out.append((nxt, nxt, None, m * (((1 << width) - 1 - pos) // c
+                                             + 1), e + width))
+        return out
 
     return forward(len(x), None, step).get(None, DyadicProb.zero())
 
@@ -579,10 +589,11 @@ def _cond_automaton(x: SymbolSeq, y: SymbolSeq):
     states, where a 1 at the z-th picks level z and a 0 goes on, then the
     z-bit payload of level z or, after the last unary state, the top
     level's payload, folded as :func:`chain_draw` folds it.  A chain
-    value leads to the index field of its move (none when that field is 0
-    bits wide) and on to the first unary state of its next b, numbered
-    when first reached; the depth-0 move from b - 1 reaches every b before
-    the loop gets to it."""
+    value of a move leads to that move's index field, whose states are
+    made first (none when the field is 0 bits wide), and on to the first
+    unary state of its next b, numbered when first reached; any other
+    value fails.  The depth-0 move from b - 1 reaches every b before the
+    loop gets to it."""
     n = len(x)
     widths, tables = [], []
     starts = {}
@@ -603,27 +614,19 @@ def _cond_automaton(x: SymbolSeq, y: SymbolSeq):
     start(0)
     for b in range(n):
         size, moves = at(b)
-        links = {}
-
-        def link(gap):
-            move = moves.get(gap)
-            if move is None:
-                return FAIL
-            if move not in links:
-                width, c, pos, nxt = move
-                links[move] = state(width, [
-                    start(nxt) if v % c == pos else FAIL
-                    for v in range(1 << width)]) if width else start(nxt)
-            return links[move]
-
+        link = {f: state(width, [start(nxt) if v % c == pos else FAIL
+                                 for v in range(1 << width)])
+                if width else start(nxt)
+                for f, width, c, pos, nxt in moves}.get
         z_top = size.bit_length() - 1
         top = (1 << z_top) - 1
         width = (size - top - 1).bit_length()
-        go = state(width, [link(top + v % (size - top))
-                           for v in range(1 << width)]) if width else link(top)
+        go = state(width, [link(top + v % (size - top), FAIL)
+                           for v in range(1 << width)]
+                   ) if width else link(top, FAIL)
         for z in reversed(range(z_top)):
-            stop = state(z, [link((1 << z) - 1 + v) for v in range(1 << z)]
-                         ) if z else link(0)
+            stop = state(z, [link((1 << z) - 1 + v, FAIL)
+                             for v in range(1 << z)]) if z else link(0, FAIL)
             unary = state(1) if z else start(b)
             tables[unary] = [go, stop]
             go = unary

@@ -6,7 +6,7 @@ import shlex
 import pytest
 
 from lzguess.fsgm import FSGMSpec
-from lzguess.seqcore import Alphabet, SymbolSeq
+from lzguess.seqcore import Alphabet, DyadicProb, SymbolSeq, forward
 
 
 class FixedBits:
@@ -64,6 +64,41 @@ def xor_machine():
     return FSGMSpec(binary, ["p", "q"], "p", {key: 1 for key in keys},
                     {(z, b): [(b, "q"), (1 - b, "p")] for z, b in keys},
                     name="xor", side_alphabet=binary)
+
+
+def fig1_word_expansion(bit_text: str, n_words: int | None = None) -> str:
+    """Reference output for the example machine, ``build_fig1_machine``:
+    parse the bit text into words from {0, 10, 11} (a leading 0 also
+    consumes one wasted bit when read by the machine) and concatenate the
+    mapped output words after the initial "ab"."""
+    mapping = {"0": "ab", "10": "bac", "11": "ca"}
+    out = ["ab"]
+    i = 0
+    while i + 2 <= len(bit_text) and (n_words is None or len(out) - 1 < n_words):
+        pair = bit_text[i:i + 2]
+        i += 2
+        # each read takes two bits; a leading 0 means word '0', second bit wasted
+        out.append(mapping["0" if pair[0] == "0" else pair])
+    return "".join(out)
+
+
+def sequence_prob_per_state(spec, x, side=None):
+    """Test-local copy of the machine law that expands every state, idle
+    (Delta = 0) rows included, one position and one word at a time: the
+    oracle for ``fsgm.sequence_prob``, which follows idle rows on the
+    spot."""
+    n = len(x)
+    ys = bytes(n) if side is None else side.indices
+
+    def step(pos, z):
+        row = z + ys[pos]
+        for out, nxt in spec.table[row]:
+            if out == x.indices[pos]:
+                yield (pos + 1, pos + 1, nxt if pos + 1 < n else None, 1,
+                       spec.delta[row])
+
+    start = spec.start if n else None
+    return forward(n, start, step).get(None, DyadicProb.zero())
 
 
 def readme_commands():

@@ -12,8 +12,8 @@ from fractions import Fraction
 from lzguess.seqcore import (Alphabet, BitSource, DyadicProb, SymbolSeq,
                              generate_corpus)
 from lzguess.lz78 import c_max_oracle, incremental_parse
-from lzguess.fsgm import build_fig1_machine, fig1_word_expansion, \
-    output_distribution, run as fsgm_run
+from lzguess.fsgm import build_fig1_machine, output_distribution, \
+    run as fsgm_run
 from lzguess.guessers import (Guesser, _moment_series,
                               compile_block_guesser_to_fsgm,
                               block_guess_prob, lz_guess_prob, moment_exact,
@@ -21,7 +21,7 @@ from lzguess.guessers import (Guesser, _moment_series,
 from lzguess.bounds import block_entropy, sandwich, sandwich_sweep
 from lzguess.sideinfo import (cond_code, cond_decode, cond_guess_prob,
                               joint_parse)
-from conftest import FixedBits, all_seqs
+from conftest import FixedBits, all_seqs, fig1_word_expansion
 
 B01 = Alphabet(("0", "1"))
 AB = Alphabet(("a", "b"))

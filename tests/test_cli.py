@@ -190,6 +190,22 @@ def test_moments_overflow_at_tiny_q_is_one_error_line(tmp_path, capsys, q,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra", [
+    [], ["--alphabet", "ab"], ["--corpus", "periodic:ab", "--n", "4"],
+    ["--input", "ab.txt"]], ids=["alone", "alphabet", "corpus", "input"])
+def test_empty_target_is_one_error_line(tmp_path, capsys, extra):
+    # an empty --target is a target, not a missing one: it once read as
+    # no target, so a --corpus beside it was guessed in its place
+    (tmp_path / "ab.txt").write_text("abba")
+    extra = [str(tmp_path / a) if a == "ab.txt" else a for a in extra]
+    out = tmp_path / "out"
+    assert main(["guess", "--target", ""] + extra
+                + ["--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --target is empty"]
+    assert not out.exists()
+
+
 def test_moments_lower_bound_where_q_to_the_minus_zeta_overflows(tmp_path):
     # E[G^zeta] fits a double, and so does the bound, though q**-zeta
     # alone does not

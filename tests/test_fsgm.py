@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -9,18 +10,20 @@ import pytest
 from lzguess.seqcore import Alphabet, BitSource, BudgetError, DyadicProb, SymbolSeq
 from lzguess.fsgm import (FSGMSpec, TreeFSGMSpec, automaton,
                           build_fig1_machine, expand_tree_machine,
-                          fig1_word_expansion, format_machine,
+                          format_machine,
                           output_distribution, parse_machine, run,
                           sequence_prob, tree_run)
 from lzguess.guessers import (Guesser, compile_block_guesser_to_fsgm,
                               play_counts, run_game)
 from lzguess.bounds import block_entropy
 from lzguess.cli import main
-from conftest import FixedBits, all_seqs, seq
+from conftest import (FixedBits, all_seqs, fig1_word_expansion, seq,
+                      sequence_prob_per_state)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 B01 = Alphabet(("0", "1"))
+ABC = Alphabet(("a", "b", "c"))
 
 
 def uniform_machine():
@@ -134,6 +137,55 @@ def random_machine(s, seed, max_delta=2, alphabet=B01):
         warnings.simplefilter("ignore")
         return FSGMSpec(alphabet, names, names[0], delta, table,
                         name="rand-%d-%d" % (s, seed))
+
+
+def idle_machine(rng, alphabet):
+    """A random plain machine of 1 to 4 states, half of its rows idle
+    (Delta = 0) on average, so that idle chains, idle cycles and an idle
+    start row all occur."""
+    names = ["z%d" % i for i in range(rng.randint(1, 4))]
+    delta = {z: rng.choice((0, 0, 1, 2)) for z in names}
+    table = {z: [(rng.randrange(alphabet.size), rng.choice(names))
+                 for _ in range(1 << delta[z])] for z in names}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return FSGMSpec(alphabet, names, names[0], delta, table)
+
+
+def test_sequence_prob_equals_the_per_state_pass_on_idle_rows():
+    # every x with n <= 6 on 150 random machines, and on one made to
+    # start idle and to end in an idle loop that runs into n
+    tail = FSGMSpec(B01, "ABC", "A", {"A": 0, "B": 1, "C": 0},
+                    {"A": [(0, "B")], "B": [(0, "A"), (1, "C")],
+                     "C": [(1, "C")]})
+    rng = random.Random(29)
+    machines = [tail] + [idle_machine(rng, (B01, ABC)[k % 2])
+                         for k in range(150)]
+    cases = idle_starts = 0
+    for spec in machines:
+        idle_starts += spec.delta[spec.start] == 0
+        for n in range(7):
+            for x in all_seqs(spec.alphabet, n):
+                assert sequence_prob(spec, x) == sequence_prob_per_state(
+                    spec, x), (spec.names, spec.table, x.render())
+                cases += 1
+    assert cases > 80000 and idle_starts > 30
+    assert sequence_prob(tail, seq("0111", B01)) == DyadicProb(1, 1)
+    assert sequence_prob(tail, seq("0110", B01)).is_zero()
+
+
+def test_sequence_prob_equals_the_per_state_pass_on_fig1_outputs():
+    fig1 = build_fig1_machine()
+    for n in list(range(1, 41)) + [64, 257, 1024, 4096]:
+        x = run(fig1, BitSource(n), n).output
+        q = sequence_prob(fig1, x)
+        assert q == sequence_prob_per_state(fig1, x) > DyadicProb.zero()
+        # one symbol changed near the end: an idle row or a reader misses
+        bad = bytearray(x.indices)
+        bad[-1] = (bad[-1] + 1) % 3
+        miss = SymbolSeq(fig1.alphabet, bytes(bad))
+        assert sequence_prob(fig1, miss) == sequence_prob_per_state(fig1,
+                                                                    miss)
 
 
 # --- tree machines -------------------------------------------------------------

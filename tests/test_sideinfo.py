@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -7,11 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lzguess.seqcore import (Alphabet, BitSource, DyadicProb, SymbolSeq,
-                             forward, generate_corpus)
+                             forward, generate_corpus, parse_corpus_spec)
 from lzguess.lz78 import BitReader, DecodeError, incremental_parse
 from lzguess.fsgm import (FSGMSpec, automaton, build_fig1_machine,
                           run as fsgm_run, sequence_prob)
-from lzguess.guessers import Guesser, make_runner
+from lzguess.guessers import Guesser, make_runner, play_counts
 from lzguess.bounds import (block_entropy, delta_n_at, direct_clogc,
                             sandwich_sweep)
 from lzguess.sideinfo import (_JointDict, _cond_draws, _gamma_encode,
@@ -19,7 +20,8 @@ from lzguess.sideinfo import (_JointDict, _cond_draws, _gamma_encode,
                               chain_gap_probs, chain_draw, chain_read,
                               cond_code, cond_decode, cond_guess_prob,
                               cond_sample, epsilon1, joint_parse, pack_pairs)
-from conftest import FixedBits, all_seqs, seq, xor_machine
+from conftest import (FixedBits, all_seqs, seq, sequence_prob_per_state,
+                      xor_machine)
 
 AB = Alphabet(("a", "b"))
 B01 = Alphabet(("0", "1"))
@@ -395,6 +397,60 @@ def test_cond_guess_prob_matches_blackbox_enumeration():
                 cond_guess_prob(x, y).as_fraction(), (x.render(), ytext)
 
 
+class _Answers:
+    """A bit source that answers its k-th next_bits call with answers[k],
+    or with 0 past the list, and records the width of every call."""
+
+    def __init__(self, answers):
+        self.answers, self.widths = answers, []
+
+    def next_bits(self, k):
+        if not k:
+            return 0
+        self.widths.append(k)
+        i = len(self.widths) - 1
+        return self.answers[i] if i < len(self.answers) else 0
+
+
+def sampler_law(sample):
+    """The exact law of sample(bits), a black box that reads fair bits by
+    next_bits, over every sequence of answers to its calls: one run per
+    sequence, turned like an odometer over the call widths (the last call
+    with an answer left is answered one higher, and the calls after it
+    are answered 0 again)."""
+    law, answers = {}, []
+    while True:
+        bits = _Answers(answers)
+        out = sample(bits)
+        law[out] = law.get(out, DyadicProb.zero()) + DyadicProb(
+            1, sum(bits.widths))
+        widths = bits.widths
+        answers += [0] * (len(widths) - len(answers))
+        while answers and answers[-1] == (1 << widths[len(answers) - 1]) - 1:
+            answers.pop()
+        if not answers:
+            return law
+        answers[-1] += 1
+
+
+@pytest.mark.parametrize("alpha, beta", itertools.product((2, 3), (2, 3, 4)))
+def test_cond_guess_prob_is_the_sampler_law_on_every_short_pair(alpha, beta):
+    # every pair up to n = 5; with beta > alpha the side symbols from
+    # alpha on have no copy among x's symbols
+    x_alphabet = Alphabet(tuple("abc"[:alpha]))
+    y_alphabet = Alphabet(tuple("0123"[:beta]))
+    for n in range(1, 6):
+        xs = list(all_seqs(x_alphabet, n))
+        for y in all_seqs(y_alphabet, n):
+            law = sampler_law(lambda bits: cond_sample(y, n, bits,
+                                                       x_alphabet))
+            assert set(law) <= set(xs)
+            assert sum(law.values(), DyadicProb.zero()) == DyadicProb.one()
+            for x in xs:
+                assert cond_guess_prob(x, y) == law.get(
+                    x, DyadicProb.zero()), (x.render(), y.render())
+
+
 def test_cond_guess_prob_sums_to_one():
     for n in (3, 6):
         for y in all_seqs(B01, n):
@@ -436,6 +492,21 @@ def test_cond_draws_answer_lengths_in_any_order(beta):
         for order in (range(n - 1, -1, -1), rng.sample(range(n), n)):
             at = _cond_draws(x, y)
             assert {b: at(b) for b in order} == dict(enumerate(want))
+
+
+def test_cond_guess_counts_pinned():
+    # the count list that `sideinfo cond-guess --corpus-x thue_morse
+    # --corpus-y periodic:abc --n 10 --rounds 200 --seed 11 --cap 10000`
+    # plays; the automaton reads the draw rule, so a change to either
+    # shows here.  The side has a symbol with no copy.  Recorded before
+    # the rule read flat tables.
+    x = parse_corpus_spec("thue_morse", 10)
+    y = parse_corpus_spec("periodic:abc", 10)
+    g = Guesser("lz_full", x.alphabet, 10, side=y)
+    counts = play_counts(g, x, 200, seed=11, cap=10000)
+    assert (sum(counts), max(counts)) == (83185, 2612)
+    assert hashlib.sha256(repr(counts).encode()).hexdigest() == (
+        "489cf76bd46fdd5134b08e3cb289298544f18eb913363ced22e0d01cf7802ecc")
 
 
 def test_cond_sample_empirical():
@@ -717,6 +788,21 @@ def test_cond_fsgm_forward_matches_enumeration():
         assert got.as_fraction() == expect
         total = total + got
     assert total == DyadicProb.one()
+
+
+def test_side_machine_laws_equal_the_per_state_pass():
+    # the lifted example machine (idle rows per side symbol), the copy
+    # machine (idle everywhere, so every chain runs into n) and the xor
+    # machine, on every pair up to n = 5
+    fig1 = build_fig1_machine()
+    for spec in (lift(fig1, B01), copy_machine(B01), copy_machine(ABC),
+                 xor_machine()):
+        side = spec.side_alphabet
+        for n in range(6):
+            for y in all_seqs(side, n):
+                for x in all_seqs(spec.alphabet, n):
+                    assert sequence_prob(spec, x, y) == \
+                        sequence_prob_per_state(spec, x, y)
 
 
 def test_cond_fsgm_run_requires_divisibility():

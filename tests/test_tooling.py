@@ -69,7 +69,6 @@ def test_bench_imports_resolve_in_src():
 # top-level definitions that only the tests call, each kept on purpose
 TEST_ONLY = {
     "tree_run": "the bit-by-bit tree semantics, oracle for the expansion",
-    "fig1_word_expansion": "the example machine's word map, its oracle",
     "_moment_series": "one series row alone, at zeta in {1, 2} too: the 1 x 1 "
                       "series_grid that tests hold to the closed forms",
 }
@@ -91,6 +90,10 @@ RETIRED = {
                    "parse under another alphabet",
     "block_sample": "Guesser.sample joins lz_sample per block",
     "_target_sequence": "_load_sequence reads --target first",
+    "_ptr_count": "chain_gap_probs and cond_guess_prob count index patterns "
+                  "inline",
+    "fig1_word_expansion": "the example machine's word map is a test oracle "
+                           "in tests/conftest.py",
 }
 
 
@@ -218,6 +221,15 @@ def test_bench_layers_runs_on_a_shrunk_grid(tmp_path):
     assert set(law) == {"e", "m_bits", "sha256"} and law["m_bits"] <= law["e"]
     assert list(summary["per_label"]["a"]["tiny_lz_passes"]
                 ["8-blocks of bernoulli:0.5:9"]["median_best_s"]) == ["32"]
+    # both conditional pairs, the independent one at cond-bounds' sizes
+    cond = summary["per_label"]["b"]["cond_guess_prob"]
+    assert {case: list(entry["median_best_s"]) for case, entry in
+            cond.items()} == {
+        "bernoulli pair, 10% flips": ["64", "128", "256", "512"],
+        "independent fair pair, seeds 1 and 2": ["16", "32", "64"]}
+    law = summary["laws"]["cond_guess_prob | independent fair pair, seeds 1 "
+                          "and 2 | n=64"]
+    assert set(law) == {"e", "m_bits", "sha256"} and law["m_bits"] <= law["e"]
     # the play grid keeps its n and shrinks its rounds; counts agree
     play = summary["per_label"]["b"]["play"]
     assert set(play) == {"lz", "block:4", "uniform", "fsgm",

@@ -8,7 +8,10 @@ numerator's bit width, so that two trees can be compared point by point:
 - ``lz_guess_prob`` on ``periodic:ab``, ``thue_morse`` and
   ``bernoulli:0.5:1`` at n = 2048 ... 16384;
 - ``cond_guess_prob`` on a Bernoulli pair (x fair, y = x with 10 % of
-  its symbols flipped) at n = 4096 ... 32768;
+  its symbols flipped) at n = 4096 ... 32768, and on an independent fair
+  pair (``bernoulli:0.5:1`` given ``bernoulli:0.5:2``) at n = 1024 ...
+  4096, the sizes and kind of pair of the benchmark's ``cond-bounds``
+  jobs;
 - ``fsgm.sequence_prob`` on an output of the example machine at
   n = 4096 ... 32768;
 - 2048 tiny passes: ``lz_guess_prob`` on each 8-symbol block of
@@ -94,6 +97,7 @@ import time
 LZ_CORPORA = ("periodic:ab", "thue_morse", "bernoulli:0.5:1")
 LZ_SIZES = (2048, 4096, 8192, 16384)
 PASS_SIZES = (4096, 8192, 16384, 32768)
+FAIR_PAIR_SIZES = (1024, 2048, 4096)
 TINY_CORPUS, TINY_N, TINY_BLOCK = "bernoulli:0.5:9", 16384, 8
 PLAY_SIZES = (8, 12, 16, 24)
 PLAY_ROUNDS, PLAY_SEED, PLAY_CAP = 300, 7, 1000
@@ -154,7 +158,10 @@ def grid(shrink):
                    _lz_pass(spec, n // shrink))
     for n in PASS_SIZES:
         yield ("cond_guess_prob", "bernoulli pair, 10% flips",
-               str(n // shrink), _cond_pass(n // shrink))
+               str(n // shrink), _cond_pass(_flip_pair, n // shrink))
+    for n in FAIR_PAIR_SIZES:
+        yield ("cond_guess_prob", "independent fair pair, seeds 1 and 2",
+               str(n // shrink), _cond_pass(_fair_pair, n // shrink))
     for n in PASS_SIZES:
         yield ("fsgm.sequence_prob", "fig1 output, BitSource(3)",
                str(n // shrink), _fsgm_pass(n // shrink))
@@ -201,9 +208,9 @@ def _lz_pass(spec, n):
     return prepare
 
 
-def _cond_pass(n):
+def _cond_pass(pair, n):
     def prepare(lz):
-        x, y = _flip_pair(lz, n)
+        x, y = pair(lz, n)
         return (lambda: lz.sideinfo.cond_guess_prob(x, y)), _law
     return prepare
 
@@ -233,6 +240,12 @@ def _flip_pair(lz, n):
     noise = lz.seqcore.generate_corpus("bernoulli", n, p=0.1, seed=2)
     return x, lz.seqcore.SymbolSeq(x.alphabet, bytes(
         a ^ b for a, b in zip(x.indices, noise.indices)))
+
+
+def _fair_pair(lz, n):
+    """x and y fair bits, drawn independently."""
+    return (lz.seqcore.generate_corpus("bernoulli", n, p=0.5, seed=1),
+            lz.seqcore.generate_corpus("bernoulli", n, p=0.5, seed=2))
 
 
 # each play kind's guesser at n, from the package lz
