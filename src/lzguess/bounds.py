@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .seqcore import SymbolSeq
 from .lz78 import incremental_parse
@@ -197,36 +197,38 @@ def rho_upper(x: SymbolSeq, ell: int) -> float:
     return (block_entropy(x, ell) + 1.0) / ell
 
 
-@dataclass
-class BoundRow:
-    ell: int
-    H_ell: float
-    converse_entropy: float
-    converse_clogc: float
-    direct: float
-    measured: float
+class BoundRow(namedtuple("BoundRow", "ell H_ell converse_entropy "
+                                       "converse_clogc direct measured")):
+    """The bounds at one block length ell: the block entropy H_ell, the
+    entropy and c log c converses, the direct value and the measured
+    exponent.  The fields are the columns of the CLI's bound rows, after
+    zeta, in order."""
+
+    __slots__ = ()
 
 
-@dataclass
-class BoundReport:
+class BoundReport(namedtuple(
+        "BoundReport", "sequence_id n zeta s guesser q_log2 measured "
+                       "complexity converse_entropy converse_clogc direct "
+                       "chosen_ell direct_applies rows",
+        defaults=(None,))):
     """Converse and direct values around one measured guessing exponent.
     For a side guesser, `direct` rests on the calibrated epsilon1 envelope,
-    not on a theorem."""
+    not on a theorem.
 
-    sequence_id: str
-    n: int
-    zeta: float
-    s: int
-    guesser: str
-    q_log2: float
-    measured: float              # (1/n) log2 E[G^zeta] from exact q
-    complexity: float            # c_lz log2 c_lz bits, or u(x, y) with side
-    converse_entropy: float
-    converse_clogc: float
-    direct: float
-    chosen_ell: int              # maximizer of the entropy converse
-    direct_applies: bool         # the guesser's law is that sampler's
-    rows: list[BoundRow] = field(default_factory=list)
+    `measured` is (1/n) log2 E[G^zeta] from the exact q; `complexity` is
+    c_lz log2 c_lz bits, or u(x, y) with side information; `chosen_ell`
+    maximizes the entropy converse; `direct_applies` says that the
+    guesser's law is the sampler's that `direct` bounds.  `rows`, a list
+    of :class:`BoundRow` (a fresh empty one when left out), holds the
+    bounds at each ell.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        report = super().__new__(cls, *args, **kwargs)
+        return report if report.rows is not None else report._replace(rows=[])
 
     def ordered(self, row: BoundRow) -> bool:
         """converse <= measured, and measured <= direct where it applies."""

@@ -13,14 +13,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import hashlib
 import itertools
 import json
 import math
 import os
-import shutil
 import sys
 import warnings
 from datetime import datetime, timezone
@@ -93,15 +91,19 @@ def _load_sequence(params: dict, key_input="input",
             if params.get("alphabet_file"):
                 raise ValueError("--mode bytes takes --alphabet, not "
                                  "--alphabet-file")
-            subset = params.get("alphabet", "").encode("latin-1") or None
+            alphabet = params.get("alphabet", "").encode("latin-1") or None
             with open(params[key_input], "rb") as fh:
-                return ingest(fh.read(), subset, mode="bytes")
-        with open(params[key_input], "r", encoding="utf-8") as fh:
-            text = fh.read()
-        alphabet = _alphabet_from(params)
-        if mode == "text":
-            text = _strip_blanks(text, alphabet)
-        return ingest(text, alphabet, mode=mode)
+                data = fh.read()
+        else:
+            with open(params[key_input], "r", encoding="utf-8") as fh:
+                data = fh.read()
+            alphabet = _alphabet_from(params)
+            if mode == "text":
+                data = _strip_blanks(data, alphabet)
+        # a file with no symbols is refused by name, as an empty --target
+        if not (any(data.splitlines()) if mode == "lines" else data):
+            raise ValueError("--%s is empty" % key_input.replace("_", "-"))
+        return ingest(data, alphabet, mode=mode)
     if params.get(key_corpus):
         n = params.get("n")
         if n is None:
@@ -211,7 +213,7 @@ def _run_fsgm_dist(params, outdir):
     return {"machine": spec.name, "n": params["n"], "distribution": rows}, None
 
 
-_MOMENT_FIELDS = [f.name for f in dataclasses.fields(guessers.MomentEstimate)]
+_MOMENT_FIELDS = list(guessers.MomentEstimate._fields)
 
 
 def _expected_guesses(rounds: int, q_log2: float, cap: int) -> float:
@@ -247,7 +249,7 @@ def _moment_rows(params, g: guessers.Guesser, x: SymbolSeq) -> list[dict]:
               file=sys.stderr)
     counts = guessers.play_counts(g, x, rounds, params.get("seed") or 0, cap,
                                   jobs)
-    return [dataclasses.asdict(est.fold(counts, cap)) for est in ests]
+    return [est.fold(counts, cap)._asdict() for est in ests]
 
 
 def _run_guess(params, outdir):
@@ -289,7 +291,7 @@ def _run_bounds(params, outdir, require_ordering=False):
                                     params["s"], g,
                                     sequence_id=params.get("corpus")
                                     or params.get("input") or "")
-    rows = [{"zeta": rep.zeta, **dataclasses.asdict(row)} for rep in reports
+    rows = [{"zeta": rep.zeta, **row._asdict()} for rep in reports
             for row in rep.rows if not ells or row.ell in ells]
     summary = [{"zeta": r.zeta, "s": r.s, "q_log2": r.q_log2,
                 "measured": r.measured,
@@ -391,6 +393,7 @@ def _execute(subcommand: str, params: dict, out_root: str,
         results, table = _EXECUTORS[subcommand](params, outdir)
     except BaseException:
         if created:
+            import shutil       # only a failed run needs it
             shutil.rmtree(created, ignore_errors=True)
         raise
     results_path = os.path.join(outdir, "results.json")

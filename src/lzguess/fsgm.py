@@ -29,8 +29,7 @@ labels; the wasted bits are immaterial since randomness is unlimited.
 from __future__ import annotations
 
 import warnings
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .seqcore import (FAIL, WIN, Alphabet, BitSource, BudgetError, DyadicProb,
                       SymbolSeq, forward)
@@ -136,14 +135,12 @@ def _side_indices(spec: FSGMSpec, side: SymbolSeq | None, n: int) -> bytes:
     return side.indices
 
 
-@dataclass
-class RunTrace:
-    """One execution record: cursors, consumed words, state path, output."""
+class RunTrace(namedtuple("RunTrace", "cursors words states output")):
+    """One execution record: the bit cursors t_0 .. t_n, the consumed
+    words v_1 .. v_n as bit strings ('' where Delta = 0), the states
+    z_1 .. z_{n+1} by name, and the output :class:`SymbolSeq`."""
 
-    cursors: list[int]        # t_0 .. t_n
-    words: list[str]          # v_1 .. v_n as bit strings ('' when Delta=0)
-    states: list[str]         # z_1 .. z_{n+1} by name
-    output: SymbolSeq
+    __slots__ = ()
 
     @property
     def bits_consumed(self) -> int:

@@ -35,11 +35,11 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable
 from functools import reduce
 from itertools import groupby
 from operator import mul
-from typing import Callable
 
 from .seqcore import (FAIL, WIN, Alphabet, BitSource, BudgetError, DyadicProb,
                       SymbolSeq, forward, play)
@@ -273,9 +273,12 @@ def _onto(s: SymbolSeq, alphabet: Alphabet) -> SymbolSeq:
             else SymbolSeq.from_tokens(s.tokens(), alphabet))
 
 
-@dataclass(frozen=True)
-class Guesser:
-    """A randomized guessing distribution over length-n sequences.
+class Guesser(namedtuple("Guesser", "kind alphabet n ell spec side")):
+    """A randomized guessing distribution over length-n sequences: a
+    `kind`, the target `alphabet` and length `n`, and per kind an `ell`, a
+    machine `spec` (:class:`FSGMSpec`) or a `side` sequence.  Validated
+    on construction; immutable, hashable and picklable (``--jobs`` sends
+    it to worker processes).
 
     kinds: "lz_full" (one dictionary for the whole guess), "lz_block"
     (dictionary restarts every ell symbols), "uniform" (one fresh symbol
@@ -296,31 +299,28 @@ class Guesser:
     attempt stops at the first draw that leaves the target.
     """
 
-    kind: str
-    alphabet: Alphabet
-    n: int
-    ell: int | None = None
-    spec: FSGMSpec | None = None
-    side: SymbolSeq | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("lz_full", "lz_block", "uniform", "fsgm"):
-            raise ValueError("unknown guesser kind %r" % self.kind)
-        if self.kind == "lz_block" and (self.ell is None or self.ell < 1):
+    def __new__(cls, kind: str, alphabet: Alphabet, n: int,
+                ell: int | None = None, spec: FSGMSpec | None = None,
+                side: SymbolSeq | None = None):
+        if kind not in ("lz_full", "lz_block", "uniform", "fsgm"):
+            raise ValueError("unknown guesser kind %r" % kind)
+        if kind == "lz_block" and (ell is None or ell < 1):
             raise ValueError("lz_block needs ell >= 1")
-        if self.kind == "fsgm" and self.spec is None:
+        if kind == "fsgm" and spec is None:
             raise ValueError("fsgm guesser needs a machine spec")
-        if (self.kind == "uniform" and self.side is not None) or (
-                self.kind == "fsgm"
-                and (self.side is None) != (self.spec.side_alphabet is None)):
+        if (kind == "uniform" and side is not None) or (
+                kind == "fsgm"
+                and (side is None) != (spec.side_alphabet is None)):
             raise ValueError("side information needs an LZ guesser or a "
                              "side machine, and a side machine needs it")
-        if self.side is not None and len(self.side) != self.n:
+        if side is not None and len(side) != n:
             raise ValueError("side length %d != guesser length %d"
-                             % (len(self.side), self.n))
-        if self.kind == "fsgm" and self.side is not None:
-            object.__setattr__(self, "side",
-                               _onto(self.side, self.spec.side_alphabet))
+                             % (len(side), n))
+        if kind == "fsgm" and side is not None:
+            side = _onto(side, spec.side_alphabet)
+        return super().__new__(cls, kind, alphabet, n, ell, spec, side)
 
     @property
     def block(self) -> int | None:
@@ -686,27 +686,27 @@ def make_runner(guesser: Guesser, x: SymbolSeq) -> Callable[[BitSource], bool]:
     return attempt
 
 
-@dataclass
-class MomentEstimate:
+class MomentEstimate(namedtuple(
+        "MomentEstimate", "n zeta q_log2 exact_moment_log2 exponent "
+                          "mc_mean mc_ci censored rounds",
+        defaults=(None, None, None, None))):
     """Exact and Monte-Carlo views of E[G^zeta] for one guesser and target:
-    the fields are the columns of the CLI's moment rows, in order."""
+    the fields are the columns of the CLI's moment rows, in order.
 
-    n: int
-    zeta: float
-    q_log2: float
-    exact_moment_log2: float
-    exponent: float              # exact_moment_log2 / n
-    mc_mean: float | None = None
-    mc_ci: float | None = None   # 3 standard errors of the mean
-    censored: int | None = None
-    rounds: int | None = None
+    `exponent` is exact_moment_log2 / n.  The Monte Carlo fields, None
+    until :meth:`fold` fills them, are the mean of G^zeta over the rounds
+    (`mc_mean`), 3 standard errors of that mean (`mc_ci`), the rounds
+    censored at the cap and the rounds played.
+    """
+
+    __slots__ = ()
 
     def fold(self, counts, cap: int) -> "MomentEstimate":
-        """Fill the Monte Carlo fields from per-round guess counts in round
-        order, as :func:`play` yields them; a censored round (cap + 1)
-        enters the mean at the cap.  No counts leave the fields None.  A
-        ValueError says that a G^zeta, or the sum of their squares,
-        overflows a double."""
+        """A copy with the Monte Carlo fields filled from per-round guess
+        counts in round order, as :func:`play` yields them; a censored
+        round (cap + 1) enters the mean at the cap.  No counts return
+        this estimate as it is.  A ValueError says that a G^zeta, or the
+        sum of their squares, overflows a double."""
         total = total_sq = 0.0
         censored = rounds = 0
         try:
@@ -727,11 +727,9 @@ class MomentEstimate:
             return self
         mean = total / rounds
         var = max(total_sq / rounds - mean * mean, 0.0)
-        self.mc_mean = mean
-        self.mc_ci = 3.0 * math.sqrt(var / rounds)
-        self.censored = censored
-        self.rounds = rounds
-        return self
+        return self._replace(mc_mean=mean,
+                             mc_ci=3.0 * math.sqrt(var / rounds),
+                             censored=censored, rounds=rounds)
 
 
 def estimate_moment(q: DyadicProb, zeta: float, n: int) -> MomentEstimate:

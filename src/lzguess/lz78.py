@@ -34,7 +34,7 @@ and guarded to n <= 24.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 
 from .seqcore import Alphabet, BudgetError, SymbolSeq
@@ -111,15 +111,18 @@ class ParseTrie:
         return bytes(out)
 
 
-@dataclass
-class ParseResult:
-    """Outcome of the incremental parse of one sequence."""
+class ParseResult(namedtuple("ParseResult",
+                             "seq boundaries tail trie code_length_bits")):
+    """Outcome of the incremental parse of one sequence.
 
-    seq: SymbolSeq
-    boundaries: list[int]          # start offset of each phrase
-    tail: int                      # node of an incomplete final phrase, or 0
-    trie: ParseTrie
-    code_length_bits: int
+    `seq` is the parsed :class:`SymbolSeq`, `boundaries` the list of each
+    phrase's start offset, `tail` the trie node of an incomplete final
+    phrase (0 when the last phrase is complete), `trie` the
+    :class:`ParseTrie` of the complete phrases and `code_length_bits` the
+    LZ78 code length of `seq`.
+    """
+
+    __slots__ = ()
 
     @property
     def c_lz(self) -> int:           # phrases, an incomplete final included

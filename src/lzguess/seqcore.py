@@ -21,10 +21,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
 
 
 class BudgetError(ValueError):
@@ -595,7 +593,11 @@ class DyadicProb:
         e = max(self.e, other.e)
         return self.m << (e - self.e) < other.m << (e - other.e)
 
-    def as_fraction(self) -> Fraction:
+    def as_fraction(self):
+        """The value as a :class:`fractions.Fraction`.  No command calls
+        it, so ``fractions`` (which loads ``decimal``) is imported here and
+        not when the CLI starts."""
+        from fractions import Fraction
         return Fraction(self.m, 1 << self.e)
 
     def __float__(self) -> float:

@@ -11,10 +11,10 @@ k**zeta, while each row's float sum stays that of a term-by-term loop.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import reduce
 from itertools import accumulate, islice, repeat
 from operator import add, mul
-from typing import NamedTuple
 
 # the relative error that stops a moment series: this float series, and
 # the log-domain one of lzguess.guessers.moment_log2
@@ -24,9 +24,10 @@ REL_TOL = 1e-12
 _SERIES_CHUNK = 4096
 
 
-class MomentResult(NamedTuple):
-    value: float
-    rel_err: float
+class MomentResult(namedtuple("MomentResult", "value rel_err")):
+    """A moment, a float, and its certified relative error."""
+
+    __slots__ = ()
 
 
 def series_grid(rows) -> list:

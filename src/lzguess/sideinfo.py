@@ -66,7 +66,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .seqcore import (FAIL, WIN, Alphabet, BitSource, DyadicProb, SymbolSeq,
                       forward)
@@ -94,22 +94,33 @@ def pack_pairs(x: SymbolSeq, y: SymbolSeq) -> SymbolSeq:
     return SymbolSeq(Alphabet(tokens), packed)
 
 
-@dataclass
-class JointParseResult:
+class JointParseResult(namedtuple("JointParseResult", "joint c_j u index")):
     """Joint incremental parse of (x, y) with per-y-phrase counts.
 
-    c_xy counts complete phrases; the possibly incomplete tail is excluded
+    `joint` is the :class:`ParseResult` of the packed pair stream, `c_j`
+    the x-phrase count per distinct y-phrase, the y-phrases in
+    first-creation order, and `u` the conditional complexity.  c_xy
+    counts complete phrases; the possibly incomplete tail is excluded
     from the c_j counts (it duplicates an existing phrase prefix and would
     spoil u(x, x) = 0) and reported via last_complete/tail_len instead.
     All three are read off `joint`.  `index` is the :class:`_JointDict`
-    the counts were read from, which :func:`cond_code` can read again.
+    of `joint` that the counts were read from, which :func:`cond_code`
+    can read again; it takes no part in == or the repr.
     """
 
-    joint: ParseResult           # the parse of the packed pair stream
-    c_j: list[int]               # x-phrase count per distinct y-phrase,
-                                 # the y-phrases in first-creation order
-    u: float
-    index: _JointDict = field(repr=False, compare=False)  # of `joint`
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:3] == other[:3]
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __repr__(self):
+        return "JointParseResult(joint=%r, c_j=%r, u=%r)" % self[:3]
 
     @property
     def c_xy(self) -> int:

@@ -162,6 +162,11 @@ def test_sandwich_reports():
     assert all(r.ell and 4096 % r.ell == 0 for r in rep.rows)
     assert all(r.converse_entropy >= 0 and r.converse_clogc >= 0
                for r in rep.rows)
+    # rows may be left out: each report then gets a list of its own
+    fields = rep[:-1]
+    bare, other = BoundReport(*fields), BoundReport(*fields)
+    assert bare.rows == [] and bare.rows is not other.rows
+    assert BoundReport(*fields, rows=rep.rows) == rep
 
 
 def test_entropy_converse_below_fsgm_guesser_exponent():

@@ -109,6 +109,29 @@ def test_guess_subcommand_schema(tmp_path):
     assert os.path.exists(rec["artifacts"]["results.csv"])
 
 
+def test_moment_columns_keep_their_order(tmp_path):
+    # the CSV columns are the fields of MomentEstimate in their order (the
+    # bound columns are pinned in test_bounds_and_sandwich), and each row
+    # dict lists its keys in that order
+    moment = ["n", "zeta", "q_log2", "exact_moment_log2", "exponent",
+              "mc_mean", "mc_ci", "censored", "rounds"]
+    assert cli._MOMENT_FIELDS == moment
+    rec = dispatch(tmp_path, "guess", "--target", "0110", "--alphabet", "01",
+                   "--zeta", "1", "--zeta", "2", "--rounds", "20")
+    header, *body = read_bytes(rec, "results.csv").decode().splitlines()
+    assert header == ",".join(["guesser"] + moment) and len(body) == 2
+    row = read_json(rec)["rows"][0]
+    assert set(row) == {"guesser", *moment} and row["rounds"] == 20
+    x = seqcore.ingest("0110", "01")
+    rows = cli._moment_rows({"zeta": [1.0], "rounds": 3},
+                            guessers.Guesser("lz_full", x.alphabet, 4), x)
+    assert [list(r) for r in rows] == [moment]
+    rec = dispatch(tmp_path, "sideinfo", "cond-guess", "--corpus-x",
+                   "periodic:ab", "--corpus-y", "periodic:ab", "--n", "8")
+    header = read_bytes(rec, "results.csv").decode().splitlines()[0]
+    assert header == ",".join(moment)
+
+
 def test_moments_subcommand(tmp_path):
     rec = dispatch(tmp_path, "moments", "--q", "0.5", "--q", "0.25",
                    "--zeta", "1", "--zeta", "2")
@@ -203,6 +226,33 @@ def test_empty_target_is_one_error_line(tmp_path, capsys, extra):
                 + ["--out-dir", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [
         "error: --target is empty"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["guess", "--input", "E", "--alphabet", "01"], "--input"),
+    (["bounds", "--input", "E", "--alphabet", "01"], "--input"),
+    (["codelen", "--input", "E"], "--input"),
+    (["codelen", "--input", "B"], "--input"),
+    (["codelen", "--input", "E", "--mode", "bytes"], "--input"),
+    (["codelen", "--input", "N", "--mode", "lines"], "--input"),
+    (["sideinfo", "cond-complexity", "--input-x", "E", "--input-y", "E",
+      "--alphabet", "01"], "--input-x"),
+    (["sideinfo", "cond-complexity", "--corpus-x", "periodic:01", "--n", "4",
+      "--input-y", "E", "--alphabet", "01"], "--input-y"),
+], ids=["guess", "bounds", "codelen", "codelen-blank", "codelen-bytes",
+        "codelen-blank-lines", "cond-complexity-x", "cond-complexity-y"])
+def test_empty_input_file_is_one_error_line(tmp_path, capsys, argv, flag):
+    # a file with no symbols once failed later, on a block length
+    # ("need ell >= 1") or a parse size ("need n >= 4")
+    (tmp_path / "E").write_text("")
+    (tmp_path / "B").write_text(" \n\t\n")     # blanks, no --alphabet
+    (tmp_path / "N").write_text("\n\n\n")      # no nonempty line
+    argv = [str(tmp_path / a) if a in ("E", "B", "N") else a for a in argv]
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: %s is empty" % flag]
     assert not out.exists()
 
 

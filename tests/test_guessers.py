@@ -1,6 +1,7 @@
 import collections
 import itertools
 import math
+import pickle
 import random
 import tracemalloc
 import warnings
@@ -17,9 +18,10 @@ from lzguess import guessers, seqcore, series
 from lzguess.lz78 import incremental_parse
 from lzguess.fsgm import (FSGMSpec, automaton, build_fig1_machine,
                           output_distribution)
-from lzguess.guessers import (Guesser, _lz_draws_at, _lz_run_tables,
-                              _moment_series, block_guess_prob,
-                              compile_automaton, compile_block_guesser_to_fsgm,
+from lzguess.guessers import (Guesser, MomentEstimate, _lz_draws_at,
+                              _lz_run_tables, _moment_series,
+                              block_guess_prob, compile_automaton,
+                              compile_block_guesser_to_fsgm, estimate_moment,
                               lz_guess_prob, lz_sample, make_runner,
                               moment_exact, moment_grid, moment_log2,
                               moment_lower_bound, moment_lower_bound_log2,
@@ -768,6 +770,63 @@ def test_run_game_jobs_equivalence():
         assert a.mc_mean == b.mc_mean
         assert a.mc_ci == b.mc_ci
         assert a.censored == b.censored
+
+
+def test_guesser_validates_and_pickles():
+    spec = build_fig1_machine()
+    side_machine = xor_machine()
+    y = seq("0110", B01)
+    for args, kwargs, message in (
+            (("lz_tree", B01, 4), {}, "unknown guesser kind"),
+            (("lz_block", B01, 4), {}, "lz_block needs ell >= 1"),
+            (("lz_block", B01, 4), {"ell": 0}, "lz_block needs ell >= 1"),
+            (("fsgm", B01, 4), {}, "needs a machine spec"),
+            (("uniform", B01, 4), {"side": y}, "side information needs"),
+            (("fsgm", spec.alphabet, 4), {"spec": spec, "side": y},
+             "side information needs"),
+            (("fsgm", side_machine.alphabet, 4), {"spec": side_machine},
+             "side information needs"),
+            (("lz_full", B01, 5), {"side": y}, "side length 4 != guesser")):
+        with pytest.raises(ValueError, match=message):
+            Guesser(*args, **kwargs)
+    # --jobs sends guessers to worker processes: a pickle round trip keeps
+    # every field, a side machine's side included, and equality and hash
+    # where no machine (compared by identity) is held
+    for g in (Guesser("lz_full", B01, 4), Guesser("lz_block", B01, 4, ell=2),
+              Guesser("uniform", B01, 4), Guesser("lz_full", B01, 4, side=y),
+              Guesser("fsgm", spec.alphabet, 4, spec=spec),
+              Guesser("fsgm", side_machine.alphabet, 4, spec=side_machine,
+                      side=y)):
+        back = pickle.loads(pickle.dumps(g))
+        assert type(back) is Guesser
+        assert (back.kind, back.alphabet, back.n, back.ell, back.side) == (
+            g.kind, g.alphabet, g.n, g.ell, g.side)
+        assert back.describe() == g.describe()
+        if g.spec is None:
+            assert back == g and hash(back) == hash(g)
+    assert Guesser("lz_full", B01, 4) == Guesser("lz_full", B01, 4)
+    assert len({Guesser("uniform", B01, 4), Guesser("uniform", B01, 4)}) == 1
+
+
+def test_moment_estimate_fields_and_fold():
+    # fold returns a filled copy and leaves the estimate it was called on
+    # as it was; _asdict keeps the field order, the CLI's column order
+    est = estimate_moment(DyadicProb(3, 3), 2.0, 2)
+    assert (est.mc_mean, est.mc_ci, est.censored, est.rounds) == (
+        None, None, None, None)
+    assert list(est._asdict()) == list(MomentEstimate._fields)
+    cap = 4
+    full = est.fold([1, 2, 5, 3], cap)       # 5 = cap + 1: censored
+    assert type(full) is MomentEstimate and full is not est
+    assert full[:5] == est[:5]
+    assert est.mc_mean is None and est.rounds is None
+    squares = [1.0, 4.0, 16.0, 9.0]
+    mean = sum(squares) / 4
+    var = sum(g * g for g in squares) / 4 - mean * mean
+    assert full.mc_mean == mean
+    assert full.mc_ci == 3.0 * math.sqrt(var / 4)
+    assert (full.censored, full.rounds) == (1, 4)
+    assert est.fold([], cap) is est
 
 
 def test_play_counts_in_round_order_for_any_worker_count():

@@ -44,6 +44,21 @@ def test_joint_parse_example():
     assert jp.u == 2.0
 
 
+def test_joint_parse_result_compares_and_prints_without_its_index():
+    x, y = seq("abbab", AB), seq("aabba", AB)
+    a = joint_parse(x, y)
+    assert isinstance(a.index, _JointDict)
+    for index in (joint_parse(x, y).index, None):
+        b = a._replace(index=index)
+        assert a == b and not a != b
+    other = joint_parse(x, x)._replace(joint=a.joint)
+    assert a != other and not a == other
+    # the repr names the three compared fields only
+    shown = a._replace(joint="J", index="INDEX")
+    assert repr(shown) == "JointParseResult(joint='J', c_j=%r, u=%r)" % (
+        a.c_j, a.u)
+
+
 def test_u_of_x_given_x_is_zero():
     rng = random.Random(1)
     cases = [generate_corpus("periodic", 64, pattern="ab"),

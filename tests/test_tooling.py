@@ -191,6 +191,23 @@ def test_no_function_imports_a_sibling_module():
     assert not lazy, lazy
 
 
+def test_import_cli_loads_no_module_that_no_command_calls():
+    # standard-library modules that no command calls stay off the start of
+    # every run (dataclasses loads inspect, fractions decimal); -S keeps
+    # the site's own imports, typing among them on some hosts, out of the
+    # fresh interpreter
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import lzguess.cli;"
+            " print(' '.join(sorted(sys.modules)))")
+    run = subprocess.run([sys.executable, "-S", "-c", code,
+                          os.path.join(ROOT, "src")],
+                         check=True, capture_output=True, text=True)
+    loaded = set(run.stdout.split())
+    assert "lzguess.cli" in loaded
+    absent = {"dataclasses", "inspect", "fractions", "decimal", "shutil",
+              "typing"}
+    assert not loaded & absent, sorted(loaded & absent)
+
+
 def test_bench_layers_runs_on_a_shrunk_grid(tmp_path):
     # two labels over the same tree: every grid point is timed, exponents
     # are fitted, and the laws and play counts agree
@@ -280,6 +297,15 @@ def test_bench_layers_runs_on_a_shrunk_grid(tmp_path):
         assert "fitted_exponent" in case and "ratio_to_a" in case
     assert set(summary["laws"]["corpus | generate_corpus bernoulli, p=0.1, "
                                "seed 1 | n=16384"]) == {"sha256"}
+    # the import point: one fresh interpreter per case at this shrink, and
+    # the modules the import added beside its time, as work done
+    imports = summary["per_label"]["b"]["import"]
+    assert set(imports) == {"lzguess.cli, from source", "lzguess.cli, cached"}
+    for case in imports.values():
+        assert list(case["median_best_s"]) == ["1"]
+        assert 0 < case["median_best_s"]["1"] < 60
+        assert case["modules_loaded"]["1"] >= 9       # lzguess's own
+    assert summary["laws"]["import | lzguess.cli, cached | n=1"] == {}
 
 
 def test_bench_ab_reads_a_tree_against_itself_as_even(tmp_path):
@@ -296,10 +322,10 @@ def test_bench_ab_reads_a_tree_against_itself_as_even(tmp_path):
     out = tmp_path / "ab.json"
     points = ["lz78.incremental_parse, thue_morse | n=65536",
               "lz78.decode, fair bits | n=65536"]
-    argv = [sys.executable, os.path.join(ROOT, "tools", "bench_ab.py"),
+    base = [sys.executable, os.path.join(ROOT, "tools", "bench_ab.py"),
             "--parent", "HEAD", "--repo", str(repo), "--src", ROOT,
-            "--shrink", "4", "--rounds", "7", "--best-of", "3",
             "--out", str(out)]
+    argv = base + ["--shrink", "4", "--rounds", "7", "--best-of", "3"]
     for point in points:
         argv += ["--point", point]
     run = subprocess.run(argv, check=True, capture_output=True, text=True)
@@ -311,6 +337,21 @@ def test_bench_ab_reads_a_tree_against_itself_as_even(tmp_path):
         assert res["rounds"] == 7 and 0 <= res["rounds_won"] <= 7
         assert len(res["parent_s"]) == len(res["tree_s"]) == 7
         assert key in run.stdout
+    # the import point runs on both trees, each from its own sources: a
+    # parent whose import loads one more module still computes the same
+    cli = repo / "src" / "lzguess" / "cli.py"
+    cli.write_text(cli.read_text() + "import fractions\n")
+    subprocess.run(git + ["commit", "-qam", "fractions"], check=True,
+                   capture_output=True)
+    subprocess.run(base + ["--shrink", "20", "--rounds", "2", "--best-of",
+                           "1", "--point", "import |"],
+                   check=True, capture_output=True, text=True)
+    results = json.loads(out.read_text())["points"]
+    assert sorted(results) == ["import | lzguess.cli, cached | n=1",
+                               "import | lzguess.cli, from source | n=1"]
+    for res in results.values():
+        assert res["identical"] and res["rounds"] == 2
+        assert all(s > 0 for s in res["parent_s"] + res["tree_s"])
 
 
 def test_readme_commands_parse():

@@ -77,7 +77,8 @@ def compare(trees, points, rounds, k):
                 best, out = bench_layers._best_of(k, call)
                 times[side].append(best)
                 fields = record(out)
-                fields.pop("rows_built", None)   # work done, not output
+                for work in bench_layers.WORK_FIELDS:
+                    fields.pop(work, None)
                 records.add(json.dumps(fields, sort_keys=True))
         ratios = [b / a for a, b in zip(*times)]
         results[key] = {

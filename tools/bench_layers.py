@@ -53,6 +53,17 @@ numerator's bit width, so that two trees can be compared point by point:
 - ``corpus``: ``seqcore.generate_corpus("bernoulli", n, p=P, seed=1)`` at
   P = 0.5 and 0.1, n = 16384 ... 1048576.  A point records the sha256 of
   the symbol indices.
+- ``import``: ``import lzguess.cli`` in each of n = 20 fresh interpreters
+  started with ``-I -S`` (no environment, no site imports), timed inside
+  each and reported as the median.  Two cases: from source, importing a
+  copy of the package's ``.py`` files in a temporary folder under ``-B``
+  (the flag of ``PYTHONDONTWRITEBYTECODE=1``), so the package compiles
+  every time while the standard library reads its installed cache; and
+  cached, under ``-X pycache_prefix`` (the flag of
+  ``PYTHONPYCACHEPREFIX``) at a temporary folder that one untimed import
+  filled.  No cache is read from or written into the tree.  A point
+  records the modules the import added to ``sys.modules`` as work done,
+  not as output.
 
 :func:`grid` lists the points, each building its inputs from the
 ``lzguess`` package it is given, so ``tools/bench_ab.py`` runs the same
@@ -74,9 +85,9 @@ example::
     done
 
 ``--shrink K`` divides every n of the exact passes and of the codec, the
-number of tiny passes, the ``play`` rounds and the corpus n by K, for a
-quick check of the script itself; the ``moments`` point keeps its
-parameters.
+number of tiny passes, the ``play`` rounds, the corpus n and the
+interpreters of the ``import`` point by K, for a quick check of the
+script itself; the ``moments`` point keeps its parameters.
 """
 
 from __future__ import annotations
@@ -90,9 +101,13 @@ import math
 import os
 import platform
 import random
+import shutil
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
+from collections import namedtuple
 
 LZ_CORPORA = ("periodic:ab", "thue_morse", "bernoulli:0.5:1")
 LZ_SIZES = (2048, 4096, 8192, 16384)
@@ -109,6 +124,17 @@ CORPUS_PS, CORPUS_SIZES = (0.5, 0.1), (16384, 65536, 262144, 1048576)
 # perfbench's moments-window job at seed 1
 MOMENTS_PARAMS = {"q": [0.00021094531388311813, 0.00014127985039861263],
                   "zeta": [1.5, 3.0]}
+IMPORT_RUNS = 20
+# fields of a point that count the work a tree did, not what it computed:
+# they may differ between trees that compute the same
+WORK_FIELDS = ("rows_built", "modules_loaded")
+
+
+class ChildTimed(namedtuple("ChildTimed", "seconds out")):
+    """What the call of a point timed in child processes returns: the
+    time to report in place of the call's own, and its output."""
+
+    __slots__ = ()
 
 
 def _import_lzguess(src):
@@ -138,7 +164,10 @@ def _best_of(k, call):
     for _ in range(k):
         t0 = time.perf_counter()
         out = call()
-        best = min(best, time.perf_counter() - t0)
+        took = time.perf_counter() - t0
+        if isinstance(out, ChildTimed):
+            took, out = out
+        best = min(best, took)
     return best, out
 
 
@@ -150,8 +179,9 @@ def grid(shrink):
     """Every point of the grid as (layer, case, n, prepare), in the order
     of the output.  prepare(lz), given an imported ``lzguess`` package,
     builds the point's inputs from that package and returns (call,
-    record): call() is the timed part and record(out) the point's fields
-    besides its time (a law, counts or a digest of what call returned)."""
+    record): call() is the timed part, or returns a :class:`ChildTimed`,
+    and record(out) the point's fields besides its time (a law, counts or
+    a digest of what call returned)."""
     for spec in LZ_CORPORA:
         for n in LZ_SIZES:
             yield ("lz_guess_prob", spec, str(n // shrink),
@@ -188,6 +218,10 @@ def grid(shrink):
         for n in CORPUS_SIZES:
             yield ("corpus", "generate_corpus bernoulli, p=%r, seed 1" % p,
                    str(n // shrink), _corpus_point(p, n // shrink))
+    runs = max(1, IMPORT_RUNS // shrink)
+    for case, cached in (("lzguess.cli, from source", False),
+                         ("lzguess.cli, cached", True)):
+        yield "import", case, str(runs), _import_point(runs, cached)
 
 
 def measure(k, shrink, lz):
@@ -397,6 +431,44 @@ def _corpus_point(p, n):
     return prepare
 
 
+# one fresh interpreter's import: the seconds it took and the modules it
+# added to sys.modules
+_IMPORT_CODE = ("import sys, time; sys.path.insert(0, sys.argv[1]); "
+                "before = len(sys.modules); t0 = time.perf_counter(); "
+                "import lzguess.cli; "
+                "print(time.perf_counter() - t0, len(sys.modules) - before)")
+
+
+def _import_point(runs, cached):
+    """The median time of ``import lzguess.cli`` over `runs` fresh
+    interpreters, from source or from a bytecode cache in a temporary
+    folder."""
+    def prepare(lz):
+        package = os.path.dirname(os.path.abspath(lz.__file__))
+        # a bytecode cache, or a copy of the package's sources with none;
+        # the folder goes when the closures that read it go
+        tmp = tempfile.TemporaryDirectory(prefix="lzguess-import-")
+        if not cached:
+            shutil.copytree(package, os.path.join(tmp.name, "lzguess"),
+                            ignore=shutil.ignore_patterns("__pycache__"))
+
+        def once():
+            flags = ["-X", "pycache_prefix=" + tmp.name] if cached else ["-B"]
+            src = os.path.dirname(package) if cached else tmp.name
+            argv = [sys.executable, "-I", "-S", *flags, "-c", _IMPORT_CODE, src]
+            seconds, modules = subprocess.run(
+                argv, check=True, capture_output=True, text=True).stdout.split()
+            return float(seconds), int(modules)
+        if cached:
+            once()
+
+        def call():
+            times, modules = zip(*(once() for _ in range(runs)))
+            return ChildTimed(statistics.median(times), max(modules))
+        return call, lambda modules: {"modules_loaded": modules}
+    return prepare
+
+
 def _slope(points):
     """Least-squares slope of log time against log n."""
     xs = [math.log(n) for n, _ in points]
@@ -425,13 +497,12 @@ def summarize(runs):
                     per[n] = got[0].get("attempts", 1)
                     laws.setdefault((layer, case, n), []).extend(
                         {key: v for key, v in g.items()
-                         if key not in ("best_s", "rows_built")}
+                         if key != "best_s" and key not in WORK_FIELDS}
                         for g in got)
                 entry = {"median_best_s": medians}
-                if "rows_built" in got[0]:
-                    # the work a tree did, not what it computed
-                    entry["rows_built"] = {
-                        n: points[n]["rows_built"] for n in points}
+                for work in WORK_FIELDS:
+                    if work in got[0]:
+                        entry[work] = {n: points[n][work] for n in points}
                 if "attempts" in got[0]:
                     entry["median_attempts_per_s"] = {
                         n: round(per[n] / s) for n, s in medians.items()}
