@@ -24,7 +24,8 @@ import warnings
 from datetime import datetime, timezone
 
 from . import __version__
-from .seqcore import Alphabet, BitSource, SymbolSeq, ingest, parse_corpus_spec
+from .seqcore import (Alphabet, BitSource, EmptyCorpusError, SymbolSeq,
+                      ingest, parse_corpus_spec)
 from . import lz78, fsgm, guessers, bounds, sideinfo
 
 DEFAULT_CAP = 1 << 20
@@ -110,7 +111,11 @@ def _load_sequence(params: dict, key_input="input",
             raise ValueError("--corpus needs --n")
         if n < 1:
             raise ValueError("need --n >= 1, got %d" % n)
-        return parse_corpus_spec(params[key_corpus], n)
+        try:
+            return parse_corpus_spec(params[key_corpus], n)
+        except EmptyCorpusError:
+            raise ValueError("--%s is empty"
+                             % key_corpus.replace("_", "-")) from None
     raise ValueError("one of --%s or --%s is required"
                      % (key_input, key_corpus))
 

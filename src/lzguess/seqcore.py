@@ -11,8 +11,8 @@ of master seed s is completely determined by (s, k), independent of worker
 count.  :func:`play` is the one Monte Carlo engine of the guessing game.
 It runs every guesser in one compiled form, an automaton whose states each
 read a field of fair bits and look the raw field up in a table of next
-states, FAIL and WIN, and it reads those bits inline from the substreams'
-splitmix64 words, the bits :class:`BitSource` would deliver.
+states, FAIL and WIN, and it reads those bits a byte at a time from the
+substreams' splitmix64 words, the bits :class:`BitSource` would deliver.
 :func:`forward` is the one exact forward pass: every exact law in the
 package is a step function over it.
 """
@@ -22,11 +22,16 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain
+
+from .bytegame import FAIL, WIN, _WON, _ByteGame
 
 
 class BudgetError(ValueError):
     """An exact enumeration was refused because it would be too large."""
+
+
+class EmptyCorpusError(ValueError):
+    """A file corpus holds no symbols."""
 
 
 # ---------------------------------------------------------------------------
@@ -118,10 +123,16 @@ class Alphabet:
     def _glyphs(self):
         """The inverse of :attr:`_codes` for render: a ``str.translate``
         table from each index to its token, or a 256-byte
-        ``bytes.translate`` table from each index to its byte."""
+        ``bytes.translate`` table from each index to its byte; for other
+        tokens, each token's text: a string as it is, a tuple (a pair of a
+        pair alphabet) as its items' texts joined by commas."""
         if self._render_kind == "chars":
             return dict(enumerate(self.tokens))
-        return bytes(self.tokens).ljust(256, b"\x00")
+        if self._render_kind == "bytes":
+            return bytes(self.tokens).ljust(256, b"\x00")
+        return tuple(t if isinstance(t, str) else
+                     ",".join(map(str, t)) if isinstance(t, tuple) else str(t)
+                     for t in self.tokens)
 
 
 class _Codes(dict):
@@ -243,8 +254,8 @@ class SymbolSeq:
 
         Single-character tokens are concatenated and byte tokens render as
         a hex string, each in one C-level translate of the indices (for
-        single characters, of their Latin-1 decoding); multi-character
-        tokens are joined by newlines.
+        single characters, of their Latin-1 decoding); other tokens are
+        joined by newlines, a pair of a pair alphabet as "a,b".
         """
         alphabet = self.alphabet
         kind = alphabet._render_kind
@@ -252,7 +263,7 @@ class SymbolSeq:
             return self.indices.decode("latin-1").translate(alphabet._glyphs)
         if kind == "bytes":
             return self.indices.translate(alphabet._glyphs).hex()
-        return "\n".join(map(alphabet.tokens.__getitem__, self.indices))
+        return "\n".join(map(alphabet._glyphs.__getitem__, self.indices))
 
     def __repr__(self) -> str:
         if len(self) <= 32:
@@ -394,63 +405,96 @@ class BitSource:
         return self.next_bits(53) / 9007199254740992.0
 
 
-WIN, FAIL = -2, -1     # the automaton table entries that end an attempt
-_START_BITS = 10       # the least number of bits play's start window covers
+_BLOCK = 1024                       # symbols a Bernoulli block decides
+_BLOCK_WORDS = _BLOCK * 53 // 64    # the 848 whole words they read
 
 
-def _start_window(widths, tables, k: int, cap: int) -> list:
-    """Per k-bit pattern, the walk of the automaton from state 0 over the
-    complete fields in those bits, restarting at state 0 after each FAIL:
-    (fails, bits used, state reached), stopping at WIN or at the first
-    field that does not fit.  A walk with a FAIL that stops inside a later,
-    unfinished attempt ends at its last FAIL instead, in state 0 with the
-    bits up to that FAIL used, so the next lookup starts that attempt
-    afresh; only a first attempt longer than k bits ends in a mid state.
-    If every attempt FAILs without reading a bit, every pattern counts cap
-    fails."""
-    state = 0
-    while state >= 0 and not widths[state]:
-        state = tables[state][0]
-    if state == FAIL:
-        return [(cap, 0, FAIL)] * (1 << k)
-    return _walks(widths, tables, {}, 0, k)
+@functools.lru_cache(maxsize=16)
+def _lanes(words: int = _BLOCK_WORDS) -> tuple:
+    """One 128-bit lane per word of a run of `words` words (at most a
+    block's), word 0 in the top lane: 1 in each lane, i * GOLDEN mod 2**64
+    in lane i, and 2**64 - 1 in each.  A shorter run is the top lanes of a
+    block's, kept for the run lengths in use: play's blocks and the last,
+    short block of a Bernoulli corpus."""
+    if words < _BLOCK_WORDS:
+        cut = 128 * (_BLOCK_WORDS - words)
+        return tuple(lanes >> cut for lanes in _lanes())
+    ones = int.from_bytes((bytes(15) + b"\x01") * _BLOCK_WORDS, "big")
+    steps = b"".join(((i * _GOLDEN) & _MASK64).to_bytes(16, "big")
+                     for i in range(_BLOCK_WORDS))
+    return ones, int.from_bytes(steps, "big"), ones * _MASK64
 
 
-def _walks(widths, tables, memo, state, r):
-    """The walks of :func:`_start_window` from `state` over every r-bit
-    pattern, built once per (state, r) in `memo`.  A walk that FAILs and
-    then stops inside the next attempt, with no FAIL or WIN of its own,
-    ends at that FAIL: (1, bits up to it, 0).  Equal entries of a row
-    share one list of walks, so a field as wide as r costs a lookup per
-    entry, not a walk.  A module function, not a closure: a closure that
-    calls itself is a reference cycle, which would keep every sub-walk
-    alive until the next garbage collection."""
-    out = memo.get((state, r))
-    if out is None:
-        width = widths[state]
-        rest = r - width
-        if rest < 0:
-            out = [(0, 0, state)] * (1 << r)
-        else:
-            row, after = tables[state], {}
-            for nxt in set(row):
-                if nxt == WIN:
-                    after[nxt] = [(0, width, WIN)] * (1 << rest)
-                elif nxt == FAIL:
-                    # the walk after a FAIL ends at that FAIL when the
-                    # next attempt neither fails nor wins in the bits left
-                    after[nxt] = [(f + 1, u + width, z) if f or z == WIN
-                                  else (1, width, 0) for f, u, z in
-                                  _walks(widths, tables, memo, 0, rest)]
-                else:
-                    after[nxt] = [(f, u + width, z) for f, u, z in
-                                  _walks(widths, tables, memo, nxt, rest)]
-            walks = map(after.__getitem__, row)
-            # with no bits left after the field, one walk per entry
-            out = (list(chain.from_iterable(walks)) if rest
-                   else [walk for walk, in walks])
-        memo[state, r] = out
-    return out
+def _stream_bytes(counter: int, words: int) -> bytes:
+    """The splitmix64 words whose inputs are counter, counter + GOLDEN,
+    ... (mod 2**64), `words` of them (at most 848), each as 8 big-endian
+    bytes: the stream bits of a :class:`BitSource` from the word with
+    input `counter` on, most significant first.
+
+    The inputs sit in 128-bit lanes of one int (:func:`_lanes`), so each
+    step of the finalizer is one shift, xor, multiply and mask of that
+    int, and each word is the low 8 bytes of its lane."""
+    ones, steps, lane = _lanes(words)
+    z = ((counter & _MASK64) * ones + steps) & lane
+    z = ((z ^ (z >> 30)) & lane) * 0xBF58476D1CE4E5B9 & lane
+    z = ((z ^ (z >> 27)) & lane) * 0x94D049BB133111EB & lane
+    raw = (z ^ (z >> 31)).to_bytes(16 * words, "big")
+    # each lane's low 8 bytes, copied as they lie
+    return memoryview(raw).cast("Q")[1::2].tobytes()
+
+
+_PLAY_WORDS = 16       # splitmix64 words per block of a round's stream,
+_FIRST_WORDS = 8       # but for its first block
+
+
+def _wide(game, s, buf, avail, counter, g, cap):
+    """Play `game` (a :class:`_ByteGame`) on from wide state s one field
+    per step, as the tables give them, until the attempt ends: s starts
+    with the `avail` bits of `buf`, then the stream's words from input
+    `counter` on, one at a time.  A WIN ends the round, and so does a
+    FAIL that takes g past the cap.  After any other FAIL a wide first
+    state goes on here, and a narrow one goes back to the byte rows at
+    the next byte boundary: (g, its row or _WON, an iterator of the whole
+    bytes left in buf, counter)."""
+    widths, tables = game.widths, game.tables
+    back = game.settle(FAIL)[1]     # first, or the key of its row
+    restart = back if back.__class__ is int else FAIL
+    while True:
+        width = widths[s]
+        while avail < width:
+            # BitSource's next word, _mix64 inlined
+            z = counter & _MASK64
+            counter += _GOLDEN
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            buf = buf << 64 | z ^ (z >> 31)
+            avail += 64
+        avail -= width
+        s = tables[s][buf >> avail]
+        buf &= (1 << avail) - 1
+        if s >= 0:
+            continue
+        if s == WIN:
+            return g, _WON, None, counter
+        g += 1
+        if g > cap:
+            return g, _WON, None, counter
+        if restart >= 0:
+            s = restart
+            continue
+        end, m = back, avail & 7
+        if m:                       # walk to the byte boundary
+            avail -= m
+            fails, end, unread = game.walk(back, m)[buf >> avail]
+            g += fails
+            avail += unread
+            buf &= (1 << avail) - 1
+        if end.__class__ is not int:
+            return (g, game.index(end),
+                    iter(buf.to_bytes(avail >> 3, "big")), counter)
+        if end == WIN:
+            return g, _WON, None, counter
+        s = end                     # a wide state within the walk
 
 
 def play(automaton, rounds: int, seed: int, cap: int,
@@ -463,75 +507,77 @@ def play(automaton, rounds: int, seed: int, cap: int,
     indexed by the raw field, holds the next state, FAIL or WIN.  Every
     attempt starts in state 0.  Round k (from `start` on) draws all its
     guesses from substream k of `seed`: the bits are those of
-    ``BitSource(seed, k).next_bits``, read inline from the same
-    splitmix64 words, most significant bit first, so a round's count does
-    not depend on how rounds are split across workers.  A round is
-    censored after `cap` failed guesses and yields cap + 1.
+    ``BitSource(seed, k).next_bits``, most significant bit first, so a
+    round's count does not depend on how rounds are split across workers.
+    A round is censored after `cap` failed guesses and yields cap + 1.
 
-    Most attempts fail within their first few bits, so play first builds
-    a start window over K = max(_START_BITS, widths[0]) bits: per K-bit
-    pattern, the fails, the bits used and the state reached by walking
-    its complete fields from state 0 (:func:`_start_window`).  An entry
-    with a FAIL ends at its last FAIL, in state 0, so the attempt that
-    its bits leave unfinished starts with the next lookup.  In state 0
-    the loop peeks K bits, looks them up once, consumes only the bits
-    used and adds the fails to the count, censoring once that passes the
-    cap; an entry with no FAIL that stops in a mid state, a first attempt
-    longer than K bits, goes on one field at a time.  Each field is read
-    from the same bits and leads to the same state as one step per field
-    would, so the counts are the same.
+    play runs the automaton a byte at a time.  A round's stream comes in
+    blocks of _PLAY_WORDS splitmix64 words, _FIRST_WORDS for its first
+    block (:func:`_stream_bytes`), and each byte is one lookup in the
+    rows of a :class:`_ByteGame`: the fails the byte's 8 bits end and the
+    row they lead to, wherever in a field the byte starts or ends.
+    A field too wide and dense for such rows leaves the byte loop: it and
+    the rest of its attempt are read one field per step, from words drawn
+    one at a time (:func:`_wide`), so such a field costs what it
+    costs read field by field; when the first state's field is one, every
+    round is read so.  The cap is checked at WIN, at the end of each block
+    and at each FAIL read field by field, so G = min(1 + fails before the
+    WIN, cap + 1), as reading field by field gives.  If every attempt
+    FAILs without reading a bit, every round yields cap + 1 at once, and
+    if every attempt wins so, 1.
     """
     if cap < 1:
         raise ValueError("need cap >= 1")
     if rounds < 0:
         raise ValueError("need rounds >= 0, got %r" % (rounds,))
-    widths, tables = automaton
-    kb = max(_START_BITS, widths[0])
-    window = _start_window(widths, tables, kb, cap)
-    reads = [kb, *widths[1:]]       # bits each state peeks or reads
-    mask = _MASK64
-    # `avail` stays below kb + 64: reads refill only while short
-    low = [(1 << a) - 1 for a in range(kb + 64)]
+    game = _ByteGame(*automaton)
+    if game.first < 0:                  # every attempt ends without a bit
+        g = 1 if game.first == WIN else cap + 1
+        for _ in range(rounds):
+            yield g
+        return
+    start_key = game.settle(FAIL)[1]
+    if start_key.__class__ is int:      # a wide first state
+        for k in range(start, start + rounds):
+            g = _wide(game, start_key, 0, 0,
+                      derive_substream_seed(seed, k) + _GOLDEN, 1, cap)[0]
+            yield g if g <= cap else cap + 1
+        return
+    rows, special = game.rows, game.special
+    d0 = game.index(start_key)
+    stride = _PLAY_WORDS * _GOLDEN
     for k in range(start, start + rounds):
-        # BitSource.next_bits and _mix64 inlined: `counter` steps through
-        # the words' splitmix64 inputs, and `buf` holds the `avail` unread
-        # bits
-        counter = derive_substream_seed(seed, k)
-        buf = avail = 0
-        g = 1
-        state = 0
+        counter = derive_substream_seed(seed, k) + _GOLDEN   # word 1's input
+        it = iter(_stream_bytes(counter, _FIRST_WORDS))
+        counter += _FIRST_WORDS * _GOLDEN
+        g, d, b = 1, d0, 0
         while True:
-            width = reads[state]
-            while avail < width:
-                counter = (counter + _GOLDEN) & mask
-                z = ((counter ^ (counter >> 30)) * 0xBF58476D1CE4E5B9) & mask
-                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-                buf = (buf << 64) | z ^ (z >> 31)
-                avail += 64
-            if state:
-                avail -= width
-                state = tables[state][buf >> avail]
-                buf &= low[avail]
-                if state < 0:
-                    if state == WIN:
-                        break
-                    if g >= cap:
-                        g = cap + 1
-                        break
-                    g += 1
-                    state = 0
-            else:
-                fails, used, state = window[buf >> (avail - kb)]
-                avail -= used
-                buf &= low[avail]
-                if fails:
-                    g += fails
-                    if g > cap:
-                        g = cap + 1
-                        break
-                if state == WIN:
+            while d < _WON:
+                x = special[-2 - d]
+                if x.__class__ is int:  # the row's first visit
+                    game.build(x)
+                    f, d = rows[x][b]
+                    g += f
+                else:                   # a wide field, read whole
+                    s, r = x
+                    rest = bytes(it)
+                    g, d, it, counter = _wide(
+                        game, s, (b & (1 << r) - 1) << 8 * len(rest)
+                        | int.from_bytes(rest, "big"), r + 8 * len(rest),
+                        counter, g, cap)
+            if d == _WON:
+                break
+            for b in it:
+                f, d = rows[d][b]
+                g += f
+                if d < 0:
                     break
-        yield g
+            else:
+                if g > cap:
+                    break
+                it = iter(_stream_bytes(counter, _PLAY_WORDS))
+                counter += stride
+        yield g if g <= cap else cap + 1
 
 
 # ---------------------------------------------------------------------------
@@ -753,19 +799,7 @@ def thue_morse_bits(n: int) -> bytes:
     return out[:n]
 
 
-_BLOCK = 1024                       # symbols a Bernoulli block decides
-_BLOCK_WORDS = _BLOCK * 53 // 64    # the 848 whole words they read
 _TO_SYMBOLS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-@functools.cache
-def _lanes() -> tuple:
-    """One 128-bit lane per word of a block, word 0 in the top lane: 1 in
-    each lane, i * GOLDEN mod 2**64 in lane i, and 2**64 - 1 in each."""
-    ones = int.from_bytes((bytes(15) + b"\x01") * _BLOCK_WORDS, "big")
-    steps = b"".join(((i * _GOLDEN) & _MASK64).to_bytes(16, "big")
-                     for i in range(_BLOCK_WORDS))
-    return ones, int.from_bytes(steps, "big"), ones * _MASK64
 
 
 def _bernoulli_bits(n: int, p: float, seed: int) -> bytes:
@@ -773,34 +807,24 @@ def _bernoulli_bits(n: int, p: float, seed: int) -> bytes:
     drawn for the j-th time, is below p: when its 53 bits v_j, stream bits
     53j .. 53j+52, are below ceil(p * 2**53).
 
-    A block of 1024 symbols reads 848 whole words.  The block's splitmix64
-    inputs sit in 128-bit lanes of one int, so each step of the finalizer
-    is one shift, xor, multiply and mask of that int; the words, joined
-    most significant first, are the block's stream bits.  Column i of the
-    block, bit i of every v_j, is one int read off the stream's binary
-    text, and the columns are compared with the threshold's bits, most
-    significant first, until no v_j is undecided.
+    A block of 1024 symbols reads 848 whole words, all from one call of
+    :func:`_stream_bytes`, the lane-parallel generator that :func:`play`
+    reads too.  Column i of the block, bit i of every v_j, is one int read
+    off the block's stream bits as binary text, and the columns are
+    compared with the threshold's bits, most significant first, until no
+    v_j is undecided.
     """
     limit = math.ceil(p * 9007199254740992.0)
     if not 0 < limit < 1 << 53:
         return bytes([limit > 0]) * n
-    ones, steps, mask = _lanes()
     cuts = format(limit, "053b")
     counter = derive_substream_seed(seed, 0) + _GOLDEN   # word 1's input
     out = []
     for start in range(0, n, _BLOCK):
         m = min(_BLOCK, n - start)
         w = -(-53 * m // 64)            # the words a last, short block reads
-        cut = 128 * (_BLOCK_WORDS - w)
-        lane = mask >> cut
-        z = ((counter & _MASK64) * (ones >> cut) + (steps >> cut)) & lane
-        z = ((z ^ (z >> 30)) & lane) * 0xBF58476D1CE4E5B9 & lane
-        z = ((z ^ (z >> 27)) & lane) * 0x94D049BB133111EB & lane
-        raw = (z ^ (z >> 31)).to_bytes(16 * w, "big")
-        words = bytearray(8 * w)
-        for k in range(8):              # each lane's low 8 bytes
-            words[k::8] = raw[8 + k::16]
-        text = format(int.from_bytes(words, "big"), "0%db" % (64 * w))
+        text = format(int.from_bytes(_stream_bytes(counter, w), "big"),
+                      "0%db" % (64 * w))
         less, undecided = 0, (1 << m) - 1
         for i, bit in enumerate(cuts):
             column = int(text[i:53 * m:53], 2)
@@ -849,6 +873,8 @@ def generate_corpus(kind: str, n: int, *, pattern: str | None = None,
             raise ValueError("file corpus needs a path")
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read().strip()
+        if not text:
+            raise EmptyCorpusError("file corpus %s is empty" % path)
         seq = ingest(text)
         return seq[:n] if len(seq) > n else seq
     raise ValueError("unknown corpus kind %r" % kind)

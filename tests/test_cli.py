@@ -256,6 +256,29 @@ def test_empty_input_file_is_one_error_line(tmp_path, capsys, argv, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["parse", "--corpus", "file:E", "--n", "8"], "--corpus"),
+    (["codelen", "--corpus", "file:B", "--n", "8"], "--corpus"),
+    (["guess", "--corpus", "file:E", "--n", "8"], "--corpus"),
+    (["sideinfo", "cond-complexity", "--corpus-x", "file:E",
+      "--corpus-y", "periodic:01", "--n", "4"], "--corpus-x"),
+    (["sideinfo", "cond-complexity", "--corpus-x", "periodic:01",
+      "--corpus-y", "file:B", "--n", "4"], "--corpus-y"),
+], ids=["parse", "codelen-blank", "guess", "cond-complexity-x",
+        "cond-complexity-y"])
+def test_empty_file_corpus_is_one_error_line(tmp_path, capsys, argv, flag):
+    # an empty file corpus once read "cannot infer an alphabet from 0
+    # distinct tokens"
+    (tmp_path / "E").write_text("")
+    (tmp_path / "B").write_text(" \n\t\n")     # blanks only
+    argv = [a.replace("file:", "file:%s/" % tmp_path) for a in argv]
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: %s is empty" % flag]
+    assert not out.exists()
+
+
 def test_moments_lower_bound_where_q_to_the_minus_zeta_overflows(tmp_path):
     # E[G^zeta] fits a double, and so does the bound, though q**-zeta
     # alone does not

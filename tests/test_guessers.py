@@ -10,11 +10,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lzguess.seqcore import (_START_BITS, FAIL, WIN, Alphabet, BitSource,
-                             BudgetError, DyadicProb, SymbolSeq,
-                             _start_window, derive_substream_seed,
+from lzguess.seqcore import (FAIL, WIN, Alphabet, BitSource, BudgetError,
+                             DyadicProb, SymbolSeq, derive_substream_seed,
                              parse_corpus_spec, play)
-from lzguess import guessers, seqcore, series
+from lzguess import bytegame, guessers, seqcore, series
 from lzguess.lz78 import incremental_parse
 from lzguess.fsgm import (FSGMSpec, automaton, build_fig1_machine,
                           output_distribution)
@@ -940,8 +939,8 @@ def test_play_reads_the_bits_of_the_runner_oracle(case):
 
 
 def _play_per_field(automaton, rounds, seed, cap, start=0):
-    """play as one step per field, with no start window: the oracle for
-    the window.  Bits are read from the substreams' splitmix64 words as
+    """play as one step per field, with no byte rows: the oracle for the
+    byte rows.  Bits are read from the substreams' splitmix64 words as
     BitSource.next_bits reads them."""
     widths, tables = automaton
     mask = (1 << 64) - 1
@@ -990,13 +989,16 @@ def test_per_field_oracle_reads_the_runner_bits():
 def _random_automata(draw):
     """A random automaton whose states only lead to later states, FAIL or
     WIN, with fields of 0-12 bits; some start with zero-width states that
-    FAIL."""
+    FAIL, and in some nearly every entry FAILs, so that wide fields are
+    sparse."""
     widths = draw(st.lists(st.integers(0, 12), min_size=1, max_size=6))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    fail = 256.0 if draw(st.booleans()) else 1.0
     tables = []
     for state, width in enumerate(widths):
         later = list(range(state + 1, len(widths)))
-        weights = [rng.random(), rng.random() / 2] + [rng.random()] * len(later)
+        weights = ([fail * rng.random(), rng.random() / 2]
+                   + [rng.random()] * len(later))
         tables.append(rng.choices([FAIL, WIN] + later, weights,
                                   k=1 << width))
     return widths, tables
@@ -1010,44 +1012,120 @@ def test_play_window_matches_per_field_play(game, cap, seed, start, rounds):
         game, rounds, seed, cap, start)
 
 
-def _window_entry(widths, tables, k, pattern):
-    """One start-window entry walked field by field: from state 0, restart
-    after each FAIL, stop at WIN or at the first field that does not fit
-    in the k bits of `pattern`.  A walk that stops inside an unfinished
-    attempt after a FAIL ends at its last FAIL."""
-    fails = used = state = at_fail = 0
-    while used + widths[state] <= k:
-        width = widths[state]
-        used += width
-        state = tables[state][(pattern >> (k - used)) & ((1 << width) - 1)]
-        if state == WIN:
-            return fails, used, WIN
-        if state == FAIL:
-            fails, at_fail, state = fails + 1, used, 0
-    return (fails, at_fail, 0) if fails else (0, used, state)
+def _narrow(widths, tables, s):
+    """Whether play's byte rows read state s's field bit by bit."""
+    return (widths[s] <= bytegame._NARROW_BITS
+            or sum(t != FAIL for t in tables[s]) <= bytegame._SPARSE_ENTRIES)
+
+
+def _bit_walk(widths, tables, narrow, key, byte):
+    """The 8 bits of `byte` read one at a time from a byte row's key, the
+    oracle for its entry: (fails, where).  where is WIN; ("wide", s, r)
+    on reaching the start of a field that is not narrow (narrow[s]
+    false), with r bits of the byte unread; or the stream's state after
+    the byte: (s, j, v), j bits of s's field read, of value v, or
+    (FAIL, r, 0) when every completion of those bits fails, r bits short
+    of the field's end."""
+    s, j, v = key
+    skip, fails = (j, 0) if s == FAIL else (0, 0)
+    for left in range(7, -1, -1):
+        if skip:
+            skip -= 1
+            if skip:
+                continue
+            nxt = FAIL
+        else:
+            j, v = j + 1, 2 * v + (byte >> left & 1)
+            if j < widths[s]:
+                continue
+            nxt = tables[s][v]
+        # zero-width states followed, each FAIL starts over in state 0
+        while nxt != WIN and (nxt == FAIL or not widths[nxt]):
+            if nxt == FAIL:
+                fails, nxt = fails + 1, 0
+            else:
+                nxt = tables[nxt][0]
+        if nxt == WIN:
+            return fails, WIN
+        s, j, v = nxt, 0, 0
+        if not narrow[s]:
+            return fails, ("wide", s, left)
+    if skip:
+        return fails, (FAIL, skip, 0)
+    rest = widths[s] - j
+    if j and set(tables[s][v << rest:v + 1 << rest]) == {FAIL}:
+        return fails, (FAIL, rest, 0)
+    return fails, (s, j, v)
+
+
+def _meaning(game, entry):
+    """A byte row entry of `game` in the terms of :func:`_bit_walk`."""
+    fails, nxt = entry
+    if nxt == bytegame._WON:
+        return fails, WIN
+    if nxt >= 0:
+        return fails, game._keys[nxt]
+    return fails, ("wide", *game.special[-2 - nxt])
+
+
+def _rows_agree_with_bit_walks(widths, tables, most=40):
+    """Build the byte rows of every narrow state's field start and of the
+    keys they lead to, at most `most` rows, and check each entry against
+    :func:`_bit_walk`; the number of rows checked."""
+    game = bytegame._ByteGame(widths, tables)
+    narrow = [_narrow(widths, tables, s) for s in range(len(widths))]
+    todo = [game.index((s, 0, 0)) for s in range(len(widths))
+            if widths[s] and narrow[s]]
+    done = set()
+    while todo and len(done) < most:
+        i = todo.pop()
+        if i in done:
+            continue
+        done.add(i)
+        game.build(i)
+        for byte, entry in enumerate(game.rows[i]):
+            got = _meaning(game, entry)
+            assert got == _bit_walk(widths, tables, narrow, game._keys[i],
+                                    byte)
+            if entry[1] >= 0:
+                todo.append(entry[1])
+    return len(done)
 
 
 @settings(max_examples=150, deadline=None)
-@given(_random_automata(), st.integers(0, 12))
-def test_start_window_entries_end_at_their_last_fail(game, k):
+@given(_random_automata())
+def test_byte_rows_match_a_per_bit_walk(game):
     widths, tables = game
-    k = max(k, widths[0])
-    window = _start_window(widths, tables, k, 7)
-    state = 0
-    while state >= 0 and not widths[state]:
-        state = tables[state][0]
-    if state == FAIL:       # every attempt fails without reading a bit
-        assert window == [(7, 0, FAIL)] * (1 << k)
-        return
-    assert window == [_window_entry(widths, tables, k, pattern)
-                      for pattern in range(1 << k)]
+    if bytegame._ByteGame(widths, tables).first >= 0:
+        _rows_agree_with_bit_walks(widths, tables)
 
 
-def test_start_window_entry_stops_before_an_unfinished_attempt():
-    # four attempts 10 and one attempt 0 fail in the first nine bits; the
-    # tenth bit starts an attempt that the window leaves to the next lookup
-    game = ([1, 1], [[FAIL, 1], [FAIL, WIN]])
-    assert _start_window(*game, 10, 100)[0b1010101001] == (5, 9, 0)
+def test_byte_rows_of_sparse_and_dense_fields_match_a_per_bit_walk():
+    # a 9-bit field with 3 non-FAIL entries, whose dead prefixes are one
+    # skip state per length; a dense 3-bit field; a dense 6-bit field,
+    # read whole; zero-width states between them
+    rng = random.Random(11)
+    sparse = [FAIL] * 512
+    sparse[0b110000001], sparse[0b110000010], sparse[0b011111111] = 1, 3, WIN
+    widths = [9, 3, 0, 6, 1]
+    tables = [sparse, [rng.choice((2, 4, FAIL, WIN)) for _ in range(8)],
+              [4], [rng.choice((4, FAIL, FAIL, WIN)) for _ in range(64)],
+              [FAIL, WIN]]
+    assert _narrow(widths, tables, 0) and not _narrow(widths, tables, 3)
+    assert _rows_agree_with_bit_walks(widths, tables) > 10
+    want = _play_per_field((widths, tables), 300, 4, 6)
+    assert list(play((widths, tables), 300, 4, 6)) == want
+
+
+def test_byte_row_entry_ends_inside_an_unfinished_attempt():
+    # attempts 10, 10, 10 and 0 fail in the byte's first seven bits; the
+    # eighth starts an attempt that the entry leaves in state 1
+    game = bytegame._ByteGame([1, 1], [[FAIL, 1], [FAIL, WIN]])
+    start = game.index((0, 0, 0))
+    game.build(start)
+    fails, nxt = game.rows[start][0b10101001]
+    assert fails == 4 and game._keys[nxt] == (1, 0, 0)
+    assert game.rows[start][0b10101010] == (4, start)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -1062,9 +1140,9 @@ def test_play_counts_equal_per_field_play(case, jobs):
 
 
 def _wide_start():
-    """State 0 reads a field wider than the window's least width; a
-    sixteenth of its fields lead to a one-bit state, one in 512 wins."""
-    wide = _START_BITS + 2
+    """State 0 reads a 12-bit field, too wide and dense for the byte rows;
+    a sixteenth of its fields lead to a one-bit state, one in 512 wins."""
+    wide = 12
     rng = random.Random(4)
     first = [1 if rng.random() < 1 / 16 else
              WIN if rng.random() < 1 / 512 else FAIL
@@ -1072,59 +1150,75 @@ def _wide_start():
     return [wide, 1], [first, [FAIL, WIN]]
 
 
-def test_play_window_wider_than_start_bits():
+def _played(monkeypatch, automaton, *args):
+    """play's counts over `automaton`, with the _ByteGame that ran them."""
+    made = []
+
+    class Recorded(seqcore._ByteGame):
+        __slots__ = ()
+
+        def __init__(self, *parts):
+            super().__init__(*parts)
+            made.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(seqcore, "_ByteGame", Recorded)
+        counts = list(play(automaton, *args))
+    return counts, made[0]
+
+
+def test_play_window_wider_than_start_bits(monkeypatch):
+    # state 0 is too wide and dense for byte rows, so every round is read
+    # one field per step and builds none
     game = _wide_start()
-    wide = game[0][0]
-    # each pattern is one whole field of state 0: a FAIL restarts there
-    entry = {FAIL: (1, wide, 0), 1: (0, wide, 1), WIN: (0, wide, WIN)}
-    assert _start_window(*game, wide, 1000) == [entry[nxt]
-                                                 for nxt in game[1][0]]
+    assert not _narrow(*game, 0)
     want = _play_per_field(game, 300, 2, 1000)
-    assert list(play(game, 300, 2, 1000)) == want
+    counts, bytes_game = _played(monkeypatch, game, 300, 2, 1000)
+    assert counts == want
+    assert bytes_game.built == 0 and not bytes_game._keys
     assert max(want) > 10
 
 
 def test_play_window_fails_then_wins_within_one_window():
-    # one bit per attempt, 1 wins: the pattern 0001... is three FAILs
-    # and a WIN in its first four bits
+    # one bit per attempt, 1 wins: the byte 0001.... is three FAILs and a
+    # WIN in its first four bits
     game = ([1], [[FAIL, WIN]])
-    k = _START_BITS
-    window = _start_window(*game, k, 100)
-    assert window[0b0001 << (k - 4)] == (3, 4, WIN)
-    assert window[0] == (k, k, 0)
-    assert window[(1 << k) - 1] == (0, 1, WIN)
+    bytes_game = bytegame._ByteGame(*game)
+    start = bytes_game.index((0, 0, 0))
+    bytes_game.build(start)
+    row = bytes_game.rows[start]
+    assert row[0b00010110] == (3, bytegame._WON)
+    assert row[0] == (8, start)
+    assert row[0xFF] == (0, bytegame._WON)
     want = _play_per_field(game, 2000, 5, 100)
     assert list(play(game, 2000, 5, 100)) == want
-    assert max(want) > k            # rounds that look up several windows
+    assert max(want) > 10           # rounds whose fails span several bytes
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3])
 def test_play_window_censors_part_way_through_its_fails(cap):
-    # a window holds up to _START_BITS fails; the cap falls inside them
+    # a byte holds up to 8 fails; the cap falls inside them
     game = ([1, 1], [[FAIL, 1], [FAIL, WIN]])
     want = _play_per_field(game, 3000, 9, cap)
     assert list(play(game, 3000, 9, cap)) == want
     assert set(want) == set(range(1, cap + 2))
 
 
-def test_play_one_round_with_a_16_bit_start_field(monkeypatch):
-    # a start field as wide as the window is one field per pattern: the
-    # window looks each entry of tables[0] up among one walk per distinct
-    # entry instead of walking 2**16 patterns
+def _dense_start(bits):
+    """State 0 reads a dense field of `bits` bits: a third of its fields
+    lead to a one-bit state, one in 4096 wins."""
     rng = random.Random(6)
     first = [WIN if rng.random() < 1 / 4096 else rng.choice((1, FAIL, FAIL))
-             for _ in range(1 << 16)]
-    game = ([16, 1], [first, [FAIL, WIN]])
-    walks, calls = seqcore._walks, []
+             for _ in range(1 << bits)]
+    return [bits, 1], [first, [FAIL, WIN]]
 
-    def counted(*args):
-        calls.append(args[3:])
-        return walks(*args)
 
-    monkeypatch.setattr(seqcore, "_walks", counted)
-    list(play(game, 1, 3, 1000))
-    assert calls and len(calls) <= len(set(first))
-    monkeypatch.undo()
+def test_play_one_round_with_a_16_bit_start_field(monkeypatch):
+    # a dense 16-bit start field is read whole: a round walks none of its
+    # 2**16 patterns and builds no byte row
+    game = _dense_start(16)
+    _, bytes_game = _played(monkeypatch, game, 1, 3, 1000)
+    assert bytes_game.built == 0 and not any(bytes_game._walks)
     monkeypatch.setattr(guessers, "compile_automaton", lambda _g, _x: game)
     attempt = make_runner(None, None)
     cap, want = 4, []
@@ -1135,6 +1229,27 @@ def test_play_one_round_with_a_16_bit_start_field(monkeypatch):
         want.append(guesses)
     assert list(play(game, 60, 3, cap)) == want
     assert {1, cap + 1} <= set(want)
+
+
+@pytest.mark.parametrize("bits", [12, 16])
+def test_play_reads_dense_wide_fields_whole(monkeypatch, bits):
+    # a dense start field, whose games are read one field per step and
+    # build no byte rows; and a dense field behind a narrow first state,
+    # read from the byte loop's last bits on, whose games build at most
+    # the 8 rows inside the first state's 3-bit field
+    rng = random.Random(bits)
+    dense = [rng.choice((WIN, FAIL, FAIL, FAIL)) for _ in range(1 << bits)]
+    widths, tables = _dense_start(bits)
+    tables[1] = [2, WIN]
+    start = widths + [2, bits], tables + [[FAIL, 3, WIN, 3], dense]
+    behind = [3, bits], [[FAIL, 1, WIN, 1, FAIL, FAIL, 1, FAIL], dense]
+    for game, rows, longest in ((start, 0, 20), (behind, 8, 20)):
+        for cap, seed in ((3, 1), (1000, 2)):
+            want = _play_per_field(game, 200, seed, cap)
+            counts, bytes_game = _played(monkeypatch, game, 200, seed, cap)
+            assert counts == want
+            assert bytes_game.built <= rows
+            assert max(want) >= min(longest, cap + 1)
 
 
 def _built(tables):

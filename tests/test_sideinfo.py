@@ -59,6 +59,22 @@ def test_joint_parse_result_compares_and_prints_without_its_index():
         a.c_j, a.u)
 
 
+def test_pair_sequence_renders_each_pair_and_prints():
+    # a pair token renders as its two tokens joined by a comma, one pair
+    # per line, so a pair stream and a joint parse have a repr
+    x, y = seq("abbab", AB), seq("01101", B01)
+    pairs = pack_pairs(x, y)
+    assert pairs.render() == "a,0\nb,1\nb,1\na,0\nb,1"
+    assert repr(pairs) == "SymbolSeq(%r)" % pairs.render()
+    assert "SymbolSeq('a,0\\nb,1" in repr(joint_parse(x, y))
+    long = pack_pairs(generate_corpus("thue_morse", 40),
+                      generate_corpus("periodic", 40, pattern="ab"))
+    assert repr(long) == "SymbolSeq(n=40, 'a,a\\nb,b\\nb,a\\na,b\\n'...)"
+    # a lines alphabet of strings renders its tokens as they are
+    words = SymbolSeq(Alphabet(("ab", "c")), b"\x00\x01\x00")
+    assert words.render() == "ab\nc\nab"
+
+
 def test_u_of_x_given_x_is_zero():
     rng = random.Random(1)
     cases = [generate_corpus("periodic", 64, pattern="ab"),

@@ -247,21 +247,28 @@ def test_bench_layers_runs_on_a_shrunk_grid(tmp_path):
     law = summary["laws"]["cond_guess_prob | independent fair pair, seeds 1 "
                           "and 2 | n=64"]
     assert set(law) == {"e", "m_bits", "sha256"} and law["m_bits"] <= law["e"]
-    # the play grid keeps its n and shrinks its rounds; counts agree
+    # the play grid keeps its n and shrinks its rounds; counts agree, and
+    # the byte rows each game built are work done, not output
     play = summary["per_label"]["b"]["play"]
+    dense = play.pop("dense start field")
     assert set(play) == {"lz", "block:4", "uniform", "fsgm",
                          "cond periodic:ab"}
     for case in play.values():
         assert list(case["median_attempts_per_s"]) == ["8", "12", "16", "24"]
         assert "fitted_exponent" in case and "ratio_to_a" in case
+        assert all(rows >= 1 for rows in case["byte_rows"].values())
     point = summary["laws"]["play | lz | n=24"]
     assert set(point) == {"attempts", "sha256"}
     assert 4 <= point["attempts"] <= 4 * 1000
+    # the dense 16-bit start field is read whole, outside the byte rows
+    assert list(dense["median_attempts_per_s"]) == ["16"]
+    assert dense["byte_rows"]["16"] == 0
     # the compile grid reports the rows each tree built beside its counts
     case = "lz, bernoulli:0.5:1, 20 rounds, cap 1000"
     grid = summary["per_label"]["b"]["compile"][case]
     assert list(grid["rows_built"]) == ["8", "16", "32", "64", "128"]
     assert all(1 <= rows <= int(n) for n, rows in grid["rows_built"].items())
+    assert all(rows >= 1 for rows in grid["byte_rows"].values())
     assert set(summary["laws"]["compile | %s | n=128" % case]) == {"sha256"}
     # the codec grid: the parse, each coder and decoder, ingest, SymbolSeq
     # and render per n, outputs by digest

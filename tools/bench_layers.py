@@ -23,15 +23,20 @@ numerator's bit width, so that two trees can be compared point by point:
   (``Guesser.sample(BitSource(1000 + n))``) or x for the conditional
   kind.  The automaton is compiled outside the timed part.  A point
   records its attempts (the sum of min(G, cap)) and the sha256 of its
-  count list in place of a law;
+  count list in place of a law, and the byte rows its game built as
+  work done (``byte_rows``, left out for a tree without them);
+- ``play`` on a dense 16-bit start field: state 0 reads 16 bits, a third
+  of whose values lead to a one-bit state that wins on a 1, one in 4096
+  win at once and the rest FAIL (``random.Random(6)`` draws the table),
+  with the rounds, seed and cap of the points above;
 - ``compile``: ``compile_automaton`` for the whole LZ guesser followed by
   20 rounds of seed 7 with cap 1000, timed together, against
   ``bernoulli:0.5:1`` at n = 512 ... 8192.  Such a target is far too
   unlikely to be guessed, so every round is censored and the game reads
   only short prefixes of x.  A point records the automaton rows that
   were built by the end (each a plain list, where a tree that builds rows
-  on first read leaves the others as stand-ins) and the sha256 of the
-  count list;
+  on first read leaves the others as stand-ins), the byte rows of its
+  game and the sha256 of the count list;
 - ``codec``: ``lz78.incremental_parse`` on the fair bits x of the
   Bernoulli pair above and on ``thue_morse``, ``lz78.encode`` on x,
   ``lz78.decode`` on x and on ``thue_morse``, and
@@ -116,6 +121,7 @@ FAIR_PAIR_SIZES = (1024, 2048, 4096)
 TINY_CORPUS, TINY_N, TINY_BLOCK = "bernoulli:0.5:9", 16384, 8
 PLAY_SIZES = (8, 12, 16, 24)
 PLAY_ROUNDS, PLAY_SEED, PLAY_CAP = 300, 7, 1000
+DENSE_BITS = 16
 COMPILE_CORPUS, COMPILE_SIZES = "bernoulli:0.5:1", (512, 1024, 2048, 4096,
                                                     8192)
 COMPILE_ROUNDS, COMPILE_CAP = 20, 1000
@@ -127,7 +133,7 @@ MOMENTS_PARAMS = {"q": [0.00021094531388311813, 0.00014127985039861263],
 IMPORT_RUNS = 20
 # fields of a point that count the work a tree did, not what it computed:
 # they may differ between trees that compute the same
-WORK_FIELDS = ("rows_built", "modules_loaded")
+WORK_FIELDS = ("rows_built", "byte_rows", "modules_loaded")
 
 
 class ChildTimed(namedtuple("ChildTimed", "seconds out")):
@@ -202,6 +208,8 @@ def grid(shrink):
     for kind in PLAY_KINDS:
         for n in PLAY_SIZES:
             yield "play", kind, str(n), _play_point(kind, n, rounds)
+    yield ("play", "dense start field", str(DENSE_BITS),
+           _dense_play_point(rounds))
     case = "lz, %s, %d rounds, cap %d" % (COMPILE_CORPUS, COMPILE_ROUNDS,
                                           COMPILE_CAP)
     for n in COMPILE_SIZES:
@@ -302,20 +310,68 @@ def _fig1_guesser(lz, n):
     return lz.guessers.Guesser("fsgm", fig1.alphabet, n, spec=fig1)
 
 
+def _counted_play(lz):
+    """A list() of ``lz.seqcore.play``, and a list that holds the byte-row
+    game (``seqcore._ByteGame``) of its last call; it stays empty for a
+    tree without byte rows."""
+    base = getattr(lz.seqcore, "_ByteGame", None)
+    games = []
+    if base is None:
+        return (lambda *args: list(lz.seqcore.play(*args))), games
+
+    class Counted(base):
+        __slots__ = ()
+
+        def __init__(self, *parts):
+            super().__init__(*parts)
+            games[:] = [self]
+
+    def play(*args):
+        lz.seqcore._ByteGame = Counted
+        try:
+            return list(lz.seqcore.play(*args))
+        finally:
+            lz.seqcore._ByteGame = base
+    return play, games
+
+
+def _game_point(make, rounds):
+    """seqcore.play over the automaton make(lz) returns, made outside the
+    timing."""
+    def prepare(lz):
+        game = make(lz)
+        play, games = _counted_play(lz)
+
+        def record(counts):
+            out = {"attempts": sum(min(c, PLAY_CAP) for c in counts),
+                   "sha256": _sha(repr(counts))}
+            if games:
+                out["byte_rows"] = games[0].built
+            return out
+        return (lambda: play(game, rounds, PLAY_SEED, PLAY_CAP)), record
+    return prepare
+
+
 def _play_point(kind, n, rounds):
     """seqcore.play of one guesser kind, compiled outside the timing."""
-    def prepare(lz):
+    def make(lz):
         g = PLAY_KINDS[kind](lz, n)
         x = g.side if g.side is not None else g.sample(
             lz.seqcore.BitSource(1000 + n))
-        game = lz.guessers.compile_automaton(g, x)
+        return lz.guessers.compile_automaton(g, x)
+    return _game_point(make, rounds)
 
-        def record(counts):
-            return {"attempts": sum(min(c, PLAY_CAP) for c in counts),
-                    "sha256": _sha(repr(counts))}
-        return (lambda: list(lz.seqcore.play(game, rounds, PLAY_SEED,
-                                             PLAY_CAP))), record
-    return prepare
+
+def _dense_play_point(rounds):
+    """seqcore.play on a dense start field of DENSE_BITS bits."""
+    def make(lz):
+        fail, win = lz.seqcore.FAIL, lz.seqcore.WIN
+        rng = random.Random(6)
+        first = [win if rng.random() < 1 / 4096 else rng.choice((1, fail,
+                                                                 fail))
+                 for _ in range(1 << DENSE_BITS)]
+        return [DENSE_BITS, 1], [first, [fail, win]]
+    return _game_point(make, rounds)
 
 
 def _compile_point(n):
@@ -323,16 +379,20 @@ def _compile_point(n):
     def prepare(lz):
         x = lz.seqcore.parse_corpus_spec(COMPILE_CORPUS, n)
         g = lz.guessers.Guesser("lz_full", x.alphabet, len(x))
+        play, games = _counted_play(lz)
 
         def game():
             automaton = lz.guessers.compile_automaton(g, x)
-            return automaton, list(lz.seqcore.play(
-                automaton, COMPILE_ROUNDS, PLAY_SEED, COMPILE_CAP))
+            return automaton, play(automaton, COMPILE_ROUNDS, PLAY_SEED,
+                                   COMPILE_CAP)
 
         def record(out):
             automaton, counts = out
-            return {"rows_built": sum(type(t) is list for t in automaton[1]),
-                    "sha256": _sha(repr(counts))}
+            got = {"rows_built": sum(type(t) is list for t in automaton[1]),
+                   "sha256": _sha(repr(counts))}
+            if games:
+                got["byte_rows"] = games[0].built
+            return got
         return game, record
     return prepare
 
