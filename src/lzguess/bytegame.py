@@ -73,17 +73,10 @@ class _ByteGame:
         self._walks = [{} for _ in range(8)]   # per number of bits
         self._tails, self._escapes = {}, {}
 
-    def _row(self, s):
-        row = self.tables[s]
-        if row.__class__ is not list:
-            len(row)                    # a stand-in puts its list in place
-            row = self.tables[s]
-        return row
-
     def _is_narrow(self, s):
         narrow = self._narrow.get(s)
         if narrow is None:
-            row = self._row(s)
+            row = self.tables[s]
             narrow = self._narrow[s] = (
                 self.widths[s] <= _NARROW_BITS
                 or len(row) - row.count(FAIL) <= _SPARSE_ENTRIES)
@@ -94,7 +87,7 @@ class _ByteGame:
         that some non-FAIL entry starts with."""
         live = self._live.get(s)
         if live is None:
-            row, width = self._row(s), self.widths[s]
+            row, width = self.tables[s], self.widths[s]
             live = self._live[s] = set()
             for nxt in set(row) - {FAIL}:
                 i = row.index(nxt)

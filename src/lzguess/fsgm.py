@@ -306,24 +306,6 @@ def expand_tree_machine(tspec: TreeFSGMSpec) -> FSGMSpec:
                     delta, table, name=tspec.name or "expanded-tree")
 
 
-def tree_run(tspec: TreeFSGMSpec, bits: BitSource, n: int) -> SymbolSeq:
-    """Run the tree semantics directly: descend each tree bit by bit and
-    stop at a leaf, so no bits are wasted.  Same output law as the expansion.
-    """
-    z = tspec.initial
-    out = bytearray()
-    for _ in range(n):
-        leaves = tspec.trees[z]
-        path = ""
-        while path not in leaves:
-            path += str(bits.next_bit())
-            if len(path) > MAX_DELTA:
-                raise ValueError("tree descent ran away; tree invalid")
-        token, z = leaves[path]
-        out.append(tspec.alphabet.index(token))
-    return SymbolSeq(tspec.alphabet, bytes(out))
-
-
 # ---------------------------------------------------------------------------
 # the three-word example machine: 0 -> ab, 10 -> bac, 11 -> ca
 # ---------------------------------------------------------------------------

@@ -413,13 +413,6 @@ def moment_grid(qs, zetas) -> list[MomentResult]:
     return out
 
 
-def _moment_series(qf: float, zeta: float) -> MomentResult:
-    """The series row (qf, zeta) alone, at zeta in {1, 2} too: the 1 x 1
-    case of :func:`~lzguess.series.series_grid`, with the same fallback
-    as :func:`moment_grid`; tests check it against the closed forms."""
-    return series_grid([(qf, zeta)])[0] or _moment_from_log2(qf, zeta)
-
-
 def _moment_from_log2(qf: float, zeta: float) -> MomentResult:
     """A series row that the series cannot give, from moment_log2."""
     try:
@@ -571,33 +564,18 @@ def moment_lower_bound_log2(q_log2: float, zeta: float) -> float:
 # the guessing game, Monte Carlo side
 # ---------------------------------------------------------------------------
 
-class _Row:
-    """An automaton row built on first read.  It stands in tables[i] until
-    its first index, iteration or len, which builds the row with build(i)
-    and puts it in its place, so every later read, play's among them,
-    indexes a plain list."""
+class _LazyRows(dict):
+    """Automaton rows by state, each built by build(state) on its first
+    read and kept."""
 
-    __slots__ = ("tables", "i", "build", "row")
+    __slots__ = ("build",)
 
-    def __init__(self, tables, i, build):
-        self.tables, self.i, self.build = tables, i, build
-        self.row = None
+    def __init__(self, build):
+        self.build = build
 
-    def _built(self):
-        if self.row is None:
-            self.row = self.tables[self.i] = self.build(self.i)
-            # the row no longer needs its list, which would keep a cycle
-            self.tables = self.build = None
-        return self.row
-
-    def __getitem__(self, field):
-        return self._built()[field]
-
-    def __iter__(self):
-        return iter(self._built())
-
-    def __len__(self):
-        return len(self._built())
+    def __missing__(self, state):
+        row = self[state] = self.build(state)
+        return row
 
 
 def _lz_run_tables(x: SymbolSeq):
@@ -607,9 +585,9 @@ def _lz_run_tables(x: SymbolSeq):
     tables[e] is indexed by the raw pointer+symbol field; entries are the
     next matched length, WIN or FAIL.  Only the raw patterns of the
     :func:`_lz_draws_at` draws at e are filled in.  The widths come from
-    the parse at once; each row is a :class:`_Row`, built when an attempt
-    first reaches its length, so a game that only ever meets short
-    prefixes of x builds only their rows."""
+    the parse at once; tables is a :class:`_LazyRows`, which builds a row
+    when an attempt first reaches its length, so a game that only ever
+    meets short prefixes of x builds only their rows."""
     n, alpha, idx = len(x), x.alphabet.size, x.indices
     a_bits = x.alphabet.bits_per_symbol
     span = 1 << a_bits
@@ -632,23 +610,22 @@ def _lz_run_tables(x: SymbolSeq):
                     table[base + sym:base + span:stride] = fill
         return table
 
-    tables = []
-    tables.extend(_Row(tables, e, row) for e in range(n))
-    return widths, tables
+    return widths, _LazyRows(row)
 
 
 def _chain(parts):
     """Blocks' automata played in turn as one: each block's states follow
-    the last block's, and its WIN is the next block's start."""
+    the last block's, and its WIN is the next block's start.  A block's
+    rows are read by state, so lazy rows are built here."""
     if len(parts) == 1:
         return parts[0]
     widths, tables = [], []
     for k, (ws, ts) in enumerate(parts):
-        base = len(tables)
-        win = base + len(ts) if k + 1 < len(parts) else WIN
+        base = len(widths)
+        win = base + len(ws) if k + 1 < len(parts) else WIN
         widths.extend(ws)
         tables.extend([v + base if v >= 0 else win if v == WIN else FAIL
-                       for v in table] for table in ts)
+                       for v in ts[s]] for s in range(len(ws)))
     return widths, tables
 
 
@@ -671,11 +648,12 @@ def compile_automaton(guesser: Guesser, x: SymbolSeq):
     return _chain(_per_block(_cond_automaton, guesser.block, x, guesser.side))
 
 
-def make_runner(guesser: Guesser, x: SymbolSeq) -> Callable[[BitSource], bool]:
-    """One attempt of :func:`compile_automaton`'s automaton, its fields
-    read through ``BitSource.next_bits``: the oracle for the inline
-    reader of :func:`~lzguess.seqcore.play`."""
-    widths, tables = compile_automaton(guesser, x)
+def make_runner(automaton) -> Callable[[BitSource], bool]:
+    """One attempt of `automaton`, (widths, tables) as
+    :func:`compile_automaton` gives it, its fields read through
+    ``BitSource.next_bits``: what :func:`~lzguess.seqcore.play` reads a
+    byte at a time, one field per call."""
+    widths, tables = automaton
 
     def attempt(bits: BitSource) -> bool:
         state = 0

@@ -14,14 +14,14 @@ from lzguess.seqcore import (Alphabet, BitSource, DyadicProb, SymbolSeq,
 from lzguess.lz78 import c_max_oracle, incremental_parse
 from lzguess.fsgm import build_fig1_machine, output_distribution, \
     run as fsgm_run
-from lzguess.guessers import (Guesser, _moment_series,
-                              compile_block_guesser_to_fsgm,
+from lzguess.guessers import (Guesser, compile_block_guesser_to_fsgm,
                               block_guess_prob, lz_guess_prob, moment_exact,
                               moment_lower_bound, play_counts)
 from lzguess.bounds import block_entropy, sandwich, sandwich_sweep
 from lzguess.sideinfo import (cond_code, cond_decode, cond_guess_prob,
                               joint_parse)
-from conftest import FixedBits, all_seqs, fig1_word_expansion
+from conftest import FixedBits, all_seqs
+from oracles import fig1_word_expansion, moment_series
 
 B01 = Alphabet(("0", "1"))
 AB = Alphabet(("a", "b"))
@@ -80,7 +80,7 @@ def _geometric_sample(q, bits):
 def test_criterion_04_moment_correctness():
     for q in [i / 40 for i in range(1, 40)]:
         for zeta, closed in ((1.0, 1 / q), (2.0, (2 - q) / q ** 2)):
-            got = _moment_series(q, zeta)
+            got = moment_series(q, zeta)
             assert abs(got.value - closed) / closed < 1e-12 + got.rel_err
             assert moment_exact(q, zeta).value == closed
     rounds = 100000

@@ -3,7 +3,6 @@ import math
 import os
 import random
 import warnings
-from fractions import Fraction
 
 import pytest
 
@@ -12,13 +11,14 @@ from lzguess.fsgm import (FSGMSpec, TreeFSGMSpec, automaton,
                           build_fig1_machine, expand_tree_machine,
                           format_machine,
                           output_distribution, parse_machine, run,
-                          sequence_prob, tree_run)
+                          sequence_prob)
 from lzguess.guessers import (Guesser, compile_block_guesser_to_fsgm,
                               play_counts, run_game)
 from lzguess.bounds import block_entropy
 from lzguess.cli import main
-from conftest import (FixedBits, all_seqs, fig1_word_expansion, seq,
-                      sequence_prob_per_state)
+from conftest import FixedBits, all_seqs, seq
+from oracles import (fig1_word_expansion, sampler_law,
+                     sequence_prob_per_state, tree_run)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -190,23 +190,6 @@ def test_sequence_prob_equals_the_per_state_pass_on_fig1_outputs():
 
 # --- tree machines -------------------------------------------------------------
 
-def tree_distribution(tspec, n):
-    """Oracle: exact law of the tree semantics by direct recursion over
-    leaves (each leaf of T(z) has probability 2**-depth)."""
-    dist = {}
-
-    def rec(state, prefix, p):
-        if len(prefix) == n:
-            dist[prefix] = dist.get(prefix, Fraction(0)) + p
-            return
-        for path, (token, nxt) in tspec.trees[state].items():
-            rec(nxt, prefix + (tspec.alphabet.index(token),),
-                p * Fraction(1, 2 ** len(path)))
-
-    rec(tspec.initial, (), Fraction(1))
-    return {SymbolSeq(tspec.alphabet, bytes(k)): v for k, v in dist.items()}
-
-
 def test_tree_expansion_inherits_labels():
     t = TreeFSGMSpec(B01, "z", {"z": {"0": ("0", "z"), "10": ("1", "z"),
                                       "11": ("0", "z")}})
@@ -231,11 +214,9 @@ def test_tree_expansion_distribution_equality():
     t = TreeFSGMSpec(B01, "p", trees)
     spec = expand_tree_machine(t)
     for n in range(1, 7):
-        oracle = tree_distribution(t, n)
-        dist = output_distribution(spec, n)
-        assert set(dist) == set(oracle)
-        for x, p in oracle.items():
-            assert dist[x].as_fraction() == p
+        # the tree semantics' law, each leaf of T(z) at 2**-depth
+        oracle = sampler_law(lambda bits: tree_run(t, bits, n))
+        assert output_distribution(spec, n) == oracle
 
 
 def test_tree_run_matches_expansion_statistics():

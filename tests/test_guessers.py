@@ -1,4 +1,3 @@
-import collections
 import itertools
 import math
 import pickle
@@ -11,84 +10,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lzguess.seqcore import (FAIL, WIN, Alphabet, BitSource, BudgetError,
-                             DyadicProb, SymbolSeq, derive_substream_seed,
-                             parse_corpus_spec, play)
+                             DyadicProb, SymbolSeq, parse_corpus_spec, play)
 from lzguess import bytegame, guessers, seqcore, series
 from lzguess.lz78 import incremental_parse
 from lzguess.fsgm import (FSGMSpec, automaton, build_fig1_machine,
                           output_distribution)
 from lzguess.guessers import (Guesser, MomentEstimate, _lz_draws_at,
-                              _lz_run_tables, _moment_series,
-                              block_guess_prob, compile_automaton,
-                              compile_block_guesser_to_fsgm, estimate_moment,
+                              _lz_run_tables, block_guess_prob,
+                              compile_automaton, compile_block_guesser_to_fsgm,
+                              estimate_moment,
                               lz_guess_prob, lz_sample, make_runner,
                               moment_exact, moment_grid, moment_log2,
                               moment_lower_bound, moment_lower_bound_log2,
                               play_counts, run_game)
-from conftest import FixedBits, all_seqs, seq, xor_machine
+from conftest import all_seqs, seq, xor_machine
+from oracles import (automaton_law, byte_entry_by_bits, lz_draws_per_draw,
+                     moment_series, narrow_by_count, play_by_runner,
+                     polylog_moment_log2, process_distribution, sampler_law,
+                     series_term_by_term)
 
 B01 = Alphabet(("0", "1"))
 ABC = Alphabet(("a", "b", "c"))
 T012 = Alphabet(("0", "1", "2"))
-
-
-# --- independent oracles for the sampling process ---------------------------
-
-def process_distribution(alphabet, n):
-    """Exact law of the dictionary sampler, by enumerating every draw path.
-
-    Re-derives the process from its definition: the dictionary is the
-    incremental parse of the emitted output (computed here by naive string
-    reparsing), a draw reads ceil(log2 t) pointer bits (mod t) and
-    ceil(log2 alpha) symbol bits (mod alpha), and the final draw may
-    overshoot.  Exact rational arithmetic throughout.
-    """
-    alpha = alphabet.size
-    a = alphabet.bits_per_symbol
-    dist = {}
-
-    def dictionary(out):
-        words = [b""]
-        seen = {b""}
-        node = b""
-        for c in out:
-            cand = node + bytes([c])
-            if cand in seen:
-                node = cand
-            else:
-                words.append(cand)
-                seen.add(cand)
-                node = b""
-        return words
-
-    def rec(out, p):
-        if len(out) >= n:
-            key = bytes(out[:n])
-            dist[key] = dist.get(key, Fraction(0)) + p
-            return
-        words = dictionary(out)
-        t = len(words)
-        width = (t - 1).bit_length()
-        step = Fraction(1, 1 << (width + a))
-        for raw_ptr in range(1 << width):
-            for raw_sym in range(1 << a):
-                w = words[raw_ptr % t] + bytes([raw_sym % alpha])
-                rec(out + w, p * step)
-
-    rec(b"", Fraction(1))
-    return {SymbolSeq(alphabet, k): v for k, v in dist.items()}
-
-
-def blackbox_distribution(sample_fn, alphabet, n, bit_len):
-    """Second oracle: run the sampler itself over every scripted bit string
-    of a fixed length and count outcomes.  Only valid when no path consumes
-    more than bit_len bits, which FixedBits enforces by raising."""
-    counts = {}
-    for v in range(1 << bit_len):
-        bits = FixedBits(format(v, "0%db" % bit_len))
-        out = sample_fn(bits)
-        counts[out] = counts.get(out, 0) + 1
-    return {x: Fraction(c, 1 << bit_len) for x, c in counts.items()}
 
 
 def test_guess_prob_matches_path_enumeration_binary():
@@ -107,10 +50,17 @@ def test_guess_prob_matches_path_enumeration_ternary():
             assert lz_guess_prob(x).as_fraction() == oracle.get(x, Fraction(0))
 
 
-def test_sampler_blackbox_distribution_n3():
-    dist = blackbox_distribution(lambda b: lz_sample(B01, 3, b), B01, 3, 10)
-    for x in all_seqs(B01, 3):
-        assert dist.get(x, Fraction(0)) == lz_guess_prob(x).as_fraction()
+@pytest.mark.parametrize("alphabet, max_n", [(B01, 6), (ABC, 4)],
+                         ids=["binary", "ternary"])
+def test_lz_sample_law_is_lz_guess_prob(alphabet, max_n):
+    # the sampler itself, run on every sequence of answers to its reads
+    for n in range(1, max_n + 1):
+        law = sampler_law(lambda bits: lz_sample(alphabet, n, bits))
+        assert sum(law.values(), DyadicProb.zero()) == DyadicProb.one()
+        xs = list(all_seqs(alphabet, n))
+        assert set(law) == set(xs)
+        for x in xs:
+            assert law[x] == lz_guess_prob(x), x.render()
 
 
 def test_known_values():
@@ -135,70 +85,29 @@ def test_dominance_over_code_length():
             assert q.as_fraction() >= Fraction(1, 2 ** L)
 
 
-def _lz_draws_per_draw(x):
-    """Test-local copy of the per-draw LZ draw rule that the run form
-    replaced: yields (e, t, draws), one (node, sym, e', count, bits) per
-    draw and the overshoot as (nodes, None, n, count, bits)."""
-    n = len(x)
-    a_bits = x.alphabet.bits_per_symbol
-    alpha = x.alphabet.size
-    sym_counts = [((1 << a_bits) - 1 - s) // alpha + 1 for s in range(alpha)]
-    parse = incremental_parse(x)
-    t_at = parse.node_counts()
-    children = parse.trie.children
-    idx = x.indices
-    for e in range(n):
-        t = t_at[e]
-        width = (t - 1).bit_length()
-
-        def ptr_count(node):
-            return ((1 << width) - 1 - node) // t + 1
-        draws = []
-        node = 0
-        for p in range(e, n):
-            sym = idx[p]
-            draws.append((node, sym, p + 1, ptr_count(node) * sym_counts[sym],
-                          width + a_bits))
-            node = children[node].get(sym)
-            if node is None or node >= t:
-                break
-        else:
-            nodes = [node]
-            for v in nodes:
-                nodes.extend(c for c in children[v].values() if c < t)
-            draws.append((nodes, None, n, sum(map(ptr_count, nodes)), width))
-        yield e, t, draws
-
-
 def _check_runs_against_per_draw_rule(x):
-    """The runs of _lz_draws_at, expanded draw by draw over the path they
-    carry, are the per-draw rule's draws; each run starts where the last
-    ended, two runs in a row differ in count, and the overshoot, reading
-    pointer bits alone, comes last."""
+    """The runs of _lz_draws_at are the per-draw rule's draws, each
+    longest stretch of one count made one run: so each run starts where
+    the last ended and two runs in a row differ in count.  The path holds
+    each draw's node, and the overshoot, reading pointer bits alone,
+    comes last with the nodes it may point to."""
     n = len(x)
     _t_at, at = _lz_draws_at(x)
-    runs_at = [(e, *at(e)) for e in range(n)]
-    want_at = list(_lz_draws_per_draw(x))
-    assert len(runs_at) == len(want_at) == n
-    for (e, t, moves, path, over), (we, wt, want) in zip(runs_at, want_at):
-        assert (e, t) == (we, wt)
-        width = (t - 1).bit_length()
-        runs = moves[:-1] if over else moves
-        got = []
-        reach = e + 1
-        for i, (first, last, state, count, bits) in enumerate(runs):
-            assert state is None and bits > width
-            assert first == reach <= last
-            assert i == 0 or runs[i - 1][3] != count
-            got.extend((path[p - e - 1], x.indices[p - 1], p, count, bits)
-                       for p in range(first, last + 1))
-            reach = last + 1
-        assert reach == e + len(path) + 1
-        if over:
-            first, last, state, count, bits = moves[-1]
-            assert (first, last, state, bits) == (n, n, None, width)
-            got.append((over, None, n, count, bits))
-        assert got == want, (x, e)
+    for e, t, draws in lz_draws_per_draw(x):
+        got_t, moves, path, over = at(e)
+        assert got_t == t, (x, e)
+        runs, nodes, ends = [], [], []
+        for node, sym, reach, count, bits in draws:
+            if sym is None:                 # the overshoot
+                ends = node
+                runs.append((n, n, None, count, bits))
+            elif runs and runs[-1][3] == count:
+                runs[-1] = (runs[-1][0], reach, None, count, bits)
+                nodes.append(node)
+            else:
+                runs.append((reach, reach, None, count, bits))
+                nodes.append(node)
+        assert (moves, path, over) == (runs, nodes, ends), (x, e)
 
 
 @pytest.mark.parametrize("alphabet", [B01, ABC], ids=["binary", "ternary"])
@@ -216,19 +125,6 @@ def test_lz_draw_runs_expand_to_the_per_draw_rule(alphabet):
 def test_lz_draw_runs_expand_to_the_per_draw_rule_at_large_n(spec, n):
     # the corpora of test_lz_draw_paths_pinned_at_large_n
     _check_runs_against_per_draw_rule(parse_corpus_spec(spec, n))
-
-
-def test_sampler_empirical_frequencies_n5():
-    counts = {}
-    rounds = 1000000
-    for k in range(rounds):
-        out = lz_sample(B01, 5, BitSource(17, substream=k))
-        counts[out] = counts.get(out, 0) + 1
-    for x in all_seqs(B01, 5):
-        qf = float(lz_guess_prob(x))
-        emp = counts.get(x, 0) / rounds
-        sigma = math.sqrt(qf * (1 - qf) / rounds)
-        assert abs(emp - qf) <= 3 * sigma
 
 
 # --- block guesser ------------------------------------------------------------
@@ -269,10 +165,9 @@ def test_block_guess_prob_sums_to_one():
 
 
 def test_block_sampler_blackbox_distribution():
-    dist = blackbox_distribution(
-        Guesser("lz_block", B01, 4, ell=2).sample, B01, 4, 8)
+    law = sampler_law(Guesser("lz_block", B01, 4, ell=2).sample)
     for x in all_seqs(B01, 4):
-        assert dist.get(x, Fraction(0)) == block_guess_prob(x, 2).as_fraction()
+        assert law.get(x, DyadicProb.zero()) == block_guess_prob(x, 2)
 
 
 # --- compiling the block guesser to a machine -----------------------------------
@@ -338,7 +233,7 @@ def test_moment_closed_forms():
 def test_moment_series_matches_closed_forms():
     for q in (0.9, 0.5, 0.2, 0.05, 0.01):
         for zeta, closed in ((1, 1 / q), (2, (2 - q) / q ** 2)):
-            got = _moment_series(q, zeta)
+            got = moment_series(q, zeta)
             assert got.value == pytest.approx(closed, rel=1e-11)
             assert got.rel_err < 1e-12
 
@@ -390,7 +285,7 @@ def test_moment_when_one_minus_q_rounds_to_one():
         # E[G^zeta] -> Gamma(zeta + 1) / q^zeta as q -> 0
         want = math.exp(math.lgamma(zeta + 1) - zeta * math.log(q))
         assert got.value == pytest.approx(want, rel=1e-12)
-    assert _moment_series(1e-17, 1.5).rel_err == 1e-12
+    assert moment_series(1e-17, 1.5).rel_err == 1e-12
     with pytest.raises(ValueError, match="overflow"):
         moment_exact(1e-300, 4.0)
 
@@ -438,22 +333,6 @@ def test_moment_overflow_at_tiny_q_is_value_error():
     assert moment_lower_bound(0.5, 2000) == pytest.approx(math.e ** -2)
 
 
-def _series_term_by_term(qf, zeta, tol=1e-12):
-    """moment_exact's series as one term per loop iteration: the reference
-    the chunked series must equal bit for bit."""
-    one_minus = 1.0 - qf
-    total, term_geom, k = 0.0, qf, 1
-    while True:
-        total += (k ** zeta) * term_geom
-        r = ((1.0 + 1.0 / k) ** zeta) * one_minus
-        if r < 1.0:
-            tail = (((k + 1) ** zeta) * term_geom * one_minus) / (1.0 - r)
-            if tail <= tol * total:
-                return total + 0.5 * tail, tail / total
-        term_geom *= one_minus
-        k += 1
-
-
 # the benchmark's moments-window qs at seed 1, with zeta 1.5 and 3
 _WINDOW_QS = (0.00021094531388311813, 0.00014127985039861263)
 
@@ -465,18 +344,18 @@ def test_moment_series_equals_term_by_term_loop(q):
         if q < 1e-3 and zeta not in (1.5, 3):
             continue
         try:
-            want = _series_term_by_term(q, zeta)
+            want = series_term_by_term(q, zeta)[:2]
         except OverflowError:
             # a k**zeta overflows: the value is moment_log2's, if it fits
             m_log2 = moment_log2(math.log2(q), zeta)
             if m_log2 >= 1024:
                 with pytest.raises(ValueError, match="overflows a double"):
-                    _moment_series(q, zeta)
+                    moment_series(q, zeta)
             else:
-                assert tuple(_moment_series(q, zeta)) == (
+                assert tuple(moment_series(q, zeta)) == (
                     2.0 ** m_log2, 1e-12), zeta
             continue
-        assert tuple(_moment_series(q, zeta)) == want, zeta
+        assert tuple(moment_series(q, zeta)) == want, zeta
 
 
 # the grid of the oracle tests below: the qs above, q = 1, and a q below
@@ -511,7 +390,7 @@ def _row_reference(q, zeta, closed):
         return 1.0, 0.0
     if q >= 2.0 ** -20:
         try:
-            return _series_term_by_term(q, zeta)
+            return series_term_by_term(q, zeta)[:2]
         except OverflowError:
             pass
     m_log2 = moment_log2(math.log2(q), zeta)
@@ -531,21 +410,7 @@ def test_series_grid_rows_equal_their_own_calls_and_the_oracle():
         got = (tuple(got) if got is not None else
                _outcome(guessers._moment_from_log2, q, zeta))
         want = _row_reference(q, zeta, closed=False)
-        assert got == _outcome(_moment_series, q, zeta) == want, (q, zeta)
-
-
-def _stop_term(qf, zeta, tol=1e-12):
-    """The k at which the term-by-term loop above stops."""
-    one_minus = 1.0 - qf
-    total, term_geom, k = 0.0, qf, 1
-    while True:
-        total += (k ** zeta) * term_geom
-        r = ((1.0 + 1.0 / k) ** zeta) * one_minus
-        if r < 1.0 and ((((k + 1) ** zeta) * term_geom * one_minus)
-                        / (1.0 - r)) <= tol * total:
-            return k
-        term_geom *= one_minus
-        k += 1
+        assert got == _outcome(moment_series, q, zeta) == want, (q, zeta)
 
 
 # (q, zeta, k): rows whose series stops at term k, the first, second,
@@ -572,8 +437,7 @@ def test_series_rows_stopping_at_chunk_edges_equal_the_oracle():
     assert {k for _, _, k in _EDGE_ROWS} <= edges
     rows = [(q, zeta) for q, zeta, _ in _EDGE_ROWS]
     for (q, zeta, k), got in zip(_EDGE_ROWS, series.series_grid(rows)):
-        assert _stop_term(q, zeta) == k, (q, zeta)
-        assert tuple(got) == _series_term_by_term(q, zeta), (q, zeta)
+        assert series_term_by_term(q, zeta) == (*got, k), (q, zeta)
 
 
 @pytest.mark.parametrize("qs, zetas", [
@@ -648,21 +512,11 @@ _POLYLOG_Q_LOG2 = (-4000.0, -1074.0, -60.0, -40.5, -40.0, -39.5, -22.0,
 _POLYLOG_ZETAS = (0.25, 0.5, 1.5, 2.5, 3.0, 4.0, 4.7)
 
 
-def _polylog_moment_log2(mp, q_log2, zeta):
-    """log2 of (q/(1-q)) Li_{-zeta}(1-q) by mpmath.polylog at 40 digits;
-    1 - q is formed exactly first, which takes |q_log2| + 200 bits."""
-    with mp.workprec(int(-q_log2) + 200):
-        q = mp.mpf(2) ** q_log2
-        z = 1 - q
-    with mp.workdps(40):
-        return mp.log(q / z * mp.polylog(-zeta, z), 2)
-
-
 def test_moment_log2_against_polylog():
     mp = pytest.importorskip("mpmath")
     for q_log2 in _POLYLOG_Q_LOG2:
         for zeta in _POLYLOG_ZETAS:
-            ref = float(_polylog_moment_log2(mp, q_log2, zeta))
+            ref = float(polylog_moment_log2(mp, q_log2, zeta))
             got = moment_log2(q_log2, zeta)
             # relative error of E at most 1e-12; a double near log2 E > 8192
             # cannot resolve E that finely, so its own ulp is allowed there
@@ -899,7 +753,7 @@ def test_runner_matches_direct_comparison(case):
     # fresh substream, and the runner reads a prefix of the sampler's bits:
     # all of them when it wins
     g, x = _RUNNER_CASES[case]()
-    attempt = make_runner(g, x)
+    attempt = make_runner(compile_automaton(g, x))
     fast, slow = [], []
     for k in range(3000):
         run_bits, sample_bits = BitSource(5, k), BitSource(5, k)
@@ -918,71 +772,16 @@ def test_play_reads_the_bits_of_the_runner_oracle(case):
     # read bits inline: equal counts, censored rounds included, and the
     # same for two workers
     g, x = _RUNNER_CASES[case]()
-    attempt, game = make_runner(g, x), compile_automaton(g, x)
+    game = compile_automaton(g, x)
     rounds, cap = 60, 4
     seen = set()
     for seed in (0, 1, 7, 2 ** 40 + 3):
-        want = []
-        for k in range(rounds):
-            bits = BitSource(seed, k)
-            guesses = 1
-            while not attempt(bits):
-                if guesses > cap:
-                    break
-                guesses += 1
-            want.append(guesses)
+        want = play_by_runner(game, rounds, seed, cap)
         assert list(play(game, rounds, seed, cap)) == want
         assert list(play(game, rounds - 5, seed, cap, start=5)) == want[5:]
         seen.update(c > cap for c in want)
     assert seen == {False, True}
     assert play_counts(g, x, rounds, seed, cap, jobs=2) == want
-
-
-def _play_per_field(automaton, rounds, seed, cap, start=0):
-    """play as one step per field, with no byte rows: the oracle for the
-    byte rows.  Bits are read from the substreams' splitmix64 words as
-    BitSource.next_bits reads them."""
-    widths, tables = automaton
-    mask = (1 << 64) - 1
-    out = []
-    for k in range(start, start + rounds):
-        counter = derive_substream_seed(seed, k)
-        buf = avail = 0
-        g, state = 1, 0
-        while True:
-            width = widths[state]
-            while avail < width:
-                counter = (counter + 0x9E3779B97F4A7C15) & mask
-                z = ((counter ^ (counter >> 30)) * 0xBF58476D1CE4E5B9) & mask
-                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-                buf = (buf << 64) | z ^ (z >> 31)
-                avail += 64
-            avail -= width
-            state = tables[state][buf >> avail]
-            buf &= (1 << avail) - 1
-            if state < 0:
-                if state == WIN:
-                    break
-                if g >= cap:
-                    g = cap + 1
-                    break
-                g += 1
-                state = 0
-        out.append(g)
-    return out
-
-
-def test_per_field_oracle_reads_the_runner_bits():
-    # the oracle itself against make_runner attempts over BitSource
-    g, x = _RUNNER_CASES["block:3"]()
-    attempt = make_runner(g, x)
-    want = []
-    for k in range(200):
-        bits, guesses = BitSource(3, k), 1
-        while not attempt(bits) and guesses <= 5:
-            guesses += 1
-        want.append(guesses)
-    assert _play_per_field(compile_automaton(g, x), 200, 3, 5) == want
 
 
 @st.composite
@@ -1008,58 +807,12 @@ def _random_automata(draw):
 @given(_random_automata(), st.integers(1, 6), st.integers(0, 2 ** 64),
        st.integers(0, 2 ** 40), st.integers(0, 40))
 def test_play_window_matches_per_field_play(game, cap, seed, start, rounds):
-    assert list(play(game, rounds, seed, cap, start)) == _play_per_field(
+    assert list(play(game, rounds, seed, cap, start)) == play_by_runner(
         game, rounds, seed, cap, start)
 
 
-def _narrow(widths, tables, s):
-    """Whether play's byte rows read state s's field bit by bit."""
-    return (widths[s] <= bytegame._NARROW_BITS
-            or sum(t != FAIL for t in tables[s]) <= bytegame._SPARSE_ENTRIES)
-
-
-def _bit_walk(widths, tables, narrow, key, byte):
-    """The 8 bits of `byte` read one at a time from a byte row's key, the
-    oracle for its entry: (fails, where).  where is WIN; ("wide", s, r)
-    on reaching the start of a field that is not narrow (narrow[s]
-    false), with r bits of the byte unread; or the stream's state after
-    the byte: (s, j, v), j bits of s's field read, of value v, or
-    (FAIL, r, 0) when every completion of those bits fails, r bits short
-    of the field's end."""
-    s, j, v = key
-    skip, fails = (j, 0) if s == FAIL else (0, 0)
-    for left in range(7, -1, -1):
-        if skip:
-            skip -= 1
-            if skip:
-                continue
-            nxt = FAIL
-        else:
-            j, v = j + 1, 2 * v + (byte >> left & 1)
-            if j < widths[s]:
-                continue
-            nxt = tables[s][v]
-        # zero-width states followed, each FAIL starts over in state 0
-        while nxt != WIN and (nxt == FAIL or not widths[nxt]):
-            if nxt == FAIL:
-                fails, nxt = fails + 1, 0
-            else:
-                nxt = tables[nxt][0]
-        if nxt == WIN:
-            return fails, WIN
-        s, j, v = nxt, 0, 0
-        if not narrow[s]:
-            return fails, ("wide", s, left)
-    if skip:
-        return fails, (FAIL, skip, 0)
-    rest = widths[s] - j
-    if j and set(tables[s][v << rest:v + 1 << rest]) == {FAIL}:
-        return fails, (FAIL, rest, 0)
-    return fails, (s, j, v)
-
-
 def _meaning(game, entry):
-    """A byte row entry of `game` in the terms of :func:`_bit_walk`."""
+    """A byte row entry of `game` in the terms of :func:`byte_entry_by_bits`."""
     fails, nxt = entry
     if nxt == bytegame._WON:
         return fails, WIN
@@ -1071,9 +824,9 @@ def _meaning(game, entry):
 def _rows_agree_with_bit_walks(widths, tables, most=40):
     """Build the byte rows of every narrow state's field start and of the
     keys they lead to, at most `most` rows, and check each entry against
-    :func:`_bit_walk`; the number of rows checked."""
+    :func:`byte_entry_by_bits`; the number of rows checked."""
     game = bytegame._ByteGame(widths, tables)
-    narrow = [_narrow(widths, tables, s) for s in range(len(widths))]
+    narrow = [narrow_by_count(widths, tables, s) for s in range(len(widths))]
     todo = [game.index((s, 0, 0)) for s in range(len(widths))
             if widths[s] and narrow[s]]
     done = set()
@@ -1085,8 +838,8 @@ def _rows_agree_with_bit_walks(widths, tables, most=40):
         game.build(i)
         for byte, entry in enumerate(game.rows[i]):
             got = _meaning(game, entry)
-            assert got == _bit_walk(widths, tables, narrow, game._keys[i],
-                                    byte)
+            assert got == byte_entry_by_bits(widths, tables, narrow,
+                                             game._keys[i], byte)
             if entry[1] >= 0:
                 todo.append(entry[1])
     return len(done)
@@ -1111,9 +864,10 @@ def test_byte_rows_of_sparse_and_dense_fields_match_a_per_bit_walk():
     tables = [sparse, [rng.choice((2, 4, FAIL, WIN)) for _ in range(8)],
               [4], [rng.choice((4, FAIL, FAIL, WIN)) for _ in range(64)],
               [FAIL, WIN]]
-    assert _narrow(widths, tables, 0) and not _narrow(widths, tables, 3)
+    assert (narrow_by_count(widths, tables, 0)
+            and not narrow_by_count(widths, tables, 3))
     assert _rows_agree_with_bit_walks(widths, tables) > 10
-    want = _play_per_field((widths, tables), 300, 4, 6)
+    want = play_by_runner((widths, tables), 300, 4, 6)
     assert list(play((widths, tables), 300, 4, 6)) == want
 
 
@@ -1134,7 +888,7 @@ def test_play_counts_equal_per_field_play(case, jobs):
     g, x = _RUNNER_CASES[case]()
     game = compile_automaton(g, x)
     for cap in (1, 3, 1000):
-        want = _play_per_field(game, 200, 11, cap)
+        want = play_by_runner(game, 200, 11, cap)
         assert play_counts(g, x, 200, 11, cap, jobs=jobs) == want
         assert list(play(game, 150, 11, cap, start=50)) == want[50:]
 
@@ -1171,8 +925,8 @@ def test_play_window_wider_than_start_bits(monkeypatch):
     # state 0 is too wide and dense for byte rows, so every round is read
     # one field per step and builds none
     game = _wide_start()
-    assert not _narrow(*game, 0)
-    want = _play_per_field(game, 300, 2, 1000)
+    assert not narrow_by_count(*game, 0)
+    want = play_by_runner(game, 300, 2, 1000)
     counts, bytes_game = _played(monkeypatch, game, 300, 2, 1000)
     assert counts == want
     assert bytes_game.built == 0 and not bytes_game._keys
@@ -1190,7 +944,7 @@ def test_play_window_fails_then_wins_within_one_window():
     assert row[0b00010110] == (3, bytegame._WON)
     assert row[0] == (8, start)
     assert row[0xFF] == (0, bytegame._WON)
-    want = _play_per_field(game, 2000, 5, 100)
+    want = play_by_runner(game, 2000, 5, 100)
     assert list(play(game, 2000, 5, 100)) == want
     assert max(want) > 10           # rounds whose fails span several bytes
 
@@ -1199,7 +953,7 @@ def test_play_window_fails_then_wins_within_one_window():
 def test_play_window_censors_part_way_through_its_fails(cap):
     # a byte holds up to 8 fails; the cap falls inside them
     game = ([1, 1], [[FAIL, 1], [FAIL, WIN]])
-    want = _play_per_field(game, 3000, 9, cap)
+    want = play_by_runner(game, 3000, 9, cap)
     assert list(play(game, 3000, 9, cap)) == want
     assert set(want) == set(range(1, cap + 2))
 
@@ -1219,14 +973,8 @@ def test_play_one_round_with_a_16_bit_start_field(monkeypatch):
     game = _dense_start(16)
     _, bytes_game = _played(monkeypatch, game, 1, 3, 1000)
     assert bytes_game.built == 0 and not any(bytes_game._walks)
-    monkeypatch.setattr(guessers, "compile_automaton", lambda _g, _x: game)
-    attempt = make_runner(None, None)
-    cap, want = 4, []
-    for k in range(60):
-        bits, guesses = BitSource(3, k), 1
-        while not attempt(bits) and guesses <= cap:
-            guesses += 1
-        want.append(guesses)
+    cap = 4
+    want = play_by_runner(game, 60, 3, cap)
     assert list(play(game, 60, 3, cap)) == want
     assert {1, cap + 1} <= set(want)
 
@@ -1245,44 +993,48 @@ def test_play_reads_dense_wide_fields_whole(monkeypatch, bits):
     behind = [3, bits], [[FAIL, 1, WIN, 1, FAIL, FAIL, 1, FAIL], dense]
     for game, rows, longest in ((start, 0, 20), (behind, 8, 20)):
         for cap, seed in ((3, 1), (1000, 2)):
-            want = _play_per_field(game, 200, seed, cap)
+            want = play_by_runner(game, 200, seed, cap)
             counts, bytes_game = _played(monkeypatch, game, 200, seed, cap)
             assert counts == want
             assert bytes_game.built <= rows
             assert max(want) >= min(longest, cap + 1)
 
 
-def _built(tables):
-    return sum(type(table) is list for table in tables)
-
-
 def _forced(automaton):
+    """The automaton with every row built, as a list of rows by state."""
     widths, tables = automaton
-    return widths, [list(table) for table in tables]
+    return widths, [tables[s] for s in range(len(widths))]
 
 
 def test_lazy_rows_read_like_the_lists_they_become():
     x = parse_corpus_spec("thue_morse", 64)
     widths, tables = _lz_run_tables(x)
-    assert _built(tables) == 0
-    stand_in = tables[9]
-    assert len(stand_in) == 1 << widths[9]
+    assert not tables                   # no row built yet
     row = tables[9]
-    assert type(row) is list and _built(tables) == 1
-    assert list(stand_in) == row and stand_in[5] == row[5]
-    assert _forced(_lz_run_tables(x)) == (widths, [list(t) for t in tables])
+    assert type(row) is list and len(row) == 1 << widths[9]
+    assert list(tables) == [9] and tables[9] is row     # built once, kept
+    assert _forced(_lz_run_tables(x)) == _forced((widths, tables))
+    assert len(tables) == len(widths)
 
 
 def test_block_chain_over_lazy_rows_equals_the_forced_chain():
-    # the chain reads its blocks' rows, building each, and plays as the
-    # chain of fully built rows does
-    n, ell = 64, 4
-    x = parse_corpus_spec("bernoulli:0.5:3", n)
-    game = compile_automaton(Guesser("lz_block", B01, n, ell=ell), x)
-    want = guessers._chain([_forced(_lz_run_tables(x[b:b + ell]))
-                            for b in range(0, n, ell)])
-    assert game == want
-    assert list(play(game, 200, 5, 1000)) == list(play(want, 200, 5, 1000))
+    # the chain reads its blocks' rows by state, building each, and plays
+    # as the chain of fully built rows does; where ell does not divide n
+    # the last block is short.  Each block's WIN starts the next block, so
+    # the chain's law is the block guesser's and a capped game wins
+    for spec, n, ell, cap in (("bernoulli:0.5:3", 64, 4, 1000),
+                              ("bernoulli:0.5:3", 64, 5, 1000),
+                              ("periodic:aab", 7, 3, 50)):
+        x = parse_corpus_spec(spec, n)
+        g = Guesser("lz_block", x.alphabet, n, ell=ell)
+        game = compile_automaton(g, x)
+        want = guessers._chain([_forced(_lz_run_tables(x[b:b + ell]))
+                                for b in range(0, n, ell)])
+        assert game == want
+        counts = list(play(game, 200, 5, cap))
+        assert counts == play_by_runner(want, 200, 5, cap)
+    assert automaton_law(*game) == g.guess_prob(x).as_fraction()
+    assert min(counts) <= cap < max(counts)
 
 
 def test_censored_lz_game_builds_few_rows():
@@ -1291,7 +1043,7 @@ def test_censored_lz_game_builds_few_rows():
     g = Guesser("lz_full", B01, len(x))
     game = compile_automaton(g, x)
     counts = list(play(game, 20, 7, 1000))
-    assert _built(game[1]) < 64
+    assert len(game[1]) < 64            # the rows built
     assert list(play(_forced(compile_automaton(g, x)), 20, 7, 1000)) == counts
 
 
@@ -1309,7 +1061,7 @@ def test_play_ends_when_every_attempt_fails_without_a_bit():
     x = SymbolSeq.from_text("abab", spec.alphabet)
     game = automaton(spec, x)
     assert game[0][0] == 0 and game[1][0] == [FAIL]
-    assert _play_per_field(game, 5, 1, 7) == [8] * 5
+    assert play_by_runner(game, 5, 1, 7) == [8] * 5
     assert list(play(game, 5, 1, 7)) == [8] * 5
     # the cap is never walked: a huge one ends as fast
     huge = 1 << 62
@@ -1318,31 +1070,8 @@ def test_play_ends_when_every_attempt_fails_without_a_bit():
     assert play_counts(g, x, 3, 0, huge) == [huge + 1] * 3
     # a target the machine can emit still plays as before
     y = SymbolSeq.from_text("baab", spec.alphabet)
-    want = _play_per_field(automaton(spec, y), 500, 1, 50)
+    want = play_by_runner(automaton(spec, y), 500, 1, 50)
     assert play_counts(g, y, 500, 1, 50) == want
-
-
-def _automaton_law(widths, tables):
-    """Pr(an attempt of the automaton wins), every raw field equally
-    likely: a dynamic program over its states in reverse topological
-    order, which raises KeyError on a cycle."""
-    win = {WIN: Fraction(1), FAIL: Fraction(0)}
-    order, seen, stack = [], set(), [(0, False)]
-    while stack:
-        state, done = stack.pop()
-        if done:
-            order.append(state)
-        elif state not in seen:
-            seen.add(state)
-            assert len(tables[state]) == 1 << widths[state]
-            stack.append((state, True))
-            stack.extend((nxt, False) for nxt in set(tables[state])
-                         if nxt >= 0)
-    for state in order:
-        hits = collections.Counter(tables[state])
-        win[state] = sum(win[nxt] * c for nxt, c in hits.items()) / len(
-            tables[state])
-    return win[0]
 
 
 def _with_every_side(guesser, side_alphabet):
@@ -1388,7 +1117,7 @@ def test_automaton_law_is_the_exact_law(kind):
     max_n, cases = _LAW_CASES[kind]
     for n in range(1, max_n + 1):
         for g, x in cases(n):
-            assert (_automaton_law(*compile_automaton(g, x))
+            assert (automaton_law(*compile_automaton(g, x))
                     == g.guess_prob(x).as_fraction())
 
 
@@ -1405,7 +1134,7 @@ def test_cond_automaton_law_on_longer_pairs():
                                          for b in y.indices))
                 for ell in (n, 8):
                     g = Guesser("lz_block", B01, n, ell=ell, side=y)
-                    assert (_automaton_law(*compile_automaton(g, x))
+                    assert (automaton_law(*compile_automaton(g, x))
                             == g.guess_prob(x).as_fraction())
 
 

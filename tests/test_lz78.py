@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from lzguess.seqcore import (Alphabet, BudgetError, SymbolSeq, generate_corpus,
                              ingest)
-from lzguess.lz78 import (BitReader, DecodeError, ParseTrie, c_max_oracle,
-                          decode, encode, incremental_parse, pack_bits,
-                          unpack_bits)
+from lzguess.lz78 import (DecodeError, c_max_oracle, decode, encode,
+                          incremental_parse, pack_bits, unpack_bits)
 from conftest import all_seqs, seq
+from oracles import (decode_by_trie_walk, encode_per_symbol,
+                     pack_bits_per_byte, parse_per_symbol)
 
 AB = Alphabet(("a", "b"))
 B01 = Alphabet(("0", "1"))
@@ -215,68 +216,6 @@ def test_unpack_bits_fuzz(blob):
 
 # --- the per-phrase codec against the former per-symbol one -----------------
 
-def _encode_per_symbol(x):
-    """encode as it was before it read the parse trie per phrase: the
-    sequence is walked again symbol by symbol; kept as the reference."""
-    trie = incremental_parse(x).trie
-    a_bits = x.alphabet.bits_per_symbol
-    out = []
-    node = 0
-    t = 1
-    for c in x:
-        child = trie.children[node].get(c)
-        if child is not None and child < t:
-            node = child
-            continue
-        out.append(format(node, "0%db" % (t - 1).bit_length()) if t > 1 else "")
-        out.append(format(c, "0%db" % a_bits))
-        t += 1
-        node = 0
-    if node != 0:
-        out.append(format(node, "0%db" % (t - 1).bit_length()) if t > 1 else "")
-    return "".join(out)
-
-
-def _decode_by_trie_walk(bits, n, alphabet):
-    """decode as it was before it copied from its own output: each
-    phrase rebuilt by ParseTrie.word; kept as the reference."""
-    trie = ParseTrie()
-    a_bits = alphabet.bits_per_symbol
-    out = bytearray()
-    reader = BitReader(bits)
-    while len(out) < n:
-        t = len(trie)
-        ptr = reader.take((t - 1).bit_length())
-        if ptr >= t:
-            raise DecodeError("pointer %d out of range for %d nodes" % (ptr, t),
-                              reader.pos)
-        word = trie.word(ptr)
-        remaining = n - len(out)
-        if len(word) == remaining:
-            out.extend(word)
-            break
-        if len(word) > remaining:
-            raise DecodeError("phrase overruns the target length", reader.pos)
-        sym = reader.take(a_bits)
-        if sym >= alphabet.size:
-            raise DecodeError("symbol %d outside alphabet" % sym, reader.pos)
-        if sym in trie.children[ptr]:
-            raise DecodeError("phrase already in dictionary", reader.pos)
-        out.extend(word)
-        out.append(sym)
-        trie.add(ptr, sym)
-    if reader.pos != len(bits):
-        raise DecodeError("trailing bits after decoding", reader.pos)
-    return SymbolSeq(alphabet, bytes(out))
-
-
-def _pack_bits_per_byte(bits):
-    """pack_bits as it was before it went through one big integer."""
-    padded = bits + "0" * (-len(bits) % 8)
-    return len(bits).to_bytes(8, "little") + bytes(
-        int(padded[i:i + 8], 2) for i in range(0, len(padded), 8))
-
-
 def _decode_outcome(fn, bits, n, alphabet):
     """A decoder's result, or the message and bit position it failed at."""
     try:
@@ -291,10 +230,10 @@ def test_codec_equals_per_symbol_reference_exhaustive(alphabet):
     for n in range(11):
         for x in all_seqs(alphabet, n):
             bits = encode(x)
-            assert bits == _encode_per_symbol(x)
+            assert bits == encode_per_symbol(x)
             assert decode(bits, n, alphabet) == x
-            assert _decode_by_trie_walk(bits, n, alphabet) == x
-            assert pack_bits(bits) == _pack_bits_per_byte(bits)
+            assert decode_by_trie_walk(bits, n, alphabet) == x
+            assert pack_bits(bits) == pack_bits_per_byte(bits)
 
 
 @settings(max_examples=300, deadline=None)
@@ -303,9 +242,9 @@ def test_codec_equals_per_symbol_reference_exhaustive(alphabet):
     .map(lambda text: seq(text, Alphabet(tuple(_TOKENS[:size]))))))
 def test_encode_equals_per_symbol_reference_on_strings(x):
     bits = encode(x)
-    assert bits == _encode_per_symbol(x)
+    assert bits == encode_per_symbol(x)
     assert decode(bits, len(x), x.alphabet) == x
-    assert pack_bits(bits) == _pack_bits_per_byte(bits)
+    assert pack_bits(bits) == pack_bits_per_byte(bits)
 
 
 @settings(max_examples=400, deadline=None)
@@ -313,7 +252,7 @@ def test_encode_equals_per_symbol_reference_on_strings(x):
 def test_decode_equals_trie_walk_reference_on_any_stream(bits, n, size):
     alphabet = Alphabet(tuple(_TOKENS[:size]))
     assert (_decode_outcome(decode, bits, n, alphabet)
-            == _decode_outcome(_decode_by_trie_walk, bits, n, alphabet))
+            == _decode_outcome(decode_by_trie_walk, bits, n, alphabet))
 
 
 def _long_code_cases(alphabet, n, rng):
@@ -348,36 +287,13 @@ def test_decode_equals_trie_walk_reference_on_long_codes(size):
     for n in (1, 2, 3, 5, 8, 33, 100, 257, 1000, 2000, 5000):
         for bits, m in _long_code_cases(alphabet, n, rng):
             got = _decode_outcome(decode, bits, m, alphabet)
-            assert got == _decode_outcome(_decode_by_trie_walk, bits, m,
+            assert got == _decode_outcome(decode_by_trie_walk, bits, m,
                                           alphabet), (n, m, len(bits))
             accepted += isinstance(got, SymbolSeq)
     assert accepted >= 11
 
 
 # --- the one-pass parse against the former per-symbol one -------------------
-
-def _parse_per_symbol(x):
-    """incremental_parse as it was before its tight loop: the trie grows
-    through ParseTrie.add and the code is priced phrase by phrase; kept as
-    the reference."""
-    trie = ParseTrie()
-    boundaries, node, bits = [], 0, 0
-    a_bits = x.alphabet.bits_per_symbol
-    for pos, c in enumerate(x):
-        if node == 0:
-            boundaries.append(pos)
-        child = trie.children[node].get(c)
-        if child is None:
-            bits += (len(trie) - 1).bit_length() + a_bits
-            trie.add(node, c)
-            node = 0
-        else:
-            node = child
-    if node:
-        bits += (len(trie) - 1).bit_length()
-    return (boundaries, len(boundaries), node == 0, bits, trie.parent,
-            trie.sym, trie.children)
-
 
 def _parse_fields(x):
     r = incremental_parse(x)
@@ -390,7 +306,7 @@ def _parse_fields(x):
 def test_parse_equals_per_symbol_reference_exhaustive(alphabet):
     for n in range(10):
         for x in all_seqs(alphabet, n):
-            assert _parse_fields(x) == _parse_per_symbol(x)
+            assert _parse_fields(x) == parse_per_symbol(x)
 
 
 @settings(max_examples=300, deadline=None)
@@ -398,7 +314,7 @@ def test_parse_equals_per_symbol_reference_exhaustive(alphabet):
     lambda size: st.text(_TOKENS[:size], max_size=400)
     .map(lambda text: seq(text, Alphabet(tuple(_TOKENS[:size]))))))
 def test_parse_equals_per_symbol_reference_on_strings(x):
-    assert _parse_fields(x) == _parse_per_symbol(x)
+    assert _parse_fields(x) == parse_per_symbol(x)
 
 
 def test_parse_equals_per_symbol_reference_on_long_corpora():
@@ -406,7 +322,7 @@ def test_parse_equals_per_symbol_reference_on_long_corpora():
     for kind, kw in (("bernoulli", {"p": 0.5}), ("thue_morse", {}),
                      ("periodic", {"pattern": "ab"})):
         x = generate_corpus(kind, 1 << 14, seed=5, **kw)
-        assert _parse_fields(x) == _parse_per_symbol(x)
+        assert _parse_fields(x) == parse_per_symbol(x)
 
 
 def test_phrase_texts_of_a_bytes_parse_are_hex():

@@ -12,6 +12,8 @@ from lzguess.seqcore import (AB, Alphabet, BitSource, DyadicProb, SymbolSeq,
                              derive_substream_seed, forward, generate_corpus,
                              ingest, parse_corpus_spec, thue_morse_bits)
 from conftest import all_seqs
+from oracles import (automaton_law, bernoulli_per_symbol, forward_per_move,
+                     ingest_per_token, render_per_symbol)
 
 
 def test_ingest_basic():
@@ -105,38 +107,6 @@ def test_render_for_each_alphabet_kind():
     assert SymbolSeq(full, b"\x00\x7f\xff").render() == "007fff"
 
 
-def _ingest_per_token(data, alphabet_spec=None, mode="text"):
-    """ingest as it was before the C-level mapping: one dict probe per
-    token, in a Python loop; kept as the reference."""
-    if mode == "bytes":
-        tokens = list(data)
-    elif mode == "lines":
-        tokens = [ln for ln in str(data).splitlines() if ln != ""]
-    else:
-        tokens = list(str(data))
-    if alphabet_spec is None:
-        if mode == "bytes":
-            alphabet = Alphabet.bytes_alphabet()
-        else:
-            seen = dict.fromkeys(tokens)
-            if len(seen) < 2:
-                raise ValueError("cannot infer an alphabet from %d distinct "
-                                 "tokens" % len(seen))
-            alphabet = Alphabet(tuple(seen))
-    elif isinstance(alphabet_spec, Alphabet):
-        alphabet = alphabet_spec
-    elif isinstance(alphabet_spec, (bytes, bytearray)):
-        alphabet = Alphabet.bytes_alphabet(bytes(alphabet_spec))
-    else:
-        alphabet = Alphabet.from_spec(str(alphabet_spec))
-    out = bytearray()
-    for pos, tok in enumerate(tokens, start=1):
-        if tok not in alphabet:
-            raise ValueError("unknown token %r at position %d" % (tok, pos))
-        out.append(alphabet.index(tok))
-    return SymbolSeq(alphabet, bytes(out))
-
-
 def _outcome(fn, *args, **kwargs):
     """A call's result, or the type and message of the ValueError it
     raised."""
@@ -153,22 +123,22 @@ def test_ingest_equals_per_token_loop_exhaustive(alphabet):
     for n in range(11):
         for x in all_seqs(alphabet, n):
             text = x.render()
-            assert ingest(text, spec) == _ingest_per_token(text, spec) == x
+            assert ingest(text, spec) == ingest_per_token(text, spec) == x
             assert SymbolSeq.from_text(text, alphabet) == x
-            assert _outcome(ingest, text) == _outcome(_ingest_per_token, text)
+            assert _outcome(ingest, text) == _outcome(ingest_per_token, text)
 
 
 @given(st.text("abc\nxy", max_size=40), st.sampled_from([None, "ab", "abc"]),
        st.sampled_from(["text", "lines"]))
 def test_ingest_equals_per_token_loop_on_strings(text, spec, mode):
     assert (_outcome(ingest, text, spec, mode=mode)
-            == _outcome(_ingest_per_token, text, spec, mode=mode))
+            == _outcome(ingest_per_token, text, spec, mode=mode))
 
 
 @given(st.binary(max_size=40), st.sampled_from([None, b"\x00\x01", b"ab\xff"]))
 def test_ingest_equals_per_token_loop_on_bytes(data, allowed):
     assert (_outcome(ingest, data, allowed, mode="bytes")
-            == _outcome(_ingest_per_token, data, allowed, mode="bytes"))
+            == _outcome(ingest_per_token, data, allowed, mode="bytes"))
 
 
 @settings(max_examples=300, deadline=None)
@@ -193,7 +163,7 @@ def test_inferred_text_alphabet_is_first_appearance_order(body, late, repeat):
         s = ingest(text)
         assert s.alphabet.tokens == order
         assert s.render() == text
-    assert _outcome(ingest, text) == _outcome(_ingest_per_token, text)
+    assert _outcome(ingest, text) == _outcome(ingest_per_token, text)
 
 
 def test_unknown_token_message_and_position_in_every_mode():
@@ -203,7 +173,7 @@ def test_unknown_token_message_and_position_in_every_mode():
              (b"\x01\x00\x07\x00", b"\x00\x01", "bytes",
               "unknown token 7 at position 3")]
     for data, spec, mode, message in cases:
-        for fn in (ingest, _ingest_per_token):
+        for fn in (ingest, ingest_per_token):
             with pytest.raises(ValueError) as info:
                 fn(data, spec, mode=mode)
             assert str(info.value) == message
@@ -211,18 +181,6 @@ def test_unknown_token_message_and_position_in_every_mode():
         SymbolSeq.from_text("abca", AB)
     with pytest.raises(ValueError, match=r"^token 'q' is not in the alphabet$"):
         SymbolSeq.from_tokens(["north", "q"], Alphabet(("north", "south")))
-
-
-def _render_per_symbol(seq):
-    """render as it was before the translate tables: one token lookup per
-    symbol, in Python; kept as the reference."""
-    toks = [seq.alphabet.tokens[i] for i in seq.indices]
-    kind = seq.alphabet._render_kind
-    if kind == "bytes":
-        return bytes(toks).hex()
-    if kind == "chars":
-        return "".join(toks)
-    return "\n".join(toks)
 
 
 # single-character alphabets past ASCII and Latin-1, with the two Latin-1
@@ -244,11 +202,11 @@ def test_ingest_equals_per_token_loop_on_wide_alphabets(spec, data):
     text = "".join(data.draw(st.lists(chars, max_size=60)))
     alphabet = Alphabet.from_spec(spec)
     got = _outcome(ingest, text, spec)
-    assert got == _outcome(_ingest_per_token, text, spec)
+    assert got == _outcome(ingest_per_token, text, spec)
     assert (_outcome(SymbolSeq.from_text, text, alphabet)
             == _outcome(SymbolSeq.from_tokens, list(text), alphabet))
     if isinstance(got, SymbolSeq):
-        assert got.render() == _render_per_symbol(got) == text
+        assert got.render() == render_per_symbol(got) == text
         assert SymbolSeq.from_text(text, alphabet) == got
 
 
@@ -260,7 +218,7 @@ def test_ingest_reports_the_first_of_several_unknown_tokens():
              ("αβc", "αβ", "unknown token 'c' at position 3"),
              ("a\xffb", "ab", "unknown token 'ÿ' at position 2")]
     for text, spec, message in cases:
-        for fn in (ingest, _ingest_per_token):
+        for fn in (ingest, ingest_per_token):
             with pytest.raises(ValueError) as info:
                 fn(text, spec)
             assert str(info.value) == message
@@ -271,7 +229,7 @@ def test_ingest_reports_the_first_of_several_unknown_tokens():
              (b"\x00\xff\x01", bytes(range(255)), 255, 2),
              (b"ab\x00c", b"abc", 0, 3)]
     for data, allowed, token, pos in cases:
-        for fn in (ingest, _ingest_per_token):
+        for fn in (ingest, ingest_per_token):
             with pytest.raises(ValueError) as info:
                 fn(data, allowed, mode="bytes")
             assert str(info.value) == ("unknown token %d at position %d"
@@ -284,7 +242,7 @@ def test_ingest_of_text_over_multi_character_tokens():
     mixed = Alphabet(("ab", "a", "b"))
     for text in ("abba", "", "ab c"):
         assert (_outcome(ingest, text, mixed)
-                == _outcome(_ingest_per_token, text, mixed))
+                == _outcome(ingest_per_token, text, mixed))
     assert ingest("abba", mixed).indices == b"\x01\x02\x02\x01"
     with pytest.raises(ValueError, match="^unknown token 'n' at position 1$"):
         ingest("north", Alphabet(("north", "south")))
@@ -298,10 +256,10 @@ def test_ingest_equals_per_token_loop_on_byte_subsets(data, allowed):
     # values in reverse order, where index and byte differ
     spec = allowed if len(allowed) > 1 else allowed + b"\x07"
     got = _outcome(ingest, data, spec, mode="bytes")
-    assert got == _outcome(_ingest_per_token, data, spec, mode="bytes")
+    assert got == _outcome(ingest_per_token, data, spec, mode="bytes")
     assert got == _outcome(ingest, bytearray(data), spec, mode="bytes")
     if isinstance(got, SymbolSeq):
-        assert got.render() == _render_per_symbol(got) == data.hex()
+        assert got.render() == render_per_symbol(got) == data.hex()
 
 
 def test_render_equals_per_symbol_render_for_every_alphabet_kind():
@@ -314,7 +272,7 @@ def test_render_equals_per_symbol_render_for_every_alphabet_kind():
                         bytes(range(alphabet.size)) * 2):
             x = SymbolSeq(alphabet, indices)
             text = x.render()
-            assert text == _render_per_symbol(x)
+            assert text == render_per_symbol(x)
             mode = {"bytes": "bytes", "chars": "text",
                     "lines": "lines"}[alphabet._render_kind]
             data = bytes.fromhex(text) if mode == "bytes" else text
@@ -391,12 +349,6 @@ def test_bernoulli_reproducible():
     assert len(a) == 16
 
 
-def _per_symbol(n, p, seed):
-    """The Bernoulli rule one symbol at a time: the reference."""
-    bits = BitSource(seed)
-    return bytes(bits.next_float() < p for _ in range(n))
-
-
 _BERNOULLI_PS = (0.0, 2.0 ** -53, 0.1, 0.3, 1 / 3, 0.5, 1 - 2.0 ** -53, 1.0)
 _BERNOULLI_SEEDS = (0, 7, 2 ** 31 - 1, 2 ** 64 - 1, -3)
 
@@ -409,7 +361,7 @@ def test_bernoulli_blocks_equal_the_per_symbol_rule():
              2049, top}
     cases = list(itertools.product(_BERNOULLI_PS, _BERNOULLI_SEEDS))
     for i, (p, seed) in enumerate(cases):
-        want = _per_symbol(top, p, seed)
+        want = bernoulli_per_symbol(top, p, seed)
         for n in sorted(edges.union(range(1 + i, top + 1, len(cases)))):
             got = generate_corpus("bernoulli", n, p=p, seed=seed)
             assert got.indices == want[:n], (n, p, seed)
@@ -427,7 +379,7 @@ def test_bernoulli_ties_at_a_draws_own_value_follow_the_per_symbol_rule():
         on = draws[j] / 2.0 ** 53
         for p, want in ((on, 0), (math.nextafter(on, 1.0), 1)):
             got = generate_corpus("bernoulli", 1500, p=p, seed=11).indices
-            assert got == _per_symbol(1500, p, 11), (j, p)
+            assert got == bernoulli_per_symbol(1500, p, 11), (j, p)
             assert got[j] == want, (j, p)
 
 
@@ -438,7 +390,7 @@ def test_bernoulli_ties_at_a_draws_own_value_follow_the_per_symbol_rule():
 @example(70, 2.0 ** -60, 2)
 def test_bernoulli_blocks_equal_the_per_symbol_rule_anywhere(n, p, seed):
     assert (generate_corpus("bernoulli", n, p=p, seed=seed).indices
-            == _per_symbol(n, p, seed))
+            == bernoulli_per_symbol(n, p, seed))
 
 
 def test_bernoulli_corpora_pinned():
@@ -669,43 +621,6 @@ def test_forward_unreachable_end_is_empty_and_callers_return_zero():
         == DyadicProb.zero()
 
 
-def _single_moves(step):
-    """The moves of `step`, each span expanded to one move per position
-    it covers, as (next_pos, next_state, count, bits)."""
-    return lambda pos, state: ((p, nxt, count, bits)
-                               for first, last, nxt, count, bits
-                               in step(pos, state)
-                               for p in range(first, last + 1))
-
-
-def _forward_per_move(n, start, step):
-    """The forward pass one big-integer update per single move, as it was
-    before spans: the reference the span kernel must equal exactly, fed
-    the spans of `step` expanded to single moves."""
-    step = _single_moves(step)
-    layers = {0: {start: (1, 0)}}
-    for pos in range(n):
-        for state, (m, e) in layers.pop(pos, {}).items():
-            if m > 1 << e:
-                raise ValueError("forward mass above 1 at position %d" % pos)
-            for nxt_pos, nxt, count, bits in step(pos, state):
-                if not (pos < nxt_pos <= n and 0 < count <= 1 << bits):
-                    raise ValueError("bad forward move from position %d: %r"
-                                     % (pos, (nxt_pos, nxt, count, bits)))
-                layer = layers.setdefault(nxt_pos, {})
-                mm, ee = m * count, e + bits
-                old = layer.get(nxt)
-                if old is not None:
-                    om, oe = old
-                    if oe > ee:
-                        mm, ee = (mm << (oe - ee)) + om, oe
-                    else:
-                        mm += om << (ee - oe)
-                layer[nxt] = (mm, ee)
-    return {state: DyadicProb(m, e)
-            for state, (m, e) in layers.get(n, {}).items()}
-
-
 def test_forward_spans_overlap_end_at_n_and_keep_single_moves():
     # from (0, "a"): a single move, a span over 1..3 and one ending at n;
     # from (1, "b"), at another exponent, a span over 2..4 that overlaps
@@ -717,7 +632,7 @@ def test_forward_spans_overlap_end_at_n_and_keep_single_moves():
                    (2, "z"): [(3, 4, "y", 1, 1)],
                    (3, "z"): [(4, 4, "z", 1, 0)],
                    (4, "z"): [(5, 5, "z", 1, 0)]})
-    assert forward(5, "a", step) == _forward_per_move(5, "a", step) \
+    assert forward(5, "a", step) == forward_per_move(5, "a", step) \
         == {"z": DyadicProb(23, 6)}
 
 
@@ -751,7 +666,7 @@ def _random_steps(draw):
 def test_forward_spans_equal_per_move_pass(case):
     n, table = case
     step = _moves(table)
-    assert forward(n, 0, step) == _forward_per_move(n, 0, step)
+    assert forward(n, 0, step) == forward_per_move(n, 0, step)
 
 
 @pytest.mark.parametrize("alphabet", [Alphabet("01"), Alphabet("abc")],
@@ -768,7 +683,7 @@ def test_lz_laws_equal_per_move_pass(alphabet, monkeypatch):
         step = _moves({(pos, start): list(step(pos, start))
                        for pos in range(n)})
         law = forward(n, start, step)
-        assert law == _forward_per_move(n, start, step)
+        assert law == forward_per_move(n, start, step)
         return law
 
     laws = {}
@@ -838,10 +753,11 @@ def test_fsgm_run_pinned_on_fig1():
         "da0e2e386eea95ba29931587ac49eda5ebb0bd049e3a36f1710e76ea9f3a14da")
 
 
-def _tables_sha(tables):
+def _tables_sha(automaton):
+    widths, tables = automaton
     h = hashlib.sha256()
-    for width, table in zip(*tables):
-        h.update(("%d:%s;" % (width, ",".join(map(str, table)))).encode())
+    for s, width in enumerate(widths):
+        h.update(("%d:%s;" % (width, ",".join(map(str, tables[s])))).encode())
     return h.hexdigest()
 
 
@@ -862,35 +778,16 @@ def test_lz_draw_paths_pinned_at_large_n():
         assert _tables_sha(_lz_run_tables(x)) == tables
 
 
-def _table_law(x):
-    """Pr(the run tables reach WIN from matched length 0), by a dynamic
-    program over table-entry counts: every raw field is equally likely."""
-    from lzguess.guessers import _lz_run_tables
-    widths, tables = _lz_run_tables(x)
-    mass = [Fraction(0)] * len(x)
-    mass[0] = Fraction(1)
-    win = Fraction(0)
-    for e, (width, table) in enumerate(zip(widths, tables)):
-        assert len(table) == 1 << width
-        share = mass[e] / len(table)
-        for code in table:
-            if code == -2:
-                win += share
-            elif code >= 0:
-                assert e < code < len(x)
-                mass[code] += share
-    return win
-
-
 @pytest.mark.parametrize("size,max_n", [(2, 8), (3, 5)])
 def test_run_tables_law_is_the_exact_law(size, max_n):
     # every target up to max_n, so each overshoot and modulo case shows up
-    from lzguess.guessers import lz_guess_prob
+    from lzguess.guessers import _lz_run_tables, lz_guess_prob
     alphabet = Alphabet(tuple("abc"[:size]))
     for n in range(1, max_n + 1):
         for word in itertools.product(range(size), repeat=n):
             x = SymbolSeq(alphabet, bytes(word))
-            assert _table_law(x) == lz_guess_prob(x).as_fraction()
+            assert (automaton_law(*_lz_run_tables(x))
+                    == lz_guess_prob(x).as_fraction())
 
 
 def _noisy_pair(n, seed, flip):

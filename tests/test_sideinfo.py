@@ -8,20 +8,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lzguess.seqcore import (Alphabet, BitSource, DyadicProb, SymbolSeq,
-                             forward, generate_corpus, parse_corpus_spec)
-from lzguess.lz78 import BitReader, DecodeError, incremental_parse
+                             generate_corpus, parse_corpus_spec)
+from lzguess.lz78 import BitReader, DecodeError
 from lzguess.fsgm import (FSGMSpec, automaton, build_fig1_machine,
                           run as fsgm_run, sequence_prob)
-from lzguess.guessers import Guesser, make_runner, play_counts
+from lzguess.guessers import (Guesser, compile_automaton, make_runner,
+                              play_counts)
 from lzguess.bounds import (block_entropy, delta_n_at, direct_clogc,
                             sandwich_sweep)
-from lzguess.sideinfo import (_JointDict, _cond_draws, _gamma_encode,
-                              _rank_sym, chain_decode, chain_encode,
-                              chain_gap_probs, chain_draw, chain_read,
+from lzguess.sideinfo import (_JointDict, _cond_draws, chain_decode,
+                              chain_encode, chain_gap_probs, chain_draw,
                               cond_code, cond_decode, cond_guess_prob,
                               cond_sample, epsilon1, joint_parse, pack_pairs)
-from conftest import (FixedBits, all_seqs, seq, sequence_prob_per_state,
-                      xor_machine)
+from conftest import FixedBits, all_seqs, seq, xor_machine
+from oracles import (block_law_per_block, chain_decode_per_bit,
+                     cond_code_by_feed, sampler_law, sequence_prob_per_state)
 
 AB = Alphabet(("a", "b"))
 B01 = Alphabet(("0", "1"))
@@ -181,17 +182,6 @@ def test_chain_decode_and_draw_read_one_layout():
             assert reader.pos == fixed.pos
 
 
-def _chain_decode_per_bit(reader, size):
-    """chain_decode as it was before it searched for the unary prefix:
-    one take(1) per unary bit; kept as the reference."""
-    gap = chain_read(reader.take, size)
-    if gap >= size:
-        raise DecodeError("chain index %d out of range"
-                          % (gap + 1 - (1 << (size.bit_length() - 1))),
-                          reader.pos)
-    return gap
-
-
 def _chain_outcome(decoder, bits, skip, size):
     """The gap and reader position after one read from bit `skip`, or the
     message and bit position the read failed at."""
@@ -208,7 +198,7 @@ def _chain_outcome(decoder, bits, skip, size):
        size=st.integers(1, 2000))
 def test_chain_decode_equals_per_bit_read(bits, skip, size):
     assert (_chain_outcome(chain_decode, bits, skip, size)
-            == _chain_outcome(_chain_decode_per_bit, bits, skip, size))
+            == _chain_outcome(chain_decode_per_bit, bits, skip, size))
 
 
 def test_chain_draw_matches_probs():
@@ -252,52 +242,14 @@ def test_cond_roundtrip_ternary_x_binary_y():
         assert cond_decode(cond_code(x, y), y, n, abc) == x
 
 
-def _cond_code_by_feed(x, y):
-    """cond_code as it was before it read the indexed joint parse: the
-    dictionary grows phrase by phrase through _JointDict.feed, each phrase
-    found by a walk from the root; kept as the reference."""
-    if len(x) != len(y):
-        raise ValueError("x and y must have equal length")
-    n = len(x)
-    alpha = x.alphabet.size
-    a_bits = x.alphabet.bits_per_symbol
-    xi, yi = x.indices, y.indices
-    dic = _JointDict(y.alphabet.size)
-    children = dic.trie.children
-    records = []
-    b = 0
-    while b < n:
-        node = 0
-        d = 0
-        while b + d < n:
-            child = children[node].get(xi[b + d] * dic.beta + yi[b + d])
-            if child is None:
-                break
-            node = child
-            d += 1
-        width = (len(dic.members[dic.ynode[node]]) - 1).bit_length()
-        index = format(dic.pos[node], "0%db" % width) if width else ""
-        if b + d == n:
-            records.append(index)
-            break
-        chain = d + len(dic.ypath(yi, b + d, n, w=dic.ynode[node]))
-        fused = ((chain - 1 - d) * alpha
-                 + _rank_sym(xi[b + d], yi[b + d], alpha))
-        records.append(chain_encode(fused, chain * alpha) + index)
-        dic.feed(node, xi[b + d], yi[b + d])
-        b += d + 1
-    n_complete = len(dic.trie) - 1
-    return _gamma_encode((n_complete + 1) << a_bits) + "".join(records)
-
-
 def test_cond_code_equals_feed_coder_exhaustive():
     for n in range(9):
         for x, y in all_pairs(n):
-            assert cond_code(x, y) == _cond_code_by_feed(x, y)
+            assert cond_code(x, y) == cond_code_by_feed(x, y)
     for n in range(6):
         for x in all_seqs(ABC, n):
             for y in all_seqs(B01, n):
-                assert cond_code(x, y) == _cond_code_by_feed(x, y)
+                assert cond_code(x, y) == cond_code_by_feed(x, y)
 
 
 @settings(max_examples=300, deadline=None)
@@ -314,7 +266,7 @@ def test_cond_code_equals_feed_coder_on_any_pair(alpha, beta, data):
     y = SymbolSeq(y_alphabet, bytes(data.draw(st.lists(
         st.integers(0, y_top), min_size=n, max_size=n))))
     code = cond_code(x, y)
-    assert code == _cond_code_by_feed(x, y)
+    assert code == cond_code_by_feed(x, y)
     assert cond_decode(code, y, n, x_alphabet) == x
 
 
@@ -381,15 +333,6 @@ def test_side_alphabet_larger_than_target_alphabet():
         assert total == DyadicProb.one()
 
 
-def test_side_alphabet_larger_sampler_matches_law():
-    y = seq("cac", ABC)
-    dist = blackbox_cond_distribution(y, 3, 12, B01)
-    assert sum(dist.values()) == 1
-    for x in all_seqs(B01, 3):
-        assert dist.get(x, Fraction(0)) == \
-            cond_guess_prob(x, y).as_fraction(), x.render()
-
-
 def test_cond_code_self_is_cheap():
     x = generate_corpus("bernoulli", 4096, p=0.5, seed=7)
     assert len(cond_code(x, x)) / 4096 <= 0.25
@@ -410,64 +353,11 @@ def test_cond_length_envelope_on_corpora():
 
 # --- conditional sampler and guess probability ------------------------------------
 
-def blackbox_cond_distribution(y, n, bit_len, x_alphabet=None):
-    counts = {}
-    for v in range(1 << bit_len):
-        bits = FixedBits(format(v, "0%db" % bit_len))
-        out = cond_sample(y, n, bits, x_alphabet)
-        counts[out] = counts.get(out, 0) + 1
-    return {x: Fraction(c, 1 << bit_len) for x, c in counts.items()}
-
-
-def test_cond_guess_prob_matches_blackbox_enumeration():
-    for ytext in ("000", "010", "111", "001"):
-        y = seq(ytext, B01)
-        dist = blackbox_cond_distribution(y, 3, 11)
-        for x in all_seqs(B01, 3):
-            assert dist.get(x, Fraction(0)) == \
-                cond_guess_prob(x, y).as_fraction(), (x.render(), ytext)
-
-
-class _Answers:
-    """A bit source that answers its k-th next_bits call with answers[k],
-    or with 0 past the list, and records the width of every call."""
-
-    def __init__(self, answers):
-        self.answers, self.widths = answers, []
-
-    def next_bits(self, k):
-        if not k:
-            return 0
-        self.widths.append(k)
-        i = len(self.widths) - 1
-        return self.answers[i] if i < len(self.answers) else 0
-
-
-def sampler_law(sample):
-    """The exact law of sample(bits), a black box that reads fair bits by
-    next_bits, over every sequence of answers to its calls: one run per
-    sequence, turned like an odometer over the call widths (the last call
-    with an answer left is answered one higher, and the calls after it
-    are answered 0 again)."""
-    law, answers = {}, []
-    while True:
-        bits = _Answers(answers)
-        out = sample(bits)
-        law[out] = law.get(out, DyadicProb.zero()) + DyadicProb(
-            1, sum(bits.widths))
-        widths = bits.widths
-        answers += [0] * (len(widths) - len(answers))
-        while answers and answers[-1] == (1 << widths[len(answers) - 1]) - 1:
-            answers.pop()
-        if not answers:
-            return law
-        answers[-1] += 1
-
-
 @pytest.mark.parametrize("alpha, beta", itertools.product((2, 3), (2, 3, 4)))
 def test_cond_guess_prob_is_the_sampler_law_on_every_short_pair(alpha, beta):
     # every pair up to n = 5; with beta > alpha the side symbols from
-    # alpha on have no copy among x's symbols
+    # alpha on have no copy among x's symbols.  cond_sample's default x
+    # alphabet, y's own, is drawn in test_cond_sample_empirical
     x_alphabet = Alphabet(tuple("abc"[:alpha]))
     y_alphabet = Alphabet(tuple("0123"[:beta]))
     for n in range(1, 6):
@@ -809,14 +699,10 @@ def test_cond_fsgm_forward_matches_enumeration():
     spec = xor_machine()
     y = seq("0110", B01)
     total = DyadicProb.zero()
-    counts = {}
-    for v in range(1 << 4):
-        out = fsgm_run(spec, FixedBits(format(v, "04b")), 4, side=y).output
-        counts[out] = counts.get(out, 0) + 1
+    law = sampler_law(lambda bits: fsgm_run(spec, bits, 4, side=y).output)
     for x in all_seqs(B01, 4):
-        expect = Fraction(counts.get(x, 0), 16)
         got = sequence_prob(spec, x, y)
-        assert got.as_fraction() == expect
+        assert got == law.get(x, DyadicProb.zero())
         total = total + got
     assert total == DyadicProb.one()
 
@@ -853,27 +739,6 @@ def test_cond_fsgm_run_requires_divisibility():
     for machine, target, side in ((spec, x, None), (plain, abab, abab)):
         with pytest.raises(ValueError, match="exactly when it has a side"):
             sequence_prob(machine, target, side)
-
-
-def _old_block_law(ell, initial, delta, table, x, y):
-    """Test-local copy of the removed ``cond_fsgm_sequence_prob``: the
-    forward pass over (block start, state) of an ell-block conditional
-    machine keyed by (state, y-block), one move per matching table entry."""
-    n = len(x)
-    if n % ell or len(y) != n:
-        raise ValueError("need len(x) = len(y) = multiple of ell")
-
-    def step(b, z):
-        nxt_b = b + ell
-        xb = x.indices[b:nxt_b]
-        yb = y.indices[b:nxt_b]
-        for out, zp in table[(z, yb)]:
-            if out == xb:
-                yield (nxt_b, nxt_b, zp if nxt_b < n else None, 1,
-                       delta[(z, yb)])
-
-    start = initial if n else None
-    return forward(n, start, step).get(None, DyadicProb.zero())
 
 
 def _blocks_of(alphabet, ell):
@@ -930,7 +795,7 @@ def test_block_machine_packed_law_equals_the_old_block_law(ell):
                 for x in all_seqs(B01, n):
                     got = sequence_prob(spec, _pack(x, ell, xs_alpha),
                                         _pack(y, ell, ys_alpha))
-                    assert got == _old_block_law(ell, "s0", delta, table,
+                    assert got == block_law_per_block(ell, "s0", delta, table,
                                                  x, y)
                     total = total + got
                 assert total == DyadicProb.one()
@@ -982,5 +847,5 @@ def test_side_machine_guesser_refusals():
                 side=SymbolSeq.from_text("0110", yb))
     x = seq("1100", B01)
     assert g.guess_prob(x) == sequence_prob(xor_machine(), x, y)
-    assert make_runner(g, x)(BitSource(1)) == (
+    assert make_runner(compile_automaton(g, x))(BitSource(1)) == (
         g.sample(BitSource(1)) == x)

@@ -6,9 +6,10 @@ src/ would make a traced benchmark run crash on a missing attribute.  The
 benchmark compares every job's results.json with perfbench/reference.json,
 so a renamed or dropped output key fails it as an incorrect output.  The
 README's command examples must stay accepted by the CLI parser.  Every
-top-level definition in src/ is reached from a user-facing entry point, or
-is a test oracle named below, and the helpers that a refactor retired stay
-gone.
+top-level definition in src/ is reached from a user-facing entry point:
+code that only tests call lives in tests/oracles.py, where each oracle
+names the src/ function it checks and some test calls it.  The helpers
+that a refactor retired stay gone.
 """
 
 import ast
@@ -16,6 +17,7 @@ import glob
 import importlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -66,17 +68,14 @@ def test_bench_imports_resolve_in_src():
         assert target is not None, "%s.%s is gone" % (module, name)
 
 
-# top-level definitions that only the tests call, each kept on purpose
-TEST_ONLY = {
-    "tree_run": "the bit-by-bit tree semantics, oracle for the expansion",
-    "_moment_series": "one series row alone, at zeta in {1, 2} too: the 1 x 1 "
-                      "series_grid that tests hold to the closed forms",
-}
+# top-level definitions that only the tests call, each kept on purpose;
+# none is: test-only code belongs in tests/oracles.py
+TEST_ONLY = {}
 
 
 # top-level definitions that a newer mechanism replaced; src/ must not grow
-# them back (the per-draw LZ walk lives on only as the test-local oracle
-# _lz_draws_per_draw in test_guessers.py)
+# them back (the per-draw LZ walk lives on only as the oracle
+# lz_draws_per_draw in tests/oracles.py)
 RETIRED = {
     "_run_tail": "forward takes spans from its step instead of finding runs",
     "_cond_run_tables": "the conditional automaton reads _cond_draws' moves",
@@ -93,7 +92,12 @@ RETIRED = {
     "_ptr_count": "chain_gap_probs and cond_guess_prob count index patterns "
                   "inline",
     "fig1_word_expansion": "the example machine's word map is a test oracle "
-                           "in tests/conftest.py",
+                           "in tests/oracles.py",
+    "tree_run": "the tree semantics run bit by bit is a test oracle in "
+                "tests/oracles.py",
+    "_moment_series": "one series row alone is the test oracle "
+                      "moment_series in tests/oracles.py",
+    "_Row": "LZ rows are built on first read by the _LazyRows dict",
 }
 
 
@@ -156,6 +160,43 @@ def test_every_definition_is_reached_or_a_named_oracle():
     assert not set(TEST_ONLY) - unreached, (
         "reached or gone, so drop them from TEST_ONLY: %s"
         % sorted(set(TEST_ONLY) - unreached))
+
+
+# an oracle's docstring names what it checks as ``lzguess.<module>.<name>``
+_CHECKED = re.compile(r"``(lzguess(?:\.\w+)+)``")
+
+
+def _resolve(dotted):
+    """The object a dotted lzguess name refers to, or None."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 1, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            obj = getattr(obj, attr, None)
+        return obj
+    return None
+
+
+def test_every_oracle_is_called_and_names_what_it_checks():
+    called = set()
+    for path in glob.glob(os.path.join(ROOT, "tests", "test_*.py")):
+        called |= {n.id for n in ast.walk(_parse(path))
+                   if isinstance(n, ast.Name)}
+    oracles = [node for node in _parse(os.path.join(ROOT, "tests",
+                                                    "oracles.py")).body
+               if isinstance(node, ast.FunctionDef)
+               and not node.name.startswith("_")]
+    assert oracles
+    for node in oracles:
+        assert node.name in called, "no test calls %s" % node.name
+        checked = _CHECKED.findall(ast.get_docstring(node) or "")
+        assert checked, "%s names no lzguess function" % node.name
+        for name in checked:
+            assert _resolve(name) is not None, "%s: %s is gone" % (
+                node.name, name)
 
 
 def test_retired_helpers_stay_gone():

@@ -34,9 +34,9 @@ numerator's bit width, so that two trees can be compared point by point:
   ``bernoulli:0.5:1`` at n = 512 ... 8192.  Such a target is far too
   unlikely to be guessed, so every round is censored and the game reads
   only short prefixes of x.  A point records the automaton rows that
-  were built by the end (each a plain list, where a tree that builds rows
-  on first read leaves the others as stand-ins), the byte rows of its
-  game and the sha256 of the count list;
+  were built by the end (the rows a lazy ``dict`` store holds, or the
+  plain lists among a tree's stand-ins), the byte rows of its game and
+  the sha256 of the count list;
 - ``codec``: ``lz78.incremental_parse`` on the fair bits x of the
   Bernoulli pair above and on ``thue_morse``, ``lz78.encode`` on x,
   ``lz78.decode`` on x and on ``thue_morse``, and
@@ -388,7 +388,9 @@ def _compile_point(n):
 
         def record(out):
             automaton, counts = out
-            got = {"rows_built": sum(type(t) is list for t in automaton[1]),
+            tables = automaton[1]
+            got = {"rows_built": len(tables) if isinstance(tables, dict)
+                   else sum(type(t) is list for t in tables),
                    "sha256": _sha(repr(counts))}
             if games:
                 got["byte_rows"] = games[0].built
